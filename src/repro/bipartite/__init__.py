@@ -30,8 +30,13 @@ properness.
 
 from .balance import balance_partial_d2, d2_shuffle_drain
 from .graph import BipartiteGraph
-from .mp import mp_partial_d2, replay_partial_rounds
-from .optimistic import d2_work_units, optimistic_partial_d2, partial_d2_sequential
+from .optimistic import (
+    d2_work_units,
+    mp_partial_d2,
+    optimistic_partial_d2,
+    partial_d2_sequential,
+    replay_partial_rounds,
+)
 from .types import (
     PartialD2Coloring,
     assert_partial_d2_proper,

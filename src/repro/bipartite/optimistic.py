@@ -15,8 +15,11 @@ round.  Three engines share the protocol:
   :class:`~repro.resilience.ConvergenceWatchdog`.  With one thread it is
   bit-identical to the sequential sweep (no two rows share a tick, so no
   race can happen);
-- :func:`repro.bipartite.mp.mp_partial_d2` — real worker processes over
-  the PR 6 shm transport.
+- :func:`mp_partial_d2` — real worker processes: the ``d2``
+  neighbourhood of the round driver :func:`repro.parallel.mp.run_rounds`
+  (rows split in id order into contiguous blocks, the locality the
+  tall-skinny patterns want), with :func:`replay_partial_rounds` as its
+  inline transport.
 
 Work units charged to the tick machine are *two-hop touches*: processing
 row ``r`` costs ``Σ_{c ∈ cols(r)} deg(c)`` slot reads plus the usual
@@ -30,11 +33,25 @@ import numpy as np
 from .. import kernels
 from ..obs import as_recorder
 from ..parallel.engine import TickMachine
-from ..resilience import ConvergenceWatchdog, DEFAULT_PATIENCE, resolve_fault_plan
+from ..parallel.mp import (
+    DEFAULT_BACKOFF,
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_ROUND_TIMEOUT,
+    Neighbourhood,
+    resolve_transport,
+    run_rounds,
+)
+from ..resilience import (
+    DEFAULT_PATIENCE,
+    ConvergenceWatchdog,
+    FaultPlan,
+    resolve_fault_plan,
+)
 from .graph import BipartiteGraph
 from .types import PartialD2Coloring
 
-__all__ = ["d2_work_units", "optimistic_partial_d2", "partial_d2_sequential"]
+__all__ = ["d2_work_units", "mp_partial_d2", "optimistic_partial_d2",
+           "partial_d2_sequential", "replay_partial_rounds"]
 
 
 def d2_work_units(bip: BipartiteGraph) -> np.ndarray:
@@ -217,3 +234,88 @@ def optimistic_partial_d2(
         meta["watchdog_round"] = watchdog.fired_round
     return PartialD2Coloring(colors, num_colors, strategy="d2-optimistic",
                              meta=meta)
+
+
+def mp_partial_d2(
+    bip: BipartiteGraph,
+    *,
+    num_workers: int = 2,
+    max_rounds: int = 100,
+    backend: str | None = None,
+    recorder=None,
+    fault_plan: FaultPlan | str | None = None,
+    round_timeout: float = DEFAULT_ROUND_TIMEOUT,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+    backoff: float = DEFAULT_BACKOFF,
+    shm: bool | None = None,
+    context: str | None = None,
+) -> PartialD2Coloring:
+    """Partial D2 coloring computed by *num_workers* OS processes.
+
+    Deterministic for a fixed ``num_workers``, and independent of
+    transport, start method, and pool warmth — the shm and pickle paths
+    run the identical protocol.  With ``num_workers=1`` the sweep runs
+    in-process and the result is bit-identical to
+    :func:`~repro.bipartite.optimistic.partial_d2_sequential`.
+
+    Guarding, fault injection (``fault_plan``), salvage, the residual
+    sequential pass, the meta keys (``workers``/``rounds``/``conflicts``/
+    ``faults``/``degraded``/``residual``/``transport``/``context``/
+    ``bytes_to_workers``/``pool_reused``) and the recorder events
+    (``mp_pool``/``mp_round``/``mp_salvage``/``mp_degraded``/``fault_*``
+    inside a ``d2-mp`` phase) all match
+    :func:`repro.parallel.mp.mp_greedy_ff`.
+    """
+    rec = as_recorder(recorder)
+    resolved = kernels.resolve_backend(backend)
+    transport = resolve_transport(shm)
+    with rec.phase("d2-mp"):
+        colors, meta = run_rounds(
+            Neighbourhood("d2", bip.incidence, bip.num_rows), num_workers,
+            transport=transport, max_rounds=max_rounds, backend=resolved,
+            plan=resolve_fault_plan(fault_plan), context=context,
+            round_timeout=round_timeout, max_retries=max_retries,
+            backoff=backoff, rec=rec)
+    num_colors = int(colors.max(initial=-1)) + 1
+    if rec.enabled:
+        rec.event("partial_coloring", strategy="d2-mp", num_rows=bip.num_rows,
+                  num_colors=num_colors, workers=num_workers,
+                  rounds=meta["rounds"], conflicts=meta["conflicts"],
+                  backend=resolved, degraded=meta["degraded"],
+                  transport=meta["transport"])
+    return PartialD2Coloring(
+        colors, num_colors, strategy="d2-mp",
+        meta={"workers": num_workers, "backend": resolved, **meta})
+
+
+def replay_partial_rounds(
+    bip: BipartiteGraph,
+    num_workers: int,
+    *,
+    max_rounds: int = 100,
+    backend: str | None = None,
+) -> tuple[PartialD2Coloring, list[dict]]:
+    """Run the mp protocol in-process, exposing each round's inputs.
+
+    Executes exactly the rounds :func:`mp_partial_d2` would run (same
+    id-order blocks, same snapshots, same merge and conflict rule) on the
+    driver's inline transport, and returns the final coloring plus one
+    dict per round: ``{"blocks": [row arrays], "snapshot": colors at
+    round start, "work": the round's work list}``.  The blocks here are
+    byte-for-byte the mp engine's worker inputs, so a benchmark can time
+    each block's sweep in isolation against its snapshot to model the
+    per-round critical path on a machine with real cores.
+    """
+    resolved = kernels.resolve_backend(backend)
+    captured: list[dict] = []
+    colors, meta = run_rounds(
+        Neighbourhood("d2", bip.incidence, bip.num_rows), num_workers,
+        transport="inline", max_rounds=max_rounds, backend=resolved,
+        capture=captured)
+    num_colors = int(colors.max(initial=-1)) + 1
+    return (PartialD2Coloring(colors, num_colors, strategy="d2-mp-replay",
+                              meta={"workers": num_workers,
+                                    "rounds": meta["rounds"],
+                                    "backend": resolved}),
+            [{k: r[k] for k in ("blocks", "snapshot", "work")}
+             for r in captured])

@@ -62,16 +62,13 @@ class StrategySpec:
     Sched-Rev/Fwd) versus those that may change it (Recoloring, ab initio).
 
     ``sequential``/``superstep``/``mp`` hold the normalized mode
-    implementations (``None`` = unsupported in that mode); ``run`` is kept
-    as a legacy alias of the sequential implementation so pre-existing
-    callers keep working unchanged.
+    implementations (``None`` = unsupported in that mode).
     """
 
     name: str
     category: str
     same_color_count: bool
     description: str
-    run: Callable[..., Coloring]
     sequential: Callable[..., Coloring] | None = None
     superstep: Callable[..., Coloring] | None = None
     mp: Callable[..., Coloring] | None = None
@@ -381,91 +378,83 @@ def _d2_balanced(base_impl, accepts: frozenset):
     return run
 
 
-def _spec(name: str, category: str, same_color_count: bool, description: str, *,
-          sequential: Callable[..., Coloring],
-          superstep: Callable[..., Coloring] | None = None,
-          mp: Callable[..., Coloring] | None = None) -> StrategySpec:
-    return StrategySpec(name, category, same_color_count, description,
-                        sequential, sequential, superstep, mp)
-
-
 STRATEGIES: dict[str, StrategySpec] = {
-    "greedy-ff": _spec(
+    "greedy-ff": StrategySpec(
         "greedy-ff", "ab_initio", False,
         "Algorithm 1 with First-Fit color choice (the paper's initial coloring)",
         sequential=_seq_greedy("ff", ("ordering", "backend")),
         superstep=_superstep_greedy_ff,
         mp=_mp_greedy_ff,
     ),
-    "greedy-lu": _spec(
+    "greedy-lu": StrategySpec(
         "greedy-lu", "ab_initio", False,
         "Algorithm 1 with Least-Used color choice",
         sequential=_seq_greedy("lu", ("ordering",)),
     ),
-    "greedy-random": _spec(
+    "greedy-random": StrategySpec(
         "greedy-random", "ab_initio", False,
         "Algorithm 1 with Random color choice in palette B = Δ+1",
         sequential=_seq_greedy("random", ("ordering", "palette_bound")),
     ),
-    "vff": _spec(
+    "vff": StrategySpec(
         "vff", "guided", True,
         "Vertex-centric First-Fit unscheduled shuffling",
         sequential=_seq_shuffled("ff", "vertex"),
         superstep=_superstep_shuffled("ff", "vertex"),
     ),
-    "vlu": _spec(
+    "vlu": StrategySpec(
         "vlu", "guided", True,
         "Vertex-centric Least-Used unscheduled shuffling",
         sequential=_seq_shuffled("lu", "vertex"),
         superstep=_superstep_shuffled("lu", "vertex"),
     ),
-    "cff": _spec(
+    "cff": StrategySpec(
         "cff", "guided", True,
         "Color-centric First-Fit unscheduled shuffling",
         sequential=_seq_shuffled("ff", "color"),
         superstep=_superstep_shuffled("ff", "color"),
     ),
-    "clu": _spec(
+    "clu": StrategySpec(
         "clu", "guided", True,
         "Color-centric Least-Used unscheduled shuffling",
         sequential=_seq_shuffled("lu", "color"),
         superstep=_superstep_shuffled("lu", "color"),
     ),
-    "sched-rev": _spec(
+    "sched-rev": StrategySpec(
         "sched-rev", "guided", True,
         "Scheduled moves, under-full bins filled in reverse color order",
         sequential=_seq_scheduled(True),
         superstep=_superstep_scheduled(True),
     ),
-    "sched-fwd": _spec(
+    "sched-fwd": StrategySpec(
         "sched-fwd", "guided", True,
         "Scheduled moves, forward fill order (ablation)",
         sequential=_seq_scheduled(False),
         superstep=_superstep_scheduled(False),
     ),
-    "recoloring": _spec(
+    "recoloring": StrategySpec(
         "recoloring", "guided", False,
         "Reverse-class FF recoloring under capacity γ",
         sequential=_seq_recoloring,
         superstep=_superstep_recoloring,
     ),
-    "incremental": _spec(
+    "incremental": StrategySpec(
         "incremental", "guided", False,
         "Localized repair + drain of a carried-forward coloring after churn",
         sequential=_seq_incremental,
         superstep=_superstep_incremental,
     ),
-    "kempe": _spec(
+    "kempe": StrategySpec(
         "kempe", "guided", True,
         "Kempe-chain exchange rebalancing (extension)",
         sequential=_seq_kempe,
     ),
-    "d2": _spec(
+    "d2": StrategySpec(
         "d2", "ab_initio", False,
         "Greedy distance-2 coloring (Jacobian compression), FF or LU choice",
         sequential=_seq_d2,
     ),
-    "d2-optimistic": _spec(
+    "d2-optimistic": StrategySpec(
         "d2-optimistic", "ab_initio", False,
         "Optimistic partial distance-2 coloring on the square cover "
         "(speculative sweeps + conflict removal)",
@@ -473,7 +462,7 @@ STRATEGIES: dict[str, StrategySpec] = {
         superstep=_superstep_d2_optimistic,
         mp=_mp_d2_optimistic,
     ),
-    "d2-balanced": _spec(
+    "d2-balanced": StrategySpec(
         "d2-balanced", "ab_initio", False,
         "Optimistic distance-2 coloring + one-sided shuffle drain of "
         "over-full color classes",

@@ -1,62 +1,27 @@
-"""Real process-parallel Greedy-FF coloring (multiprocessing backend).
+"""The optimistic round driver: real process-parallel speculative coloring.
 
-The tick machine simulates shared-memory parallelism; this module provides
-the genuine article within CPython's constraints: the speculation-and-
-iteration framework distributed over worker *processes*.  Each round, the
-uncolored vertices are block-partitioned across workers, every worker
-First-Fit-colors its block against a snapshot of the global colors array,
-proposals are merged, and the higher-id endpoint of every monochromatic
-edge is retried next round — the same protocol as
-:func:`repro.parallel.greedy.parallel_greedy_ff`, with process boundaries
-playing the role of racing threads (workers cannot see each other's
-in-round proposals, exactly like same-tick peers).
+The tick machine simulates shared-memory parallelism; this module runs
+the speculation-and-iteration framework over worker *processes*.
+:func:`run_rounds` is its one driver: each round the pending items are
+split into blocks along a fixed partition order, every block is
+First-Fit-colored against the round-start snapshot (workers cannot see
+each other's in-round proposals, exactly like same-tick peers), the
+proposals merge in block order, and the conflict rule picks the items to
+retry next round.  It takes a :class:`Neighbourhood` (``d1``: a graph's
+vertices; ``d2``: a bipartite graph's rows) and a transport: ``shm``
+(the default wherever POSIX shared memory works), ``pickle`` (the
+fallback where it does not) or ``inline`` (no pool: the in-process
+replays).  :func:`mp_greedy_ff` and :func:`repro.bipartite.mp_partial_d2`
+are thin adapters over it.
 
-Two transports implement the protocol, selected by ``shm=`` /
-``REPRO_MP_SHM`` (default: shared memory wherever it works):
-
-``shm`` (default)
-    Zero-copy: the CSR arrays, the double-buffered colors snapshot, and
-    the round's work list live in POSIX shared memory
-    (:mod:`repro.shm.segments`) — or, for an out-of-core graph from
-    :mod:`repro.graph.store`, in the OS page cache of its memory-mapped
-    files.  A worker task is a tuple of segment names and ``(start,
-    stop)`` offsets, a few hundred bytes regardless of graph size, and
-    the workers come from the process-wide persistent
-    :class:`repro.shm.WarmPool` — spawned once, reused across rounds
-    *and* jobs.  Proposals still return through the pool's result
-    channel (``n / workers`` entries each): per-attempt results are what
-    make the guarded retry protocol race-free, and they are a small
-    fraction of what the snapshots used to cost.
-
-``pickle`` (legacy)
-    The original transport: a per-job pool whose workers receive the
-    full colors snapshot and their block array every round.  Kept as the
-    fallback for environments without usable shared memory, and as the
-    reference the equivalence tests compare against.
-
-Both transports run the identical protocol on identical inputs, so their
-colorings are bit-identical for fixed ``(num_workers, partition, seed)``
-— the test-suite asserts this.  The start method is no longer hardcoded
-to ``fork``: :func:`repro.shm.pick_context` prefers ``fork`` where
-available and falls back to ``spawn``, and since workers receive all
-bulk data through shm descriptors (or pickled initargs on the legacy
-path), no transport relies on copy-on-write.
-
-Unlike the simulated loops, real workers can *fail*: a process can die,
-hang, or (in principle) return garbage.  Every round therefore runs
-guarded — each block is an :class:`~multiprocessing.pool.AsyncResult`
-collected with a timeout, failed blocks are retried with bounded
-exponential backoff, completed blocks are always salvaged, and a block
-whose retries are exhausted is colored in-process (the degraded path).
-Failures are injected deterministically for testing via a
-:class:`repro.resilience.FaultPlan` (``fault_plan=`` argument or the
-``REPRO_FAULT_PLAN`` environment variable); recovery from kill/stall/
-corrupt faults reproduces the fault-free coloring bit-identically,
-because a retried block re-colors the same vertices against the same
-snapshot.  A killed worker is respawned by the pool itself and
-re-attaches to the shared segments lazily from the next task's
-descriptor; the segments are parent-owned, so worker death never leaks
-or destroys them.
+Determinism for fixed ``(num_workers, partition, seed)``: one worker ≡
+the sequential sweep; shm ≡ pickle ≡ inline, since every transport feeds
+the same blocks the same snapshot and merges in the same order; and
+kill/stall/corrupt recovery is bit-identical to the fault-free run,
+since a retried block re-colors the same items against the same
+snapshot.  A killed worker is respawned by the pool and re-attaches to
+the parent-owned segments from its next task, so worker death never
+leaks or destroys them.
 """
 
 from __future__ import annotations
@@ -64,17 +29,20 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
 from .. import kernels
 from ..coloring.types import Coloring
 from ..graph.csr import CSRGraph
-from ..obs import as_recorder
-from ..resilience import FaultPlan, InjectedFault, resolve_fault_plan
+from ..obs import NULL, as_recorder
+from ..resilience import NO_FAULTS, FaultPlan, resolve_fault_plan
 
-__all__ = ["detect_cross_conflicts", "mp_greedy_ff", "partition_positions",
-           "resolve_transport", "split_blocks"]
+__all__ = ["Neighbourhood", "detect_cross_conflicts", "mp_greedy_ff",
+           "partition_positions", "resolve_transport", "run_rounds",
+           "split_blocks"]
 
 #: Per-block-attempt collection timeout (seconds) when none is given.  A
 #: hung or killed worker surfaces as a timeout after at most this long,
@@ -88,13 +56,12 @@ DEFAULT_MAX_RETRIES = 2
 DEFAULT_BACKOFF = 0.05
 
 #: Environment switch for the transport: "1"/"on" forces shm, "0"/"off"
-#: forces the legacy pickling path.  Unset: shm wherever it works.
+#: forces the pickle transport.  Unset: shm wherever it works.
 ENV_SHM = "REPRO_MP_SHM"
 
-# Worker-process globals, installed by _init_worker (legacy transport: on
-# fork the arrays are shared copy-on-write; on spawn they arrive pickled
-# once per worker via initargs).
-_G_GRAPH: CSRGraph | None = None
+# The pickle transport's graph, installed once per worker by the pool
+# initializer (arrives pickled through initargs under every start method).
+_WORKER_GRAPH: CSRGraph | None = None
 
 
 def resolve_transport(shm: bool | None = None) -> str:
@@ -123,77 +90,48 @@ def resolve_transport(shm: bool | None = None) -> str:
     return "shm" if shm else "pickle"
 
 
-def _init_worker(indptr: np.ndarray, indices: np.ndarray) -> None:
-    global _G_GRAPH
-    _G_GRAPH = CSRGraph(indptr, indices, validate=False)
-
-
-def _apply_fault(fault: tuple | None) -> None:
-    """Apply a worker-side injected fault (kill/stall) before coloring."""
-    if fault is not None:
-        if fault[0] == "kill":
-            os._exit(13)  # hard death: no exception, no cleanup, no result
-        elif fault[0] == "stall":
-            time.sleep(fault[1])
-        elif fault[0] == "raise":  # pragma: no cover - debugging aid
-            raise InjectedFault(f"injected crash in block task {fault}")
-
-
-def _color_block(args: tuple[np.ndarray, np.ndarray, str]) -> np.ndarray:
-    """FF-color one block of vertices against a colors snapshot.
-
-    Commits are local to the block: each vertex sees the new colors of
-    earlier block members plus the (possibly stale) snapshot for everyone
-    else — exactly :func:`repro.kernels.ff_sweep` with ``base=snapshot``.
-    """
-    block, colors, backend = args
-    local = kernels.ff_sweep(_G_GRAPH, block, colors, backend=backend)
-    return local[block]
-
-
-def _color_block_task(
-    args: tuple[np.ndarray, np.ndarray, str, tuple | None]
-) -> np.ndarray:
-    """Legacy-transport worker task: apply any fault, then color the block."""
-    block, colors, backend, fault = args
-    _apply_fault(fault)
-    return _color_block((block, colors, backend))
-
-
-def _color_block_shm(
-    args: tuple[tuple, tuple, int, int, int, str, tuple | None]
-) -> np.ndarray:
-    """shm-transport worker task: attach segments, slice, color, return.
-
-    ``args`` carries no arrays — only the graph / colors segment
-    descriptors, the ``[start, stop)`` slice of the shared work list,
-    and which snapshot row to read (the current one, or the previous
-    round's for an injected ``stale`` fault).  The proposals for the
-    block are returned through the normal result channel.
-    """
-    from ..shm import attach_colors, attach_graph
-
-    gspec, cspec, start, stop, snap_row, backend, fault = args
-    _apply_fault(fault)
-    graph = attach_graph(gspec)
-    snapshots, work = attach_colors(cspec)
-    block = work[start:stop]
-    local = kernels.ff_sweep(graph, block, snapshots[snap_row], backend=backend)
+def _sweep(kind: str, graph: CSRGraph, size: int, block: np.ndarray,
+           base: np.ndarray, backend: str) -> np.ndarray:
+    """First-Fit proposals for *block*: each item sees the new colors of
+    earlier block members and *base* for everyone else."""
+    if kind == "d1":
+        local = kernels.ff_sweep(graph, block, base, backend=backend)
+    else:
+        local = kernels.d2_sweep(graph, size, block, base, backend=backend)
     return np.ascontiguousarray(local[block])
 
 
-def _valid_proposals(res, block: np.ndarray, num_vertices: int) -> bool:
-    """True iff a block's returned proposals are structurally sound.
+def _install_graph(indptr: np.ndarray, indices: np.ndarray) -> None:
+    global _WORKER_GRAPH
+    _WORKER_GRAPH = CSRGraph(indptr, indices, validate=False)
 
-    A healthy FF sweep returns one non-negative color below *n* per block
-    vertex; anything else (wrong shape, wrong dtype, negative or absurd
-    colors) is treated as a corrupted proposal and the block is retried.
+
+def _round_task(args: tuple) -> np.ndarray:
+    """Worker task of every pooled transport and neighbourhood.
+
+    ``args`` is ``(graph_ref, block_ref, kind, size, backend, fault)``.
+    shm: *graph_ref* is a :class:`repro.shm.SharedGraph` descriptor and
+    *block_ref* ``(colors_spec, start, stop, snapshot_row)``, a slice of
+    the shared work list plus the snapshot row to read.  pickle:
+    *graph_ref* is ``None`` (the pool initializer installed the graph) and
+    *block_ref* ``(block, snapshot)``.  A ``kill``/``stall`` *fault*
+    strikes before any work.
     """
-    if not isinstance(res, np.ndarray) or res.shape != block.shape:
-        return False
-    if not np.issubdtype(res.dtype, np.integer):
-        return False
-    return bool(res.size == 0 or (res.min() >= 0 and res.max() < num_vertices))
+    graph_ref, block_ref, kind, size, backend, fault = args
+    if fault is not None and fault[0] == "kill":
+        os._exit(13)  # hard death: no exception, no cleanup, no result
+    if fault is not None:
+        time.sleep(fault[1])
+    if graph_ref is None:
+        graph, (block, base) = _WORKER_GRAPH, block_ref
+    else:
+        from ..shm import attach_colors, attach_graph
+
+        graph = attach_graph(graph_ref)
+        cspec, start, stop, row = block_ref
+        snapshots, work = attach_colors(cspec)
+        block, base = work[start:stop], snapshots[row]
+    return _sweep(kind, graph, size, block, base, backend)
 
 
 def detect_cross_conflicts(
@@ -228,98 +166,310 @@ def detect_cross_conflicts(
     return np.unique(np.concatenate(parts))
 
 
-def _guarded_round(
-    pool,
-    task_fn,
-    make_task,
-    blocks: list[np.ndarray],
-    num_vertices: int,
-    plan: FaultPlan,
-    round_idx: int,
-    *,
-    timeout: float,
-    max_retries: int,
-    backoff: float,
-    rec,
-    stats: dict,
-) -> list[np.ndarray | None]:
-    """Collect one round's block proposals, surviving worker failures.
+@dataclass(frozen=True)
+class Neighbourhood:
+    """What the round driver colors and which conflicts it retries.
 
-    Transport-agnostic: *make_task*``(w, use_stale, fault)`` builds the
-    argument tuple *task_fn* runs in a worker (full arrays on the legacy
-    path, segment descriptors on the shm path), and *pool* is anything
-    with ``apply_async``.  Submits every block up front (full parallelism
-    on the happy path), then collects each :class:`AsyncResult` with
-    *timeout*.  A timeout (dead or stalled worker), a raised exception
-    (crashed task), or an invalid proposal array (corruption) marks the
-    attempt failed; the block is resubmitted with exponential backoff up
-    to *max_retries* times.  Returns one proposals array per block, or
-    ``None`` where every attempt failed (the caller degrades those to
-    in-process coloring).  Merging is by block order, so the result is
-    independent of completion timing.
+    ``Neighbourhood("d1", graph, graph.num_vertices, position)`` colors a
+    graph's vertices; ``Neighbourhood("d2", incidence, num_rows)`` the
+    rows of a bipartite incidence graph.  *position* ranks every item in
+    the partition order each round's work list is re-split along
+    (``None``: id order).  Kernels are looked up on :mod:`repro.kernels`
+    at call time.
     """
-    import multiprocessing as mp
 
-    def submit(w: int, attempt: int):
-        spec = plan.for_task(round_idx, w, attempt)
-        fault = None
-        corrupt = False
-        use_stale = False
-        if spec is not None:
-            stats["injected"] += 1
-            if rec.enabled:
-                rec.event("fault_injected", fault=spec.kind, round=round_idx,
-                          worker=w, attempt=attempt)
-            if spec.kind == "kill":
-                fault = ("kill",)
-            elif spec.kind == "stall":
-                fault = ("stall", spec.duration)
-            elif spec.kind == "corrupt":
-                corrupt = True
-            elif spec.kind == "stale":
-                use_stale = True
-        args = make_task(w, use_stale, fault)
-        handle = pool.apply_async(task_fn, (args,))
-        return handle, corrupt
+    kind: str
+    graph: CSRGraph
+    size: int
+    position: np.ndarray | None = None
 
-    pending = [submit(w, 0) for w in range(len(blocks))]
-    out: list[np.ndarray | None] = []
-    for w, block in enumerate(blocks):
-        handle, corrupt = pending[w]
-        attempt = 0
-        proposals: np.ndarray | None = None
-        while True:
-            reason = None
-            try:
-                res = handle.get(timeout=timeout)
-                if corrupt:
-                    res = plan.corrupt(res, round_idx, w)
-                if _valid_proposals(res, block, num_vertices):
+    def sweep(self, block: np.ndarray, base: np.ndarray,
+              backend: str) -> np.ndarray:
+        return _sweep(self.kind, self.graph, self.size, block, base, backend)
+
+    def detect(self, colors: np.ndarray, work: np.ndarray,
+               backend: str) -> np.ndarray:
+        if self.kind == "d1":
+            return detect_cross_conflicts(self.graph, colors, work)
+        return kernels.d2_conflicts(self.graph, self.size, colors, work,
+                                    backend=backend)
+
+
+def _valid_proposals(res, block: np.ndarray, bound: int) -> bool:
+    """A sane block result: one integer color in ``[0, bound)`` per item."""
+    return (isinstance(res, np.ndarray) and res.shape == block.shape
+            and np.issubdtype(res.dtype, np.integer)
+            and bool(res.size == 0 or (res.min() >= 0 and res.max() < bound)))
+
+
+class _Inline:
+    """No pool and no faults: blocks sweep in turn, timed for ``capture``."""
+
+    name, context, reused, round_bytes = "in-process", None, False, 0
+
+    def __init__(self, nb, num_workers, backend, context, **guard):
+        self.nb, self.backend = nb, backend
+
+    def propose(self, round_idx, ordered, blocks, colors):
+        self.snapshot, self.sweep_s, out = colors.copy(), [], []
+        for block in blocks:
+            t0 = perf_counter()
+            out.append(self.nb.sweep(block, self.snapshot, self.backend))
+            self.sweep_s.append(perf_counter() - t0)
+        return out
+
+    def close(self) -> None:
+        pass
+
+
+class _Pooled:
+    """Blocks run as guarded :func:`_round_task` calls on a worker pool.
+
+    Subclasses implement ``open`` (start ``pool``; set ``graph_ref``,
+    ``context``, ``reused`` and ``processes``), ``close`` and ``publish``
+    (ready a round, return its ``block_ref(w, use_stale)``).
+    :meth:`propose` submits every block up front, then collects each
+    result with the round timeout; a timeout (dead or stalled worker), a
+    raised exception or an invalid proposal array (corruption) fails the
+    attempt, and the block is resubmitted with exponential backoff up to
+    ``max_retries`` times.  Proposals return in block order, ``None``
+    where every attempt failed (the driver salvages those in-process).
+    A task's bytes are its pickled size: what the pool's pipes carry.
+    """
+
+    def __init__(self, nb, num_workers, backend, context, **guard):
+        self.nb, self.backend = nb, backend
+        # plan, timeout, max_retries, backoff, rec, stats
+        vars(self).update(guard)
+        self.open(num_workers, context)
+
+    def propose(self, round_idx, ordered, blocks, colors):
+        import multiprocessing as mp
+
+        plan, rec, stats = self.plan, self.rec, self.stats
+        block_ref = self.publish(round_idx, ordered, blocks, colors)
+        self.round_bytes = 0
+
+        def submit(w: int, attempt: int):
+            spec = plan.for_task(round_idx, w, attempt)
+            kind = None if spec is None else spec.kind
+            if spec is not None:
+                stats["injected"] += 1
+                if rec.enabled:
+                    rec.event("fault_injected", fault=kind, round=round_idx,
+                              worker=w, attempt=attempt)
+            fault = ((kind, spec.duration) if kind in ("kill", "stall")
+                     else None)
+            args = (self.graph_ref, block_ref(w, kind == "stale"),
+                    self.nb.kind, self.nb.size, self.backend, fault)
+            self.round_bytes += len(pickle.dumps(args))
+            handle = self.pool.apply_async(_round_task, (args,))
+            return handle, kind == "corrupt"
+
+        pending = [submit(w, 0) for w in range(len(blocks))]
+        out: list[np.ndarray | None] = []
+        for w, block in enumerate(blocks):
+            handle, corrupt = pending[w]
+            proposals: np.ndarray | None = None
+            for attempt in range(self.max_retries + 1):
+                if attempt:  # back off, then resubmit the failed block
+                    time.sleep(self.backoff * (2 ** (attempt - 1)))
+                    handle, corrupt = submit(w, attempt)
+                try:
+                    res = handle.get(timeout=self.timeout)
+                    if corrupt:
+                        res = plan.corrupt(res, round_idx, w)
+                    valid = _valid_proposals(res, block, self.nb.size)
+                    reason = None if valid else "corrupt"
+                except mp.TimeoutError:
+                    reason = "timeout"
+                except Exception as exc:
+                    reason = f"crash:{type(exc).__name__}"
+                if reason is None:
                     proposals = res
-                else:
-                    reason = "corrupt"
-            except mp.TimeoutError:
-                reason = "timeout"
-            except Exception as exc:
-                reason = f"crash:{type(exc).__name__}"
-            if proposals is not None:
-                if attempt > 0:
-                    stats["recovered"] += 1
+                    if attempt:
+                        stats["recovered"] += 1
+                        if rec.enabled:
+                            rec.event("fault_recovered", round=round_idx,
+                                      worker=w, attempt=attempt)
+                    break
+                stats["detected"] += 1
+                if rec.enabled:
+                    rec.event("fault_detected", round=round_idx, worker=w,
+                              attempt=attempt, reason=reason)
+            out.append(proposals)
+        return out
+
+
+class _Pickle(_Pooled):
+    """Per-job pool: the graph ships once per worker, a snapshot per task."""
+
+    name, reused, graph_ref = "pickle", False, None
+
+    def open(self, num_workers, context):
+        from ..shm import pick_context
+
+        ctx = pick_context(context)
+        self.pool = ctx.Pool(num_workers, _install_graph,
+                             (self.nb.graph.indptr, self.nb.graph.indices))
+        self.context, self.processes = ctx.get_start_method(), num_workers
+        self.stale = np.full(self.nb.size, -1, dtype=np.int64)  # round -1
+
+    def publish(self, round_idx, ordered, blocks, colors):
+        snapshot, stale = colors.copy(), self.stale
+        self.stale = snapshot
+        return lambda w, use_stale: (blocks[w],
+                                     stale if use_stale else snapshot)
+
+    def close(self) -> None:
+        self.pool.terminate()
+
+
+class _Shm(_Pooled):
+    """Warm pool: tasks carry segment descriptors and work-list offsets."""
+
+    name = "shm"
+
+    def open(self, num_workers, context):
+        from ..shm import SharedColors, SharedGraph, warm_pool
+
+        self.pool = warm_pool()
+        self.reused = self.pool.ensure(num_workers, context=context)
+        self.context, self.processes = self.pool.context, self.pool.processes
+        self.graph_ref = SharedGraph.for_graph(self.nb.graph).spec
+        self.shared = SharedColors(self.nb.size)
+        # round r's snapshot is row r % 2; the other row keeps round r-1's
+        # view for the "stale" fault (row 1 starts as round -1)
+        self.shared.snapshots[1].fill(-1)
+
+    def publish(self, round_idx, ordered, blocks, colors):
+        cur = round_idx % 2
+        self.shared.snapshots[cur][:] = colors
+        self.shared.work[:ordered.shape[0]] = ordered
+        bounds = np.cumsum([0] + [b.shape[0] for b in blocks]).tolist()
+        spec = self.shared.spec
+        return lambda w, use_stale: (spec, bounds[w], bounds[w + 1],
+                                     1 - cur if use_stale else cur)
+
+    def close(self) -> None:
+        self.shared.close()
+
+
+_TRANSPORTS = {"inline": _Inline, "pickle": _Pickle, "shm": _Shm}
+
+
+def run_rounds(
+    nb: Neighbourhood,
+    num_workers: int,
+    *,
+    transport: str,
+    max_rounds: int = 100,
+    backend: str | None = None,
+    plan: FaultPlan = NO_FAULTS,
+    context: str | None = None,
+    round_timeout: float = DEFAULT_ROUND_TIMEOUT,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+    backoff: float = DEFAULT_BACKOFF,
+    rec=NULL,
+    capture: list | None = None,
+) -> tuple[np.ndarray, dict]:
+    """Color every item of *nb* in optimistic rounds: ``(colors, meta)``.
+
+    Each round re-splits the work list into *num_workers* blocks along
+    ``nb.position``, has *transport* (``"inline"``, ``"shm"`` or
+    ``"pickle"``) propose colors for every block against the round-start
+    snapshot, merges the proposals in block order (a block whose pooled
+    retries are exhausted is salvaged in-process against the merged
+    survivors) and retries what ``nb.detect`` flags.  Work left after
+    *max_rounds* is finished by one sequential residual pass.  With one
+    worker on a pooled transport the whole job is one in-process sweep.
+
+    ``meta`` holds ``rounds``, ``conflicts`` (total retried items),
+    ``faults`` (injected/detected/recovered/salvaged), ``degraded`` (any
+    salvage or residual work), ``residual``, ``transport``, ``context``,
+    ``bytes_to_workers`` and ``pool_reused``.  *rec* gets the
+    ``mp_pool``/``mp_round``/``mp_salvage``/``mp_degraded`` and
+    ``fault_*`` events.  *capture* (inline transport only) receives one
+    dict per round: ``blocks``, ``snapshot``, ``work``, ``sweep_s`` (per
+    block), ``detect_s`` and ``conflicts``.
+    """
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+    if max_rounds < 1:
+        raise ValueError(
+            f"max_rounds must be >= 1, got {max_rounds}; a run with no "
+            "speculation rounds would silently color everything sequentially")
+    if round_timeout <= 0:
+        raise ValueError(f"round_timeout must be > 0, got {round_timeout}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if capture is not None and transport != "inline":
+        raise ValueError("capture needs the inline transport")
+    backend = kernels.resolve_backend(backend)
+    colors = np.full(nb.size, -1, dtype=np.int64)
+    work = np.arange(nb.size, dtype=np.int64)
+    stats = {"injected": 0, "detected": 0, "recovered": 0, "salvaged": 0}
+    meta = {"rounds": 1, "conflicts": 0, "faults": stats, "degraded": False,
+            "residual": 0, "transport": "in-process", "context": None,
+            "bytes_to_workers": 0, "pool_reused": False}
+    if num_workers == 1 and transport != "inline":
+        return nb.sweep(work, colors, backend), meta
+
+    port = _TRANSPORTS[transport](
+        nb, num_workers, backend, context, plan=plan, timeout=round_timeout,
+        max_retries=max_retries, backoff=backoff, rec=rec, stats=stats)
+    if rec.enabled and transport != "inline":
+        rec.event("mp_pool", transport=port.name, reused=port.reused,
+                  context=port.context, processes=port.processes)
+        rec.count("shm.pool.reused" if port.reused else "shm.pool.cold_start")
+    rounds = conflicts = shipped = 0
+    try:
+        while work.shape[0] and rounds < max_rounds:
+            ordered = (work if nb.position is None
+                       else work[np.argsort(nb.position[work])])
+            blocks = split_blocks(ordered, num_workers)
+            results = port.propose(rounds, ordered, blocks, colors)
+            for block, res in zip(blocks, results):
+                if res is not None:
+                    colors[block] = res
+            for block, res in zip(blocks, results):
+                if res is None:  # degraded: color in-process, in block order
+                    stats["salvaged"] += 1
                     if rec.enabled:
-                        rec.event("fault_recovered", round=round_idx, worker=w,
-                                  attempt=attempt)
-                break
-            stats["detected"] += 1
+                        rec.event("mp_salvage", round=rounds,
+                                  vertices=int(block.shape[0]))
+                    colors[block] = nb.sweep(block, colors, backend)
+            t0 = perf_counter()
+            retry = nb.detect(colors, work, backend)
+            detect_s = perf_counter() - t0
+            conflicts += retry.shape[0]
+            shipped += port.round_bytes
+            if capture is not None:
+                capture.append({"blocks": blocks, "snapshot": port.snapshot,
+                                "work": work, "sweep_s": port.sweep_s,
+                                "detect_s": detect_s,
+                                "conflicts": int(retry.shape[0])})
             if rec.enabled:
-                rec.event("fault_detected", round=round_idx, worker=w,
-                          attempt=attempt, reason=reason)
-            if attempt >= max_retries:
-                break  # caller salvages in-process
-            time.sleep(backoff * (2 ** attempt))
-            attempt += 1
-            handle, corrupt = submit(w, attempt)
-        out.append(proposals)
-    return out
+                rec.count("mp.bytes_to_workers", port.round_bytes)
+                rec.event("mp_round", index=rounds, workers=num_workers,
+                          attempted=int(ordered.shape[0]),
+                          conflicts=int(retry.shape[0]),
+                          bytes_to_workers=port.round_bytes)
+            work = retry
+            rounds += 1
+    finally:
+        port.close()
+
+    residual = int(work.shape[0])
+    if residual:  # round cap hit: finish sequentially
+        if rec.enabled:
+            rec.event("mp_degraded", reason="max_rounds", residual=residual)
+        colors[work] = nb.sweep(work, colors, backend)
+    meta.update(rounds=rounds, conflicts=int(conflicts),
+                degraded=bool(residual or stats["salvaged"]),
+                residual=residual, transport=port.name, context=port.context,
+                bytes_to_workers=shipped, pool_reused=port.reused)
+    return colors, meta
 
 
 def mp_greedy_ff(
@@ -342,8 +492,9 @@ def mp_greedy_ff(
 
     Deterministic for fixed ``(num_workers, partition, seed)`` — and
     independent of transport, start method, and pool warmth: the shm and
-    legacy paths run the identical protocol and produce bit-identical
-    colorings.
+    pickle transports run the identical protocol and produce
+    bit-identical colorings.  With ``num_workers=1`` the sweep runs
+    in-process and equals the sequential First-Fit coloring.
 
     ``partition`` selects how vertices are split across workers (see
     :mod:`repro.parallel.partition`): ``"block"``, ``"random"``, or
@@ -358,7 +509,7 @@ def mp_greedy_ff(
     default uses shared memory — workers receive segment descriptors
     and offsets instead of pickled snapshots, and run on the persistent
     process-wide :class:`repro.shm.WarmPool` — falling back to the
-    legacy per-job pickling pool where shared memory is unavailable.
+    per-job pickling pool where shared memory is unavailable.
     ``context`` overrides the start method (``fork``/``spawn``/
     ``forkserver``; also ``REPRO_MP_CONTEXT``), with ``fork`` preferred
     and ``spawn`` the portable fallback.
@@ -396,92 +547,44 @@ def mp_greedy_ff(
     """
     from .partition import PARTITIONS, partition_by_name
 
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    if max_rounds < 1:
-        raise ValueError(
-            f"max_rounds must be >= 1, got {max_rounds}; a run with no "
-            "speculation rounds would silently color everything sequentially")
-    if round_timeout <= 0:
-        raise ValueError(f"round_timeout must be > 0, got {round_timeout}")
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     if partition not in PARTITIONS:
         raise ValueError(
             f"partition must be one of {sorted(PARTITIONS)}, got {partition!r}")
     rec = as_recorder(recorder)
-    plan = resolve_fault_plan(fault_plan)
     resolved = kernels.resolve_backend(backend)
     transport = resolve_transport(shm)
-    n = graph.num_vertices
-    colors = np.full(n, -1, dtype=np.int64)
-    work_list = np.arange(n, dtype=np.int64)
-    rounds = 0
-    total_conflicts = 0
-    stats = {"injected": 0, "detected": 0, "recovered": 0, "salvaged": 0}
-
-    if num_workers == 1:
-        with rec.phase("greedy-ff-mp"):
-            _init_worker(graph.indptr, graph.indices)
-            colors[work_list] = _color_block((work_list, colors, resolved))
-        num_colors = int(colors.max(initial=-1)) + 1
-        if rec.enabled:
-            rec.event("coloring", strategy="greedy-ff-mp", num_vertices=n,
-                      num_colors=num_colors, workers=1, rounds=1, conflicts=0,
-                      backend=resolved)
-        return Coloring(colors, num_colors, strategy="greedy-ff-mp",
-                        meta={"workers": 1, "rounds": 1, "conflicts": 0,
-                              "partition": partition, "backend": resolved,
-                              "faults": stats, "degraded": False, "residual": 0,
-                              "transport": "in-process", "context": None,
-                              "bytes_to_workers": 0, "pool_reused": False})
-
-    # the partition fixes a global order; each round splits the remaining
-    # work list along it, preserving the partitioner's locality
-    position = partition_positions(
-        partition_by_name(graph, num_workers, partition, seed=seed), n)
-
-    if transport == "shm":
-        runner = _run_rounds_shm
-    else:
-        runner = _run_rounds_pickle
+    position = None
+    if num_workers > 1:
+        # the partition fixes a global order; each round splits the
+        # remaining work list along it, preserving the partitioner's locality
+        position = partition_positions(
+            partition_by_name(graph, num_workers, partition, seed=seed),
+            graph.num_vertices)
     with rec.phase("greedy-ff-mp"):
-        rounds, total_conflicts, work_list, meta_extra = runner(
-            graph, colors, work_list, position, num_workers, max_rounds,
-            resolved, plan, context, round_timeout=round_timeout,
-            max_retries=max_retries, backoff=backoff, rec=rec, stats=stats)
-
-    residual = int(work_list.shape[0])
-    if residual:  # residual conflicts: finish sequentially
-        if rec.enabled:
-            rec.event("mp_degraded", reason="max_rounds", residual=residual)
-        colors[work_list] = kernels.ff_sweep(graph, work_list, colors,
-                                             backend=resolved)[work_list]
-
+        colors, meta = run_rounds(
+            Neighbourhood("d1", graph, graph.num_vertices, position),
+            num_workers, transport=transport, max_rounds=max_rounds,
+            backend=resolved, plan=resolve_fault_plan(fault_plan),
+            context=context, round_timeout=round_timeout,
+            max_retries=max_retries, backoff=backoff, rec=rec)
     num_colors = int(colors.max(initial=-1)) + 1
-    degraded = bool(residual or stats["salvaged"])
     if rec.enabled:
-        rec.event("coloring", strategy="greedy-ff-mp", num_vertices=n,
-                  num_colors=num_colors, workers=num_workers, rounds=rounds,
-                  conflicts=total_conflicts, backend=resolved,
-                  degraded=degraded, transport=transport)
-    return Coloring(
-        colors,
-        num_colors,
-        strategy="greedy-ff-mp",
-        meta={"workers": num_workers, "rounds": rounds,
-              "conflicts": total_conflicts, "partition": partition,
-              "backend": resolved, "faults": stats, "degraded": degraded,
-              "residual": residual, "transport": transport, **meta_extra},
-    )
+        rec.event("coloring", strategy="greedy-ff-mp",
+                  num_vertices=graph.num_vertices, num_colors=num_colors,
+                  workers=num_workers, rounds=meta["rounds"],
+                  conflicts=meta["conflicts"], backend=resolved,
+                  degraded=meta["degraded"], transport=meta["transport"])
+    return Coloring(colors, num_colors, strategy="greedy-ff-mp",
+                    meta={"workers": num_workers, "partition": partition,
+                          "backend": resolved, **meta})
 
 
 def partition_positions(parts: list[np.ndarray], num_vertices: int) -> np.ndarray:
     """Each vertex's rank in the concatenated partition order.
 
-    The order every round's work list is sorted by before re-splitting —
-    shared by both mp transports and the serve layer's sharded backend,
-    so their round protocols stay bit-identical.
+    The order every round's work list is sorted by before re-splitting
+    (:attr:`Neighbourhood.position`), so every transport and the serve
+    layer's sharded backend split identically.
     """
     position = np.empty(num_vertices, dtype=np.int64)
     offset = 0
@@ -494,149 +597,3 @@ def partition_positions(parts: list[np.ndarray], num_vertices: int) -> np.ndarra
 def split_blocks(ordered: np.ndarray, num_workers: int) -> list[np.ndarray]:
     """The round's non-empty worker blocks, in partition order."""
     return [b for b in np.array_split(ordered, num_workers) if b.shape[0]]
-
-
-def _run_rounds_pickle(
-    graph, colors, work_list, position, num_workers, max_rounds, resolved,
-    plan, context, *, round_timeout, max_retries, backoff, rec, stats,
-):
-    """Legacy transport: per-job pool, full snapshot pickled per task."""
-    from ..shm import pick_context
-
-    ctx = pick_context(context)
-    rounds = 0
-    total_conflicts = 0
-    bytes_shipped = 0
-    stale_snapshot = colors.copy()  # round -1: everything uncolored
-    with ctx.Pool(
-        processes=num_workers,
-        initializer=_init_worker,
-        initargs=(graph.indptr, graph.indices),
-    ) as pool:
-        if rec.enabled:
-            rec.event("mp_pool", transport="pickle", reused=False,
-                      context=ctx.get_start_method(), processes=num_workers)
-            rec.count("shm.pool.cold_start")
-        while work_list.shape[0] and rounds < max_rounds:
-            round_idx = rounds
-            rounds += 1
-            ordered = work_list[np.argsort(position[work_list])]
-            blocks = split_blocks(ordered, num_workers)
-            snapshot = colors.copy()
-            round_bytes = 0
-
-            def make_task(w, use_stale, fault):
-                nonlocal round_bytes
-                snap = stale_snapshot if use_stale else snapshot
-                round_bytes += blocks[w].nbytes + snap.nbytes
-                return (blocks[w], snap, resolved, fault)
-
-            results = _guarded_round(
-                pool, _color_block_task, make_task, blocks, colors.shape[0],
-                plan, round_idx, timeout=round_timeout,
-                max_retries=max_retries, backoff=backoff, rec=rec, stats=stats)
-            work_list, conflicts = _merge_round(
-                graph, colors, blocks, results, work_list, resolved, plan,
-                round_idx, rec, stats)
-            total_conflicts += conflicts
-            bytes_shipped += round_bytes
-            stale_snapshot = snapshot
-            if rec.enabled:
-                rec.count("mp.bytes_to_workers", round_bytes)
-                rec.event("mp_round", index=round_idx, workers=num_workers,
-                          attempted=int(sum(b.shape[0] for b in blocks)),
-                          conflicts=int(work_list.shape[0]),
-                          bytes_to_workers=round_bytes)
-    return rounds, total_conflicts, work_list, {
-        "context": ctx.get_start_method(), "bytes_to_workers": bytes_shipped,
-        "pool_reused": False}
-
-
-def _run_rounds_shm(
-    graph, colors, work_list, position, num_workers, max_rounds, resolved,
-    plan, context, *, round_timeout, max_retries, backoff, rec, stats,
-):
-    """shm transport: warm pool, segment descriptors, offset-only tasks."""
-    from ..shm import SharedColors, SharedGraph, warm_pool
-
-    shared_graph = SharedGraph.for_graph(graph)
-    shared_colors = SharedColors(graph.num_vertices)
-    pool = warm_pool()
-    reused = pool.ensure(num_workers, context=context)
-    if rec.enabled:
-        rec.event("mp_pool", transport="shm", reused=reused,
-                  context=pool.context, processes=pool.processes)
-        rec.count("shm.pool.reused" if reused else "shm.pool.cold_start")
-    rounds = 0
-    total_conflicts = 0
-    bytes_shipped = 0
-    # row parity: round r's snapshot lives in row r % 2, so row (r+1) % 2
-    # still holds the previous round's view — the "stale" fault reads it
-    # without any extra copy.  Row 1 starts all-uncolored (round -1).
-    shared_colors.snapshots[1].fill(-1)
-    try:
-        while work_list.shape[0] and rounds < max_rounds:
-            round_idx = rounds
-            rounds += 1
-            ordered = work_list[np.argsort(position[work_list])]
-            blocks = split_blocks(ordered, num_workers)
-            cur = round_idx % 2
-            shared_colors.snapshots[cur][:] = colors
-            k = ordered.shape[0]
-            shared_colors.work[:k] = ordered
-            bounds = np.cumsum([0] + [b.shape[0] for b in blocks])
-            round_bytes = 0
-
-            def make_task(w, use_stale, fault):
-                nonlocal round_bytes
-                row = (1 - cur) if use_stale else cur
-                args = (shared_graph.spec, shared_colors.spec,
-                        int(bounds[w]), int(bounds[w + 1]), row, resolved,
-                        fault)
-                round_bytes += len(pickle.dumps(args))
-                return args
-
-            results = _guarded_round(
-                pool, _color_block_shm, make_task, blocks, colors.shape[0],
-                plan, round_idx, timeout=round_timeout,
-                max_retries=max_retries, backoff=backoff, rec=rec, stats=stats)
-            work_list, conflicts = _merge_round(
-                graph, colors, blocks, results, work_list, resolved, plan,
-                round_idx, rec, stats)
-            total_conflicts += conflicts
-            bytes_shipped += round_bytes
-            if rec.enabled:
-                rec.count("mp.bytes_to_workers", round_bytes)
-                rec.event("mp_round", index=round_idx, workers=num_workers,
-                          attempted=int(k), conflicts=int(work_list.shape[0]),
-                          bytes_to_workers=round_bytes)
-    finally:
-        shared_colors.close()
-    return rounds, total_conflicts, work_list, {
-        "context": pool.context, "bytes_to_workers": bytes_shipped,
-        "pool_reused": reused}
-
-
-def _merge_round(graph, colors, blocks, results, work_list, resolved, plan,
-                 round_idx, rec, stats):
-    """Merge one round's proposals (salvaging failures) and detect conflicts.
-
-    Identical for both transports — this is what makes them bit-identical:
-    same blocks, same snapshot semantics, same merge order, same guarded
-    conflict rule.
-    """
-    salvage = []
-    for b, res in zip(blocks, results):
-        if res is None:
-            salvage.append(b)
-        else:
-            colors[b] = res
-    for b in salvage:
-        # degraded path: color the abandoned block in-process, in block
-        # order, against the merged survivors
-        stats["salvaged"] += 1
-        if rec.enabled:
-            rec.event("mp_salvage", round=round_idx, vertices=int(b.shape[0]))
-        colors[b] = kernels.ff_sweep(graph, b, colors, backend=resolved)[b]
-    new_work = detect_cross_conflicts(graph, colors, work_list)
-    return new_work, int(new_work.shape[0])

@@ -31,30 +31,23 @@ parallel modes, fault-plan runs, mutation jobs carrying a base coloring,
 ``shards=1`` — fall back to the inline path, counted and recorded, and
 are then **bit-identical** to :class:`InlineBackend` by construction.
 
-:func:`shard_rounds` is the same round protocol run in-process (no pool,
-no shm), bit-identical to :func:`~repro.parallel.mp.mp_greedy_ff` for
-equal ``(shards, partition, seed)``.  It exists for two callers: the
-``dispatch="inline"`` mode (environments without usable
-multiprocessing), and ``benchmarks/bench_shard.py``, which needs
-*per-shard compute times* to model the parallel critical path — on the
-single-CPU CI runners, timing shards inside real concurrent processes
-measures contention, not work.
+:func:`shard_rounds` runs the same protocol on the round driver's inline
+transport, for the ``dispatch="inline"`` mode (environments without
+usable multiprocessing) and for ``benchmarks/bench_shard.py``, whose
+critical-path model needs contention-free per-shard compute times.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from time import perf_counter
-
-import numpy as np
 
 from .. import kernels
 from ..coloring.strategies import STRATEGIES, split_seed
 from ..coloring.types import Coloring
 from ..coloring.verify import assert_proper
 from ..obs import as_recorder
-from ..parallel.mp import detect_cross_conflicts, partition_positions, split_blocks
+from ..parallel.mp import Neighbourhood, partition_positions, run_rounds
 from ..parallel.partition import PARTITIONS
 from ..run import execute  # module attr: tests monkeypatch backends.execute
 
@@ -129,59 +122,34 @@ def shard_rounds(graph, shards: int, *, partition: str = "block", seed=None,
                  backend: str | None = None, max_rounds: int = 100) -> ShardRun:
     """Run the sharded round protocol in-process, timing each shard.
 
-    Bit-identical to :func:`repro.parallel.mp.mp_greedy_ff` for equal
-    ``(shards, partition, seed)`` — same partition order, same per-round
-    re-split, same snapshot semantics, same conflict rule, same residual
-    pass — the test-suite asserts it.  Shards are colored one after
-    another here, so ``shard_seconds`` are contention-free measurements
-    of each shard's real compute, which is what the bench's critical-path
-    model needs on a single-CPU runner.
+    The D1 neighbourhood of :func:`repro.parallel.mp.run_rounds` on its
+    inline transport, so bit-identical to
+    :func:`repro.parallel.mp.mp_greedy_ff` for equal ``(shards,
+    partition, seed)`` — same partition order, same per-round re-split,
+    same snapshot semantics, same conflict rule, same residual pass — the
+    test-suite asserts it.  Shards are colored one after another here, so
+    ``shard_seconds`` are contention-free measurements of each shard's
+    real compute, which is what the bench's critical-path model needs on
+    a single-CPU runner.
     """
     from ..parallel.partition import partition_by_name
 
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     resolved = kernels.resolve_backend(backend)
-    n = graph.num_vertices
-    colors = np.full(n, -1, dtype=np.int64)
-    work_list = np.arange(n, dtype=np.int64)
     position = partition_positions(
-        partition_by_name(graph, shards, partition, seed=seed), n)
-    rounds: list[ShardRound] = []
-    total_conflicts = 0
-    while work_list.shape[0] and len(rounds) < max_rounds:
-        ordered = work_list[np.argsort(position[work_list])]
-        blocks = split_blocks(ordered, shards)
-        snapshot = colors.copy()
-        proposals = []
-        shard_seconds = []
-        for block in blocks:
-            t0 = perf_counter()
-            local = kernels.ff_sweep(graph, block, snapshot, backend=resolved)
-            shard_seconds.append(perf_counter() - t0)
-            proposals.append(local[block])
-        for block, prop in zip(blocks, proposals):
-            colors[block] = prop
-        t0 = perf_counter()
-        work_list = detect_cross_conflicts(graph, colors, work_list)
-        detect_seconds = perf_counter() - t0
-        conflicts = int(work_list.shape[0])
-        total_conflicts += conflicts
-        rounds.append(ShardRound(attempted=int(ordered.shape[0]),
-                                 conflicts=conflicts,
-                                 shard_seconds=shard_seconds,
-                                 detect_seconds=detect_seconds))
-    residual = int(work_list.shape[0])
-    if residual:  # round cap hit: finish sequentially, like the mp path
-        colors[work_list] = kernels.ff_sweep(graph, work_list, colors,
-                                             backend=resolved)[work_list]
-    coloring = Coloring(
-        colors, int(colors.max(initial=-1)) + 1, strategy="greedy-ff-mp",
-        meta={"workers": shards, "rounds": len(rounds),
-              "conflicts": total_conflicts, "partition": partition,
-              "backend": resolved, "transport": "in-process",
-              "residual": residual, "degraded": bool(residual)},
-    )
+        partition_by_name(graph, shards, partition, seed=seed),
+        graph.num_vertices)
+    captured: list[dict] = []
+    colors, meta = run_rounds(
+        Neighbourhood("d1", graph, graph.num_vertices, position), shards,
+        transport="inline", max_rounds=max_rounds, backend=resolved,
+        capture=captured)
+    rounds = [ShardRound(attempted=int(r["work"].shape[0]),
+                         conflicts=r["conflicts"], shard_seconds=r["sweep_s"],
+                         detect_seconds=r["detect_s"]) for r in captured]
+    coloring = Coloring(colors, int(colors.max(initial=-1)) + 1,
+                        strategy="greedy-ff-mp",
+                        meta={"workers": shards, "partition": partition,
+                              "backend": resolved, **meta})
     return ShardRun(coloring=coloring, rounds=rounds)
 
 
@@ -295,11 +263,10 @@ class ShardedBackend(ExecutionBackend):
             return execute(job.graph, config, initial=initial)
         # ab-initio greedy-ff: the shard protocol is the final coloring
         if self.dispatch == "inline":
-            run = shard_rounds(job.graph, self.shards,
-                               partition=self.partition, seed=config.seed,
-                               backend=config.backend)
-            assert_proper(job.graph, run.coloring)
-            return self._wrap(config, run.coloring)
+            coloring = self._shard_coloring(job.graph, seed=config.seed,
+                                            backend=config.backend)
+            assert_proper(job.graph, coloring)
+            return self._wrap(config, coloring)
         kwargs = dict(config.strategy_kwargs)
         kwargs["partition"] = self.partition
         if self.context is not None:

@@ -37,3 +37,40 @@ class TestMpGreedyFF:
         c = mp_greedy_ff(path10, num_workers=2)
         assert_proper(path10, c)
         assert c.num_colors <= 3
+
+
+class TestNoSharedMemoryFallback:
+    """Without usable /dev/shm the default transport is pickle."""
+
+    @pytest.fixture(autouse=True)
+    def no_shm(self, monkeypatch):
+        import repro.shm
+
+        monkeypatch.delenv("REPRO_MP_SHM", raising=False)
+        monkeypatch.setattr(repro.shm, "shm_available", lambda: False)
+
+    @pytest.fixture
+    def bip(self):
+        from repro.bipartite import BipartiteGraph
+        from repro.graph import random_sparse_pattern
+
+        return BipartiteGraph.from_incidence(
+            random_sparse_pattern(300, 50, 5, seed=2), 300)
+
+    def test_default_falls_back_to_pickle(self, small_cnr, bip):
+        from repro.bipartite import assert_partial_d2_proper, mp_partial_d2
+
+        c = mp_greedy_ff(small_cnr, num_workers=2)
+        assert c.meta["transport"] == "pickle"
+        assert_proper(small_cnr, c)
+        pc = mp_partial_d2(bip, num_workers=2)
+        assert pc.meta["transport"] == "pickle"
+        assert_partial_d2_proper(bip, pc, require_total=True)
+
+    def test_forcing_shm_raises(self, small_cnr, bip):
+        from repro.bipartite import mp_partial_d2
+
+        with pytest.raises(RuntimeError, match="shm transport requested"):
+            mp_greedy_ff(small_cnr, num_workers=2, shm=True)
+        with pytest.raises(RuntimeError, match="shm transport requested"):
+            mp_partial_d2(bip, num_workers=2, shm=True)

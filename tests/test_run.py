@@ -47,10 +47,6 @@ class TestRegistryDeclaration:
         assert STRATEGIES["kempe"].modes == ("sequential",)
         assert STRATEGIES["greedy-lu"].modes == ("sequential",)
 
-    def test_legacy_run_is_sequential_alias(self):
-        for name, spec in STRATEGIES.items():
-            assert spec.run is spec.sequential, name
-
     def test_implementation_rejects_unsupported_mode(self):
         with pytest.raises(ValueError, match="does not support mode"):
             STRATEGIES["kempe"].implementation("superstep")

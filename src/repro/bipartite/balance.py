@@ -17,6 +17,11 @@ only transiently (the target was under γ), but it *can* unlock a
 previously impermissible move, which is why a single pass — the
 distance-1 drain's shape — would leave easy moves on the table in the
 denser two-hop conflict graph.
+
+The rows' two-hop lists are gathered once per drain into one flat int32
+CSR (:func:`_two_hop_rows`); each candidate visit is then a single gather
+of the live colors of its list into a copy of the maintained under-full
+mask, so a visit costs one numpy gather instead of one slice per column.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..coloring.balance import relative_std_dev
-from ..kernels.reference import pick_shuffle_target
+from ..kernels.vectorized import _gather_rows
 from ..obs import as_recorder
 from .graph import BipartiteGraph
 from .types import PartialD2Coloring
@@ -32,16 +37,39 @@ from .types import PartialD2Coloring
 __all__ = ["balance_partial_d2", "d2_shuffle_drain"]
 
 _CHOICES = ("ff", "lu")
+# two-hop entries gathered per block of rows: keeps the int64 staging
+# arrays at ~0.5 MB each, cache-resident (larger blocks measured slower)
+_TWO_HOP_BLOCK = 1 << 16
 
 
-def _two_hop_colors(indptr, indices, colors, r: int) -> np.ndarray:
-    """Colors held by rows sharing a column with *r* (stale self included;
-    the caller masks *r* out by blanking its color around the scan)."""
-    cols = indices[indptr[r] : indptr[r + 1]]
-    if cols.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    parts = [colors[indices[indptr[c] : indptr[c + 1]]] for c in cols]
-    return np.concatenate(parts)
+def _two_hop_rows(bip: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(ptr, nbr)`` of every row's two-hop rows, self excluded.
+
+    ``nbr[ptr[r]:ptr[r+1]]`` lists the rows sharing a column with *r*,
+    once per shared column (duplicates kept), as int32.  Row *r* meets
+    itself once in each of its columns, so its slot count is the sum of
+    its columns' degrees minus its own degree.  The gather runs in blocks
+    of rows holding about ``_TWO_HOP_BLOCK`` entries each, which bounds
+    the int64 staging arrays.
+    """
+    nr = bip.num_rows
+    indptr, indices = bip.incidence.indptr, bip.incidence.indices
+    deg = np.diff(indptr)
+    row_deg = deg[:nr]
+    reach = np.bincount(np.repeat(np.arange(nr), row_deg),
+                        weights=deg[indices[: indptr[nr]]], minlength=nr)
+    ptr = np.zeros(nr + 1, dtype=np.int64)
+    np.cumsum(reach.astype(np.int64) - row_deg, out=ptr[1:])
+    nbr = np.empty(int(ptr[-1]), dtype=np.int32)
+    cuts = np.searchsorted(ptr, np.arange(_TWO_HOP_BLOCK, ptr[-1], _TWO_HOP_BLOCK))
+    bounds = np.unique(np.concatenate([[0], cuts, [nr]]))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        e1, seg1 = _gather_rows(indptr[lo:hi], row_deg[lo:hi])
+        cols = indices[e1]
+        e2, seg2 = _gather_rows(indptr[cols], deg[cols])
+        rows = indices[e2]
+        nbr[ptr[lo] : ptr[hi]] = rows[rows != seg1[seg2] + lo]
+    return ptr, nbr
 
 
 def d2_shuffle_drain(
@@ -64,7 +92,11 @@ def d2_shuffle_drain(
     if choice not in _CHOICES:
         raise ValueError(f"choice must be one of {_CHOICES}, got {choice!r}")
     rec = as_recorder(recorder)
-    indptr, indices = bip.incidence.indptr, bip.incidence.indices
+    C = sizes.shape[0]
+    # under[C] stays False: the gather below maps color -1 onto that slot
+    under = np.zeros(C + 1, dtype=bool)
+    under[:C] = sizes < g
+    ptr = nbr = None
     total_moves = 0
     rounds = 0
     while rounds < max_rounds:
@@ -72,22 +104,30 @@ def d2_shuffle_drain(
         overfull = np.nonzero(sizes > g)[0]
         if overfull.shape[0] == 0:
             break
+        if ptr is None:
+            ptr, nbr = _two_hop_rows(bip)
+            ptr = ptr.tolist()
         candidates = np.nonzero(np.isin(colors, overfull))[0]
         round_moves = 0
-        for r in candidates:
-            r = int(r)
+        for r in candidates.tolist():
             j = int(colors[r])
             if sizes[j] <= g:  # class reached balance; stop draining it
                 continue
-            colors[r] = -1  # self-exclusion for the two-hop scan
-            nbr_colors = _two_hop_colors(indptr, indices, colors, r)
-            k = pick_shuffle_target(nbr_colors, sizes, g, j, choice)
-            colors[r] = j
-            if k >= 0:
-                colors[r] = k
-                sizes[j] -= 1.0
-                sizes[k] += 1.0
-                round_moves += 1
+            # j is over-full, so mask[j] is already False
+            mask = under.copy()
+            mask[colors.take(nbr[ptr[r] : ptr[r + 1]])] = False
+            if choice == "ff":
+                k = int(mask.argmax())
+            else:
+                k = int(np.where(mask[:C], sizes, np.inf).argmin())
+            if not mask[k]:
+                continue
+            colors[r] = k
+            sizes[j] -= 1.0
+            sizes[k] += 1.0
+            under[j] = sizes[j] < g
+            under[k] = sizes[k] < g
+            round_moves += 1
         total_moves += round_moves
         if rec.enabled:
             mean = sizes.mean() if sizes.size else 0.0

@@ -38,7 +38,7 @@ from ..obs import as_recorder
 from .balance import relative_std_dev
 from .types import Coloring
 
-__all__ = ["shuffle_balance", "_pick_target"]
+__all__ = ["shuffle_balance"]
 
 _CHOICES = ("ff", "lu")
 _TRAVERSALS = ("vertex", "color")
@@ -133,11 +133,3 @@ def shuffle_balance(
         rec.gauge(f"{result.strategy}.rsd_percent", rsd)
     return result
 
-
-def _pick_target(
-    nbr_colors: np.ndarray, sizes: np.ndarray, g: float, current: int, choice: str
-) -> int:
-    """Back-compat alias of :func:`repro.kernels.reference.pick_shuffle_target`."""
-    from ..kernels.reference import pick_shuffle_target
-
-    return pick_shuffle_target(nbr_colors, sizes, g, current, choice)

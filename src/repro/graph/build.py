@@ -51,20 +51,24 @@ def from_edge_arrays(
 
     keep = u != v  # drop self-loops
     u, v = u[keep], v[keep]
-    # canonicalize, dedupe via 1-D keys (n <= ~3e9 fits int64 products here)
+    # canonicalize, dedupe via sorted 1-D keys (n <= ~3e9 fits int64 products)
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    keys = np.unique(lo * n + hi)
-    lo, hi = keys // n, keys % n
+    keys = lo * n + hi
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    lo = keys // n
+    hi = keys - lo * n
 
-    # symmetrize and assemble CSR by sorting (src, dst)
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # symmetrize and assemble CSR by sorting src * n + dst keys
+    sym = np.concatenate([keys, hi * n + lo])
+    sym.sort()
+    src = sym // n
+    dst = sym - src * n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return CSRGraph(indptr, dst)
 
 

@@ -40,6 +40,9 @@ interleaving the drains the way the vertex-centric schedule does.
 from __future__ import annotations
 
 import numpy as np
+# numpy 2.4's np.unique (and np.isin through it) imports numpy.ma on its
+# first call, 15-35 ms; pay it at import, not inside the first kernel call
+import numpy.ma  # noqa: F401
 
 from ..graph.csr import CSRGraph
 from ..obs import NULL

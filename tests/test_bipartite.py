@@ -15,6 +15,7 @@ from repro.bipartite import (
     PartialD2Coloring,
     assert_partial_d2_proper,
     balance_partial_d2,
+    d2_shuffle_drain,
     is_partial_d2_proper,
     mp_partial_d2,
     optimistic_partial_d2,
@@ -30,7 +31,8 @@ from repro.graph import (
     load_dataset,
     random_sparse_pattern,
 )
-from repro.obs import Recorder
+from repro.kernels.reference import pick_shuffle_target
+from repro.obs import Recorder, as_recorder
 from repro.run import execute
 from repro.run.config import RunConfig
 
@@ -305,6 +307,76 @@ class TestMpPartialD2:
 # ----------------------------------------------------------------------
 # one-sided balance drain
 # ----------------------------------------------------------------------
+def _oracle_two_hop_colors(indptr, indices, colors, r: int) -> np.ndarray:
+    """Colors held by rows sharing a column with *r* (stale self included;
+    the caller masks *r* out by blanking its color around the scan)."""
+    cols = indices[indptr[r] : indptr[r + 1]]
+    if cols.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    parts = [colors[indices[indptr[c] : indptr[c + 1]]] for c in cols]
+    return np.concatenate(parts)
+
+
+def oracle_d2_shuffle_drain(bip, colors, sizes, g, *, choice="ff",
+                            max_rounds=20, recorder=None):
+    """The per-candidate drain: one slice per column per visit, kept as
+    the move-for-move reference for :func:`d2_shuffle_drain`."""
+    rec = as_recorder(recorder)
+    indptr, indices = bip.incidence.indptr, bip.incidence.indices
+    total_moves = 0
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
+        overfull = np.nonzero(sizes > g)[0]
+        if overfull.shape[0] == 0:
+            break
+        candidates = np.nonzero(np.isin(colors, overfull))[0]
+        round_moves = 0
+        for r in candidates:
+            r = int(r)
+            j = int(colors[r])
+            if sizes[j] <= g:  # class reached balance; stop draining it
+                continue
+            colors[r] = -1  # self-exclusion for the two-hop scan
+            nbr_colors = _oracle_two_hop_colors(indptr, indices, colors, r)
+            k = pick_shuffle_target(nbr_colors, sizes, g, j, choice)
+            colors[r] = j
+            if k >= 0:
+                colors[r] = k
+                sizes[j] -= 1.0
+                sizes[k] += 1.0
+                round_moves += 1
+        total_moves += round_moves
+        if rec.enabled:
+            mean = sizes.mean() if sizes.size else 0.0
+            rsd = float(100.0 * sizes.std() / mean) if mean else 0.0
+            rec.event("drain_round", source_bin=-1, moves=int(round_moves),
+                      rsd_percent=rsd)
+        if round_moves == 0:
+            break
+    return total_moves, rounds
+
+
+def _drain_inputs(bip, holes):
+    colors = partial_d2_sequential(bip).colors.copy()
+    C = int(colors.max()) + 1
+    if holes:
+        colors[::5] = -1
+    g = float((colors >= 0).sum()) / C
+    sizes = np.bincount(colors[colors >= 0], minlength=C).astype(np.float64)
+    return colors, sizes, g
+
+
+DRAIN_PATTERNS = {
+    "band": lambda: BipartiteGraph.from_incidence(
+        jacobian_band_pattern(400, 60, 5, seed=0), 400),
+    "random": lambda: BipartiteGraph.from_incidence(
+        random_sparse_pattern(350, 70, 5, seed=1), 350),
+    "cover": lambda: BipartiteGraph.square_cover(
+        erdos_renyi_graph(300, 0.03, seed=2)),
+}
+
+
 class TestBalance:
     def test_drain_improves_rsd_without_new_colors(self):
         bip = random_pattern(600, 120, 3000, seed=18)
@@ -335,6 +407,40 @@ class TestBalance:
         bal = balance_partial_d2(bip, pc)
         assert np.array_equal(bal.colors < 0, colors < 0)
         assert_partial_d2_proper(bip, bal)
+
+    @pytest.mark.parametrize("holes", [False, True])
+    @pytest.mark.parametrize("choice", ["ff", "lu"])
+    @pytest.mark.parametrize("pattern", sorted(DRAIN_PATTERNS))
+    def test_drain_matches_per_candidate_oracle(self, pattern, choice, holes):
+        bip = DRAIN_PATTERNS[pattern]()
+        colors, sizes, g = _drain_inputs(bip, holes)
+        want_c, want_s = colors.copy(), sizes.copy()
+        want_rec, got_rec = Recorder(), Recorder()
+        want = oracle_d2_shuffle_drain(bip, want_c, want_s, g, choice=choice,
+                                       recorder=want_rec)
+        got = d2_shuffle_drain(bip, colors, sizes, g, choice=choice,
+                               recorder=got_rec)
+        assert want[0] > 0
+        assert got == want
+        assert np.array_equal(colors, want_c)
+        assert np.array_equal(sizes, want_s)
+        assert ([(e["moves"], e["rsd_percent"]) for e in got_rec.events]
+                == [(e["moves"], e["rsd_percent"]) for e in want_rec.events])
+
+    @pytest.mark.parametrize("choice", ["ff", "lu"])
+    def test_drain_matches_oracle_at_round_cap(self, choice):
+        bip = DRAIN_PATTERNS["band"]()
+        colors, sizes, g = _drain_inputs(bip, holes=False)
+        want_c, want_s = colors.copy(), sizes.copy()
+        want = oracle_d2_shuffle_drain(bip, want_c, want_s, g, choice=choice,
+                                       max_rounds=3)
+        got = d2_shuffle_drain(bip, colors, sizes, g, choice=choice,
+                               max_rounds=3)
+        assert got == want
+        assert got[1] == 3  # the cap cut a drain that was still moving rows
+        assert np.array_equal(colors, want_c)
+        assert np.array_equal(sizes, want_s)
+
 
     def test_recorder_off_bit_parity(self):
         bip = random_pattern(200, 40, 900, seed=20)

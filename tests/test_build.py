@@ -50,6 +50,50 @@ class TestFromEdgeArrays:
             assert g.has_edge(v, u)
 
 
+def _bruteforce_csr(u, v, n):
+    """Set-based reference CSR: symmetric, deduplicated, loop-free, sorted."""
+    adj = [set() for _ in range(n)]
+    for a, b in zip(u, v):
+        if a != b:
+            adj[a].add(b)
+            adj[b].add(a)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(nb) for nb in adj])
+    indices = np.array([w for nb in adj for w in sorted(nb)], dtype=np.int64)
+    return indptr, indices
+
+
+class TestFromEdgeArraysBruteForce:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_set_based_csr(self, seed):
+        rng = np.random.default_rng(seed)
+        n_used = int(rng.integers(2, 60))
+        m = int(rng.integers(0, 4 * n_used))
+        u = rng.integers(0, n_used, m)
+        v = rng.integers(0, n_used, m)
+        # repeat a slice of the edges reversed, and add explicit self-loops
+        k = m // 3
+        u = np.concatenate([u, v[:k], np.arange(3) % n_used])
+        v = np.concatenate([v, u[:k], np.arange(3) % n_used])
+        n = n_used + int(rng.integers(0, 5))  # isolated trailing vertices
+        g = from_edge_arrays(u, v, num_vertices=n)
+        indptr, indices = _bruteforce_csr(u.tolist(), v.tolist(), n)
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_empty_edge_list(self, n):
+        g = from_edge_arrays(np.empty(0, dtype=np.int64),
+                             np.empty(0, dtype=np.int64), num_vertices=n)
+        assert np.array_equal(g.indptr, np.zeros(n + 1, dtype=np.int64))
+        assert g.indices.shape == (0,)
+
+    def test_only_self_loops_and_duplicates(self):
+        g = from_edge_arrays([2, 2, 0, 1, 1], [2, 2, 0, 0, 0], num_vertices=4)
+        assert g.indptr.tolist() == [0, 1, 2, 2, 2]
+        assert g.indices.tolist() == [1, 0]
+
+
 class TestOtherBuilders:
     def test_from_edge_list(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 0)])

@@ -41,12 +41,7 @@ from ..parallel.mp import (
     resolve_transport,
     run_rounds,
 )
-from ..resilience import (
-    DEFAULT_PATIENCE,
-    ConvergenceWatchdog,
-    FaultPlan,
-    resolve_fault_plan,
-)
+from ..resilience import DEFAULT_PATIENCE, FaultPlan, resolve_fault_plan
 from .graph import BipartiteGraph
 from .types import PartialD2Coloring
 
@@ -149,10 +144,7 @@ def optimistic_partial_d2(
     for both the sweep and the detection scan).
     """
     rec = as_recorder(recorder)
-    plan = resolve_fault_plan(fault_plan)
     resolved = kernels.resolve_backend(backend)
-    watchdog = ConvergenceWatchdog(watchdog_patience, recorder=rec,
-                                   algorithm="d2-optimistic")
     nr = bip.num_rows
     machine = TickMachine(num_threads, algorithm="d2-optimistic")
     indptr, indices = bip.incidence.indptr, bip.incidence.indices
@@ -164,74 +156,52 @@ def optimistic_partial_d2(
     stamp = 0
     work_list = _row_order(bip, order)
 
-    rounds = 0
-    with rec.phase("d2-optimistic"):
-        while work_list.shape[0]:
-            rounds += 1
-            if capture is not None:
-                capture.append({"work": work_list,
-                                "snapshot": colors.copy()})
-            stick = plan.stick_active(rounds - 1)
-            if stick:
-                saved_colors = colors.copy()
-                if rec.enabled:
-                    rec.event("fault_injected", fault="stick", round=rounds - 1)
-            threads = 1 if (watchdog.fired or rounds > max_rounds) \
-                else machine.num_threads
-            record = machine.new_superstep()
-            p = threads
-            for t0 in range(0, work_list.shape[0], p):
-                batch = work_list[t0 : t0 + p]
-                pending = np.empty(batch.shape[0], dtype=np.int64)
-                for j, r in enumerate(batch):
-                    r = int(r)
-                    stamp += 1
-                    # self-exclusion: r's own stale color never forbids;
-                    # restored before the next (simulated) peer scans
-                    stale = colors[r]
-                    colors[r] = -1
-                    budget = 0
-                    for c in indices[indptr[r] : indptr[r + 1]]:
-                        two_hop = colors[indices[indptr[c] : indptr[c + 1]]]
-                        two_hop = two_hop[(two_hop >= 0) & (two_hop < limit)]
-                        forbidden[two_hop] = stamp
-                        budget += int(indptr[c + 1] - indptr[c])
-                    window = forbidden[: min(budget, nr) + 1]
-                    pending[j] = int(np.argmax(window != stamp))
-                    colors[r] = stale
-                    machine.charge(record, j % machine.num_threads,
-                                   int(units[r]))
-                colors[batch] = pending  # tick boundary: writes commit
+    def begin(work, record):
+        if capture is not None:
+            capture.append({"work": work, "snapshot": colors.copy()})
 
-            if stick:
-                # injected fault: the round's commits are lost wholesale
-                colors[:] = saved_colors
-                retry = work_list
-                record.conflicts = int(work_list.shape[0])
-            else:
-                # detection phase: each work row rescans its two-hop slots
-                retry = kernels.d2_conflicts(bip.incidence, nr, colors,
-                                             work_list, backend=resolved)
-                for j, r in enumerate(work_list):
-                    machine.charge(record, j % machine.num_threads,
-                                   int(units[int(r)]))
-                record.conflicts = int(retry.shape[0])
-            machine.trace.add(record)
-            work_list = retry
-            watchdog.observe(int(work_list.shape[0]))
+    def tick(batch, record):
+        nonlocal stamp
+        pending = np.empty(batch.shape[0], dtype=np.int64)
+        for j, r in enumerate(batch):
+            stamp += 1
+            # self-exclusion: r's own stale color never forbids;
+            # restored before the next (simulated) peer scans
+            stale = colors[r]
+            colors[r] = -1
+            budget = 0
+            for c in indices[indptr[r] : indptr[r + 1]]:
+                two_hop = colors[indices[indptr[c] : indptr[c + 1]]]
+                two_hop = two_hop[(two_hop >= 0) & (two_hop < limit)]
+                forbidden[two_hop] = stamp
+                budget += int(indptr[c + 1] - indptr[c])
+            window = forbidden[: min(budget, nr) + 1]
+            pending[j] = int(np.argmax(window != stamp))
+            colors[r] = stale
+        colors[batch] = pending  # tick boundary: writes commit
+        return units[batch]
+
+    def detect(work, record):
+        # each work row rescans its two-hop slots
+        retry = kernels.d2_conflicts(bip.incidence, nr, colors, work,
+                                     backend=resolved)
+        return retry, units[work]
+
+    with rec.phase("d2-optimistic"):
+        rounds = machine.speculate(
+            work_list, tick, detect, rec=rec,
+            max_rounds=max_rounds, state=(colors,),
+            plan=resolve_fault_plan(fault_plan), patience=watchdog_patience,
+            name="d2-optimistic", begin=begin)
 
     num_colors = int(colors.max(initial=-1)) + 1
-    machine.trace.record_to(rec)
+    meta = machine.finish(rec, rounds=rounds, backend=resolved)
     if rec.enabled:
         rec.event("partial_coloring", strategy="d2-optimistic",
                   num_rows=nr, num_cols=bip.num_cols, num_colors=num_colors,
                   threads=machine.num_threads, rounds=rounds,
                   conflicts=machine.trace.total_conflicts)
         rec.count("bipartite.rows_colored", nr)
-    meta = {"trace": machine.trace, "rounds": rounds, "backend": resolved,
-            **machine.trace.summary()}
-    if watchdog.fired:
-        meta["watchdog_round"] = watchdog.fired_round
     return PartialD2Coloring(colors, num_colors, strategy="d2-optimistic",
                              meta=meta)
 

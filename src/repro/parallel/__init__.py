@@ -8,7 +8,9 @@ the shared ``colors`` array observe the state at the start of the tick
 semantics (visible within the tick, like hardware fetch-and-add).  The
 speculation-and-iteration framework of the paper's Algorithms 2 and 5 runs
 unchanged on top: conflicts between same-tick adjacent vertices are
-detected in a separate phase and retried in the next round.
+detected in a separate phase and retried in the next round.  One driver,
+:meth:`~repro.parallel.engine.TickMachine.speculate`, runs those rounds
+for every speculative engine.
 
 Every algorithm returns its :class:`~repro.parallel.engine.ExecutionTrace`
 (work per thread, atomics, conflicts, barriers, per superstep) in the

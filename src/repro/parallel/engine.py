@@ -15,7 +15,8 @@ cyclic assignment: tick *t* processes items ``t*p .. t*p + p - 1``, item
   paper's "synchronized step").
 
 A *superstep* is one full pass over the current work list followed by a
-barrier and (for speculative algorithms) a conflict-detection phase.  The
+barrier and (for speculative algorithms) a conflict-detection phase;
+:meth:`TickMachine.speculate` is the one driver of those rounds.  The
 engine records an :class:`ExecutionTrace` — per-superstep, per-thread work
 units, atomic counts, conflicts, and barrier crossings — which the machine
 models in :mod:`repro.machine` turn into run-time estimates.
@@ -201,11 +202,16 @@ class ExecutionTrace:
 
 
 class TickMachine:
-    """Batching and accounting helper shared by the parallel algorithms.
+    """The cyclic item→thread assignment, its accounting, and the round driver.
 
-    Not a scheduler — the algorithms drive their own loops — but the single
-    place that knows the cyclic item→thread assignment and builds
-    :class:`SuperstepRecord` objects consistently.
+    Item ``j`` of a tick runs on thread ``j``, and a scan over a whole
+    work list runs item ``i`` on thread ``i mod p``; every
+    :class:`SuperstepRecord` is built here.  :meth:`speculate` is the one
+    speculate/detect/retry loop of the superstep engines (Greedy-FF,
+    vertex-centric shuffling, Recoloring, incremental repair and partial
+    D2); engines without a retry loop (JP, Sched-Rev, color-centric
+    shuffling, Louvain, the multicolor solver) drive their own passes and
+    only use the accounting.
     """
 
     def __init__(self, num_threads: int, *, algorithm: str = ""):
@@ -213,13 +219,16 @@ class TickMachine:
             raise ValueError(f"num_threads must be >= 1, got {num_threads}")
         self.num_threads = int(num_threads)
         self.trace = ExecutionTrace(num_threads=self.num_threads, algorithm=algorithm)
+        #: Round at which :meth:`speculate`'s watchdog fired, else None.
+        self.watchdog_round: int | None = None
 
-    def ticks(self, items: np.ndarray):
-        """Yield ``(tick_index, batch)`` slices of at most *p* items.
+    def ticks(self, items: np.ndarray, width: int | None = None):
+        """Yield ``(tick_index, batch)`` slices of at most *width* items.
 
-        Item ``batch[j]`` runs on thread *j*; all of a batch is concurrent.
+        *width* defaults to the thread count.  Item ``batch[j]`` runs on
+        thread *j*; all of a batch is concurrent.
         """
-        p = self.num_threads
+        p = self.num_threads if width is None else width
         items = np.asarray(items)
         for t in range(0, items.shape[0], p):
             yield t // p, items[t : t + p]
@@ -234,6 +243,25 @@ class TickMachine:
         record.work_per_thread[thread] += units
         record.max_item_work = max(record.max_item_work, units)
         record.items += 1
+
+    def charge_cyclic(self, record: SuperstepRecord, degrees, width: int | None = None) -> None:
+        """Charge item *i* of *degrees* to thread ``i mod width``.
+
+        *width* defaults to the thread count.  Each item costs ``degree +
+        VERTEX_OVERHEAD`` units, exactly as :meth:`charge`; a degree of
+        ``1 - VERTEX_OVERHEAD`` prices an O(1) skip at one unit.  One call
+        charges a round's ticks of width *w* (item *j* of each tick on
+        thread *j*) or a detection scan over a whole work list.
+        """
+        units = np.asarray(degrees, dtype=np.int64) + VERTEX_OVERHEAD
+        m = units.shape[0]
+        if m == 0:
+            return
+        p = self.num_threads if width is None else width
+        record.work_per_thread[:p] += np.bincount(np.arange(m) % p, weights=units,
+                                                  minlength=p)
+        record.max_item_work = max(record.max_item_work, int(units.max()))
+        record.items += m
 
     def charge_bulk(self, record: SuperstepRecord, items: int, unit_cost: float = 1.0) -> None:
         """Charge *items* uniform work items spread evenly over all threads.
@@ -257,3 +285,74 @@ class TickMachine:
     def charge_serial(self, units: float) -> None:
         """Charge work executed in a serial section."""
         self.trace.serial_work += units
+
+    def speculate(self, work_list: np.ndarray, tick, detect, *, rec, max_rounds: int,
+                  state=(), plan=None, patience: int | None = None, name: str = "",
+                  begin=None) -> int:
+        """Run speculate/detect/retry rounds until *work_list* drains.
+
+        Returns the number of rounds.  Each round is one superstep:
+
+        1. ``begin(work_list, record)``, if given, sees the round-start state;
+        2. the work list runs in ticks of width *p*: ``tick(batch, record)``
+           picks each item's color against the tick-start snapshot, commits
+           at the tick boundary and returns the items' degrees, charged
+           item *j* of each tick on thread *j*;
+        3. ``detect(work_list, record)`` returns ``(retry, scanned)`` — the
+           next round's work list and the degrees of the items its scan
+           touched, charged cyclically over all threads.
+
+        The width drops to 1 — one thread cannot race with itself — past
+        *max_rounds* or once a :class:`~repro.resilience.ConvergenceWatchdog`
+        (named *name*; ``patience=None`` runs without one) sees the retry
+        list stop shrinking; its firing round lands in
+        :attr:`watchdog_round`.  A round that *plan* sticks loses its
+        commits: the arrays in *state* roll back to their round-start
+        contents and the whole work list retries, unscanned.
+        """
+        from ..resilience.watchdog import ConvergenceWatchdog
+
+        watchdog = (None if patience is None else
+                    ConvergenceWatchdog(patience, recorder=rec, algorithm=name))
+        rounds = 0
+        while work_list.shape[0]:
+            rounds += 1
+            stick = plan is not None and plan.stick_active(rounds - 1)
+            if stick:
+                saved = [a.copy() for a in state]
+                if rec.enabled:
+                    rec.event("fault_injected", fault="stick", round=rounds - 1)
+            fired = watchdog is not None and watchdog.fired
+            width = 1 if fired or rounds > max_rounds else self.num_threads
+            record = self.new_superstep()
+            if begin is not None:
+                begin(work_list, record)
+            costs = [tick(batch, record) for _, batch in self.ticks(work_list, width)]
+            self.charge_cyclic(record, np.concatenate(costs), width)
+            if stick:
+                for a, before in zip(state, saved):
+                    a[:] = before
+                retry = work_list
+            else:
+                retry, scanned = detect(work_list, record)
+                self.charge_cyclic(record, scanned)
+            record.conflicts = int(retry.shape[0])
+            self.trace.add(record)
+            work_list = retry
+            if watchdog is not None:
+                watchdog.observe(int(work_list.shape[0]))
+        if watchdog is not None and watchdog.fired:
+            self.watchdog_round = watchdog.fired_round
+        return rounds
+
+    def finish(self, rec, **fields) -> dict:
+        """Surface the trace on *rec* and build the coloring's ``meta``.
+
+        ``{"trace": ..., **fields, **summary}``, plus ``watchdog_round``
+        when :meth:`speculate`'s watchdog fired.
+        """
+        self.trace.record_to(rec)
+        meta = {"trace": self.trace, **fields, **self.trace.summary()}
+        if self.watchdog_round is not None:
+            meta["watchdog_round"] = self.watchdog_round
+        return meta

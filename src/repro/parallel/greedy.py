@@ -18,7 +18,7 @@ from ..coloring.types import Coloring
 from ..graph.csr import CSRGraph
 from ..kernels import detect_conflicts
 from ..obs import as_recorder
-from ..resilience import ConvergenceWatchdog, DEFAULT_PATIENCE, resolve_fault_plan
+from ..resilience import DEFAULT_PATIENCE, resolve_fault_plan
 from ..util import check_permutation
 from .engine import TickMachine
 
@@ -53,12 +53,10 @@ def parallel_greedy_ff(
     (``stick`` faults) to exercise that path.
     """
     rec = as_recorder(recorder)
-    plan = resolve_fault_plan(fault_plan)
-    watchdog = ConvergenceWatchdog(watchdog_patience, recorder=rec,
-                                   algorithm="greedy-ff-parallel")
     n = graph.num_vertices
     machine = TickMachine(num_threads, algorithm="greedy-ff")
     indptr, indices = graph.indptr, graph.indices
+    degrees = graph.degrees
     max_deg = graph.max_degree
 
     colors = np.full(n, -1, dtype=np.int64)
@@ -71,60 +69,36 @@ def parallel_greedy_ff(
     else:
         work_list = check_permutation("ordering", ordering, n)
 
-    rounds = 0
-    with rec.phase("greedy-ff-parallel"):
-        while work_list.shape[0]:
-            rounds += 1
-            stick = plan.stick_active(rounds - 1)
-            if stick:
-                saved_colors = colors.copy()
-                if rec.enabled:
-                    rec.event("fault_injected", fault="stick", round=rounds - 1)
-            threads = 1 if (watchdog.fired or rounds > max_rounds) \
-                else machine.num_threads
-            record = machine.new_superstep()
-            p = threads
-            for t0 in range(0, work_list.shape[0], p):
-                batch = work_list[t0 : t0 + p]
-                pending = np.empty(batch.shape[0], dtype=np.int64)
-                for j, v in enumerate(batch):
-                    v = int(v)
-                    stamp += 1
-                    row = indices[indptr[v] : indptr[v + 1]]
-                    nbr_colors = colors[row]
-                    nbr_colors = nbr_colors[nbr_colors >= 0]
-                    forbidden[nbr_colors] = stamp
-                    window = forbidden[: nbr_colors.shape[0] + 1]
-                    pending[j] = int(np.argmax(window != stamp))
-                    machine.charge(record, j % machine.num_threads, row.shape[0])
-                colors[batch] = pending  # tick boundary: writes commit
+    def tick(batch, record):
+        nonlocal stamp
+        pending = np.empty(batch.shape[0], dtype=np.int64)
+        for j, v in enumerate(batch):
+            stamp += 1
+            nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
+            nbr_colors = nbr_colors[nbr_colors >= 0]
+            forbidden[nbr_colors] = stamp
+            window = forbidden[: nbr_colors.shape[0] + 1]
+            pending[j] = int(np.argmax(window != stamp))
+        colors[batch] = pending  # tick boundary: writes commit
+        return degrees[batch]
 
-            if stick:
-                # injected fault: the round's commits are lost wholesale
-                colors[:] = saved_colors
-                retry = work_list
-                record.conflicts = int(work_list.shape[0])
-            else:
-                # detection phase: each work-list vertex rescans its adjacency
-                retry = detect_conflicts(graph, colors, work_list)
-                for j, v in enumerate(work_list):
-                    machine.charge(record, j % machine.num_threads,
-                                   graph.degree(int(v)))
-                record.conflicts = int(retry.shape[0])
-            machine.trace.add(record)
-            work_list = retry
-            watchdog.observe(int(work_list.shape[0]))
+    def detect(work, record):
+        # each work-list vertex rescans its adjacency
+        return detect_conflicts(graph, colors, work), degrees[work]
+
+    with rec.phase("greedy-ff-parallel"):
+        rounds = machine.speculate(
+            work_list, tick, detect, rec=rec, max_rounds=max_rounds,
+            state=(colors,), plan=resolve_fault_plan(fault_plan),
+            patience=watchdog_patience, name="greedy-ff-parallel")
 
     num_colors = int(colors.max(initial=-1)) + 1
-    machine.trace.record_to(rec)
+    meta = machine.finish(rec, rounds=rounds)
     if rec.enabled:
         rec.event("coloring", strategy="greedy-ff-parallel",
                   num_vertices=n, num_colors=num_colors,
                   threads=machine.num_threads, rounds=rounds,
                   conflicts=machine.trace.total_conflicts)
-    meta = {"trace": machine.trace, "rounds": rounds, **machine.trace.summary()}
-    if watchdog.fired:
-        meta["watchdog_round"] = watchdog.fired_round
     return Coloring(
         colors,
         num_colors,

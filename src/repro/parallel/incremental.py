@@ -77,6 +77,7 @@ def parallel_incremental_recolor(
 
     machine = TickMachine(num_threads, algorithm="incremental-parallel")
     indptr, indices = graph.indptr, graph.indices
+    degrees = graph.degrees
 
     with rec.phase("incremental-parallel"):
         seeded = carry_forward(graph, base)
@@ -95,53 +96,51 @@ def parallel_incremental_recolor(
         # pass; recording it keeps the trace honest (and non-empty)
         # even when the delta produced no conflicts to repair
         scan = machine.new_superstep()
-        for j, v in enumerate(dirty):
-            machine.charge(scan, j % machine.num_threads, graph.degree(int(v)))
+        machine.charge_cyclic(scan, degrees[dirty])
         scan.conflicts = int(work_list.shape[0])
         scan.distinct_bins = int(np.count_nonzero(sizes))
         machine.trace.add(scan)
 
         repaired_ids: set[int] = set()
-        rounds = 0
-        while work_list.shape[0]:
-            rounds += 1
-            p = 1 if rounds > max_rounds else machine.num_threads
-            record = machine.new_superstep()
-            for t0 in range(0, work_list.shape[0], p):
-                batch = work_list[t0 : t0 + p]
-                staged_v: list[int] = []
-                staged_k: list[int] = []
-                for j, v in enumerate(batch):
-                    v = int(v)
-                    machine.charge(record, j % machine.num_threads,
-                                   graph.degree(v))
-                    nbr = colors[indices[indptr[v]:indptr[v + 1]]]
-                    if not np.any(nbr == colors[v]):
-                        # an earlier commit already resolved this conflict;
-                        # skipping keeps 1-thread runs bit-identical to the
-                        # sequential repair (which checks at visit time too)
-                        continue
-                    old = int(colors[v])
-                    sizes[old] -= 1  # atomically vacate the current bin
-                    record.atomic_ops += 1
-                    k = _ff_color(nbr, sizes, capacity, C)
-                    if k >= sizes.shape[0]:
-                        sizes = np.concatenate(
-                            [sizes, np.zeros(k + 1 - sizes.shape[0])])
-                        C = k + 1
-                    sizes[k] += 1
-                    record.atomic_ops += 1
-                    record.shared_reads += k + 1
-                    staged_v.append(v)
-                    staged_k.append(k)
-                    repaired_ids.add(v)
-                if staged_v:  # tick boundary: plain writes commit
-                    colors[np.asarray(staged_v)] = np.asarray(staged_k)
-            retry = detect_conflicts(graph, colors, work_list)
-            record.conflicts = int(retry.shape[0])
+
+        def tick(batch, record):
+            nonlocal sizes, C
+            staged_v: list[int] = []
+            staged_k: list[int] = []
+            for v in batch:
+                v = int(v)
+                nbr = colors[indices[indptr[v]:indptr[v + 1]]]
+                if not np.any(nbr == colors[v]):
+                    # an earlier commit already resolved this conflict;
+                    # skipping keeps 1-thread runs bit-identical to the
+                    # sequential repair (which checks at visit time too)
+                    continue
+                old = int(colors[v])
+                sizes[old] -= 1  # atomically vacate the current bin
+                record.atomic_ops += 1
+                k = _ff_color(nbr, sizes, capacity, C)
+                if k >= sizes.shape[0]:
+                    sizes = np.concatenate(
+                        [sizes, np.zeros(k + 1 - sizes.shape[0])])
+                    C = k + 1
+                sizes[k] += 1
+                record.atomic_ops += 1
+                record.shared_reads += k + 1
+                staged_v.append(v)
+                staged_k.append(k)
+                repaired_ids.add(v)
+            if staged_v:  # tick boundary: plain writes commit
+                colors[np.asarray(staged_v)] = np.asarray(staged_k)
+            return degrees[batch]
+
+        def detect(work, record):
+            # unpriced: the incremental trace charges the repair visits only
+            retry = detect_conflicts(graph, colors, work)
             record.distinct_bins = int(np.count_nonzero(sizes))
-            machine.trace.add(record)
-            work_list = retry
+            return retry, degrees[:0]
+
+        rounds = machine.speculate(work_list, tick, detect, rec=rec,
+                                   max_rounds=max_rounds)
 
         C = int(colors.max(initial=-1)) + 1 if n else 0
         if C > sizes.shape[0]:
@@ -164,22 +163,20 @@ def parallel_incremental_recolor(
                                          region, move_budget)
         touched += moves
 
-    machine.trace.record_to(rec)
-    meta = {
-        "trace": machine.trace,
-        "staleness_budget": float(staleness_budget),
-        "gamma": capacity,
-        "base_strategy": base.strategy,
-        "seeded": int(n_seeded),
-        "repaired": int(repaired),
-        "moves": int(moves),
-        "drain_passes": int(passes),
-        "dirty": int(dirty.size),
-        "rounds": rounds,
-        "recolored_fraction": (touched / n) if n else 0.0,
-        "rsd_percent": relative_std_dev(np.bincount(colors, minlength=C)),
-        **machine.trace.summary(),
-    }
+    meta = machine.finish(
+        rec,
+        staleness_budget=float(staleness_budget),
+        gamma=capacity,
+        base_strategy=base.strategy,
+        seeded=int(n_seeded),
+        repaired=int(repaired),
+        moves=int(moves),
+        drain_passes=int(passes),
+        dirty=int(dirty.size),
+        rounds=rounds,
+        recolored_fraction=(touched / n) if n else 0.0,
+        rsd_percent=relative_std_dev(np.bincount(colors, minlength=C)),
+    )
     result = Coloring(colors, C, strategy="incremental-parallel", meta=meta)
     if rec.enabled:
         rec.event("coloring", strategy="incremental-parallel",

@@ -22,7 +22,7 @@ from ..coloring.types import Coloring
 from ..graph.csr import CSRGraph
 from ..kernels import detect_conflicts
 from ..obs import as_recorder
-from ..resilience import ConvergenceWatchdog, DEFAULT_PATIENCE, resolve_fault_plan
+from ..resilience import DEFAULT_PATIENCE, resolve_fault_plan
 from .engine import TickMachine
 
 __all__ = ["parallel_recoloring"]
@@ -52,17 +52,13 @@ def parallel_recoloring(
     ``fault_plan`` ``stick`` faults waste chosen rounds to test it.
     """
     rec = as_recorder(recorder)
-    plan = resolve_fault_plan(fault_plan)
-    watchdog = ConvergenceWatchdog(watchdog_patience, recorder=rec,
-                                   algorithm="recoloring-parallel")
     n = graph.num_vertices
     if initial.num_vertices != n:
         raise ValueError("coloring does not match graph")
     machine = TickMachine(num_threads, algorithm="recoloring-parallel")
-    if initial.num_colors == 0:
-        return initial
-    g = _gamma(n, initial.num_colors)
+    g = _gamma(n, initial.num_colors) if initial.num_colors else 0.0
     indptr, indices = graph.indptr, graph.indices
+    degrees = graph.degrees
 
     colors = np.full(n, -1, dtype=np.int64)
     limit = n + 1  # capacity search may pass over full bins; bin n is never full
@@ -70,84 +66,60 @@ def parallel_recoloring(
     forbidden = np.full(limit, -1, dtype=np.int64)
     stamp = 0
 
-    work_list = reverse_class_order(initial)
-    rounds = 0
-    with rec.phase("recoloring-parallel"):
-        while work_list.shape[0]:
-            rounds += 1
-            stick = plan.stick_active(rounds - 1)
-            if stick:
-                saved = (colors.copy(), bins.copy())
-                if rec.enabled:
-                    rec.event("fault_injected", fault="stick", round=rounds - 1)
-            p = 1 if (watchdog.fired or rounds > max_rounds) \
-                else machine.num_threads
-            record = machine.new_superstep()
-            for t0 in range(0, work_list.shape[0], p):
-                batch = work_list[t0 : t0 + p]
-                staged = np.empty(batch.shape[0], dtype=np.int64)
-                for j, v in enumerate(batch):
-                    v = int(v)
-                    machine.charge(record, j % machine.num_threads, graph.degree(v))
-                    old = int(colors[v])
-                    if old >= 0:  # retry: atomically vacate the tentative bin
-                        bins[old] -= 1
-                        record.atomic_ops += 1
-                    stamp += 1
-                    row = indices[indptr[v] : indptr[v + 1]]
-                    nbr_colors = colors[row]
-                    nbr_colors = nbr_colors[nbr_colors >= 0]
-                    forbidden[nbr_colors] = stamp
-                    # smallest permissible color whose (atomic) bin is below γ
-                    window_len = nbr_colors.shape[0] + 1
-                    while True:
-                        ok = (forbidden[:window_len] != stamp) & (bins[:window_len] < g)
-                        hits = np.nonzero(ok)[0]
-                        if hits.shape[0]:
-                            k = int(hits[0])
-                            break
-                        if window_len >= limit:  # pragma: no cover - bin n never fills
-                            raise RuntimeError("no permissible bin within palette limit")
-                        window_len = min(window_len * 2, limit)
-                    bins[k] += 1
-                    record.atomic_ops += 1
-                    record.shared_reads += k + 1  # bin counters scanned up to k
-                    staged[j] = k
-                colors[batch] = staged  # tick boundary: plain writes commit
+    def begin(work, record):
+        # a stuck round keeps this count: its bins roll back to round start
+        record.distinct_bins = int(np.count_nonzero(bins))
 
-            if stick:
-                # injected fault: commits and bin updates are lost wholesale
-                colors[:], bins[:] = saved
-                retry = work_list
-                record.conflicts = int(work_list.shape[0])
-            else:
-                retry = detect_conflicts(graph, colors, work_list)
-                for j, v in enumerate(work_list):
-                    machine.charge(record, j % machine.num_threads,
-                                   graph.degree(int(v)))
-                record.conflicts = int(retry.shape[0])
-            record.distinct_bins = int(np.count_nonzero(bins))
-            machine.trace.add(record)
-            work_list = retry
-            watchdog.observe(int(work_list.shape[0]))
+    def tick(batch, record):
+        nonlocal stamp
+        staged = np.empty(batch.shape[0], dtype=np.int64)
+        for j, v in enumerate(batch):
+            old = int(colors[v])
+            if old >= 0:  # retry: atomically vacate the tentative bin
+                bins[old] -= 1
+                record.atomic_ops += 1
+            stamp += 1
+            nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
+            nbr_colors = nbr_colors[nbr_colors >= 0]
+            forbidden[nbr_colors] = stamp
+            # smallest permissible color whose (atomic) bin is below γ
+            window_len = nbr_colors.shape[0] + 1
+            while True:
+                ok = (forbidden[:window_len] != stamp) & (bins[:window_len] < g)
+                hits = np.nonzero(ok)[0]
+                if hits.shape[0]:
+                    k = int(hits[0])
+                    break
+                if window_len >= limit:  # pragma: no cover - bin n never fills
+                    raise RuntimeError("no permissible bin within palette limit")
+                window_len = min(window_len * 2, limit)
+            bins[k] += 1
+            record.atomic_ops += 1
+            record.shared_reads += k + 1  # bin counters scanned up to k
+            staged[j] = k
+        colors[batch] = staged  # tick boundary: plain writes commit
+        return degrees[batch]
+
+    def detect(work, record):
+        retry = detect_conflicts(graph, colors, work)
+        record.distinct_bins = int(np.count_nonzero(bins))
+        return retry, degrees[work]
+
+    with rec.phase("recoloring-parallel"):
+        rounds = machine.speculate(
+            reverse_class_order(initial), tick, detect, rec=rec,
+            max_rounds=max_rounds, state=(colors, bins),
+            plan=resolve_fault_plan(fault_plan), patience=watchdog_patience,
+            name="recoloring-parallel", begin=begin)
 
     num_colors = int(colors.max(initial=-1)) + 1
-    machine.trace.record_to(rec)
+    meta = machine.finish(rec, gamma=g, initial_colors=initial.num_colors,
+                          initial_strategy=initial.strategy, rounds=rounds)
     if rec.enabled:
         rec.event("coloring", strategy="recoloring-parallel",
                   num_vertices=n, num_colors=num_colors,
                   threads=machine.num_threads, rounds=rounds,
                   conflicts=machine.trace.total_conflicts)
-    meta = {
-        "trace": machine.trace,
-        "gamma": g,
-        "initial_colors": initial.num_colors,
-        "initial_strategy": initial.strategy,
-        "rounds": rounds,
-        **machine.trace.summary(),
-    }
-    if watchdog.fired:
-        meta["watchdog_round"] = watchdog.fired_round
     return Coloring(
         colors,
         num_colors,

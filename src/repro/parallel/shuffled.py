@@ -27,7 +27,7 @@ from ..coloring.balance import relative_std_dev
 from ..coloring.types import Coloring
 from ..graph.csr import CSRGraph
 from ..obs import as_recorder
-from ..resilience import ConvergenceWatchdog, DEFAULT_PATIENCE, resolve_fault_plan
+from ..resilience import DEFAULT_PATIENCE, resolve_fault_plan
 from .engine import VERTEX_OVERHEAD, TickMachine
 
 __all__ = ["parallel_shuffle_balance"]
@@ -72,33 +72,82 @@ def parallel_shuffle_balance(
     C = initial.num_colors
     name = f"{'v' if traversal == 'vertex' else 'c'}{choice}-parallel"
     machine = TickMachine(num_threads, algorithm=name)
-    if C == 0:
-        return initial
     rec = as_recorder(recorder)
-    g = _gamma(n, C)
+    g = _gamma(n, C) if C else 0.0
     colors = initial.colors.copy()
     sizes = np.bincount(colors, minlength=C).astype(np.int64)
+    indptr, indices = graph.indptr, graph.indices
+    degrees = graph.degrees
+    prev_color = np.full(n, -1, dtype=np.int64)
+    moved: list[int] = []
 
-    watchdog = ConvergenceWatchdog(watchdog_patience, recorder=rec, algorithm=name)
+    def tick(batch, record):
+        staged_v: list[int] = []
+        staged_k: list[int] = []
+        costs: list[int] = []
+        for v in batch:
+            v = int(v)
+            src = int(colors[v])
+            if sizes[src] <= g:  # source bin reached balance: O(1) skip
+                costs.append(1 - VERTEX_OVERHEAD)
+                record.shared_reads += 1
+                continue
+            costs.append(int(degrees[v]))
+            nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
+            k, reads = _pick_target(nbr_colors, sizes, g, src, choice)
+            record.shared_reads += reads + 1  # +1: the source-bin check
+            if k < 0:
+                continue
+            # atomic counters update immediately (serialized in-tick)
+            sizes[src] -= 1
+            sizes[k] += 1
+            record.atomic_ops += 2
+            prev_color[v] = src
+            staged_v.append(v)
+            staged_k.append(k)
+        if staged_v:
+            colors[staged_v] = staged_k  # tick boundary: plain writes commit
+            moved.extend(staged_v)
+        return costs
+
+    def begin(work, record):
+        # hot counters this round: every under-full bin is read during
+        # target scans and is a potential write target
+        record.distinct_bins = max(1, int(np.count_nonzero(sizes < g)))
+        moved.clear()
+
+    def detect(work, record):
+        # this round's movers rescan their adjacency
+        retry = _revert_conflicts(graph, colors, sizes, prev_color, moved, record)
+        return retry, degrees[moved]
+
     with rec.phase(name):
-        if traversal == "color":
-            _color_centric(graph, colors, sizes, g, choice, machine)
+        if traversal == "vertex":
+            work_list = np.nonzero(np.isin(colors, np.nonzero(sizes > g)[0]))[0]
+            machine.speculate(work_list, tick, detect, rec=rec,
+                              max_rounds=max_rounds,
+                              state=(colors, sizes, prev_color),
+                              plan=resolve_fault_plan(fault_plan),
+                              patience=watchdog_patience, name=name, begin=begin)
         else:
-            _vertex_centric(graph, colors, sizes, g, choice, machine, max_rounds,
-                            plan=resolve_fault_plan(fault_plan), rec=rec,
-                            watchdog=watchdog)
+            # one stage per over-full bin: its members are pairwise
+            # non-adjacent, so a tick cannot race and nothing is detected
+            # (the tick's revert bookkeeping goes unused)
+            for j_bin in np.nonzero(sizes > g)[0]:
+                record = machine.new_superstep()
+                record.barriers = 1
+                for _, batch in machine.ticks(np.nonzero(colors == j_bin)[0]):
+                    machine.charge_cyclic(record, tick(batch, record))
+                record.distinct_bins = int(np.count_nonzero(sizes < g))
+                machine.trace.add(record)
 
-    machine.trace.record_to(rec)
+    meta = machine.finish(rec, gamma=g, initial_strategy=initial.strategy)
     if rec.enabled:
         rec.event("balance", strategy=name, gamma=g,
                   rsd_percent=relative_std_dev(np.bincount(colors, minlength=C)),
                   threads=machine.num_threads,
                   supersteps=machine.trace.num_supersteps,
                   conflicts=machine.trace.total_conflicts)
-    meta = {"trace": machine.trace, "gamma": g,
-            "initial_strategy": initial.strategy, **machine.trace.summary()}
-    if watchdog.fired:
-        meta["watchdog_round"] = watchdog.fired_round
     return Coloring(colors, C, strategy=name, meta=meta)
 
 
@@ -126,102 +175,6 @@ def _pick_target(
         return k, k + 1
     reads = int(np.count_nonzero(underfull))
     return int(candidates[np.argmin(sizes[candidates])]), reads
-
-
-def _vertex_centric(graph, colors, sizes, g, choice, machine: TickMachine,
-                    max_rounds, *, plan, rec, watchdog):
-    indptr, indices = graph.indptr, graph.indices
-    overfull = np.nonzero(sizes > g)[0]
-    work_list = np.nonzero(np.isin(colors, overfull))[0]
-    prev_color = np.full(graph.num_vertices, -1, dtype=np.int64)
-
-    rounds = 0
-    while work_list.shape[0]:
-        rounds += 1
-        stick = plan.stick_active(rounds - 1)
-        if stick:
-            saved = (colors.copy(), sizes.copy(), prev_color.copy())
-            if rec.enabled:
-                rec.event("fault_injected", fault="stick", round=rounds - 1)
-        p = 1 if (watchdog.fired or rounds > max_rounds) else machine.num_threads
-        record = machine.new_superstep()
-        # hot counters this round: every under-full bin is read during
-        # target scans and is a potential write target
-        record.distinct_bins = max(1, int(np.count_nonzero(sizes < g)))
-        moved: list[int] = []
-        for t0 in range(0, work_list.shape[0], p):
-            batch = work_list[t0 : t0 + p]
-            staged_v: list[int] = []
-            staged_k: list[int] = []
-            for j, v in enumerate(batch):
-                v = int(v)
-                src = int(colors[v])
-                if sizes[src] <= g:  # source bin reached balance: O(1) skip
-                    machine.charge(record, j % machine.num_threads, -VERTEX_OVERHEAD + 1)
-                    record.shared_reads += 1
-                    continue
-                machine.charge(record, j % machine.num_threads, graph.degree(v))
-                nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
-                k, reads = _pick_target(nbr_colors, sizes, g, src, choice)
-                record.shared_reads += reads + 1  # +1: the source-bin check
-                if k < 0:
-                    continue
-                # atomic counters update immediately (serialized in-tick)
-                sizes[src] -= 1
-                sizes[k] += 1
-                record.atomic_ops += 2
-                prev_color[v] = src
-                staged_v.append(v)
-                staged_k.append(k)
-            if staged_v:
-                colors[staged_v] = staged_k  # tick boundary: plain writes commit
-                moved.extend(staged_v)
-        if stick:
-            # injected fault: the round's moves and counter updates are lost
-            colors[:], sizes[:], prev_color[:] = saved
-            record.conflicts = int(work_list.shape[0])
-            machine.trace.add(record)
-            watchdog.observe(int(work_list.shape[0]))
-            continue
-        # detection phase: this round's movers rescan their adjacency
-        for j, v in enumerate(moved):
-            machine.charge(record, j % machine.num_threads, graph.degree(int(v)))
-        retry = _revert_conflicts(graph, colors, sizes, prev_color, moved, record)
-        record.conflicts = int(retry.shape[0])
-        machine.trace.add(record)
-        work_list = retry
-        watchdog.observe(int(work_list.shape[0]))
-
-
-def _color_centric(graph, colors, sizes, g, choice, machine: TickMachine):
-    indptr, indices = graph.indptr, graph.indices
-    overfull = np.nonzero(sizes > g)[0]
-    for j_bin in overfull:
-        members = np.nonzero(colors == j_bin)[0]
-        record = machine.new_superstep()
-        record.barriers = 1  # single pass per bin, no detection phase
-        for t0 in range(0, members.shape[0], machine.num_threads):
-            batch = members[t0 : t0 + machine.num_threads]
-            for j, v in enumerate(batch):
-                v = int(v)
-                if sizes[j_bin] <= g:  # bin drained: O(1) skip
-                    machine.charge(record, j % machine.num_threads, -VERTEX_OVERHEAD + 1)
-                    record.shared_reads += 1
-                    continue
-                machine.charge(record, j % machine.num_threads, graph.degree(v))
-                nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
-                k, reads = _pick_target(nbr_colors, sizes, g, int(j_bin), choice)
-                record.shared_reads += reads + 1
-                if k < 0:
-                    continue
-                sizes[j_bin] -= 1
-                sizes[k] += 1
-                record.atomic_ops += 2
-                # same-class vertices are non-adjacent: committing
-                # immediately is indistinguishable from a tick commit
-                colors[v] = k
-        record.distinct_bins = int(np.count_nonzero(sizes < g))
-        machine.trace.add(record)
 
 
 def _revert_conflicts(

@@ -1,19 +1,22 @@
 """Convergence watchdog for the speculate-and-resolve superstep loops.
 
-Every tick-machine loop in :mod:`repro.parallel` iterates "color
+The superstep round driver
+(:meth:`repro.parallel.engine.TickMachine.speculate`) iterates "color
 speculatively, detect conflicts, retry the losers" until the work list
 drains.  The paper observes the retry list shrinks geometrically
-("typically a small constant" of rounds); the loops nevertheless carry a
-``max_rounds`` cap after which they drop to one thread.  That cap is a
-blunt instrument: a pathological (or fault-injected) run spins through
-hundreds of no-progress rounds before reaching it, and nothing reports
-that the cap did the saving.
+("typically a small constant" of rounds); the driver nevertheless
+carries a ``max_rounds`` cap after which it drops to one thread.  That
+cap is a blunt instrument: a pathological (or fault-injected) run spins
+through hundreds of no-progress rounds before reaching it, and nothing
+reports that the cap did the saving.
 
 The :class:`ConvergenceWatchdog` watches the work-list size per round and
 fires as soon as it has failed to shrink for ``patience`` consecutive
-rounds — at which point the owning loop degrades to sequential execution
-(one thread cannot race with itself, so progress is guaranteed) and the
-event is emitted to the run's :class:`repro.obs.Recorder`.
+rounds — at which point the driver degrades the loop to sequential
+execution (one thread cannot race with itself, so progress is
+guaranteed) and the event is emitted to the run's
+:class:`repro.obs.Recorder`.  The driver constructs one per run for
+every engine that takes a ``watchdog_patience``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """Tests for the parallel coloring algorithms (Algorithms 2-5)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -196,3 +199,208 @@ class TestParallelRecoloring:
         init = greedy_coloring(small_cnr)
         with pytest.raises(ValueError, match="match"):
             parallel_recoloring(path10, init)
+
+
+# ----------------------------------------------------------------------
+# pinned outputs of the speculate/detect superstep engines
+# ----------------------------------------------------------------------
+def _canonical(obj) -> str:
+    """Canonical JSON; numpy scalars keep their type so a drift shows."""
+    def tag(o):
+        if isinstance(o, np.generic):
+            return {type(o).__name__: o.item()}
+        raise TypeError(f"unexpected {type(o).__name__} in pinned output")
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=tag)
+
+
+def _digest(text) -> str:
+    data = text if isinstance(text, bytes) else text.encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+#: Run variants of the pinned superstep cases: a clean run, the stick
+#: faults (a lost round 1..6, or 0..5 from the start) under patience 3,
+#: and a one-round cap that drops every retry round to width 1.
+VARIANTS = {
+    "clean": {"fault_plan": None},
+    "stick@r1:6": {"fault_plan": "stick@r1:6", "watchdog_patience": 3},
+    "stick@r0:6": {"fault_plan": "stick@r0:6", "watchdog_patience": 3},
+    "max_rounds=1": {"fault_plan": None, "max_rounds": 1},
+}
+
+
+def _superstep_run(engine: str, graph, p: int, variant: str):
+    """Run one engine with a recorder attached; returns (coloring, events)."""
+    from repro.bipartite import BipartiteGraph, optimistic_partial_d2
+    from repro.graph import apply_delta, jacobian_band_pattern, random_churn
+    from repro.obs import Recorder
+    from repro.parallel import parallel_incremental_recolor
+
+    rec = Recorder()
+    kw = dict(VARIANTS[variant])
+    if engine == "greedy-ff":
+        out = parallel_greedy_ff(graph, num_threads=p, recorder=rec, **kw)
+    elif engine in ("vff", "vlu", "cff", "clu"):
+        out = parallel_shuffle_balance(graph, greedy_coloring(graph),
+                                       choice=engine[1:], num_threads=p,
+                                       traversal="vertex" if engine[0] == "v" else "color",
+                                       recorder=rec, **kw)
+    elif engine == "recoloring":
+        out = parallel_recoloring(graph, greedy_coloring(graph), num_threads=p,
+                                  recorder=rec, **kw)
+    elif engine == "incremental":
+        del kw["fault_plan"]  # no fault-injection points
+        mutated, dirty = apply_delta(graph, random_churn(graph, 0.02, seed=8))
+        out = parallel_incremental_recolor(mutated, greedy_coloring(graph),
+                                           dirty=dirty, num_threads=p,
+                                           recorder=rec, **kw)
+    else:
+        bip = (BipartiteGraph.square_cover(graph) if engine == "d2-cover"
+               else BipartiteGraph.from_incidence(
+                   jacobian_band_pattern(400, 60, 5, seed=0), 400))
+        out = optimistic_partial_d2(bip, num_threads=p, recorder=rec, **kw)
+    return out, rec.events
+
+
+def _pinned_fingerprint(engine: str, graph, p: int, variant: str) -> dict:
+    out, events = _superstep_run(engine, graph, p, variant)
+    meta = dict(out.meta)
+    trace = meta.pop("trace")
+    stream = [{k: v for k, v in e.items() if k not in ("t", "seconds")}
+              for e in events]
+    return {
+        "colors": _digest(np.ascontiguousarray(out.colors, dtype=np.int64).tobytes()),
+        "trace": _digest(_canonical(trace.to_dict())),
+        "meta": _digest(_canonical(meta)),
+        "events": _digest(_canonical(stream)),
+    }
+
+
+#: (engine, threads, variant) -> (colors, trace, meta, events) digests.
+#: Generated before the five engines shared one round driver; any drift in
+#: colors, traces, meta or recorder events is a behaviour change.
+SUPERSTEP_PINS = {
+    ("cff", 1, "clean"):
+        ("38d3175395934cb4", "fd5ad10223fa132b", "277c74aff3f01793", "bf5e267bc2c88627"),
+    ("cff", 4, "clean"):
+        ("38d3175395934cb4", "28c00bcd19a73240", "6d8622935b8e0af2", "c403173b7f0cab8b"),
+    ("cff", 16, "clean"):
+        ("38d3175395934cb4", "de2f0d057e087b1d", "f20efb84c1aae8bc", "cd1cab22cc2c82c1"),
+    ("clu", 1, "clean"):
+        ("455c53b2daac4619", "dc9ef1cdfebfa0e7", "5c3f8a7a99145b34", "896a0f3e120a72df"),
+    ("clu", 4, "clean"):
+        ("455c53b2daac4619", "e4392317115c400a", "ffc5b0a5edab1b09", "c1a94b2deb9bf975"),
+    ("clu", 16, "clean"):
+        ("455c53b2daac4619", "7d7bb97d05b64a66", "f7102dccda20e7c2", "d0e21827af812e5f"),
+    ("d2-band", 1, "clean"):
+        ("49395239a59679cb", "9cff16573f683841", "7845c167b2a716bc", "4462e7d487329f19"),
+    ("d2-band", 1, "stick@r0:6"):
+        ("49395239a59679cb", "fcb9838d2db092b4", "a357b7a8bedb72ae", "312c2e0ab5945c00"),
+    ("d2-band", 1, "stick@r1:6"):
+        ("49395239a59679cb", "9cff16573f683841", "7845c167b2a716bc", "4462e7d487329f19"),
+    ("d2-band", 4, "clean"):
+        ("825e4f8d9c7ba795", "f26eb3ed9f6f4481", "50348996a53d3c79", "e9331dbd7fd0d104"),
+    ("d2-band", 4, "stick@r1:6"):
+        ("ea03fbdeb84dba74", "c67258adbe836c96", "a33df83f537cd19b", "aaf24aca4874992b"),
+    ("d2-band", 16, "clean"):
+        ("06416bf354eba544", "0bb2649e7c44d44b", "524bd0c4ffeb3d35", "52af8f09abab1b8a"),
+    ("d2-band", 16, "max_rounds=1"):
+        ("c29e20b7bc972d8e", "ce4872791acd21a7", "de04a6cc0d85051c", "c31b3ac2a77bf4d1"),
+    ("d2-band", 16, "stick@r1:6"):
+        ("c29e20b7bc972d8e", "69777d863b45c351", "81d34a200c191a82", "a965d76221991a12"),
+    ("d2-cover", 1, "clean"):
+        ("f940b6774441c197", "cdc8f9b2f2333dce", "88ec7fe871c78ea4", "50ae5f43bbb2bd8f"),
+    ("d2-cover", 1, "stick@r0:6"):
+        ("f940b6774441c197", "8a26a41cb3b1b872", "da1378cab6049587", "84bc414207d800b9"),
+    ("d2-cover", 1, "stick@r1:6"):
+        ("f940b6774441c197", "cdc8f9b2f2333dce", "88ec7fe871c78ea4", "50ae5f43bbb2bd8f"),
+    ("d2-cover", 4, "clean"):
+        ("1a3d1d5843800065", "4e1d26f4a344091d", "f718263b7d3d0de5", "5465575f22b15aca"),
+    ("d2-cover", 4, "stick@r1:6"):
+        ("af5e9d992cc9d8ef", "987ff275b7229b18", "bdce0c36dffb417c", "ac7234e83887ce3c"),
+    ("d2-cover", 16, "clean"):
+        ("6aa2275811e4e630", "0e5816d2043677a8", "b14a0d37e4bf1a8c", "6f87ee326fa2a213"),
+    ("d2-cover", 16, "max_rounds=1"):
+        ("9791ad1c571f05ed", "a62d122e4ab057ee", "57dc9cbc2b6914cc", "0f6c5698365774c8"),
+    ("d2-cover", 16, "stick@r1:6"):
+        ("9791ad1c571f05ed", "f8ef8910666427c4", "7007acc965c5103e", "7160d54522995f9c"),
+    ("greedy-ff", 1, "clean"):
+        ("ff3af2ef4901f55f", "7dced63df25014bf", "b3ba22f58479e8ff", "be43e45aa02afff8"),
+    ("greedy-ff", 1, "stick@r0:6"):
+        ("ff3af2ef4901f55f", "deba3e286dd2c76f", "8696951f5cd35bc7", "1c3c653d143aaa6c"),
+    ("greedy-ff", 1, "stick@r1:6"):
+        ("ff3af2ef4901f55f", "7dced63df25014bf", "b3ba22f58479e8ff", "be43e45aa02afff8"),
+    ("greedy-ff", 4, "clean"):
+        ("668e5b2bb96e6d3f", "3cb869e50fcff2c7", "d436535241781137", "6c247f8227eed583"),
+    ("greedy-ff", 4, "stick@r1:6"):
+        ("668e5b2bb96e6d3f", "ccd155ba67dde4b6", "341043abd3b29fb4", "b36974e0c3ffd6fb"),
+    ("greedy-ff", 16, "clean"):
+        ("1255515fe0df889e", "821324bb0d24dde1", "0397755cad8cb8aa", "8d3dcf90fe804662"),
+    ("greedy-ff", 16, "max_rounds=1"):
+        ("fc054236de21a72d", "a9d5f8dc27955e87", "1f614cb7ed63d257", "df94a3630308fdc2"),
+    ("greedy-ff", 16, "stick@r1:6"):
+        ("fc054236de21a72d", "799ffeff5899ab38", "aa9013853da410dd", "38100231ac85e6a3"),
+    ("incremental", 1, "clean"):
+        ("6e083c2ec4d35236", "67523af2765c97c1", "4cee3b6f15e10227", "2d9f840ec645f47b"),
+    ("incremental", 4, "clean"):
+        ("4b8823176992b0c0", "1616aaf2ee39fd77", "75ee923547fc5b51", "dcd79acde9d9c647"),
+    ("incremental", 16, "clean"):
+        ("3dcadc9943da6b23", "e69c5f20ef196fd8", "236a5b8af7e328c1", "f540534e742fa89b"),
+    ("incremental", 16, "max_rounds=1"):
+        ("3dcadc9943da6b23", "0189d1b77bdaf26c", "5c86973435693332", "05f6c275dc5abc21"),
+    ("recoloring", 1, "clean"):
+        ("76e370d9e886589a", "6f00913770417792", "19df4e8737496baf", "81c121488b54ebda"),
+    ("recoloring", 1, "stick@r0:6"):
+        ("76e370d9e886589a", "a5591afe864651f2", "5d1c248899b6fa50", "0b60cb88459d5eb4"),
+    ("recoloring", 1, "stick@r1:6"):
+        ("76e370d9e886589a", "6f00913770417792", "19df4e8737496baf", "81c121488b54ebda"),
+    ("recoloring", 4, "clean"):
+        ("59e428b488145b7d", "03f66c59a7d79514", "c6293e5b64ee39d0", "25a1b340d1c7fd75"),
+    ("recoloring", 4, "stick@r1:6"):
+        ("22c23904c99c4534", "8a6586450582f730", "196f47f087ff20ea", "60ca1f0cdf947ebc"),
+    ("recoloring", 16, "clean"):
+        ("576d840f3a39627c", "f663d4b969b73677", "f48556f8fa056986", "27e723ae7793f804"),
+    ("recoloring", 16, "max_rounds=1"):
+        ("893829efe3f157b5", "8759741a6fea1ad1", "d93f478d55ca68ec", "7b057553db4d84a8"),
+    ("recoloring", 16, "stick@r1:6"):
+        ("893829efe3f157b5", "dacee78a3bf88480", "35193620c6f16104", "be5780f9eed2abbb"),
+    ("vff", 1, "clean"):
+        ("a7be234cb575915e", "160f465bf21a5840", "b72320dcc3597238", "95c57867be4c4dc1"),
+    ("vff", 1, "stick@r0:6"):
+        ("a7be234cb575915e", "20e45bd9f45f80de", "eca0cdd767556b2c", "1feb672e5ba0f77c"),
+    ("vff", 1, "stick@r1:6"):
+        ("a7be234cb575915e", "160f465bf21a5840", "b72320dcc3597238", "95c57867be4c4dc1"),
+    ("vff", 4, "clean"):
+        ("1cd85a0ecc1a1a9b", "6ec4a943510e490e", "44bb9fbae8dc1497", "c6475c3b0614f150"),
+    ("vff", 4, "stick@r1:6"):
+        ("1cd85a0ecc1a1a9b", "78596eae49378dd9", "bcbb649038572a1a", "1901296f6bc7e16e"),
+    ("vff", 16, "clean"):
+        ("c3544f9f86ce65f6", "4e36e9156d0fd27d", "9874331f25d761c6", "0a0883153a564f44"),
+    ("vff", 16, "max_rounds=1"):
+        ("64a20e2196162e8a", "d0af10539cd45dfe", "ddcdd77280e162c4", "093a2b84bd176029"),
+    ("vff", 16, "stick@r1:6"):
+        ("64a20e2196162e8a", "89f514a4cf6ce745", "a74664ed9a9fc9fb", "d45d5e1c61592a62"),
+    ("vlu", 1, "clean"):
+        ("36419f2fe4cf40a8", "b7269b73d22a4030", "aa23f3d84f9061c5", "d9c1723ca02e057b"),
+    ("vlu", 1, "stick@r0:6"):
+        ("36419f2fe4cf40a8", "92d7c2e488d17e56", "fcd4f32caa509608", "424d4ee47dbe6eb8"),
+    ("vlu", 1, "stick@r1:6"):
+        ("36419f2fe4cf40a8", "b7269b73d22a4030", "aa23f3d84f9061c5", "d9c1723ca02e057b"),
+    ("vlu", 4, "clean"):
+        ("36419f2fe4cf40a8", "2d7f6246167ae268", "2de133c24ce665e8", "51c6ef6e2f7bbd82"),
+    ("vlu", 4, "stick@r1:6"):
+        ("36419f2fe4cf40a8", "2d7f6246167ae268", "2de133c24ce665e8", "51c6ef6e2f7bbd82"),
+    ("vlu", 16, "clean"):
+        ("36419f2fe4cf40a8", "396b4fb9a9e4b517", "5442a4b6bd1d1460", "03485449f0a3c42e"),
+    ("vlu", 16, "max_rounds=1"):
+        ("36419f2fe4cf40a8", "396b4fb9a9e4b517", "5442a4b6bd1d1460", "03485449f0a3c42e"),
+    ("vlu", 16, "stick@r1:6"):
+        ("36419f2fe4cf40a8", "396b4fb9a9e4b517", "5442a4b6bd1d1460", "03485449f0a3c42e"),
+}
+
+
+@pytest.mark.parametrize("engine,p,variant", sorted(SUPERSTEP_PINS))
+def test_superstep_engines_match_pinned_outputs(small_cnr, engine, p, variant):
+    got = _pinned_fingerprint(engine, small_cnr, p, variant)
+    assert got == dict(zip(("colors", "trace", "meta", "events"),
+                           SUPERSTEP_PINS[(engine, p, variant)]))

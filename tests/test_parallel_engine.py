@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.obs import Recorder
 from repro.parallel.engine import (
     VERTEX_OVERHEAD,
     ExecutionTrace,
     SuperstepRecord,
     TickMachine,
 )
+from repro.resilience import resolve_fault_plan
 
 
 class TestTickMachine:
@@ -63,6 +65,80 @@ class TestTickMachine:
         m.charge_serial(100)
         m.charge_serial(50)
         assert m.trace.serial_work == 150
+
+    def test_ticks_width_overrides_thread_count(self):
+        batches = list(TickMachine(4).ticks(np.arange(5), 1))
+        assert [t for t, _ in batches] == [0, 1, 2, 3, 4]
+        assert [b.tolist() for _, b in batches] == [[0], [1], [2], [3], [4]]
+
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    @pytest.mark.parametrize("case", ["scan", "degraded", "skip"])
+    def test_charge_cyclic_matches_per_vertex_charge(self, p, case):
+        degrees = np.random.default_rng(p).integers(0, 50, size=29)
+        width = {"scan": None, "degraded": 1, "skip": p}[case]
+        if case == "skip":  # full-width ticks with O(1) skips priced at one unit
+            degrees[::3] = 1 - VERTEX_OVERHEAD
+        m = TickMachine(p)
+        want, got = m.new_superstep(), m.new_superstep()
+        for i, d in enumerate(degrees):  # item j of each tick on thread j
+            m.charge(want, i % (width or p), int(d))
+        m.charge_cyclic(got, degrees, width)
+        np.testing.assert_array_equal(got.work_per_thread, want.work_per_thread)
+        assert got.max_item_work == want.max_item_work
+        assert type(got.max_item_work) is type(want.max_item_work)
+        assert got.items == want.items
+
+    def test_charge_cyclic_empty_is_noop(self):
+        m = TickMachine(3)
+        r = m.new_superstep()
+        m.charge_cyclic(r, [])
+        assert r.items == 0 and r.max_item_work == 0.0
+        assert r.work_per_thread.sum() == 0
+
+
+class TestSpeculate:
+    def test_stuck_round_rolls_back_and_cap_drops_to_width_one(self):
+        m = TickMachine(4)
+        visits = np.zeros(6, dtype=np.int64)
+        widths = []
+
+        def tick(batch, record):
+            widths.append(batch.shape[0])
+            visits[batch] += 1
+            return np.zeros(batch.shape[0], dtype=np.int64)
+
+        def detect(work, record):  # every item but the first retries
+            return work[1:], np.zeros(work.shape[0], dtype=np.int64)
+
+        rec = Recorder()
+        rounds = m.speculate(np.arange(6), tick, detect, rec=rec, max_rounds=2,
+                             state=(visits,), plan=resolve_fault_plan("stick@r0:1"))
+        assert rounds == 7
+        assert widths == [4, 2, 4, 2] + [1] * (5 + 4 + 3 + 2 + 1)
+        assert visits.tolist() == [1, 2, 3, 4, 5, 6]  # round 0's visits rolled back
+        assert [s.conflicts for s in m.trace.supersteps] == [6, 5, 4, 3, 2, 1, 0]
+        assert [e["round"] for e in rec.events if e["kind"] == "fault_injected"] == [0]
+        assert m.watchdog_round is None
+
+    def test_watchdog_fires_and_lands_in_meta(self):
+        m = TickMachine(2, algorithm="toy")
+        seen = []
+
+        def tick(batch, record):
+            seen.append(batch.shape[0])
+            return np.zeros(batch.shape[0], dtype=np.int64)
+
+        def detect(work, record):  # no progress until the width drops
+            return (work if seen[-1] == 2 else work[1:]), work[:0]
+
+        rec = Recorder()
+        m.speculate(np.arange(4), tick, detect, rec=rec, max_rounds=100,
+                    patience=2, name="toy-parallel")
+        meta = m.finish(rec, rounds=0)
+        assert meta["watchdog_round"] == m.watchdog_round == 3
+        assert meta["trace"] is m.trace and meta["algorithm"] == "toy"
+        fired = [e for e in rec.events if e["kind"] == "watchdog_fallback"]
+        assert [e["algorithm"] for e in fired] == ["toy-parallel"]
 
 
 class TestTrace:

@@ -226,6 +226,21 @@ class TestExecuteFeatures:
         assert "coloring" in kinds     # initial greedy-ff
         assert "superstep" in kinds    # the balancing trace
 
+    @pytest.mark.parametrize("strategy", [
+        name for name, mode in ALL_PAIRS
+        # d2 rows run on the square cover, which rejects empty graphs
+        if mode == "superstep" and not name.startswith("d2")])
+    def test_superstep_on_empty_graph_returns_own_result(self, strategy):
+        from repro.graph import empty_graph
+
+        r = execute(empty_graph(0), RunConfig(strategy, mode="superstep",
+                                              threads=4, machine="tilegx36"))
+        assert r.coloring.strategy == f"{strategy}-parallel"
+        assert r.coloring.num_colors == 0
+        assert r.trace is r.coloring.meta["trace"]
+        assert r.trace.total_work == 0
+        assert r.machine_time is not None
+
 
 class TestLegacyFrontDoors:
     """The registry wrappers must forward kwargs (PR-3 bugfix)."""

@@ -91,15 +91,13 @@ def kempe_balance(
     if initial.num_vertices != graph.num_vertices:
         raise ValueError("coloring does not match graph")
     C = initial.num_colors
-    if C < 2:
-        return initial
     if max_passes < 1:
         raise ValueError(f"max_passes must be >= 1, got {max_passes}")
     colors = initial.colors.copy()
     sizes = np.bincount(colors, minlength=C).astype(np.int64)
     swaps = 0
 
-    for _ in range(max_passes):
+    for _ in range(max_passes if C >= 2 else 0):  # one class: nothing to swap
         a = int(np.argmax(sizes))
         b = int(np.argmin(sizes))
         gap = int(sizes[a] - sizes[b])

@@ -147,10 +147,8 @@ def balanced_recoloring(
         kernels.resolve_backend(backend)
     if initial.num_vertices != graph.num_vertices:
         raise ValueError("coloring does not match graph")
-    if initial.num_colors == 0:
-        return initial
     rec = as_recorder(recorder)
-    g = _gamma(initial.num_vertices, initial.num_colors)
+    g = _gamma(initial.num_vertices, initial.num_colors) if initial.num_colors else 0.0
     with rec.phase("recoloring/sweep"):
         order = reverse_class_order(initial)
         colors, num_colors = _capacity_ff_sweep(graph, order, capacity=g)

@@ -83,14 +83,12 @@ def shuffle_balance(
     if initial.num_vertices != n:
         raise ValueError("coloring does not match graph")
     C = initial.num_colors
-    if C == 0:
-        return initial
     colors = initial.colors.copy()
     if weight == "unit":
         vertex_w = np.ones(n, dtype=np.float64)
     else:
         vertex_w = graph.degrees.astype(np.float64) + 1.0
-    g = float(vertex_w.sum()) / C
+    g = float(vertex_w.sum()) / C if C else 0.0
     sizes = np.zeros(C, dtype=np.float64)
     np.add.at(sizes, colors, vertex_w)
 

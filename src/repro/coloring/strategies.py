@@ -357,7 +357,8 @@ def _d2_balanced(base_impl, accepts: frozenset):
 
     The drain runs in-process after the engine (it is a cheap sequential
     tail, like the residual pass), preserves the color count, and keeps
-    distance-2 properness move by move.
+    distance-2 properness move by move.  The ``backend`` option reaches
+    the drain too; every backend gives the same drained coloring.
     """
 
     @_accepts(*(accepts | {"choice"}))
@@ -372,6 +373,7 @@ def _d2_balanced(base_impl, accepts: frozenset):
         pc = PartialD2Coloring(colored.colors, colored.num_colors,
                                strategy=colored.strategy, meta=colored.meta)
         balanced = balance_partial_d2(cover, pc, choice=choice,
+                                      backend=kwargs.get("backend"),
                                       recorder=recorder)
         return _cover_coloring(balanced, "d2-balanced")
 

@@ -1,9 +1,9 @@
 """Backend-dispatched compute kernels for the coloring hot paths.
 
-Every hot loop of the library — the Greedy First-Fit sweep, the
+The hot loops of the library — the Greedy First-Fit sweep, the
 unscheduled-shuffling drain, and the bulk conflict/bin accounting shared
-by the speculation-and-iteration algorithms — is available in two
-implementations:
+by the speculation-and-iteration algorithms — are available as two
+backends:
 
 ``reference``
     The original per-vertex Python loops (:mod:`repro.kernels.reference`).
@@ -27,6 +27,16 @@ Backend selection, strongest first:
    bit-identical (the FF sweep), ``reference`` where they are only
    statistically equivalent (the shuffle drain), so that the paper-pinned
    golden results stay reproducible unless a backend is requested.
+
+Two inherently sequential loops have no whole-array form and so no
+``vectorized`` version: one pass of the one-sided D2 balance drain
+(:func:`d2_drain_pass`) and the Sched-Rev move commit
+(:func:`sched_commit`).  They have a Python loop in
+:mod:`repro.kernels.reference` and a bit-identical C loop in
+:mod:`repro.kernels.compiled`, compiled once with the system C compiler.
+A resolved ``reference`` backend runs the Python loop, which stays the
+oracle; any other resolution runs C if the library loaded, else the
+Python loop.
 """
 
 from __future__ import annotations
@@ -49,12 +59,14 @@ __all__ = [
     "bin_sizes",
     "count_monochromatic_edges",
     "d2_conflicts",
+    "d2_drain_pass",
     "d2_sweep",
     "detect_conflicts",
     "ff_sweep",
     "get_default_backend",
     "monochromatic_edges",
     "resolve_backend",
+    "sched_commit",
     "set_default_backend",
     "shuffle_drain",
 ]
@@ -263,3 +275,149 @@ def shuffle_drain(
         graph, colors, sizes, g, choice=choice, traversal=traversal,
         vertex_w=vertex_w, recorder=as_recorder(recorder),
     )
+
+
+# ----------------------------------------------------------------------
+# compiled sequential loops (C when it loads, else the reference loop)
+# ----------------------------------------------------------------------
+def _compiled(backend: str | None):
+    """The compiled library, or ``None`` when the Python loop must run.
+
+    A resolved ``reference`` backend always runs the Python loop (it is
+    the oracle); any other resolution runs C if it loaded.
+    """
+    if resolve_backend(backend) == "reference":
+        return None
+    from . import compiled
+
+    return compiled.load()
+
+
+def _graph_arrays(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+    indptr, indices = graph.indptr, graph.indices
+    for name, arr in (("indptr", indptr), ("indices", indices)):
+        if arr.dtype != np.int64 or arr.ndim != 1 or not arr.flags.c_contiguous:
+            raise ValueError(f"graph {name} must be a contiguous 1-D int64 array")
+    return indptr, indices
+
+
+def _check_inout(name: str, arr, dtype, length: int | None) -> np.ndarray:
+    """*arr* is mutated in place, so it must already be exactly right."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 1
+            and arr.flags.c_contiguous and arr.flags.writeable
+            and length in (None, arr.shape[0])):
+        raise ValueError(f"{name} must be a writeable contiguous 1-D "
+                         f"{np.dtype(dtype).name} array"
+                         + ("" if length is None else f" of length {length}"))
+    return arr
+
+
+def _check_ids(name: str, ids, bound: int | None) -> np.ndarray:
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"{name} must be a 1-D integer array")
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    if bound is not None and ids.size and (ids.min() < 0 or ids.max() >= bound):
+        raise ValueError(f"{name} must lie in [0, {bound})")
+    return ids
+
+
+def d2_drain_pass(
+    graph: CSRGraph,
+    num_rows: int,
+    colors: np.ndarray,
+    sizes: np.ndarray,
+    under: np.ndarray,
+    g: float,
+    candidates: np.ndarray,
+    *,
+    choice: str,
+    cache: dict | None = None,
+    backend: str | None = None,
+) -> int:
+    """One pass of the one-sided D2 balance drain, in place; returns the moves.
+
+    *graph* is a bipartite incidence graph with rows on ``[0, num_rows)``.
+    *colors* (int64, length ``num_rows``, ``-1`` = uncolored), *sizes*
+    (float64 class sizes, length C) and *under* (bool, length C+1, the
+    ``sizes < g`` mask with slot C False) are mutated in place.  Each
+    colored row of *candidates*, in order, leaves its class while that
+    class is over γ = *g*, for the first (``choice="ff"``) or first
+    smallest (``"lu"``) under-full class that no row sharing a column with
+    it holds.  Both paths give bit-identical results.
+
+    The Python loop walks a two-hop list; pass the same *cache* dict to
+    every pass of one drain so it is built at most once (the C loop walks
+    the incidence CSR directly and never builds it).
+    """
+    nr = _check_num_rows(graph, num_rows)
+    if choice not in ("ff", "lu"):
+        raise ValueError(f"choice must be 'ff' or 'lu', got {choice!r}")
+    indptr, indices = _graph_arrays(graph)
+    C = _check_inout("sizes", sizes, np.float64, None).shape[0]
+    _check_inout("colors", colors, np.int64, nr)
+    _check_inout("under", under, np.bool_, C + 1)
+    if colors.min() < -1 or colors.max() >= C:
+        raise ValueError(f"colors must lie in [-1, {C})")
+    candidates = _check_ids("candidates", candidates, nr)
+    if candidates.size == 0:
+        return 0
+    if colors[candidates].min() < 0:
+        raise ValueError("every candidate must be a colored row")
+    g = float(g)
+    lib = _compiled(backend)
+    if lib is None:
+        from . import reference
+
+        cache = {} if cache is None else cache
+        if "two_hop" not in cache:
+            cache["two_hop"] = reference.two_hop_rows(graph, nr)
+        ptr, nbr = cache["two_hop"]
+        return reference.d2_drain_pass(ptr, nbr, colors, sizes, under, g,
+                                       candidates, choice)
+    stamp = np.zeros(C, dtype=np.int64)
+    moves = lib.d2_drain_pass(
+        indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
+        indices.shape[0], nr, colors.ctypes.data, sizes.ctypes.data,
+        under.ctypes.data, C, g, candidates.ctypes.data, candidates.shape[0],
+        int(choice == "lu"), stamp.ctypes.data)
+    if moves < 0:
+        raise ValueError("graph is not a valid incidence CSR with rows "
+                         f"[0, {nr})")
+    return moves
+
+
+def sched_commit(
+    graph: CSRGraph,
+    colors: np.ndarray,
+    vertices: np.ndarray,
+    targets: np.ndarray,
+    *,
+    backend: str | None = None,
+) -> int:
+    """Sched-Rev's move phase, in place; returns the number of commits.
+
+    Attempts each planned move ``vertices[i] → targets[i]`` once, in
+    order: it commits only if no neighbor holds the target in the live
+    *colors* (int64, length n).  Both paths give bit-identical results.
+    """
+    n = graph.num_vertices
+    indptr, indices = _graph_arrays(graph)
+    _check_inout("colors", colors, np.int64, n)
+    vertices = _check_ids("vertices", vertices, n)
+    targets = _check_ids("targets", targets, None)
+    if targets.shape[0] != vertices.shape[0]:
+        raise ValueError(f"{vertices.shape[0]} vertices but "
+                         f"{targets.shape[0]} targets")
+    lib = _compiled(backend)
+    if lib is None:
+        from . import reference
+
+        return reference.sched_commit(graph, colors, vertices, targets)
+    committed = lib.sched_commit(
+        indptr.ctypes.data, indices.ctypes.data, n, indices.shape[0],
+        colors.ctypes.data, vertices.ctypes.data, targets.ctypes.data,
+        vertices.shape[0])
+    if committed < 0:
+        raise ValueError("graph is not a valid CSR")
+    return committed

@@ -18,8 +18,13 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..obs import NULL
 
-__all__ = ["d2_conflicts", "d2_sweep", "ff_sweep", "shuffle_drain",
-           "pick_shuffle_target"]
+__all__ = ["d2_conflicts", "d2_drain_pass", "d2_sweep", "ff_sweep",
+           "pick_shuffle_target", "sched_commit", "shuffle_drain",
+           "two_hop_rows"]
+
+# two-hop entries gathered per block of rows: keeps the int64 staging
+# arrays at ~0.5 MB each, cache-resident (larger blocks measured slower)
+_TWO_HOP_BLOCK = 1 << 16
 
 
 def _drain_round_event(recorder, source: int, moves: int, sizes: np.ndarray) -> None:
@@ -203,3 +208,100 @@ def shuffle_drain(
         if recorder.enabled:
             _drain_round_event(recorder, source, group_moves, sizes)
     return moves
+
+
+def two_hop_rows(graph: CSRGraph, num_rows: int) -> tuple[list[int], np.ndarray]:
+    """CSR ``(ptr, nbr)`` of every row's two-hop rows, self excluded.
+
+    *graph* is a bipartite incidence graph with rows on ``[0, num_rows)``.
+    ``nbr[ptr[r]:ptr[r+1]]`` lists the rows sharing a column with *r*,
+    once per shared column (duplicates kept), as int32; ``ptr`` is a
+    Python list, the form :func:`d2_drain_pass` slices fastest.  Row *r*
+    meets itself once in each of its columns, so its slot count is the
+    sum of its columns' degrees minus its own degree.  The gather runs in
+    blocks of rows holding about ``_TWO_HOP_BLOCK`` entries each, which
+    bounds the int64 staging arrays.
+    """
+    from .vectorized import _gather_rows
+
+    nr = num_rows
+    indptr, indices = graph.indptr, graph.indices
+    deg = np.diff(indptr)
+    row_deg = deg[:nr]
+    reach = np.bincount(np.repeat(np.arange(nr), row_deg),
+                        weights=deg[indices[: indptr[nr]]], minlength=nr)
+    ptr = np.zeros(nr + 1, dtype=np.int64)
+    np.cumsum(reach.astype(np.int64) - row_deg, out=ptr[1:])
+    nbr = np.empty(int(ptr[-1]), dtype=np.int32)
+    cuts = np.searchsorted(ptr, np.arange(_TWO_HOP_BLOCK, ptr[-1], _TWO_HOP_BLOCK))
+    bounds = np.unique(np.concatenate([[0], cuts, [nr]]))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        e1, seg1 = _gather_rows(indptr[lo:hi], row_deg[lo:hi])
+        cols = indices[e1]
+        e2, seg2 = _gather_rows(indptr[cols], deg[cols])
+        rows = indices[e2]
+        nbr[ptr[lo] : ptr[hi]] = rows[rows != seg1[seg2] + lo]
+    return ptr.tolist(), nbr
+
+
+def d2_drain_pass(
+    ptr: list[int],
+    nbr: np.ndarray,
+    colors: np.ndarray,
+    sizes: np.ndarray,
+    under: np.ndarray,
+    g: float,
+    candidates: np.ndarray,
+    choice: str,
+) -> int:
+    """One pass of the one-sided D2 balance drain over *candidates*.
+
+    ``(ptr, nbr)`` is the two-hop list of :func:`two_hop_rows`.  Each
+    candidate row still in an over-full class moves to the first (FF) or
+    first smallest (LU) under-full class no two-hop row holds.  *under*
+    (length C+1) is the maintained ``sizes < g`` mask; slot C stays False
+    and absorbs color -1 in the gather.  Mutates *colors*, *sizes* and
+    *under*; returns the number of moves.
+    """
+    C = sizes.shape[0]
+    round_moves = 0
+    for r in candidates.tolist():
+        j = int(colors[r])
+        if sizes[j] <= g:  # class reached balance; stop draining it
+            continue
+        # j is over-full, so mask[j] is already False
+        mask = under.copy()
+        mask[colors.take(nbr[ptr[r] : ptr[r + 1]])] = False
+        if choice == "ff":
+            k = int(mask.argmax())
+        else:
+            k = int(np.where(mask[:C], sizes, np.inf).argmin())
+        if not mask[k]:
+            continue
+        colors[r] = k
+        sizes[j] -= 1.0
+        sizes[k] += 1.0
+        under[j] = sizes[j] < g
+        under[k] = sizes[k] < g
+        round_moves += 1
+    return round_moves
+
+
+def sched_commit(
+    graph: CSRGraph, colors: np.ndarray, vertices: np.ndarray, targets: np.ndarray
+) -> int:
+    """Sched-Rev's move phase: attempt each planned move once, in order.
+
+    Move ``vertices[i] → targets[i]`` commits only if no neighbor holds
+    the target in the live *colors*; otherwise the vertex stays put.
+    Mutates *colors*; returns the number of committed moves.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    committed = 0
+    for v, k in zip(vertices, targets):
+        v, k = int(v), int(k)
+        nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
+        if not np.any(nbr_colors == k):  # permissible → commit
+            colors[v] = k
+            committed += 1
+    return committed

@@ -241,6 +241,18 @@ class TestExecuteFeatures:
         assert r.trace.total_work == 0
         assert r.machine_time is not None
 
+    @pytest.mark.parametrize("strategy", [
+        name for name, mode in ALL_PAIRS
+        # the d2 sequential row is ab initio; d2-optimistic and d2-balanced
+        # run on the square cover, which rejects empty graphs
+        if mode == "sequential" and not name.startswith("d2")])
+    def test_sequential_on_empty_graph_returns_own_result(self, strategy):
+        from repro.graph import empty_graph
+
+        r = execute(empty_graph(0), RunConfig(strategy))
+        assert r.coloring.strategy == strategy
+        assert r.coloring.num_colors == 0
+
 
 class TestLegacyFrontDoors:
     """The registry wrappers must forward kwargs (PR-3 bugfix)."""

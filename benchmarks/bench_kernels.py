@@ -8,6 +8,11 @@ edges, then writes ``BENCH_kernels.json`` at the repository root::
     PYTHONPATH=src python benchmarks/bench_kernels.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke
 
+Each row's ``tier`` names what its ``vectorized_s`` column timed: the
+``vectorized`` backend runs the First-Fit sweep as compiled C when the
+library of :mod:`repro.kernels.compiled` loads (``compiled``), and as
+NumPy rounds otherwise (``numpy``); the shuffle drains always run NumPy.
+
 ``--check BASELINE.json`` compares the measured vectorized/reference
 speedup ratios against a previously recorded baseline and exits non-zero
 if any kernel regressed to less than half its recorded speedup.  Ratios,
@@ -29,6 +34,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import kernels  # noqa: E402
+from repro.kernels import compiled  # noqa: E402
 from repro.coloring import greedy_coloring, shuffle_balance  # noqa: E402
 from repro.obs import NULL, Recorder, write_jsonl  # noqa: E402
 from repro.graph import (  # noqa: E402
@@ -73,6 +79,8 @@ def bench_graph(name, graph, repeats: int, recorder=NULL):
     themselves run without a recorder so the measurements stay clean.
     """
     init = greedy_coloring(graph, backend="reference")
+    # loads (or builds, once per machine) the library before any timing
+    ff_tier = "numpy" if compiled.load() is None else "compiled"
     jobs = {
         "ff_sweep": lambda be: greedy_coloring(graph, backend=be),
         "shuffle_vertex": lambda be: shuffle_balance(
@@ -89,13 +97,14 @@ def bench_graph(name, graph, repeats: int, recorder=NULL):
                 "num_vertices": graph.num_vertices,
                 "num_edges": graph.num_edges,
                 "kernel": kernel,
+                "tier": ff_tier if kernel == "ff_sweep" else "numpy",
                 "reference_s": round(ref, 6),
                 "vectorized_s": round(vec, 6),
                 "speedup": round(ref / vec, 3) if vec > 0 else float("inf"),
             }
             print(
                 f"{name:>10}  {kernel:<14} ref {ref:8.4f}s  "
-                f"vec {vec:8.4f}s  {row['speedup']:6.2f}x",
+                f"vec {vec:8.4f}s ({row['tier']:<8})  {row['speedup']:6.2f}x",
                 flush=True,
             )
             recorder.event("bench_row", **row)

@@ -7,12 +7,15 @@ backends:
 
 ``reference``
     The original per-vertex Python loops (:mod:`repro.kernels.reference`).
-    Semantic ground truth; fastest on tiny graphs.
+    Semantic ground truth: the oracle every other form is tested against.
 ``vectorized``
-    Whole-array NumPy rounds (:mod:`repro.kernels.vectorized`) built on
-    the paper's own speculate-and-resolve structure.  The First-Fit sweep
-    is bit-identical to the reference; the shuffle drain reaches the same
-    balance regime through round-synchronous batched moves.
+    The fast tier.  The First-Fit and one-sided D2 sweeps run as compiled
+    C loops (:mod:`repro.kernels.compiled`) when the library loads, else
+    as whole-array NumPy rounds (:mod:`repro.kernels.vectorized`) built
+    on the paper's own speculate-and-resolve structure; every form is
+    bit-identical to the reference.  The shuffle drain runs NumPy rounds
+    that reach the same balance regime through round-synchronous batched
+    moves.
 
 Backend selection, strongest first:
 
@@ -24,19 +27,19 @@ Backend selection, strongest first:
 2. a process-wide override installed with :func:`set_default_backend`;
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
 4. the call site's default: ``vectorized`` wherever the backends are
-   bit-identical (the FF sweep), ``reference`` where they are only
+   bit-identical (the sweeps), ``reference`` where they are only
    statistically equivalent (the shuffle drain), so that the paper-pinned
    golden results stay reproducible unless a backend is requested.
 
-Two inherently sequential loops have no whole-array form and so no
-``vectorized`` version: one pass of the one-sided D2 balance drain
-(:func:`d2_drain_pass`) and the Sched-Rev move commit
-(:func:`sched_commit`).  They have a Python loop in
-:mod:`repro.kernels.reference` and a bit-identical C loop in
-:mod:`repro.kernels.compiled`, compiled once with the system C compiler.
-A resolved ``reference`` backend runs the Python loop, which stays the
-oracle; any other resolution runs C if the library loaded, else the
-Python loop.
+The sequential loops have a Python form in :mod:`repro.kernels.reference`
+and a bit-identical C form in :mod:`repro.kernels.compiled`, compiled
+once with the system C compiler: the sweeps (:func:`ff_sweep`,
+:func:`d2_sweep`) and two loops with no whole-array form, one pass of the
+one-sided D2 balance drain (:func:`d2_drain_pass`) and the Sched-Rev move
+commit (:func:`sched_commit`).  A resolved ``reference`` backend runs the
+Python loop, which stays the oracle.  Any other resolution runs C if the
+library loaded, else the NumPy rounds (sweeps) or the Python loop (drain
+pass, commit).
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ import os
 import numpy as np
 
 from ..graph.csr import CSRGraph
+# imported with the package, not on the first kernel call: its stdlib
+# imports (subprocess, tempfile) cost milliseconds
+from . import compiled
 from .conflicts import (
     bin_sizes,
     count_monochromatic_edges,
@@ -120,6 +126,20 @@ def resolve_backend(backend: str | None = None, *, default: str = "vectorized") 
 # ----------------------------------------------------------------------
 # dispatched kernels
 # ----------------------------------------------------------------------
+def _sweep_inputs(work, base_colors, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checked int64 *work* ids in ``[0, bound)`` and *base_colors* of that length."""
+    if work is None:
+        work = np.arange(bound, dtype=np.int64)
+    else:
+        work = _check_ids("work", work, bound)
+    if base_colors is None:
+        return work, np.full(bound, -1, dtype=np.int64)
+    base = np.asarray(base_colors)
+    if base.shape != (bound,) or (bound and base.dtype.kind not in "iu"):
+        raise ValueError(f"base_colors must be a 1-D integer array of length {bound}")
+    return work, base.astype(np.int64, copy=False)
+
+
 def ff_sweep(
     graph: CSRGraph,
     work: np.ndarray | None = None,
@@ -131,23 +151,27 @@ def ff_sweep(
 
     Returns a full colors array: a copy of *base_colors* (default: all
     uncolored) in which every work vertex, in order, got the smallest
-    color not held by any neighbor at its processing time.  Both backends
-    produce bit-identical output; see the backend modules for semantics.
+    color not held by any neighbor at its processing time.  *work* ids
+    must lie in ``[0, n)`` and *base_colors* must have length n, else
+    :class:`ValueError`.  Every path produces bit-identical output; see
+    the backend modules for semantics.
     """
     name = resolve_backend(backend)
     n = graph.num_vertices
-    if work is None:
-        work = np.arange(n, dtype=np.int64)
-    else:
-        work = np.asarray(work, dtype=np.int64)
-    if base_colors is None:
-        base = np.full(n, -1, dtype=np.int64)
-    else:
-        base = np.asarray(base_colors, dtype=np.int64)
-    from . import reference, vectorized
-
-    impl = vectorized.ff_sweep if name == "vectorized" else reference.ff_sweep
-    return impl(graph, work, base)
+    work, base = _sweep_inputs(work, base_colors, n)
+    lib = _compiled(name)
+    if lib is None:
+        return _sweep_fallback(name).ff_sweep(graph, work, base)
+    indptr, indices = _graph_arrays(graph)
+    out = np.array(base, dtype=np.int64)
+    if work.shape[0] == 0:
+        return out
+    stamp = np.zeros(int(graph.degrees[work].max()) + 1, dtype=np.int64)
+    if lib.ff_sweep(indptr.ctypes.data, indices.ctypes.data, n, indices.shape[0],
+                    out.ctypes.data, work.ctypes.data, work.shape[0],
+                    stamp.ctypes.data, stamp.shape[0]) < 0:
+        raise ValueError("graph is not a valid CSR")
+    return out
 
 
 def _check_num_rows(graph: CSRGraph, num_rows: int) -> int:
@@ -171,25 +195,28 @@ def d2_sweep(
     *graph* must be bipartite with the row side on vertices
     ``[0, num_rows)`` (see :class:`repro.bipartite.BipartiteGraph`); only
     rows are colored.  *work* defaults to all rows in id order,
-    *base_colors* (length ``num_rows``) to all uncolored.  Each work row,
-    in order, gets the smallest color not held by any other row within two
-    hops (i.e. sharing a column) at its processing time.  Both backends
-    produce bit-identical output.
+    *base_colors* (length ``num_rows``) to all uncolored; work ids outside
+    ``[0, num_rows)`` or a base of another length raise
+    :class:`ValueError`.  Each work row, in order, gets the smallest color
+    not held by any other row within two hops (i.e. sharing a column) at
+    its processing time.  Every path produces bit-identical output.
     """
     name = resolve_backend(backend)
     nr = _check_num_rows(graph, num_rows)
-    if work is None:
-        work = np.arange(nr, dtype=np.int64)
-    else:
-        work = np.asarray(work, dtype=np.int64)
-    if base_colors is None:
-        base = np.full(nr, -1, dtype=np.int64)
-    else:
-        base = np.asarray(base_colors, dtype=np.int64)
-    from . import reference, vectorized
-
-    impl = vectorized.d2_sweep if name == "vectorized" else reference.d2_sweep
-    return impl(graph, nr, work, base)
+    work, base = _sweep_inputs(work, base_colors, nr)
+    lib = _compiled(name)
+    if lib is None:
+        return _sweep_fallback(name).d2_sweep(graph, nr, work, base)
+    indptr, indices = _graph_arrays(graph)
+    out = np.array(base, dtype=np.int64)
+    if work.shape[0] == 0:
+        return out
+    stamp = np.zeros(nr + 1, dtype=np.int64)
+    if lib.d2_sweep(indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
+                    indices.shape[0], nr, out.ctypes.data, work.ctypes.data,
+                    work.shape[0], stamp.ctypes.data) < 0:
+        raise ValueError(f"graph is not a valid incidence CSR with rows [0, {nr})")
+    return out
 
 
 def d2_conflicts(
@@ -278,18 +305,16 @@ def shuffle_drain(
 
 
 # ----------------------------------------------------------------------
-# compiled sequential loops (C when it loads, else the reference loop)
+# compiled sequential loops (C when it loads, else the fallback)
 # ----------------------------------------------------------------------
 def _compiled(backend: str | None):
-    """The compiled library, or ``None`` when the Python loop must run.
+    """The compiled library, or ``None`` when a Python or NumPy path must run.
 
     A resolved ``reference`` backend always runs the Python loop (it is
     the oracle); any other resolution runs C if it loaded.
     """
     if resolve_backend(backend) == "reference":
         return None
-    from . import compiled
-
     return compiled.load()
 
 
@@ -299,6 +324,17 @@ def _graph_arrays(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
         if arr.dtype != np.int64 or arr.ndim != 1 or not arr.flags.c_contiguous:
             raise ValueError(f"graph {name} must be a contiguous 1-D int64 array")
     return indptr, indices
+
+
+def _sweep_fallback(name: str):
+    """The Python oracle for ``reference``, else the NumPy rounds."""
+    if name == "reference":
+        from . import reference
+
+        return reference
+    from . import vectorized
+
+    return vectorized
 
 
 def _check_inout(name: str, arr, dtype, length: int | None) -> np.ndarray:

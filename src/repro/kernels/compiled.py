@@ -1,8 +1,16 @@
-"""Compiled C forms of two sequential per-vertex loops.
+"""Compiled C forms of the sequential per-vertex loops.
 
-Two loops of the library have no whole-array form, because every step
-reads what the step before it wrote:
+Every loop here is sequential at heart: each step reads what the step
+before it wrote.
 
+``ff_sweep``
+    the First-Fit sweep (:func:`repro.kernels.ff_sweep`): each work
+    vertex takes the smallest color its neighbors do not hold, reading
+    the live colors of earlier work items and the stale base colors of
+    later ones;
+``d2_sweep``
+    its one-sided distance-2 form (:func:`repro.kernels.d2_sweep`) over
+    the rows of a bipartite incidence graph;
 ``d2_drain_pass``
     one pass of the one-sided distance-2 balance drain
     (:func:`repro.bipartite.d2_shuffle_drain`): each candidate row's move
@@ -13,13 +21,13 @@ reads what the step before it wrote:
     (:func:`repro.coloring.scheduled_balance`): each planned move checks
     its target against the live colors of its neighbors.
 
-This module holds one short C source for both, compiled once with the
+This module holds one short C source for all four, compiled once with the
 system C compiler (``$CC``, else ``cc``; ``-O2 -shared -fPIC``, no
 host-specific tuning) and loaded with :mod:`ctypes`.  The loops are
 transcriptions of the Python ones in :mod:`repro.kernels.reference`:
-the same visit order, the same live reads, the same float64 size
-arithmetic and the same first-index tie-breaks, so their output is
-bit-identical and the Python loops stay the oracle.
+the same visit order, the same live reads, the same color windows, the
+same float64 size arithmetic and the same first-index tie-breaks, so
+their output is bit-identical and the Python loops stay the oracle.
 
 The shared library is cached in a private per-user directory
 (``$XDG_CACHE_HOME/repro/kernels``, else ``~/.cache/repro/kernels``,
@@ -64,6 +72,70 @@ static int row_span(const int64_t *indptr, int64_t n, int64_t nnz, int64_t x,
     *lo = indptr[x];
     *hi = indptr[x + 1];
     return (*lo < 0 || *hi > nnz || *lo > *hi) ? -1 : 0;
+}
+
+/* Smallest t in [0, w) not stamped with mark; 0 when all are, like the
+   reference loop's argmax over an all-false window. */
+static int64_t first_free(const int64_t *stamp, int64_t w, int64_t mark)
+{
+    for (int64_t t = 0; t < w; t++)
+        if (stamp[t] != mark) return t;
+    return 0;
+}
+
+/* First-Fit over work, in place on colors (a copy of the base colors):
+   work[i] reads the live colors of its neighbors, so earlier work items
+   are seen with their new colors and everyone else with the base ones.
+   Only colors below deg+1 can bound the mex; stamp (length ls, zeroed)
+   marks them with i+1.  Returns 0, or -1 on an out-of-range graph index. */
+int64_t ff_sweep(const int64_t *indptr, const int64_t *indices,
+                 int64_t n, int64_t nnz, int64_t *colors,
+                 const int64_t *work, int64_t nwork, int64_t *stamp, int64_t ls)
+{
+    for (int64_t i = 0; i < nwork; i++) {
+        int64_t v = work[i], mark = i + 1, lo, hi;
+        if (row_span(indptr, n, nnz, v, &lo, &hi)) return -1;
+        int64_t w = hi - lo + 1;
+        if (w > ls) return -1;
+        for (int64_t p = lo; p < hi; p++) {
+            int64_t u = indices[p];
+            if (u < 0 || u >= n) return -1;
+            int64_t c = colors[u];
+            if (c >= 0 && c < w) stamp[c] = mark;
+        }
+        colors[v] = first_free(stamp, w, mark);
+    }
+    return 0;
+}
+
+/* One-sided distance-2 First-Fit over the work rows, in place on colors
+   (length num_rows): a row forgets its own stale color, stamps the colors
+   of every row sharing a column with it, and takes the smallest free one
+   below min(two-hop slots, num_rows)+1.  stamp has num_rows+1 entries,
+   zeroed.  Returns 0, or -1 on an out-of-range graph index. */
+int64_t d2_sweep(const int64_t *indptr, const int64_t *indices,
+                 int64_t n, int64_t nnz, int64_t num_rows, int64_t *colors,
+                 const int64_t *work, int64_t nwork, int64_t *stamp)
+{
+    for (int64_t i = 0; i < nwork; i++) {
+        int64_t r = work[i], mark = i + 1, lo, hi, budget = 0;
+        if (row_span(indptr, num_rows, nnz, r, &lo, &hi)) return -1;
+        colors[r] = -1;
+        for (int64_t p = lo; p < hi; p++) {
+            int64_t clo, chi;
+            if (row_span(indptr, n, nnz, indices[p], &clo, &chi)) return -1;
+            for (int64_t q = clo; q < chi; q++) {
+                int64_t s = indices[q];
+                if (s < 0 || s >= num_rows) return -1;
+                int64_t c = colors[s];
+                if (c >= 0 && c <= num_rows) stamp[c] = mark;
+            }
+            budget += chi - clo;
+        }
+        colors[r] = first_free(stamp, (budget < num_rows ? budget : num_rows) + 1,
+                               mark);
+    }
+    return 0;
 }
 
 /* One pass of the one-sided D2 drain over the candidate rows.  stamp (length
@@ -136,6 +208,8 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _SIGNATURES = {
+    "ff_sweep": (_P, _P, _I, _I, _P, _P, _I, _P, _I),
+    "d2_sweep": (_P, _P, _I, _I, _I, _P, _P, _I, _P),
     "d2_drain_pass": (_P, _P, _I, _I, _I, _P, _P, _P, _I, _D, _P, _I, _I, _P),
     "sched_commit": (_P, _P, _I, _I, _P, _P, _P, _I),
 }
@@ -149,6 +223,18 @@ _LOAD_ERRORS = (OSError, RuntimeError, subprocess.SubprocessError, ValueError,
 _lock = threading.Lock()
 #: ``(library or None, failure reason or None)`` once the first load ran.
 _state: tuple[ctypes.CDLL | None, str | None] | None = None
+
+
+def _fresh_lock_in_child() -> None:
+    """A forked child gets a new lock: the thread that held the parent's
+    (a pool's handler thread, a serve scheduler thread) does not exist in
+    the child, so the copied lock would never be released."""
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def cache_dir() -> Path:

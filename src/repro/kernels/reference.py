@@ -2,9 +2,8 @@
 
 These are the original interpreted hot loops of the library, moved here so
 the backend dispatcher can select them explicitly.  They are the semantic
-ground truth: the vectorized backend is tested for equivalence against the
-functions in this module, and they remain the right choice for tiny graphs
-where whole-array staging costs more than the loop.
+ground truth: the NumPy rounds and the compiled C loops are tested for
+equivalence against the functions in this module.
 
 The First-Fit sweep uses the classic O(n + m) "stamping" scheme: a scratch
 array ``forbidden`` records, per color, the stamp of the last vertex that

@@ -37,6 +37,8 @@ import multiprocessing.pool as mp_pool
 import os
 import threading
 
+from ..kernels import compiled
+
 __all__ = [
     "PoolUnavailableError",
     "WarmPool",
@@ -164,6 +166,10 @@ class WarmPool:
                 self._retire_locked()
             ctx = pick_context(context or self._method)
             self._method = ctx.get_start_method()
+            # load the compiled kernels first: forked workers (and the
+            # ones the pool respawns) inherit the loaded library instead
+            # of each building or opening it on their first task
+            compiled.load()
             # no initializer/initargs: workers are stateless until the
             # first task hands them segment descriptors to attach
             self._pool = ctx.Pool(processes=processes)

@@ -1,11 +1,14 @@
 """Compiled C loops against their Python oracles, and the fallback path.
 
-:mod:`repro.kernels.compiled` compiles the D2 drain pass and the
-Sched-Rev commit loop; :mod:`repro.kernels.reference` keeps the Python
-loops.  A resolved ``reference`` backend always runs Python, any other
-resolution runs C when it loaded, and both must agree bit for bit.  When
-the library cannot be built or loaded, every kernel runs Python, gives
-the same answer and reports why.
+:mod:`repro.kernels.compiled` compiles the First-Fit and one-sided D2
+sweeps, the D2 drain pass and the Sched-Rev commit loop;
+:mod:`repro.kernels.reference` keeps the Python loops.  A resolved
+``reference`` backend always runs Python, any other resolution runs C
+when it loaded, and both must agree bit for bit.  When the library
+cannot be built or loaded, the sweeps run the NumPy rounds of
+:mod:`repro.kernels.vectorized` and the other loops run Python, give the
+same answer and report why.  The NumPy rounds are called directly here
+too, so they keep their coverage on hosts where C loads.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import time
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,9 +37,13 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.csr import CSRGraph
-from repro.kernels import compiled
+from repro.kernels import compiled, reference, vectorized
 from repro.obs import Recorder
+from repro.parallel.mp import Neighbourhood, run_rounds
+from repro.resilience import repair_coloring
 from repro.run import RunConfig, execute
+from repro.serve.backends import shard_rounds
+from repro.shm import WarmPool
 
 
 # ----------------------------------------------------------------------
@@ -438,3 +447,296 @@ def test_c_guards_graph_indices():
     with pytest.raises(ValueError, match="incidence"):
         kernels.d2_drain_pass(bad, 2, colors, sizes, under, 1.0,
                               np.array([0, 1]), choice="ff")
+
+
+# ----------------------------------------------------------------------
+# sweeps: reference loop == NumPy rounds == dispatch (C when it loaded)
+# ----------------------------------------------------------------------
+SWEEP_KINDS = ["full", "partial", "reverse", "empty"]
+
+
+def sweep_inputs(n: int, kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``(work, base)`` for one sweep over items ``[0, n)``.
+
+    ``full`` is id order over an uncolored base; ``partial`` a random
+    subset in random order over a stale random base holding -1 and colors
+    past every window; ``reverse`` the classes of a random coloring in
+    decreasing order (iterated greedy's visit order); ``empty`` no work.
+    """
+    uncolored = np.full(n, -1, dtype=np.int64)
+    if kind == "full":
+        return np.arange(n, dtype=np.int64), uncolored
+    if kind == "empty":
+        return np.empty(0, dtype=np.int64), rng.integers(-1, 4, size=n)
+    base = rng.integers(-1, n + 3, size=n).astype(np.int64)
+    base[rng.random(n) < 0.1] = 2**40
+    if kind == "reverse":
+        return np.argsort(-base, kind="stable").astype(np.int64), uncolored
+    return rng.permutation(n)[: rng.integers(0, n + 1)].astype(np.int64), base
+
+
+def three_ff(graph, work, base):
+    return (reference.ff_sweep(graph, work, base),
+            vectorized.ff_sweep(graph, work, base),
+            kernels.ff_sweep(graph, work, base, backend="vectorized"))
+
+
+def three_d2(bip, work, base):
+    args = (bip.incidence, bip.num_rows, work, base)
+    return (reference.d2_sweep(*args), vectorized.d2_sweep(*args),
+            kernels.d2_sweep(*args, backend="vectorized"))
+
+
+def assert_three_equal(outs, base):
+    want = outs[0]
+    assert want.dtype == np.int64 and want.shape == base.shape
+    for got in outs[1:]:
+        assert got.dtype == np.int64 and np.array_equal(want, got)
+
+
+class TestSweepDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=simple_graphs(), kind=st.sampled_from(SWEEP_KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ff_sweep(self, graph, kind, seed):
+        work, base = sweep_inputs(graph.num_vertices, kind,
+                                  np.random.default_rng(seed))
+        assert_three_equal(three_ff(graph, work, base), base)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bip=incidences(), kind=st.sampled_from(SWEEP_KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_d2_sweep(self, bip, kind, seed):
+        work, base = sweep_inputs(bip.num_rows, kind, np.random.default_rng(seed))
+        assert_three_equal(three_d2(bip, work, base), base)
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("graph", [
+        empty_graph(1), empty_graph(9), star_graph(40), complete_graph(12),
+        erdos_renyi_graph(300, 0.04, seed=3),
+    ], ids=["single", "isolated", "star", "clique", "er"])
+    def test_ff_sweep_fixed_graphs(self, graph, kind):
+        for seed in range(4):
+            work, base = sweep_inputs(graph.num_vertices, kind,
+                                      np.random.default_rng(seed))
+            assert_three_equal(three_ff(graph, work, base), base)
+
+    @pytest.mark.parametrize("kind", SWEEP_KINDS)
+    @pytest.mark.parametrize("make", [
+        lambda: BipartiteGraph.from_matrix_pattern([], [], num_rows=5, num_cols=1),
+        lambda: BipartiteGraph.square_cover(star_graph(30)),
+        lambda: BipartiteGraph.square_cover(complete_graph(9)),
+        lambda: BipartiteGraph.square_cover(jacobian_band_pattern(60, 15, 3, seed=1)),
+        lambda: BipartiteGraph.from_incidence(
+            jacobian_band_pattern(200, 50, 5, seed=2), 200),
+    ], ids=["no-edges", "star-cover", "clique-cover", "band-cover", "band"])
+    def test_d2_sweep_fixed_graphs(self, make, kind):
+        bip = make()
+        for seed in range(4):
+            work, base = sweep_inputs(bip.num_rows, kind, np.random.default_rng(seed))
+            assert_three_equal(three_d2(bip, work, base), base)
+
+    def test_vectorized_dispatch_runs_c_when_loaded(self, monkeypatch):
+        if compiled.load() is None:
+            pytest.skip(f"no compiled library: {compiled.failure_reason()}")
+        for name in ("ff_sweep", "d2_sweep"):
+            monkeypatch.setattr(vectorized, name,
+                                lambda *a: pytest.fail("NumPy rounds ran, not C"))
+        graph = erdos_renyi_graph(100, 0.05, seed=1)
+        bip = BipartiteGraph.square_cover(graph)
+        assert np.array_equal(kernels.ff_sweep(graph),
+                              reference.ff_sweep(graph, np.arange(100),
+                                                 np.full(100, -1)))
+        assert np.array_equal(kernels.d2_sweep(bip.incidence, bip.num_rows),
+                              reference.d2_sweep(bip.incidence, 100,
+                                                 np.arange(100), np.full(100, -1)))
+
+
+# ----------------------------------------------------------------------
+# sweeps end to end: the default dispatch == the reference loops
+# ----------------------------------------------------------------------
+SWEEP_E2E_CASES = [
+    ("greedy-ff", "sequential", {}),
+    ("vff", "sequential", {}),
+    ("sched-rev", "sequential", {}),
+    ("recoloring", "sequential", {}),
+    ("d2-optimistic", "sequential", {}),
+    ("d2-balanced", "sequential", {}),
+    ("greedy-ff", "mp", {"threads": 2}),
+    ("d2-optimistic", "mp", {"threads": 2}),
+    ("d2-balanced", "mp", {"threads": 2}),
+    ("greedy-ff", "mp", {"threads": 2, "on_failure": "repair",
+                         "fault_plan": "corrupt@r0.w1"}),
+]
+
+
+def _meta(coloring) -> dict:
+    return {k: v for k, v in coloring.meta.items() if k not in _RUN_STATE_KEYS}
+
+
+@contextmanager
+def reference_backend():
+    kernels.set_default_backend("reference")
+    try:
+        yield
+    finally:
+        kernels.set_default_backend(None)
+
+
+@pytest.mark.parametrize("strategy,mode,extra", SWEEP_E2E_CASES,
+                         ids=["-".join([s, m, *(f"{k}={v}" for k, v in sorted(e.items()))])
+                              for s, m, e in SWEEP_E2E_CASES])
+def test_sweeps_end_to_end_match_reference(strategy, mode, extra):
+    graph = (erdos_renyi_graph(300, 0.03, seed=7) if strategy.startswith("d2")
+             else load_dataset("cnr", scale=0.05, seed=0))
+    config = RunConfig(strategy, mode=mode, **extra)
+    default, default_drains = _run(graph, config)
+    with reference_backend():
+        oracle, oracle_drains = _run(graph, config)
+    assert np.array_equal(default.colors, oracle.colors)
+    assert (default.num_colors, default.strategy) == (oracle.num_colors, oracle.strategy)
+    assert _meta(default) == _meta(oracle)
+    assert default_drains == oracle_drains
+
+
+def test_inline_transport_matches_reference():
+    graph = load_dataset("cnr", scale=0.05, seed=0)
+    default = shard_rounds(graph, 2)
+    with reference_backend():
+        oracle = shard_rounds(graph, 2)
+    assert np.array_equal(default.coloring.colors, oracle.coloring.colors)
+    assert _meta(default.coloring) == _meta(oracle.coloring)
+    assert default.coloring.meta["rounds"] > 1
+
+    bip = BipartiteGraph.square_cover(erdos_renyi_graph(300, 0.03, seed=7))
+    runs = []
+    for backend in ("vectorized", "reference"):
+        runs.append(run_rounds(Neighbourhood("d2", bip.incidence, bip.num_rows), 2,
+                               transport="inline", backend=backend))
+    (colors, meta), (oracle_colors, oracle_meta) = runs
+    assert np.array_equal(colors, oracle_colors)
+    assert meta == oracle_meta and meta["rounds"] > 1
+
+
+def test_repair_matches_reference():
+    graph = load_dataset("cnr", scale=0.05, seed=0)
+    colors = kernels.ff_sweep(graph)
+    u, v = graph.edge_arrays()
+    broken = colors.copy()
+    broken[u[::7]] = colors[v[::7]]  # monochromatic edges to repair
+    fixed, repaired = repair_coloring(graph, broken)
+    oracle, oracle_repaired = repair_coloring(graph, broken, backend="reference")
+    assert repaired.size > 0 and np.array_equal(repaired, oracle_repaired)
+    assert np.array_equal(fixed, oracle)
+
+
+# ----------------------------------------------------------------------
+# sweep inputs are validated on every path
+# ----------------------------------------------------------------------
+_G = erdos_renyi_graph(200, 0.05, seed=1)
+_BIP = BipartiteGraph.square_cover(erdos_renyi_graph(60, 0.1, seed=2))
+#: (work, base_colors) for a sweep over *b* items; each is rejected
+_BAD_SWEEP_ARGS = {
+    "base-too-long": lambda b: (None, np.full(b + 50, -1)),
+    "base-too-short": lambda b: (None, np.full(b - 1, -1)),
+    "base-2d": lambda b: (None, np.full((1, b), -1)),
+    "base-float": lambda b: (None, np.zeros(b)),
+    "work-negative": lambda b: (np.array([-1, 4]), None),
+    "work-past-end": lambda b: (np.array([b]), None),
+    "work-float": lambda b: (np.array([0.0, 1.0]), None),
+    "work-2d": lambda b: (np.zeros((2, 2), dtype=np.int64), None),
+}
+_BAD_SWEEPS = ([(fn, case) for fn in ("ff_sweep", "d2_sweep") for case in _BAD_SWEEP_ARGS]
+               + [("d2_sweep", "num-rows-zero"), ("d2_sweep", "num-rows-past-n")])
+
+
+def _bad_sweep_call(fn: str, case: str):
+    if fn == "ff_sweep":
+        work, base = _BAD_SWEEP_ARGS[case](_G.num_vertices)
+        return lambda backend: kernels.ff_sweep(_G, work, base, backend=backend)
+    rows, work, base = _BIP.num_rows, None, None
+    if case == "num-rows-zero":
+        rows = 0
+    elif case == "num-rows-past-n":
+        rows = _BIP.incidence.num_vertices + 1
+    else:
+        work, base = _BAD_SWEEP_ARGS[case](rows)
+    return lambda backend: kernels.d2_sweep(_BIP.incidence, rows, work, base,
+                                            backend=backend)
+
+
+@pytest.mark.parametrize("path", ["reference", "numpy", "compiled"])
+@pytest.mark.parametrize("fn,case", _BAD_SWEEPS, ids=[f"{f}-{c}" for f, c in _BAD_SWEEPS])
+def test_sweep_rejects_bad_inputs(monkeypatch, fn, case, path):
+    """Out-of-range work ids, a base of the wrong shape or dtype and a bad
+    row count raise ``ValueError`` on every path, before any pointer
+    reaches C (the tripwire stands in for the library)."""
+    call = _bad_sweep_call(fn, case)
+    monkeypatch.setattr(compiled, "_state", (_Tripwire(), None) if path == "compiled"
+                        else (None, "disabled by the test"))
+    with pytest.raises(ValueError):
+        call("reference" if path == "reference" else "vectorized")
+
+
+def test_c_sweeps_guard_graph_indices():
+    """Unvalidated graphs with out-of-range indices fail cleanly in C."""
+    if compiled.load() is None:
+        pytest.skip(f"no compiled library: {compiled.failure_reason()}")
+    dangling = CSRGraph(np.array([0, 1, 1]), np.array([5]), validate=False)
+    with pytest.raises(ValueError, match="valid CSR"):
+        kernels.ff_sweep(dangling)
+    g = complete_graph(4)  # rows 0 and 1 touch rows, not columns
+    with pytest.raises(ValueError, match="incidence"):
+        kernels.d2_sweep(CSRGraph(g.indptr, g.indices, validate=False), 2)
+
+
+# ----------------------------------------------------------------------
+# fork safety of the loader
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_loads_while_another_thread_holds_the_lock(monkeypatch):
+    """A child forked while a thread holds the loader lock must not inherit
+    it locked: its first ``load()`` returns instead of hanging."""
+    compiled.load()  # the cache is warm, so the child only opens it
+    monkeypatch.setattr(compiled, "_state", None)
+    held, release = threading.Event(), threading.Event()
+
+    def holder():
+        with compiled._lock:
+            held.set()
+            release.wait(30)
+
+    thread = threading.Thread(target=holder)
+    thread.start()
+    assert held.wait(10)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: report through the exit status only
+            try:
+                compiled.load()
+            finally:
+                os._exit(0)
+        deadline = time.monotonic() + 5.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's first load() hung on the lock")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_warm_pool_loads_the_library_before_forking(monkeypatch):
+    monkeypatch.setattr(compiled, "_state", None)
+    pool = WarmPool()
+    try:
+        pool.ensure(1)
+        assert compiled._state is not None
+    finally:
+        pool.shutdown()

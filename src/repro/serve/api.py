@@ -3,11 +3,15 @@
 The protocol is deliberately small and JSON-only:
 
 - ``POST /submit`` — body ``{"input": name, "scale": s, "seed": gseed,
-  "config": {RunConfig.to_dict()}}``; loads the named dataset stand-in,
-  validates the config, and admits a job.  ``{"graph_file": path, ...}``
+  "config": {RunConfig.to_dict()}}``; validates the request, takes the
+  named dataset stand-in from the service's graph memo (built on first
+  use, see :meth:`ColoringService.dataset`), and admits a job.  ``scale``
+  must be finite and > 0, ``seed`` a non-negative integer.
+  ``{"graph_file": path, ...}``
   instead of ``input`` colors a server-side graph file or
   :mod:`repro.graph.store` directory (stores open memory-mapped, so a
-  graph bigger than the cache budget serves out-of-core).  Replies
+  graph bigger than the cache budget serves out-of-core); it is read on
+  every submit, never memoized, since the file can change on disk.  Replies
   ``202`` with ``{"job_id", "key", "status"}``, ``400`` for malformed
   requests, or ``429`` with the admission reason under backpressure.
 - ``GET /result/<id>[?colors=1]`` — job lifecycle summary (``404`` for
@@ -38,11 +42,11 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
-from ..graph.datasets import DATASETS, load_dataset
+from ..graph.datasets import DATASETS
 from ..graph.delta import MutationBatch
 from ..run.config import RunConfig
 from .queue import AdmissionError
-from .service import ColoringService, MutationError
+from .service import ColoringService, MutationError, dataset_params
 
 __all__ = ["ServeHandler", "dispatch", "fetch_json", "make_server",
            "mutate_job", "submit_job", "wait_for_result"]
@@ -119,18 +123,15 @@ def _submit(service: ColoringService, body: dict) -> tuple[int, dict]:
             return 400, {"error": f"unknown input {name!r}; choose from "
                                   f"{sorted(DATASETS)}"}
     try:
-        scale = float(body.get("scale", 0.25))
-        graph_seed = int(body.get("seed", 0))
-    except (TypeError, ValueError):
-        return 400, {"error": "scale must be a number and seed an int"}
-    try:
+        scale, graph_seed = dataset_params(body.get("scale", 0.25),
+                                           body.get("seed", 0))
         config = RunConfig.from_dict(body.get("config", {}))
         if graph_file is not None:
             from ..graph.store import load_graph_file
 
             graph = load_graph_file(str(graph_file))
         else:
-            graph = load_dataset(name, scale=scale, seed=graph_seed)
+            graph = service.dataset(name, scale=scale, seed=graph_seed)
     except ValueError as exc:
         return 400, {"error": str(exc)}
     try:

@@ -13,6 +13,13 @@ coloring) plus a recomputed balance report; the transient run artifacts
 (execution trace, machine-time estimate, wall timings) are not persisted
 — ``meta["served_from"] == "disk"`` marks such results.
 
+The same LRU also memoizes built dataset graphs (:meth:`ResultCache.graph`)
+under the same byte budget, so a repeated request skips the build.  A graph
+entry is keyed by a tuple, which no hex digest can equal, is charged its
+CSR array bytes plus the fixed overhead, and is dropped on eviction — never
+spilled or persisted.  Concurrent requests for one unbuilt graph build it
+once.
+
 Hit/miss/eviction/spill counters are exported through :mod:`repro.obs`:
 every operation counts into the recorder passed at construction (resolved
 via :func:`repro.obs.as_recorder`, so the process-installed recorder is
@@ -39,12 +46,15 @@ import errno
 import json
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from ..coloring.balance import balance_report
 from ..coloring.types import Coloring
+from ..graph.csr import CSRGraph
 from ..obs import NULL, as_recorder
 from ..resilience import NO_FAULTS
 from ..run.config import RunConfig, RunResult
@@ -111,8 +121,15 @@ class ResultCache:
         self._rec = as_recorder(recorder)
         self._plan = fault_plan if fault_plan is not None else NO_FAULTS
         self._lock = threading.RLock()
-        self._entries: OrderedDict[str, tuple[RunResult, int]] = OrderedDict()
+        # str keys hold RunResults, tuple keys memoized CSRGraphs
+        self._entries: OrderedDict[str | tuple, tuple[object, int]] = OrderedDict()
         self._bytes = 0
+        self._graphs = 0
+        self._graph_bytes = 0
+        self._graph_hits = 0
+        self._graph_builds = 0
+        self._graph_evictions = 0
+        self._building: dict[tuple, Future] = {}
         self._hits = 0
         self._disk_hits = 0
         self._misses = 0
@@ -165,7 +182,7 @@ class ResultCache:
             if restored is not None:
                 self._disk_hits += 1
                 self._rec.count("serve.cache.disk_hits")
-                self._admit(key, restored)
+                self._admit(key, restored, _entry_bytes(restored))
                 return restored
             return None
 
@@ -176,11 +193,58 @@ class ResultCache:
                 f"ResultCache stores RunResult objects, got {type(result).__name__}"
             )
         with self._lock:
-            self._admit(key, result)
+            self._admit(key, result, _entry_bytes(result))
             if self.write_through:
                 path = self._spill_path(key)
                 if path is not None and not path.exists():
                     self._spill(key, result)
+
+    def graph(self, key: tuple, build: Callable[[], CSRGraph]) -> CSRGraph:
+        """The graph memoized under *key*, built by ``build()`` on a miss.
+
+        A built graph joins the LRU charged its CSR array bytes plus the
+        fixed overhead; one larger than the whole budget is returned but
+        not pinned.  Concurrent calls for one unbuilt key build it once:
+        the others wait for that build and share its graph (counted as
+        hits) or its exception.  A build that raises is not memoized.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self._graph_hit_locked()
+                return entry[0]
+            flight = self._building.get(key)
+            builder = flight is None
+            if builder:
+                flight = self._building[key] = Future()
+        if not builder:
+            graph = flight.result()
+            with self._lock:
+                self._graph_hit_locked()
+            return graph
+        try:
+            graph = build()
+        except BaseException as exc:
+            with self._lock:
+                del self._building[key]
+            flight.set_exception(exc)
+            raise
+        cost = _ENTRY_OVERHEAD + graph.indptr.nbytes + graph.indices.nbytes
+        with self._lock:
+            del self._building[key]
+            self._graph_builds += 1
+            self._rec.count("serve.cache.graph_builds")
+            if cost <= self.max_bytes:
+                self._admit(key, graph, cost)
+        flight.set_result(graph)
+        return graph
+
+    def drop_graphs(self) -> None:
+        """Release every memoized graph; results stay."""
+        with self._lock:
+            for key in [k for k in self._entries if not isinstance(k, str)]:
+                self._charge(key, -self._entries.pop(key)[1])
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -190,11 +254,12 @@ class ResultCache:
         return path is not None and path.exists()
 
     def __len__(self) -> int:
+        """Number of results resident in memory (memoized graphs excluded)."""
         with self._lock:
-            return len(self._entries)
+            return len(self._entries) - self._graphs
 
     def clear(self, *, purge_spill: bool = False) -> None:
-        """Drop every in-memory entry.
+        """Drop every in-memory entry, memoized graphs included.
 
         By default spilled files survive — persistence across cache
         instances is a feature (a restarted service warm-starts from its
@@ -204,7 +269,8 @@ class ResultCache:
         """
         with self._lock:
             self._entries.clear()
-            self._bytes = 0
+            self._bytes = self._graphs = self._graph_bytes = 0
+            self._rec.gauge("serve.cache.graph_bytes", 0)
             if purge_spill:
                 self._purge_spill_locked()
 
@@ -227,7 +293,12 @@ class ResultCache:
             return self._spill_degraded
 
     def stats(self) -> dict:
-        """Counter snapshot: hits/misses/evictions/spills plus occupancy."""
+        """Counter snapshot: hits/misses/evictions/spills plus occupancy.
+
+        ``entries``/``evictions`` count results; the ``graph_*`` keys
+        count the graph memo.  ``bytes`` is everything resident against
+        ``max_bytes``, of which ``graph_bytes`` is the graphs' share.
+        """
         with self._lock:
             return {
                 "hits": self._hits,
@@ -238,8 +309,13 @@ class ResultCache:
                 "spill_errors": self._spill_errors,
                 "spill_corrupt": self._spill_corrupt,
                 "degraded": self._spill_degraded,
-                "entries": len(self._entries),
+                "entries": len(self._entries) - self._graphs,
                 "bytes": self._bytes,
+                "graph_hits": self._graph_hits,
+                "graph_builds": self._graph_builds,
+                "graph_evictions": self._graph_evictions,
+                "graph_entries": self._graphs,
+                "graph_bytes": self._graph_bytes,
                 "max_bytes": self.max_bytes,
                 "write_through": self.write_through,
             }
@@ -247,18 +323,33 @@ class ResultCache:
     # ------------------------------------------------------------------
     # internals (callers hold the lock unless noted)
     # ------------------------------------------------------------------
-    def _admit(self, key: str, result: RunResult) -> None:
-        if key in self._entries:
-            self._bytes -= self._entries.pop(key)[1]
-        cost = _entry_bytes(result)
-        self._entries[key] = (result, cost)
+    def _graph_hit_locked(self) -> None:
+        self._graph_hits += 1
+        self._rec.count("serve.cache.graph_hits")
+
+    def _charge(self, key: str | tuple, cost: int) -> None:
+        """Add an entry's *cost* to the resident totals (negative: remove)."""
         self._bytes += cost
+        if not isinstance(key, str):
+            self._graphs += 1 if cost > 0 else -1
+            self._graph_bytes += cost
+            self._rec.gauge("serve.cache.graph_bytes", self._graph_bytes)
+
+    def _admit(self, key: str | tuple, value, cost: int) -> None:
+        if key in self._entries:
+            self._charge(key, -self._entries.pop(key)[1])
+        self._entries[key] = (value, cost)
+        self._charge(key, cost)
         while self._bytes > self.max_bytes and self._entries:
-            old_key, (old_result, old_cost) = self._entries.popitem(last=False)
-            self._bytes -= old_cost
-            self._evictions += 1
-            self._rec.count("serve.cache.evictions")
-            self._spill(old_key, old_result)
+            old_key, (old_value, old_cost) = self._entries.popitem(last=False)
+            self._charge(old_key, -old_cost)
+            if isinstance(old_key, str):
+                self._evictions += 1
+                self._rec.count("serve.cache.evictions")
+                self._spill(old_key, old_value)
+            else:  # a memoized graph: dropped, never spilled
+                self._graph_evictions += 1
+                self._rec.count("serve.cache.graph_evictions")
 
     def _spill_path(self, key: str) -> Path | None:
         if self.spill_dir is None:

@@ -30,6 +30,11 @@ Three layers meet here:
   jobs carry ``tenant``/``priority``; completion is event-based
   (:meth:`Job.wait`), never a sleep-poll.
 
+:meth:`ColoringService.dataset` builds a named dataset stand-in once per
+``(input, scale, seed)`` and memoizes it in the result cache's LRU, under
+the same byte budget, so a repeated ``/submit`` skips the build.  The job
+key is still the graph's content fingerprint.
+
 For a long-running server, :meth:`start` spins one background *pump*
 thread that drains the queue whenever jobs are waiting; :meth:`stop`
 joins it.  Everything stays deterministic either way: processing order
@@ -41,8 +46,11 @@ in-flight job, or served from cache.
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 
+from ..graph import datasets
 from ..graph.csr import CSRGraph
 from ..graph.delta import MutationBatch, apply_delta
 from ..obs import as_recorder
@@ -57,7 +65,39 @@ from .scheduler import BatchScheduler
 from .store import ChaosStore, JobStore, SqliteStore, StoreError, open_store
 from .supervisor import DegradingBackend, Supervisor
 
-__all__ = ["ColoringService", "MutationError"]
+__all__ = ["ColoringService", "MutationError", "dataset_params"]
+
+
+def dataset_params(scale, seed) -> tuple[float, int]:
+    """Normalize a dataset request's ``(scale, seed)``; ValueError if bad.
+
+    *scale* is any finite number > 0 (a numeric string too); *seed* a
+    non-negative integer, where an integral float counts but a bool or a
+    fractional float does not.  The normalized pair is what the graph
+    memo keys on, so ``0.25``/``"0.25"`` and ``3``/``3.0`` share an entry.
+    """
+    value = math.nan
+    if not isinstance(scale, bool):
+        try:
+            value = float(scale)
+        except (TypeError, ValueError):
+            pass
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
+    number = -1
+    if isinstance(seed, str):
+        try:
+            number = int(seed)
+        except ValueError:
+            pass
+    elif isinstance(seed, float):
+        if seed.is_integer():
+            number = int(seed)
+    elif isinstance(seed, numbers.Integral) and not isinstance(seed, bool):
+        number = int(seed)
+    if number < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return value, number
 
 
 class MutationError(RuntimeError):
@@ -257,6 +297,19 @@ class ColoringService:
                                 priority=priority, deadline_ms=deadline_ms)
         self._wake.set()
         return job
+
+    def dataset(self, name: str, *, scale=1.0, seed=0) -> CSRGraph:
+        """The named dataset stand-in, built once per normalized
+        ``(name, scale, seed)`` (see :func:`dataset_params`).
+
+        Built graphs live in the result cache's LRU under its byte budget
+        and are never spilled; concurrent requests for one unbuilt graph
+        build it once, and a build that fails is not memoized.
+        """
+        scale, seed = dataset_params(scale, seed)
+        return self.cache.graph(
+            ("dataset", name, scale, seed),
+            lambda: datasets.load_dataset(name, scale=scale, seed=seed))
 
     def mutate(self, base_job_id: int, batch: MutationBatch, *,
                staleness_budget: float | None = 0.05,
@@ -488,11 +541,12 @@ class ColoringService:
     def stop(self, timeout: float = 5.0, *, purge_spill: bool = False) -> dict:
         """Signal the pump to exit after the current round and join it.
 
-        Jobs still in flight are not silently dropped: they are counted,
-        and on a durable store every dispatched-but-unfinished job's row
-        is moved back to ``pending`` with ``meta["interrupted"]`` set, so
-        the next life's recovery re-admits exactly what this shutdown
-        interrupted.  Returns ``{"interrupted": n, "pump_joined": bool}``.
+        The graph memo is released.  Jobs still in flight are not silently
+        dropped: they are counted, and on a durable store every
+        dispatched-but-unfinished job's row is moved back to ``pending``
+        with ``meta["interrupted"]`` set, so the next life's recovery
+        re-admits exactly what this shutdown interrupted.  Returns
+        ``{"interrupted": n, "pump_joined": bool}``.
 
         ``purge_spill=True`` additionally clears the cache *including*
         its on-disk spill files — shutdown-means-gone for ephemeral
@@ -528,6 +582,8 @@ class ColoringService:
                                 pump_joined=joined)
         if purge_spill:
             self.cache.clear(purge_spill=True)
+        else:
+            self.cache.drop_graphs()
         if self._owns_store:
             self.store.close()
         return {"interrupted": len(interrupted), "pump_joined": joined}

@@ -17,6 +17,7 @@ import pytest
 
 import repro.serve.backends as backends_mod
 from repro.graph import cycle_graph, erdos_renyi_graph, path_graph
+from repro.graph.datasets import DATASETS, load_dataset
 from repro.run import RunConfig, execute
 from repro.serve import (
     AdmissionError,
@@ -738,3 +739,246 @@ class TestMutate:
                 continue  # the "likely absent" edge happened to exist
             assert status == want, (body, payload)
             assert "error" in payload
+
+
+# ----------------------------------------------------------------------
+# graph memo: each served dataset is built once per (input, scale, seed)
+# ----------------------------------------------------------------------
+def _memo_body(**fields):
+    body = {"input": "cnr", "scale": 0.05, "seed": 0,
+            "config": {"strategy": "greedy-ff", "seed": 0}}
+    body.update(fields)
+    return body
+
+
+def _graph_cost(graph):
+    return 512 + graph.indptr.nbytes + graph.indices.nbytes
+
+
+@pytest.fixture
+def counted_build(monkeypatch):
+    """Count real dataset builds through the module attribute tracers patch."""
+    import repro.graph.datasets as datasets_mod
+
+    calls: list[tuple] = []
+    real = datasets_mod.load_dataset
+
+    def counting(name, *, scale=1.0, seed=0):
+        calls.append((name, scale, seed))
+        return real(name, scale=scale, seed=seed)
+
+    monkeypatch.setattr(datasets_mod, "load_dataset", counting)
+    return calls
+
+
+class TestGraphMemo:
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_memo_hit_matches_fresh_build(self, name):
+        svc = ColoringService()
+        first = svc.dataset(name, scale=0.05, seed=3)
+        hit = svc.dataset(name, scale=0.05, seed=3)
+        fresh = load_dataset(name, scale=0.05, seed=3)
+        assert hit is first
+        assert np.array_equal(hit.indptr, fresh.indptr)
+        assert np.array_equal(hit.indices, fresh.indices)
+        assert hit.fingerprint() == fresh.fingerprint()
+        cfg = RunConfig("greedy-ff", seed=1)
+        assert job_key(hit, cfg) == job_key(fresh, cfg)
+        status, reply = dispatch(svc, "POST", "/submit", _memo_body(
+            input=name, seed=3, config={"strategy": "greedy-ff", "seed": 1}))
+        assert status == 202 and reply["key"] == job_key(fresh, cfg)
+        assert svc.stats()["cache"]["graph_builds"] == 1
+
+    def test_second_submit_reuses_graph_object(self, counted_build):
+        from repro.obs import Recorder
+
+        rec = Recorder()
+        svc = ColoringService(recorder=rec)
+        _, one = dispatch(svc, "POST", "/submit", _memo_body())
+        _, two = dispatch(svc, "POST", "/submit", _memo_body(
+            config={"strategy": "vff", "seed": 4}))
+        assert svc.result(one["job_id"]).graph is svc.result(two["job_id"]).graph
+        assert counted_build == [("cnr", 0.05, 0)]
+        stats = svc.stats()["cache"]
+        assert stats["graph_builds"] == 1 and stats["graph_hits"] == 1
+        assert stats["graph_entries"] == 1
+        graph = svc.result(one["job_id"]).graph
+        assert stats["graph_bytes"] == _graph_cost(graph)
+        assert rec.counters["serve.cache.graph_builds"] == 1
+        assert rec.counters["serve.cache.graph_hits"] == 1
+        assert rec.gauges["serve.cache.graph_bytes"] == stats["graph_bytes"]
+        svc.process()
+        assert svc.result(two["job_id"]).status == "done"
+
+    def test_normalized_params_share_an_entry(self, counted_build):
+        svc = ColoringService()
+        for scale, seed in ((0.05, 2), ("0.05", 2.0), (0.05, "2")):
+            status, reply = dispatch(svc, "POST", "/submit",
+                                     _memo_body(scale=scale, seed=seed))
+            assert status == 202, reply
+        assert counted_build == [("cnr", 0.05, 2)]
+
+    def test_eviction_shares_budget_with_results(self):
+        g = path_graph(100)
+        results = [(job_key(g, RunConfig("greedy-ff", seed=i)),
+                    execute(g, RunConfig("greedy-ff", seed=i)))
+                    for i in range(2)]
+        one_result = 100 * 8 + 512
+        graph = erdos_renyi_graph(50, 0.1, seed=1)
+        cache = ResultCache(max_bytes=_graph_cost(graph) + one_result + 100)
+        assert cache.graph(("g",), lambda: graph) is graph
+        cache.put(*results[0])  # graph + one result fit
+        assert cache.stats()["graph_entries"] == 1
+        cache.put(*results[1])  # the LRU graph makes room
+        stats = cache.stats()
+        assert stats["graph_evictions"] == 1 and stats["evictions"] == 0
+        assert stats["graph_entries"] == 0 and stats["graph_bytes"] == 0
+        assert stats["entries"] == 2 and stats["bytes"] <= cache.max_bytes
+        rebuilt = erdos_renyi_graph(50, 0.1, seed=1)
+        assert cache.graph(("g",), lambda: rebuilt) is rebuilt
+        stats = cache.stats()  # ... and a rebuilt graph evicts a result
+        assert stats["graph_builds"] == 2 and stats["evictions"] == 1
+        assert stats["entries"] == 1 and stats["bytes"] <= cache.max_bytes
+        assert cache.get(results[0][0]) is None
+
+    def test_graphs_are_never_spilled(self, tmp_path):
+        cache = ResultCache(max_bytes=600, spill_dir=tmp_path)
+        cache.graph(("a",), lambda: path_graph(4))
+        cache.graph(("b",), lambda: path_graph(4))
+        assert cache.stats()["graph_evictions"] == 1
+        assert cache.stats()["spills"] == 0
+        assert not list(tmp_path.iterdir())
+
+    def test_over_budget_graph_is_not_pinned(self):
+        g = path_graph(100)
+        key, result = (job_key(g, RunConfig("greedy-ff")),
+                       execute(g, RunConfig("greedy-ff")))
+        cache = ResultCache(max_bytes=2000)
+        cache.put(key, result)
+        big = erdos_renyi_graph(200, 0.1, seed=2)
+        assert _graph_cost(big) > cache.max_bytes
+        assert cache.graph(("big",), lambda: big) is big
+        stats = cache.stats()
+        assert stats["graph_entries"] == 0 and stats["graph_bytes"] == 0
+        assert stats["evictions"] == 0 and cache.get(key) is result
+        cache.graph(("big",), lambda: big)
+        assert cache.stats()["graph_builds"] == 2
+
+    def test_concurrent_misses_build_once(self):
+        import threading
+        import time
+
+        cache = ResultCache()
+        started, release = threading.Event(), threading.Event()
+        builds = []
+
+        def build():
+            builds.append(1)
+            started.set()
+            release.wait(10)
+            return path_graph(10)
+
+        got = []
+        threads = [threading.Thread(
+            target=lambda: got.append(cache.graph(("k",), build)))
+            for _ in range(4)]
+        threads[0].start()
+        assert started.wait(10)
+        for t in threads[1:]:
+            t.start()
+        time.sleep(0.1)  # let the other three reach the in-flight build
+        release.set()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1 and len(got) == 4
+        assert all(g is got[0] for g in got)
+        stats = cache.stats()
+        assert stats["graph_builds"] == 1 and stats["graph_hits"] == 3
+
+    def test_stress_counts_stay_consistent(self):
+        import threading
+
+        cache = ResultCache(max_bytes=3 * 600)  # three path_graph(4) entries
+        calls, keys, workers = 200, 6, 8
+
+        def worker(k):
+            for i in range(calls):
+                cache.graph(("g", (i * 7 + k) % keys), lambda: path_graph(4))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        stats = cache.stats()
+        assert stats["graph_hits"] + stats["graph_builds"] == workers * calls
+        assert (stats["graph_builds"] - stats["graph_evictions"]
+                == stats["graph_entries"] <= 3)
+        assert stats["graph_bytes"] == stats["bytes"] == 600 * stats["graph_entries"]
+
+    def test_failed_build_is_not_memoized(self):
+        cache = ResultCache()
+
+        def broken():
+            raise ValueError("no such graph")
+
+        with pytest.raises(ValueError, match="no such graph"):
+            cache.graph(("k",), broken)
+        stats = cache.stats()
+        assert stats["graph_entries"] == 0 and stats["graph_builds"] == 0
+        graph = path_graph(5)
+        assert cache.graph(("k",), lambda: graph) is graph
+
+    def test_graph_file_bypasses_memo(self, tmp_path):
+        from repro.graph import save_graph
+
+        store = save_graph(erdos_renyi_graph(80, 0.1, seed=5), tmp_path / "g")
+        svc = ColoringService()
+        body = {"graph_file": str(store),
+                "config": {"strategy": "greedy-ff", "seed": 0}}
+        _, one = dispatch(svc, "POST", "/submit", body)
+        _, two = dispatch(svc, "POST", "/submit", body)
+        assert one["key"] == two["key"]
+        assert svc.result(one["job_id"]).graph is not svc.result(two["job_id"]).graph
+        stats = svc.stats()["cache"]
+        assert stats["graph_builds"] == 0 and stats["graph_entries"] == 0
+
+    def test_stop_releases_memo(self):
+        svc = ColoringService()
+        svc.submit_and_wait(svc.dataset("cnr", scale=0.05, seed=0),
+                            RunConfig("greedy-ff"))
+        assert svc.stats()["cache"]["graph_entries"] == 1
+        svc.stop()
+        stats = svc.stats()["cache"]
+        assert stats["graph_entries"] == 0 and stats["graph_bytes"] == 0
+        assert stats["entries"] == 1  # results stay
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"scale": "inf"}, "scale must be a finite number > 0"),
+        ({"scale": "nan"}, "scale must be a finite number > 0"),
+        ({"scale": 0}, "scale must be a finite number > 0"),
+        ({"scale": -0.5}, "scale must be a finite number > 0"),
+        ({"scale": True}, "scale must be a finite number > 0"),
+        ({"scale": "big"}, "scale must be a finite number > 0"),
+        ({"scale": [1]}, "scale must be a finite number > 0"),
+        ({"seed": 1.5}, "seed must be a non-negative integer"),
+        ({"seed": True}, "seed must be a non-negative integer"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"seed": "1.5"}, "seed must be a non-negative integer"),
+        ({"seed": None}, "seed must be a non-negative integer"),
+        ({"seed": float("nan")}, "seed must be a non-negative integer"),
+    ])
+    def test_bad_scale_or_seed_is_400_before_any_build(self, fields, message,
+                                                       counted_build):
+        svc = ColoringService()
+        status, reply = dispatch(svc, "POST", "/submit", _memo_body(**fields))
+        assert status == 400 and message in reply["error"]
+        assert counted_build == []

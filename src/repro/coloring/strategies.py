@@ -315,14 +315,24 @@ def _cover_coloring(pc, strategy: str) -> Coloring:
     return Coloring(pc.colors, pc.num_colors, strategy=strategy, meta=dict(pc.meta))
 
 
+def _square_cover(graph: CSRGraph, cover):
+    """*cover* when a caller already built *graph*'s square cover, else a new one."""
+    from ..bipartite import BipartiteGraph
+
+    return BipartiteGraph.square_cover(graph) if cover is None else cover
+
+
+# The d2-optimistic impls take the square *cover* when d2-balanced already
+# built it; it is not an option (not in ``accepts``), so no caller of the
+# registry can pass it.
 @_accepts("ordering", "backend")
 def _seq_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *,
-                       threads: int = 1, seed=None, recorder=None,
+                       threads: int = 1, seed=None, recorder=None, cover=None,
                        **kwargs) -> Coloring:
-    from ..bipartite import BipartiteGraph, partial_d2_sequential
+    from ..bipartite import partial_d2_sequential
 
     order = _d2_order(graph, kwargs.pop("ordering", None), seed)
-    cover = BipartiteGraph.square_cover(graph)
+    cover = _square_cover(graph, cover)
     pc = partial_d2_sequential(cover, order=order, recorder=recorder, **kwargs)
     return _cover_coloring(pc, "d2-optimistic")
 
@@ -330,11 +340,11 @@ def _seq_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *,
 @_accepts("ordering", "max_rounds", "fault_plan", "backend")
 def _superstep_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *,
                              threads: int = 1, seed=None, recorder=None,
-                             **kwargs) -> Coloring:
-    from ..bipartite import BipartiteGraph, optimistic_partial_d2
+                             cover=None, **kwargs) -> Coloring:
+    from ..bipartite import optimistic_partial_d2
 
     order = _d2_order(graph, kwargs.pop("ordering", None), seed)
-    cover = BipartiteGraph.square_cover(graph)
+    cover = _square_cover(graph, cover)
     pc = optimistic_partial_d2(cover, num_threads=threads, order=order,
                                recorder=recorder, **kwargs)
     return _cover_coloring(pc, "d2-optimistic")
@@ -343,11 +353,11 @@ def _superstep_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *
 @_accepts("max_rounds", "backend", "fault_plan", "round_timeout",
           "max_retries", "shm", "context")
 def _mp_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *,
-                      threads: int = 1, seed=None, recorder=None,
+                      threads: int = 1, seed=None, recorder=None, cover=None,
                       **kwargs) -> Coloring:
-    from ..bipartite import BipartiteGraph, mp_partial_d2
+    from ..bipartite import mp_partial_d2
 
-    cover = BipartiteGraph.square_cover(graph)
+    cover = _square_cover(graph, cover)
     pc = mp_partial_d2(cover, num_workers=threads, recorder=recorder, **kwargs)
     return _cover_coloring(pc, "d2-optimistic")
 
@@ -358,7 +368,8 @@ def _d2_balanced(base_impl, accepts: frozenset):
     The drain runs in-process after the engine (it is a cheap sequential
     tail, like the residual pass), preserves the color count, and keeps
     distance-2 properness move by move.  The ``backend`` option reaches
-    the drain too; every backend gives the same drained coloring.
+    the drain too; every backend gives the same drained coloring.  The
+    square cover is built once, for the engine and the drain alike.
     """
 
     @_accepts(*(accepts | {"choice"}))
@@ -367,9 +378,9 @@ def _d2_balanced(base_impl, accepts: frozenset):
         from ..bipartite import BipartiteGraph, PartialD2Coloring, balance_partial_d2
 
         choice = kwargs.pop("choice", "ff")
-        colored = base_impl(graph, initial, threads=threads, seed=seed,
-                            recorder=recorder, **kwargs)
         cover = BipartiteGraph.square_cover(graph)
+        colored = base_impl(graph, initial, threads=threads, seed=seed,
+                            recorder=recorder, cover=cover, **kwargs)
         pc = PartialD2Coloring(colored.colors, colored.num_colors,
                                strategy=colored.strategy, meta=colored.meta)
         balanced = balance_partial_d2(cover, pc, choice=choice,

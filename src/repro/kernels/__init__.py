@@ -13,9 +13,10 @@ backends:
     C loops (:mod:`repro.kernels.compiled`) when the library loads, else
     as whole-array NumPy rounds (:mod:`repro.kernels.vectorized`) built
     on the paper's own speculate-and-resolve structure; every form is
-    bit-identical to the reference.  The shuffle drain runs NumPy rounds
-    that reach the same balance regime through round-synchronous batched
-    moves.
+    bit-identical to the reference.  The conflict detectors run one C
+    loop over the work rows, else their NumPy scans, with identical retry
+    sets.  The shuffle drain runs NumPy rounds that reach the same
+    balance regime through round-synchronous batched moves.
 
 Backend selection, strongest first:
 
@@ -36,10 +37,14 @@ and a bit-identical C form in :mod:`repro.kernels.compiled`, compiled
 once with the system C compiler: the sweeps (:func:`ff_sweep`,
 :func:`d2_sweep`) and two loops with no whole-array form, one pass of the
 one-sided D2 balance drain (:func:`d2_drain_pass`) and the Sched-Rev move
-commit (:func:`sched_commit`).  A resolved ``reference`` backend runs the
-Python loop, which stays the oracle.  Any other resolution runs C if the
-library loaded, else the NumPy rounds (sweeps) or the Python loop (drain
-pass, commit).
+commit (:func:`sched_commit`).  The conflict detectors
+(:func:`detect_conflicts`, :func:`detect_cross_conflicts`,
+:func:`d2_conflicts`) share one more C loop, which walks only the rows
+of the work list instead of every edge or column.  A resolved
+``reference`` backend runs the Python loop or the NumPy scan, which
+stays the oracle.  Any other resolution runs C if the library loaded,
+else the NumPy rounds (sweeps), the NumPy scans (detectors) or the
+Python loop (drain pass, commit).
 """
 
 from __future__ import annotations
@@ -51,13 +56,8 @@ import numpy as np
 from ..graph.csr import CSRGraph
 # imported with the package, not on the first kernel call: its stdlib
 # imports (subprocess, tempfile) cost milliseconds
-from . import compiled
-from .conflicts import (
-    bin_sizes,
-    count_monochromatic_edges,
-    detect_conflicts,
-    monochromatic_edges,
-)
+from . import compiled, conflicts
+from .conflicts import bin_sizes, count_monochromatic_edges, monochromatic_edges
 
 __all__ = [
     "BACKENDS",
@@ -68,6 +68,7 @@ __all__ = [
     "d2_drain_pass",
     "d2_sweep",
     "detect_conflicts",
+    "detect_cross_conflicts",
     "ff_sweep",
     "get_default_backend",
     "monochromatic_edges",
@@ -126,18 +127,20 @@ def resolve_backend(backend: str | None = None, *, default: str = "vectorized") 
 # ----------------------------------------------------------------------
 # dispatched kernels
 # ----------------------------------------------------------------------
-def _sweep_inputs(work, base_colors, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Checked int64 *work* ids in ``[0, bound)`` and *base_colors* of that length."""
+def _item_inputs(work, colors, bound: int,
+                 name: str = "base_colors") -> tuple[np.ndarray, np.ndarray]:
+    """Checked int64 *work* ids in ``[0, bound)`` (default: all) and
+    contiguous int64 *colors* of that length (default: all uncolored)."""
     if work is None:
         work = np.arange(bound, dtype=np.int64)
     else:
         work = _check_ids("work", work, bound)
-    if base_colors is None:
+    if colors is None:
         return work, np.full(bound, -1, dtype=np.int64)
-    base = np.asarray(base_colors)
-    if base.shape != (bound,) or (bound and base.dtype.kind not in "iu"):
-        raise ValueError(f"base_colors must be a 1-D integer array of length {bound}")
-    return work, base.astype(np.int64, copy=False)
+    colors = np.asarray(colors)
+    if colors.shape != (bound,) or (bound and colors.dtype.kind not in "iu"):
+        raise ValueError(f"{name} must be a 1-D integer array of length {bound}")
+    return work, np.ascontiguousarray(colors, dtype=np.int64)
 
 
 def ff_sweep(
@@ -158,10 +161,10 @@ def ff_sweep(
     """
     name = resolve_backend(backend)
     n = graph.num_vertices
-    work, base = _sweep_inputs(work, base_colors, n)
+    work, base = _item_inputs(work, base_colors, n)
     lib = _compiled(name)
     if lib is None:
-        return _sweep_fallback(name).ff_sweep(graph, work, base)
+        return _fallback(name).ff_sweep(graph, work, base)
     indptr, indices = _graph_arrays(graph)
     out = np.array(base, dtype=np.int64)
     if work.shape[0] == 0:
@@ -203,10 +206,10 @@ def d2_sweep(
     """
     name = resolve_backend(backend)
     nr = _check_num_rows(graph, num_rows)
-    work, base = _sweep_inputs(work, base_colors, nr)
+    work, base = _item_inputs(work, base_colors, nr)
     lib = _compiled(name)
     if lib is None:
-        return _sweep_fallback(name).d2_sweep(graph, nr, work, base)
+        return _fallback(name).d2_sweep(graph, nr, work, base)
     indptr, indices = _graph_arrays(graph)
     out = np.array(base, dtype=np.int64)
     if work.shape[0] == 0:
@@ -233,25 +236,34 @@ def d2_conflicts(
     Returns the sorted unique *work* rows (default: all rows) that must be
     recolored: within every monochromatic group of rows sharing a column,
     all in-work rows except the minimum id lose, and the minimum loses too
-    when a finalized row holds the same color.  Both backends produce the
-    identical retry set.
+    when a finalized row holds the same color.  Put row by row, a colored
+    work row is retried when a row sharing a column holds its color and
+    has a lower id or is not in *work*.  Every path produces the identical
+    retry set.  *colors* must be an integer array of length *num_rows*,
+    *work* ids must lie in ``[0, num_rows)``, else :class:`ValueError`.
 
-    *cols* restricts the scan to the given column vertex ids.  The
-    default is the columns adjacent to the work rows — an exact
-    restriction, since a column no work row touches can never yield a
-    retry.  Per-column decisions are independent, so disjoint *cols*
-    subsets can be scanned in parallel and unioned; the benchmark's
-    modeled detection threads rely on exactly that.
+    *cols* restricts the scan to the given column vertex ids (in
+    ``[num_rows, n)``).  The default is the columns adjacent to the work
+    rows — an exact restriction, since a column no work row touches can
+    never yield a retry.  Per-column decisions are independent, so
+    disjoint *cols* subsets can be scanned in parallel and unioned; the
+    benchmark's modeled detection threads rely on exactly that.
     """
     name = resolve_backend(backend)
     nr = _check_num_rows(graph, num_rows)
-    if work is None:
-        work = np.arange(nr, dtype=np.int64)
-    else:
-        work = np.asarray(work, dtype=np.int64)
+    work, colors = _item_inputs(work, colors, nr, "colors")
+    if cols is not None:
+        cols = _check_ids("cols", cols, graph.num_vertices, low=nr)
     if work.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    colors = np.asarray(colors, dtype=np.int64)
+    lib = _compiled(name)
+    if lib is not None:
+        colmask = None
+        if cols is not None:
+            colmask = np.zeros(graph.num_vertices, dtype=np.uint8)
+            colmask[cols] = 1
+        return _c_conflicts(lib, graph, nr, colors, work, hops=2, cross=True,
+                            colmask=colmask)
     if cols is None:
         starts, lens = graph.indptr[work], np.diff(graph.indptr)[work]
         total = int(lens.sum())
@@ -259,12 +271,67 @@ def d2_conflicts(
             starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens
         ) + np.arange(total, dtype=np.int64)
         cols = np.unique(graph.indices[offs])
-    else:
-        cols = np.asarray(cols, dtype=np.int64)
-    from . import reference, vectorized
+    return _fallback(name).d2_conflicts(graph, nr, colors, work, cols)
 
-    impl = vectorized.d2_conflicts if name == "vectorized" else reference.d2_conflicts
-    return impl(graph, nr, colors, work, cols)
+
+def detect_conflicts(
+    graph: CSRGraph,
+    colors: np.ndarray,
+    work_list: np.ndarray,
+    *,
+    backend: str | None = None,
+) -> np.ndarray:
+    """Higher-id endpoints of monochromatic edges incident on *work_list*.
+
+    This is the resolution rule of the speculation protocol (Çatalyürek et
+    al.): of every monochromatic edge whose higher endpoint speculated this
+    round, the higher-id endpoint loses and is retried.  Put vertex by
+    vertex, a colored work vertex is retried when a lower-id neighbor
+    holds its color.  Returns a sorted, deduplicated vertex array,
+    identical on every path.  *colors* must be an integer array of length
+    n and *work_list* ids must lie in ``[0, n)``, else :class:`ValueError`.
+    """
+    return _d1_conflicts(graph, colors, work_list, backend, cross=False)
+
+
+def detect_cross_conflicts(
+    graph: CSRGraph,
+    colors: np.ndarray,
+    work_list: np.ndarray,
+    *,
+    backend: str | None = None,
+) -> np.ndarray:
+    """Conflict detection that survives stale-snapshot proposals.
+
+    The classic resolution rule (:func:`detect_conflicts`) retries the
+    higher-id endpoint of each monochromatic edge *when that endpoint
+    speculated this round*.  A worker fed a stale snapshot can also
+    collide with an already-finalized higher-id neighbor — impossible in
+    the fault-free protocol (the snapshot shows every finalized color), so
+    the classic rule misses it and the improper edge would survive to the
+    final coloring.  Here the speculating endpoint is retried in that case
+    too; the finalized neighbor keeps its color.  On fault-free rounds the
+    extra case never arises, so results stay bit-identical to the classic
+    rule.  Put vertex by vertex, a colored work vertex is retried when a
+    neighbor holding its color has a lower id or is not in *work_list*.
+
+    The C loop reads only the rows of *work_list*, so a round with little
+    work costs little and an out-of-core graph is read only where the
+    work is.  Returns a sorted, deduplicated vertex array, identical on
+    every path; inputs are checked like :func:`detect_conflicts`.
+    """
+    return _d1_conflicts(graph, colors, work_list, backend, cross=True)
+
+
+def _d1_conflicts(graph, colors, work_list, backend, *, cross: bool) -> np.ndarray:
+    name = resolve_backend(backend)
+    n = graph.num_vertices
+    work, colors = _item_inputs(work_list, colors, n, "colors")
+    lib = _compiled(name)
+    if lib is None:
+        scan = conflicts.detect_cross_conflicts if cross else conflicts.detect_conflicts
+        return scan(graph, colors, work)
+    return _c_conflicts(lib, graph, n, colors, work, hops=1, cross=cross)
 
 
 def shuffle_drain(
@@ -326,8 +393,8 @@ def _graph_arrays(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def _sweep_fallback(name: str):
-    """The Python oracle for ``reference``, else the NumPy rounds."""
+def _fallback(name: str):
+    """The Python oracle for ``reference``, else the NumPy forms."""
     if name == "reference":
         from . import reference
 
@@ -348,14 +415,32 @@ def _check_inout(name: str, arr, dtype, length: int | None) -> np.ndarray:
     return arr
 
 
-def _check_ids(name: str, ids, bound: int | None) -> np.ndarray:
+def _check_ids(name: str, ids, bound: int | None, low: int = 0) -> np.ndarray:
     ids = np.asarray(ids)
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
         raise ValueError(f"{name} must be a 1-D integer array")
     ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if bound is not None and ids.size and (ids.min() < 0 or ids.max() >= bound):
-        raise ValueError(f"{name} must lie in [0, {bound})")
+    if bound is not None and ids.size and (ids.min() < low or ids.max() >= bound):
+        raise ValueError(f"{name} must lie in [{low}, {bound})")
     return ids
+
+
+def _c_conflicts(lib, graph: CSRGraph, size: int, colors: np.ndarray,
+                 work: np.ndarray, *, hops: int, cross: bool,
+                 colmask: np.ndarray | None = None) -> np.ndarray:
+    """The C detection loop over checked *work* ids in ``[0, size)``."""
+    indptr, indices = _graph_arrays(graph)
+    mark = np.zeros(size, dtype=np.uint8)
+    out = np.empty(work.shape[0], dtype=np.int64)
+    count = lib.conflicts(
+        indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
+        indices.shape[0], size, colors.ctypes.data, work.ctypes.data,
+        work.shape[0], None if colmask is None else colmask.ctypes.data,
+        hops, int(cross), mark.ctypes.data, out.ctypes.data)
+    if count < 0:
+        raise ValueError("graph is not a valid CSR" if hops == 1 else
+                         f"graph is not a valid incidence CSR with rows [0, {size})")
+    return np.sort(out[:count])
 
 
 def d2_drain_pass(

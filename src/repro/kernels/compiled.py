@@ -1,6 +1,6 @@
-"""Compiled C forms of the sequential per-vertex loops.
+"""Compiled C forms of the per-vertex loops.
 
-Every loop here is sequential at heart: each step reads what the step
+Four loops here are sequential at heart: each step reads what the step
 before it wrote.
 
 ``ff_sweep``
@@ -21,13 +21,25 @@ before it wrote.
     (:func:`repro.coloring.scheduled_balance`): each planned move checks
     its target against the live colors of its neighbors.
 
-This module holds one short C source for all four, compiled once with the
+One more loop is not sequential, but is cheap only when it walks the
+work rows instead of every edge:
+
+``conflicts``
+    the detection phase of the speculation rounds
+    (:func:`repro.kernels.detect_conflicts`,
+    :func:`repro.kernels.detect_cross_conflicts`,
+    :func:`repro.kernels.d2_conflicts`): each work item checks its one-
+    or two-hop neighbors for the same color and is retried when it loses.
+
+This module holds one short C source for all five, compiled once with the
 system C compiler (``$CC``, else ``cc``; ``-O2 -shared -fPIC``, no
-host-specific tuning) and loaded with :mod:`ctypes`.  The loops are
-transcriptions of the Python ones in :mod:`repro.kernels.reference`:
-the same visit order, the same live reads, the same color windows, the
-same float64 size arithmetic and the same first-index tie-breaks, so
-their output is bit-identical and the Python loops stay the oracle.
+host-specific tuning) and loaded with :mod:`ctypes`.  The sequential
+loops are transcriptions of the Python ones in
+:mod:`repro.kernels.reference`: the same visit order, the same live
+reads, the same color windows, the same float64 size arithmetic and the
+same first-index tie-breaks, so their output is bit-identical and the
+Python loops stay the oracle.  The detection loop returns the same retry
+set as the edge and column scans it replaces, which stay its oracle.
 
 The shared library is cached in a private per-user directory
 (``$XDG_CACHE_HOME/repro/kernels``, else ``~/.cache/repro/kernels``,
@@ -38,7 +50,7 @@ load a half-written file.  The first :func:`load` in a process builds or
 opens it under a lock; if anything fails (no compiler, a compile error,
 an unwritable cache, a ``dlopen`` error), :func:`load` returns ``None``,
 :func:`failure_reason` says why, and the dispatchers in
-:mod:`repro.kernels` run the Python loops instead.
+:mod:`repro.kernels` run their Python or NumPy forms instead.
 
 Every kernel returns ``-1`` instead of reading past an array when a
 graph index is out of range; the dispatchers check dtypes, lengths and
@@ -202,6 +214,53 @@ int64_t sched_commit(const int64_t *indptr, const int64_t *indices,
     }
     return committed;
 }
+
+/* The work items that lost a speculative race, written to out in work
+   order; returns their count, or -1 on an out-of-range graph index.  A
+   colored item w is retried when some item x with colors[x] == colors[w]
+   is its graph neighbor (hops 1) or shares a column with it (hops 2;
+   columns not set in colmask are skipped unless colmask is NULL), and
+   x < w or, with cross set, x is not in work.  w itself never counts: it
+   is in work and not below itself.  mark (length size, zeroed) holds 1
+   for items in work and 2 once an item is retried, so out has no
+   duplicates. */
+int64_t conflicts(const int64_t *indptr, const int64_t *indices,
+                  int64_t n, int64_t nnz, int64_t size, const int64_t *colors,
+                  const int64_t *work, int64_t nwork, const uint8_t *colmask,
+                  int64_t hops, int64_t cross, uint8_t *mark, int64_t *out)
+{
+    for (int64_t i = 0; i < nwork; i++) {
+        if (work[i] < 0 || work[i] >= size) return -1;
+        mark[work[i]] = 1;
+    }
+    int64_t count = 0;
+    for (int64_t i = 0; i < nwork; i++) {
+        int64_t w = work[i], c = colors[w], lo, hi, lose = 0;
+        if (c < 0 || mark[w] == 2) continue;
+        if (row_span(indptr, size, nnz, w, &lo, &hi)) return -1;
+        for (int64_t p = lo; p < hi && !lose; p++) {
+            /* one hop: the slice [p, p+1) holds the neighbor itself */
+            int64_t xlo = p, xhi = p + 1;
+            if (hops == 2) {
+                if (row_span(indptr, n, nnz, indices[p], &xlo, &xhi)) return -1;
+                if (colmask && !colmask[indices[p]]) continue;
+            }
+            for (int64_t q = xlo; q < xhi; q++) {
+                int64_t x = indices[q];
+                if (x < 0 || x >= size) return -1;
+                if (colors[x] == c && (x < w || (cross && !mark[x]))) {
+                    lose = 1;
+                    break;
+                }
+            }
+        }
+        if (lose) {
+            mark[w] = 2;
+            out[count++] = w;
+        }
+    }
+    return count;
+}
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -212,6 +271,7 @@ _SIGNATURES = {
     "d2_sweep": (_P, _P, _I, _I, _I, _P, _P, _I, _P),
     "d2_drain_pass": (_P, _P, _I, _I, _I, _P, _P, _P, _I, _D, _P, _I, _I, _P),
     "sched_commit": (_P, _P, _I, _I, _P, _P, _P, _I),
+    "conflicts": (_P, _P, _I, _I, _I, _P, _P, _I, _P, _I, _I, _P, _P),
 }
 
 # what a failed build or load raises: OSError (cache directory, dlopen),

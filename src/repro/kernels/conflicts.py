@@ -5,8 +5,11 @@ speculate-and-resolve loop in the library: the tick-machine parallel
 Greedy-FF, the multiprocessing backend, parallel Recoloring, and the
 vectorized shuffle drains all (a) detect monochromatic edges against the
 current colors array in one vectorized pass and (b) maintain per-bin size
-counters.  They are backend-independent — there is no per-vertex reference
-formulation worth keeping — so both kernel backends use them directly.
+counters.  The two detection scans (:func:`detect_conflicts`,
+:func:`detect_cross_conflicts`) are the oracle and the no-compiler
+fallback of the dispatchers of the same names in :mod:`repro.kernels`,
+which otherwise walk only the work rows in C; the rest are
+backend-independent, and every backend uses them directly.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ __all__ = [
     "bin_sizes",
     "count_monochromatic_edges",
     "detect_conflicts",
+    "detect_cross_conflicts",
     "monochromatic_edges",
 ]
 
@@ -67,6 +71,31 @@ def detect_conflicts(
     for u, v in graph.edge_chunks():  # u < v
         mask = (colors[u] == colors[v]) & (colors[u] >= 0) & in_work[v]
         parts.append(v[mask])
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(np.concatenate(parts))
+
+
+def detect_cross_conflicts(
+    graph: CSRGraph, colors: np.ndarray, work_list: np.ndarray
+) -> np.ndarray:
+    """The stale-snapshot resolution rule as one edge scan.
+
+    Of every monochromatic edge, the higher-id endpoint is retried when it
+    is in *work_list*, and the lower one when it is in *work_list* and the
+    higher one is not (see :func:`repro.kernels.detect_cross_conflicts`).
+    Returns a sorted, deduplicated vertex array.  Streams
+    :meth:`edge_chunks` like the other scanners here.
+    """
+    in_work = np.zeros(graph.num_vertices, dtype=bool)
+    in_work[work_list] = True
+    parts: list[np.ndarray] = []
+    for u, v in graph.edge_chunks():  # u < v
+        mono = (colors[u] == colors[v]) & (colors[u] >= 0)
+        retry_hi = mono & in_work[v]
+        retry_lo = mono & in_work[u] & ~in_work[v]
+        parts.append(v[retry_hi])
+        parts.append(u[retry_lo])
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate(parts))

@@ -102,7 +102,7 @@ def d2_conflicts(
     """Rows of *work* that lost a speculative distance-2 race.
 
     Two colored rows sharing a column with equal colors conflict; the
-    resolution rule mirrors :func:`~repro.parallel.mp.detect_cross_conflicts`:
+    resolution rule mirrors :func:`repro.kernels.detect_cross_conflicts`:
     within each monochromatic group of a column, every in-work row except
     the minimum id is retried, and the minimum is retried too when a
     finalized (not-in-work) row holds the same color — the finalized row

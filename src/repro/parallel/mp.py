@@ -36,6 +36,7 @@ import numpy as np
 
 from .. import kernels
 from ..coloring.types import Coloring
+from ..kernels import detect_cross_conflicts  # re-exported
 from ..graph.csr import CSRGraph
 from ..obs import NULL, as_recorder
 from ..resilience import NO_FAULTS, FaultPlan, resolve_fault_plan
@@ -134,38 +135,6 @@ def _round_task(args: tuple) -> np.ndarray:
     return _sweep(kind, graph, size, block, base, backend)
 
 
-def detect_cross_conflicts(
-    graph: CSRGraph, colors: np.ndarray, work_list: np.ndarray
-) -> np.ndarray:
-    """Conflict detection that survives stale-snapshot proposals.
-
-    The classic resolution rule (``kernels.detect_conflicts``) retries the
-    higher-id endpoint of each monochromatic edge *when that endpoint
-    speculated this round*.  A worker fed a stale snapshot can also
-    collide with an already-finalized higher-id neighbor — impossible in
-    the fault-free protocol (the snapshot shows every finalized color), so
-    the classic rule misses it and the improper edge would survive to the
-    final coloring.  Here the speculating endpoint is retried in that case
-    too; the finalized neighbor keeps its color.  On fault-free rounds the
-    extra mask is empty, so results stay bit-identical to the classic rule.
-
-    Edges stream through :meth:`~repro.graph.csr.CSRGraph.edge_chunks`,
-    so an out-of-core graph is scanned in bounded memory.
-    """
-    in_work = np.zeros(graph.num_vertices, dtype=bool)
-    in_work[work_list] = True
-    parts: list[np.ndarray] = []
-    for u, v in graph.edge_chunks():  # u < v
-        mono = (colors[u] == colors[v]) & (colors[u] >= 0)
-        retry_hi = mono & in_work[v]
-        retry_lo = mono & in_work[u] & ~in_work[v]
-        parts.append(v[retry_hi])
-        parts.append(u[retry_lo])
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
-
-
 @dataclass(frozen=True)
 class Neighbourhood:
     """What the round driver colors and which conflicts it retries.
@@ -190,7 +159,8 @@ class Neighbourhood:
     def detect(self, colors: np.ndarray, work: np.ndarray,
                backend: str) -> np.ndarray:
         if self.kind == "d1":
-            return detect_cross_conflicts(self.graph, colors, work)
+            return kernels.detect_cross_conflicts(self.graph, colors, work,
+                                                  backend=backend)
         return kernels.d2_conflicts(self.graph, self.size, colors, work,
                                     backend=backend)
 

@@ -1,10 +1,11 @@
 """Compiled C loops against their Python oracles, and the fallback path.
 
 :mod:`repro.kernels.compiled` compiles the First-Fit and one-sided D2
-sweeps, the D2 drain pass and the Sched-Rev commit loop;
-:mod:`repro.kernels.reference` keeps the Python loops.  A resolved
-``reference`` backend always runs Python, any other resolution runs C
-when it loaded, and both must agree bit for bit.  When the library
+sweeps, the D2 drain pass, the Sched-Rev commit loop and the conflict
+detection over the work rows; :mod:`repro.kernels.reference` keeps the
+Python loops and :mod:`repro.kernels.conflicts` the NumPy edge scans.
+A resolved ``reference`` backend always runs Python, any other
+resolution runs C when it loaded, and both must agree bit for bit.  When the library
 cannot be built or loaded, the sweeps run the NumPy rounds of
 :mod:`repro.kernels.vectorized` and the other loops run Python, give the
 same answer and report why.  The NumPy rounds are called directly here
@@ -553,7 +554,7 @@ class TestSweepDifferential:
 
 
 # ----------------------------------------------------------------------
-# sweeps end to end: the default dispatch == the reference loops
+# sweeps and detection end to end: the default dispatch == the reference
 # ----------------------------------------------------------------------
 SWEEP_E2E_CASES = [
     ("greedy-ff", "sequential", {}),
@@ -567,6 +568,11 @@ SWEEP_E2E_CASES = [
     ("d2-balanced", "mp", {"threads": 2}),
     ("greedy-ff", "mp", {"threads": 2, "on_failure": "repair",
                          "fault_plan": "corrupt@r0.w1"}),
+    # a stale-snapshot worker: only the cross and d2 detection rules catch
+    # its collisions with finalized higher-id neighbors
+    ("greedy-ff", "mp", {"threads": 2, "fault_plan": "stale@r1.w0"}),
+    ("d2-optimistic", "mp", {"threads": 2, "fault_plan": "stale@r1.w0"}),
+    ("d2-balanced", "mp", {"threads": 2, "fault_plan": "stale@r1.w0"}),
 ]
 
 
@@ -688,6 +694,218 @@ def test_c_sweeps_guard_graph_indices():
     g = complete_graph(4)  # rows 0 and 1 touch rows, not columns
     with pytest.raises(ValueError, match="incidence"):
         kernels.d2_sweep(CSRGraph(g.indptr, g.indices, validate=False), 2)
+
+
+# ----------------------------------------------------------------------
+# conflict detection: oracle == NumPy fallback == dispatch (C when loaded)
+# ----------------------------------------------------------------------
+RULES = ["classic", "cross", "d2"]
+
+
+@contextmanager
+def no_library():
+    """A failed load, for the length of the block (hypothesis-safe)."""
+    saved = compiled._state
+    compiled._state = (None, "disabled by the test")
+    try:
+        yield
+    finally:
+        compiled._state = saved
+
+
+def detect_call(rule: str, graph, colors, work, cols=None):
+    """``backend -> retry set`` for *rule*; *graph* is a BipartiteGraph for d2."""
+    if rule == "d2":
+        return lambda backend: kernels.d2_conflicts(
+            graph.incidence, graph.num_rows, colors, work, cols=cols,
+            backend=backend)
+    fn = kernels.detect_conflicts if rule == "classic" else kernels.detect_cross_conflicts
+    return lambda backend: fn(graph, colors, work, backend=backend)
+
+
+def three_detects(rule: str, graph, colors, work, cols=None) -> list[np.ndarray]:
+    """The oracle, the NumPy fallback and the default dispatch."""
+    call = detect_call(rule, graph, colors, work, cols)
+    with no_library():
+        fallback = call("vectorized")
+    return [call("reference"), fallback, call(None)]
+
+
+def assert_same_retries(outs: list[np.ndarray]) -> np.ndarray:
+    want = outs[0]
+    assert want.dtype == np.int64 and np.array_equal(want, np.unique(want))
+    for got in outs[1:]:
+        assert got.dtype == np.int64 and np.array_equal(want, got)
+    return want
+
+
+def detect_inputs(size: int, kind: str, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``(colors, work)`` over items ``[0, size)``, some colors -1.
+
+    ``full`` puts every item in work, ``subset`` a random subset in
+    random order with repeats, ``empty`` none.  Few colors make
+    conflicts common.
+    """
+    colors = rng.integers(-1, rng.integers(1, 5), size=size).astype(np.int64)
+    if kind == "full":
+        return colors, np.arange(size, dtype=np.int64)
+    if kind == "empty":
+        return colors, np.empty(0, dtype=np.int64)
+    return colors, rng.integers(0, size, size=rng.integers(0, 2 * size + 1))
+
+
+def _adjacent_cols(bip, work) -> np.ndarray:
+    inc = bip.incidence
+    return np.unique(np.concatenate(
+        [inc.indices[inc.indptr[r]:inc.indptr[r + 1]] for r in work] or [[]])
+    ).astype(np.int64)
+
+
+class TestDetectDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=simple_graphs(), rule=st.sampled_from(["classic", "cross"]),
+           kind=st.sampled_from(["full", "subset", "empty"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_d1_rules(self, graph, rule, kind, seed):
+        colors, work = detect_inputs(graph.num_vertices, kind,
+                                     np.random.default_rng(seed))
+        assert_same_retries(three_detects(rule, graph, colors, work))
+
+    @settings(max_examples=150, deadline=None)
+    @given(bip=incidences(), kind=st.sampled_from(["full", "subset", "empty"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_d2_rule(self, bip, kind, seed):
+        colors, work = detect_inputs(bip.num_rows, kind, np.random.default_rng(seed))
+        assert_same_retries(three_detects("d2", bip, colors, work))
+
+    @settings(max_examples=100, deadline=None)
+    @given(bip=incidences(), parts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_d2_cols_subsets_union_to_the_full_scan(self, bip, parts, seed):
+        """Each column subset keeps its per-column meaning on every path,
+        and the subsets of a partition union to the full scan."""
+        rng = np.random.default_rng(seed)
+        colors, work = detect_inputs(bip.num_rows, "subset", rng)
+        full = assert_same_retries(three_detects("d2", bip, colors, work))
+        cols = rng.permutation(_adjacent_cols(bip, work))
+        union = [assert_same_retries(three_detects("d2", bip, colors, work, share))
+                 for share in np.array_split(cols, parts)]
+        assert np.array_equal(full, np.unique(np.concatenate(union)))
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("kind", ["full", "subset", "empty"])
+    def test_fixed_graphs(self, rule, kind):
+        graphs = [empty_graph(1), star_graph(30), complete_graph(9),
+                  erdos_renyi_graph(300, 0.04, seed=3)]
+        for graph in graphs:
+            item = BipartiteGraph.square_cover(graph) if rule == "d2" else graph
+            size = item.num_rows if rule == "d2" else graph.num_vertices
+            for seed in range(4):
+                colors, work = detect_inputs(size, kind, np.random.default_rng(seed))
+                assert_same_retries(three_detects(rule, item, colors, work))
+
+    def test_stale_snapshot_finalized_higher_neighbor(self):
+        """Vertex 0 speculated against a stale snapshot and took the color
+        of its finalized higher-id neighbor 1: the classic rule misses it,
+        the cross and d2 rules retry 0, and every path agrees."""
+        graph = from_edge_arrays(np.array([0, 1]), np.array([1, 2]), num_vertices=3)
+        colors = np.array([5, 5, 2], dtype=np.int64)
+        work = np.array([0], dtype=np.int64)
+        cover = BipartiteGraph.square_cover(graph)
+        assert assert_same_retries(three_detects("classic", graph, colors, work)).size == 0
+        assert assert_same_retries(three_detects("cross", graph, colors, work)).tolist() == [0]
+        assert assert_same_retries(three_detects("d2", cover, colors, work)).tolist() == [0]
+        # the finalized neighbor in work too: the classic rule retries the higher id
+        both = np.array([0, 1], dtype=np.int64)
+        for rule, item in (("classic", graph), ("cross", graph), ("d2", cover)):
+            assert assert_same_retries(three_detects(rule, item, colors, both)).tolist() == [1]
+
+    def test_out_of_core_graph(self, tmp_path):
+        from repro.graph.store import load_graph, save_graph
+
+        graph = load_dataset("cnr", scale=0.05, seed=0)
+        mapped = load_graph(save_graph(graph, tmp_path / "g.csrg"))
+        assert mapped.out_of_core
+        colors, work = detect_inputs(graph.num_vertices, "subset",
+                                     np.random.default_rng(2))
+        for rule in ("classic", "cross"):
+            want = assert_same_retries(three_detects(rule, graph, colors, work))
+            assert want.size
+            assert_same_retries([want, *three_detects(rule, mapped, colors, work)])
+
+    def test_dispatch_runs_c_when_loaded(self, monkeypatch):
+        if compiled.load() is None:
+            pytest.skip(f"no compiled library: {compiled.failure_reason()}")
+        graph = erdos_renyi_graph(200, 0.05, seed=1)
+        bip = BipartiteGraph.square_cover(graph)
+        colors, work = detect_inputs(200, "subset", np.random.default_rng(3))
+        want = {rule: detect_call(rule, bip if rule == "d2" else graph, colors,
+                                  work)("reference") for rule in RULES}
+        assert all(w.size for w in want.values())
+        for mod, name in ((kernels.conflicts, "detect_conflicts"),
+                          (kernels.conflicts, "detect_cross_conflicts"),
+                          (vectorized, "d2_conflicts"), (reference, "d2_conflicts")):
+            monkeypatch.setattr(mod, name,
+                                lambda *a: pytest.fail("the NumPy scan ran, not C"))
+        for rule in RULES:
+            got = detect_call(rule, bip if rule == "d2" else graph, colors, work)(None)
+            assert np.array_equal(want[rule], got)
+
+    def test_c_guards_graph_indices(self):
+        """Unvalidated graphs with out-of-range indices fail cleanly in C."""
+        if compiled.load() is None:
+            pytest.skip(f"no compiled library: {compiled.failure_reason()}")
+        dangling = CSRGraph(np.array([0, 1, 1]), np.array([5]), validate=False)
+        colors, work = np.zeros(2, dtype=np.int64), np.array([0])
+        for fn in (kernels.detect_conflicts, kernels.detect_cross_conflicts):
+            with pytest.raises(ValueError, match="valid CSR"):
+                fn(dangling, colors, work)
+        g = complete_graph(4)  # rows 0 and 1 touch rows, not columns
+        with pytest.raises(ValueError, match="incidence"):
+            kernels.d2_conflicts(CSRGraph(g.indptr, g.indices, validate=False), 2,
+                                 colors)
+
+
+_DG = erdos_renyi_graph(50, 0.1, seed=1)
+#: (colors, work) for a detection over *b* items; each is rejected
+_BAD_DETECT_ARGS = {
+    "work-negative": lambda b: (np.zeros(b, dtype=np.int64), np.array([-1])),
+    "work-past-end": lambda b: (np.zeros(b, dtype=np.int64), np.array([b])),
+    "work-float": lambda b: (np.zeros(b, dtype=np.int64), np.array([0.0])),
+    "work-2d": lambda b: (np.zeros(b, dtype=np.int64), np.zeros((1, 2), dtype=np.int64)),
+    "colors-short": lambda b: (np.zeros(b - 1, dtype=np.int64), np.array([0])),
+    "colors-long": lambda b: (np.zeros(b + 1, dtype=np.int64), np.array([0])),
+    "colors-float": lambda b: (np.zeros(b), np.array([0])),
+    "colors-2d": lambda b: (np.zeros((1, b), dtype=np.int64), np.array([0])),
+}
+_BAD_COLS = {
+    "cols-a-row": lambda bip: np.array([0]),
+    "cols-past-end": lambda bip: np.array([bip.incidence.num_vertices]),
+    "cols-float": lambda bip: np.array([float(bip.num_rows)]),
+}
+_BAD_DETECTS = ([(rule, case) for rule in RULES for case in _BAD_DETECT_ARGS]
+                + [("d2", case) for case in _BAD_COLS])
+
+
+def _bad_detect_call(rule: str, case: str):
+    if rule != "d2":
+        return detect_call(rule, _DG, *_BAD_DETECT_ARGS[case](_DG.num_vertices))
+    if case in _BAD_COLS:
+        return detect_call(rule, _BIP, np.zeros(_BIP.num_rows, dtype=np.int64),
+                           np.array([0]), _BAD_COLS[case](_BIP))
+    return detect_call(rule, _BIP, *_BAD_DETECT_ARGS[case](_BIP.num_rows))
+
+
+@pytest.mark.parametrize("path", ["reference", "numpy", "compiled"])
+@pytest.mark.parametrize("rule,case", _BAD_DETECTS, ids=[f"{r}-{c}" for r, c in _BAD_DETECTS])
+def test_detect_rejects_bad_inputs(monkeypatch, rule, case, path):
+    """Out-of-range work or column ids and colors of the wrong shape or
+    dtype raise ``ValueError`` on every path, before any pointer reaches
+    C (the tripwire stands in for the library)."""
+    call = _bad_detect_call(rule, case)
+    monkeypatch.setattr(compiled, "_state", (_Tripwire(), None) if path == "compiled"
+                        else (None, "disabled by the test"))
+    with pytest.raises(ValueError):
+        call("reference" if path == "reference" else "vectorized")
 
 
 # ----------------------------------------------------------------------

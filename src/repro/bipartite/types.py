@@ -6,6 +6,13 @@ never colored.  It intentionally does **not** reuse
 :class:`repro.coloring.types.Coloring`, whose invariants (full coverage of
 every vertex, non-negative colors) are exactly what a *partial* coloring
 relaxes: uncolored rows are legal here and encoded as ``-1``.
+
+The verifiers take colors that are a 1-D integer array of ``num_rows``
+entries, none below ``-1`` (else :class:`ValueError`), and find the first
+violating column with the dispatched
+:func:`repro.kernels.d2_violating_column`: one compiled pass over each
+column's rows with a color stamp when the C library loads, else a
+per-column loop.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import kernels
 from .graph import BipartiteGraph
 
 __all__ = [
@@ -65,27 +73,17 @@ class PartialD2Coloring:
                                  {**self.meta, **updates})
 
 
-def _violating_column(bip: BipartiteGraph, colors: np.ndarray) -> int:
-    """Index of a column with two same-colored rows, or ``-1`` if none."""
-    if colors.shape[0] != bip.num_rows:
-        raise ValueError(
-            f"colors length {colors.shape[0]} != num_rows {bip.num_rows}")
-    indptr, indices = bip.incidence.indptr, bip.incidence.indices
-    for c in range(bip.num_rows, bip.incidence.num_vertices):
-        group = colors[indices[indptr[c] : indptr[c + 1]]]
-        group = group[group >= 0]
-        if np.unique(group).shape[0] != group.shape[0]:
-            return c - bip.num_rows
-    return -1
+def _colors(bip: BipartiteGraph, coloring: PartialD2Coloring | np.ndarray) -> np.ndarray:
+    raw = coloring.colors if isinstance(coloring, PartialD2Coloring) else coloring
+    return kernels.check_colors(raw, bip.num_rows, unit="rows", floor=-1)
 
 
 def is_partial_d2_proper(
     bip: BipartiteGraph, coloring: PartialD2Coloring | np.ndarray
 ) -> bool:
     """True iff no two *colored* rows sharing a column have equal colors."""
-    colors = (coloring.colors if isinstance(coloring, PartialD2Coloring)
-              else np.asarray(coloring, dtype=np.int64))
-    return _violating_column(bip, colors) == -1
+    return kernels.d2_violating_column(
+        bip.incidence, bip.num_rows, _colors(bip, coloring)) == -1
 
 
 def assert_partial_d2_proper(
@@ -100,12 +98,11 @@ def assert_partial_d2_proper(
     the check for the optimistic engine's *finished* colorings, which
     promise totality on top of partial properness.
     """
-    colors = (coloring.colors if isinstance(coloring, PartialD2Coloring)
-              else np.asarray(coloring, dtype=np.int64))
+    colors = _colors(bip, coloring)
     if require_total and colors.size and colors.min() < 0:
         raise AssertionError(
             f"row {int(np.argmin(colors >= 0))} is uncolored")
-    c = _violating_column(bip, colors)
+    c = kernels.d2_violating_column(bip.incidence, bip.num_rows, colors)
     if c >= 0:
         raise AssertionError(
             f"distance-2 violation: column {c} has two same-colored rows")

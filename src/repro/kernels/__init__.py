@@ -45,6 +45,19 @@ of the work list instead of every edge or column.  A resolved
 stays the oracle.  Any other resolution runs C if the library loaded,
 else the NumPy rounds (sweeps), the NumPy scans (detectors) or the
 Python loop (drain pass, commit).
+
+Every properness verifier (:mod:`repro.coloring.verify`,
+:func:`repro.resilience.check_invariants`, the partial D2 verifiers of
+:mod:`repro.bipartite`) validates its colors with :func:`check_colors`
+and then calls one of the two dispatchers of one more C loop:
+:func:`count_monochromatic_edges` (distance 1) and
+:func:`d2_violating_column` (one-sided distance 2).  Their oracles and
+fallbacks are the edge scan
+:func:`repro.kernels.conflicts.count_monochromatic_edges` and the
+per-column loop :func:`repro.kernels.reference.d2_violating_column`.
+The verifiers take no ``backend=``; they follow the process-wide
+selection, so the override or the environment variable still selects
+the oracle.
 """
 
 from __future__ import annotations
@@ -57,16 +70,18 @@ from ..graph.csr import CSRGraph
 # imported with the package, not on the first kernel call: its stdlib
 # imports (subprocess, tempfile) cost milliseconds
 from . import compiled, conflicts
-from .conflicts import bin_sizes, count_monochromatic_edges, monochromatic_edges
+from .conflicts import bin_sizes, monochromatic_edges
 
 __all__ = [
     "BACKENDS",
     "available_backends",
     "bin_sizes",
+    "check_colors",
     "count_monochromatic_edges",
     "d2_conflicts",
     "d2_drain_pass",
     "d2_sweep",
+    "d2_violating_column",
     "detect_conflicts",
     "detect_cross_conflicts",
     "ff_sweep",
@@ -127,8 +142,30 @@ def resolve_backend(backend: str | None = None, *, default: str = "vectorized") 
 # ----------------------------------------------------------------------
 # dispatched kernels
 # ----------------------------------------------------------------------
-def _item_inputs(work, colors, bound: int,
-                 name: str = "base_colors") -> tuple[np.ndarray, np.ndarray]:
+def check_colors(colors, length: int, *, unit: str = "vertices",
+                 floor: int | None = None) -> np.ndarray:
+    """*colors* as a contiguous int64 array, checked for a kernel or verifier.
+
+    Raises :class:`ValueError` unless *colors* is a 1-D integer array
+    (an empty one may have any dtype) with *length* entries, none below
+    *floor* when one is given.  Nothing is truncated or reinterpreted: a
+    float color or a ``-2`` never reaches a check that would read it as a
+    color or as uncolored.
+    """
+    colors = np.asarray(colors)
+    if colors.ndim != 1 or (colors.size and colors.dtype.kind not in "iu"):
+        raise ValueError(f"colors must be a 1-D integer array, got "
+                         f"{colors.dtype} of shape {colors.shape}")
+    if colors.shape[0] != length:
+        raise ValueError(f"coloring covers {colors.shape[0]} {unit}, graph has "
+                         f"{length}")
+    colors = np.ascontiguousarray(colors, dtype=np.int64)
+    if floor is not None and colors.size and colors.min() < floor:
+        raise ValueError(f"colors must be >= {floor}, got {int(colors.min())}")
+    return colors
+
+
+def _item_inputs(work, colors, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Checked int64 *work* ids in ``[0, bound)`` (default: all) and
     contiguous int64 *colors* of that length (default: all uncolored)."""
     if work is None:
@@ -137,10 +174,7 @@ def _item_inputs(work, colors, bound: int,
         work = _check_ids("work", work, bound)
     if colors is None:
         return work, np.full(bound, -1, dtype=np.int64)
-    colors = np.asarray(colors)
-    if colors.shape != (bound,) or (bound and colors.dtype.kind not in "iu"):
-        raise ValueError(f"{name} must be a 1-D integer array of length {bound}")
-    return work, np.ascontiguousarray(colors, dtype=np.int64)
+    return work, check_colors(colors, bound, unit="items")
 
 
 def ff_sweep(
@@ -251,7 +285,7 @@ def d2_conflicts(
     """
     name = resolve_backend(backend)
     nr = _check_num_rows(graph, num_rows)
-    work, colors = _item_inputs(work, colors, nr, "colors")
+    work, colors = _item_inputs(work, colors, nr)
     if cols is not None:
         cols = _check_ids("cols", cols, graph.num_vertices, low=nr)
     if work.shape[0] == 0:
@@ -326,12 +360,62 @@ def detect_cross_conflicts(
 def _d1_conflicts(graph, colors, work_list, backend, *, cross: bool) -> np.ndarray:
     name = resolve_backend(backend)
     n = graph.num_vertices
-    work, colors = _item_inputs(work_list, colors, n, "colors")
+    work, colors = _item_inputs(work_list, colors, n)
     lib = _compiled(name)
     if lib is None:
         scan = conflicts.detect_cross_conflicts if cross else conflicts.detect_conflicts
         return scan(graph, colors, work)
     return _c_conflicts(lib, graph, n, colors, work, hops=1, cross=cross)
+
+
+def count_monochromatic_edges(
+    graph: CSRGraph, colors: np.ndarray, *, backend: str | None = None
+) -> int:
+    """Number of edges whose endpoints hold the same color ``>= 0``.
+
+    An uncolored (negative) vertex never conflicts.  *colors* must pass
+    :func:`check_colors` for length n.  The C loop walks the CSR rows
+    once, reading a memory-mapped graph in place; the fallback and the
+    oracle stream :meth:`~repro.graph.csr.CSRGraph.edge_chunks`.  Every
+    path returns the same count.
+    """
+    n = graph.num_vertices
+    colors = check_colors(colors, n)
+    lib = _compiled(backend)
+    if lib is None:
+        return conflicts.count_monochromatic_edges(graph, colors)
+    count = _c_verify(lib, graph, n, colors, hops=1)
+    if count < 0:
+        raise ValueError("graph is not a valid CSR")
+    return count
+
+
+def d2_violating_column(
+    graph: CSRGraph, num_rows: int, colors: np.ndarray, *,
+    backend: str | None = None,
+) -> int:
+    """First column holding two colored rows of the same color, or ``-1``.
+
+    *graph* is a bipartite incidence graph with rows on ``[0, num_rows)``
+    and columns on ``[num_rows, n)``; the column is counted from 0.
+    Uncolored (``-1``) rows never conflict.  *colors* must pass
+    :func:`check_colors` for length *num_rows* with floor ``-1``.  The C
+    loop stamps each column's colors in one pass over its rows; the
+    fallback and the oracle run the per-column loop of
+    :func:`repro.kernels.reference.d2_violating_column`.  Every path
+    returns the same column.
+    """
+    nr = _check_num_rows(graph, num_rows)
+    colors = check_colors(colors, nr, unit="rows", floor=-1)
+    lib = _compiled(backend)
+    if lib is None:
+        from . import reference
+
+        return reference.d2_violating_column(graph, nr, colors)
+    col = _c_verify(lib, graph, nr, colors, hops=2)
+    if col < -1:
+        raise ValueError(f"graph is not a valid incidence CSR with rows [0, {nr})")
+    return col
 
 
 def shuffle_drain(
@@ -441,6 +525,24 @@ def _c_conflicts(lib, graph: CSRGraph, size: int, colors: np.ndarray,
         raise ValueError("graph is not a valid CSR" if hops == 1 else
                          f"graph is not a valid incidence CSR with rows [0, {size})")
     return np.sort(out[:count])
+
+
+def _c_verify(lib, graph: CSRGraph, size: int, colors: np.ndarray, *,
+              hops: int) -> int:
+    """The C verification loop over checked *colors* of length *size*."""
+    indptr, indices = _graph_arrays(graph)
+    stamp = None
+    if hops == 2:
+        top = int(colors.max(initial=-1))
+        if top > size:  # sparse color ids: rank them, keeping -1 as -1
+            ids, colors = np.unique(colors, return_inverse=True)
+            colors = np.ascontiguousarray(colors.reshape(-1) - (ids[0] < 0),
+                                          dtype=np.int64)
+            top = int(colors.max())
+        stamp = np.full(top + 1, -1, dtype=np.int64)
+    return lib.verify(indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
+                      indices.shape[0], size, colors.ctypes.data, hops,
+                      None if stamp is None else stamp.ctypes.data)
 
 
 def d2_drain_pass(

@@ -21,17 +21,24 @@ before it wrote.
     (:func:`repro.coloring.scheduled_balance`): each planned move checks
     its target against the live colors of its neighbors.
 
-One more loop is not sequential, but is cheap only when it walks the
-work rows instead of every edge:
+Two more loops are not sequential, but are cheap only in C:
 
 ``conflicts``
     the detection phase of the speculation rounds
     (:func:`repro.kernels.detect_conflicts`,
     :func:`repro.kernels.detect_cross_conflicts`,
     :func:`repro.kernels.d2_conflicts`): each work item checks its one-
-    or two-hop neighbors for the same color and is retried when it loses.
+    or two-hop neighbors for the same color and is retried when it loses;
+    it walks the work rows instead of every edge;
+``verify``
+    the properness check behind every verifier
+    (:func:`repro.kernels.count_monochromatic_edges`,
+    :func:`repro.kernels.d2_violating_column`): one pass over the CSR rows
+    counts the monochromatic edges, or one pass over each column's rows
+    with a color stamp finds the first column holding two same-colored
+    rows.
 
-This module holds one short C source for all five, compiled once with the
+This module holds one short C source for all six, compiled once with the
 system C compiler (``$CC``, else ``cc``; ``-O2 -shared -fPIC``, no
 host-specific tuning) and loaded with :mod:`ctypes`.  The sequential
 loops are transcriptions of the Python ones in
@@ -39,7 +46,9 @@ loops are transcriptions of the Python ones in
 reads, the same color windows, the same float64 size arithmetic and the
 same first-index tie-breaks, so their output is bit-identical and the
 Python loops stay the oracle.  The detection loop returns the same retry
-set as the edge and column scans it replaces, which stay its oracle.
+set as the edge and column scans it replaces, and the verification loop
+the same count or column as the edge scan and the per-column loop; those
+stay their oracles.
 
 The shared library is cached in a private per-user directory
 (``$XDG_CACHE_HOME/repro/kernels``, else ``~/.cache/repro/kernels``,
@@ -52,9 +61,10 @@ an unwritable cache, a ``dlopen`` error), :func:`load` returns ``None``,
 :func:`failure_reason` says why, and the dispatchers in
 :mod:`repro.kernels` run their Python or NumPy forms instead.
 
-Every kernel returns ``-1`` instead of reading past an array when a
-graph index is out of range; the dispatchers check dtypes, lengths and
-id ranges before a pointer reaches C.
+Every kernel returns ``-1`` (``verify``: ``-2``, since ``-1`` means "no
+violating column") instead of reading past an array when a graph index
+is out of range; the dispatchers check dtypes, lengths and id ranges
+before a pointer reaches C.
 """
 
 from __future__ import annotations
@@ -261,6 +271,46 @@ int64_t conflicts(const int64_t *indptr, const int64_t *indices,
     }
     return count;
 }
+
+/* Properness of a whole coloring; -2 on an out-of-range graph index.
+   hops 1 returns the number of edges {x, w}, x < w, whose endpoints hold
+   the same color >= 0 (size == n).  hops 2 walks the columns [size, n) of
+   an incidence CSR with rows [0, size) and returns the first column,
+   counted from 0, that holds two colored rows of the same color, or -1;
+   stamp (length max color + 1, filled with -1) records the last column
+   that saw each color, so each column costs one pass over its rows. */
+int64_t verify(const int64_t *indptr, const int64_t *indices,
+               int64_t n, int64_t nnz, int64_t size, const int64_t *colors,
+               int64_t hops, int64_t *stamp)
+{
+    int64_t lo, hi;
+    if (hops == 1) {
+        int64_t count = 0;
+        for (int64_t x = 0; x < n; x++) {
+            int64_t c = colors[x];
+            if (c < 0) continue;
+            if (row_span(indptr, n, nnz, x, &lo, &hi)) return -2;
+            for (int64_t p = lo; p < hi; p++) {
+                int64_t w = indices[p];
+                if (w < 0 || w >= n) return -2;
+                if (w > x && colors[w] == c) count++;
+            }
+        }
+        return count;
+    }
+    for (int64_t x = size; x < n; x++) {
+        if (row_span(indptr, n, nnz, x, &lo, &hi)) return -2;
+        for (int64_t p = lo; p < hi; p++) {
+            int64_t w = indices[p];
+            if (w < 0 || w >= size) return -2;
+            int64_t k = colors[w];
+            if (k < 0) continue;
+            if (stamp[k] == x) return x - size;
+            stamp[k] = x;
+        }
+    }
+    return -1;
+}
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -272,6 +322,7 @@ _SIGNATURES = {
     "d2_drain_pass": (_P, _P, _I, _I, _I, _P, _P, _P, _I, _D, _P, _I, _I, _P),
     "sched_commit": (_P, _P, _I, _I, _P, _P, _P, _I),
     "conflicts": (_P, _P, _I, _I, _I, _P, _P, _I, _P, _I, _I, _P, _P),
+    "verify": (_P, _P, _I, _I, _I, _P, _I, _P),
 }
 
 # what a failed build or load raises: OSError (cache directory, dlopen),

@@ -17,8 +17,8 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..obs import NULL
 
-__all__ = ["d2_conflicts", "d2_drain_pass", "d2_sweep", "ff_sweep",
-           "pick_shuffle_target", "sched_commit", "shuffle_drain",
+__all__ = ["d2_conflicts", "d2_drain_pass", "d2_sweep", "d2_violating_column",
+           "ff_sweep", "pick_shuffle_target", "sched_commit", "shuffle_drain",
            "two_hop_rows"]
 
 # two-hop entries gathered per block of rows: keeps the int64 staging
@@ -137,6 +137,21 @@ def d2_conflicts(
                         retry.add(int(group[0]))
                 start = i
     return np.array(sorted(retry), dtype=np.int64)
+
+
+def d2_violating_column(graph: CSRGraph, num_rows: int, colors: np.ndarray) -> int:
+    """First column (counted from 0) with two same-colored rows, or ``-1``.
+
+    *graph* is a bipartite incidence graph with rows on ``[0, num_rows)``;
+    uncolored (``-1``) rows never conflict.  One ``np.unique`` per column.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    for c in range(num_rows, graph.num_vertices):
+        group = colors[indices[indptr[c] : indptr[c + 1]]]
+        group = group[group >= 0]
+        if np.unique(group).shape[0] != group.shape[0]:
+            return c - num_rows
+    return -1
 
 
 def pick_shuffle_target(

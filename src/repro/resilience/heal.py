@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import kernels
 from ..coloring.types import Coloring
+from ..coloring.verify import conflicting_vertices
 from ..graph.csr import CSRGraph
 from ..obs import as_recorder
 
@@ -74,14 +76,13 @@ def check_invariants(
     retry rule), every color inside ``[0, num_colors)`` when a palette
     size is declared, and bin-size consistency (the per-bin counts sum
     back to the vertex count — guards against a truncated or duplicated
-    merge).
+    merge).  *colors* must be a 1-D integer array of length n, else
+    :class:`ValueError`.  The monochromatic edges are counted by
+    :func:`repro.kernels.count_monochromatic_edges` (one compiled pass
+    over the CSR rows when the C library loads); only a nonzero count
+    pays for the scan that names the losing endpoints.
     """
-    colors = np.asarray(colors, dtype=np.int64)
-    if colors.shape[0] != graph.num_vertices:
-        raise ValueError(
-            f"coloring covers {colors.shape[0]} vertices, graph has "
-            f"{graph.num_vertices}"
-        )
+    colors = kernels.check_colors(colors, graph.num_vertices)
     violations: list[Violation] = []
 
     uncolored = np.nonzero(colors < 0)[0]
@@ -90,14 +91,9 @@ def check_invariants(
             "uncolored", uncolored,
             f"{uncolored.size} uncolored vertices (first: {int(uncolored[0])})"))
 
-    mono = 0
-    loser_parts = []
-    for u, v in graph.edge_chunks():  # u < v; streamed for out-of-core graphs
-        mask = (colors[u] == colors[v]) & (colors[u] >= 0)
-        mono += int(np.count_nonzero(mask))
-        loser_parts.append(v[mask])
+    mono = kernels.count_monochromatic_edges(graph, colors)
     if mono:
-        losers = np.unique(np.concatenate(loser_parts))
+        losers = conflicting_vertices(graph, colors)
         violations.append(Violation(
             "conflict", losers,
             f"{mono} monochromatic edges, "
@@ -144,8 +140,6 @@ def repair_coloring(
     minimal by construction.  The result always passes
     :func:`check_invariants`.
     """
-    from .. import kernels
-
     rec = as_recorder(recorder)
     colors = np.asarray(colors, dtype=np.int64)
     bad = violating_vertices(check_invariants(graph, colors, None))

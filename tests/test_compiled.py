@@ -1,9 +1,10 @@
 """Compiled C loops against their Python oracles, and the fallback path.
 
 :mod:`repro.kernels.compiled` compiles the First-Fit and one-sided D2
-sweeps, the D2 drain pass, the Sched-Rev commit loop and the conflict
-detection over the work rows; :mod:`repro.kernels.reference` keeps the
-Python loops and :mod:`repro.kernels.conflicts` the NumPy edge scans.
+sweeps, the D2 drain pass, the Sched-Rev commit loop, the conflict
+detection over the work rows and the D1/D2 properness check behind every
+verifier; :mod:`repro.kernels.reference` keeps the Python loops and
+:mod:`repro.kernels.conflicts` the NumPy edge scans.
 A resolved ``reference`` backend always runs Python, any other
 resolution runs C when it loaded, and both must agree bit for bit.  When the library
 cannot be built or loaded, the sweeps run the NumPy rounds of
@@ -27,7 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.bipartite import BipartiteGraph
+from repro.bipartite import BipartiteGraph, assert_partial_d2_proper, is_partial_d2_proper
+from repro.coloring.verify import (
+    assert_proper,
+    conflicting_vertices,
+    count_conflicts,
+    is_proper,
+)
 from repro.graph import (
     complete_graph,
     empty_graph,
@@ -41,7 +48,7 @@ from repro.graph.csr import CSRGraph
 from repro.kernels import compiled, reference, vectorized
 from repro.obs import Recorder
 from repro.parallel.mp import Neighbourhood, run_rounds
-from repro.resilience import repair_coloring
+from repro.resilience import check_invariants, repair_coloring
 from repro.run import RunConfig, execute
 from repro.serve.backends import shard_rounds
 from repro.shm import WarmPool
@@ -906,6 +913,282 @@ def test_detect_rejects_bad_inputs(monkeypatch, rule, case, path):
                         else (None, "disabled by the test"))
     with pytest.raises(ValueError):
         call("reference" if path == "reference" else "vectorized")
+
+
+# ----------------------------------------------------------------------
+# verification: oracle == fallback == dispatch (C when loaded)
+# ----------------------------------------------------------------------
+VERIFY_KINDS = ["proper", "improper", "sparse", "uncolored"]
+
+
+def verify_colors(kind: str, proper: np.ndarray, rng) -> np.ndarray:
+    """Colors over ``len(proper)`` items, some -1, from a proper coloring.
+
+    ``proper`` keeps the coloring (properness survives uncoloring),
+    ``improper`` draws from few colors so conflicts are common,
+    ``sparse`` spreads improper color ids far apart, ``uncolored`` has
+    no color at all.
+    """
+    size = proper.shape[0]
+    if kind == "uncolored":
+        return np.full(size, -1, dtype=np.int64)
+    colors = (proper.copy() if kind == "proper"
+              else rng.integers(0, rng.integers(1, 5), size=size).astype(np.int64))
+    if kind == "sparse":
+        colors = colors * 10**12 + 7
+    colors[rng.random(size) < 0.2] = -1
+    return colors
+
+
+def verify_call(hops: int, item, colors):
+    """``backend -> result`` of the D1 count or the D2 first column."""
+    if hops == 1:
+        return lambda backend: kernels.count_monochromatic_edges(item, colors,
+                                                                 backend=backend)
+    return lambda backend: kernels.d2_violating_column(
+        item.incidence, item.num_rows, colors, backend=backend)
+
+
+def three_verifies(hops: int, item, colors) -> list[int]:
+    """The oracle, the fallback and the default dispatch."""
+    call = verify_call(hops, item, colors)
+    with no_library():
+        fallback = call("vectorized")
+    return [call("reference"), fallback, call(None)]
+
+
+def assert_same_verdict(outs: list[int]) -> int:
+    assert all(type(x) is int for x in outs) and len(set(outs)) == 1, outs
+    return outs[0]
+
+
+def d1_truth(graph, colors) -> int:
+    u, v = graph.edge_arrays()
+    return int(np.count_nonzero((colors[u] == colors[v]) & (colors[u] >= 0)))
+
+
+def d2_truth(bip, colors) -> int:
+    for c in range(bip.num_cols):
+        rows = bip.rows_of_col(c)
+        held = colors[rows][colors[rows] >= 0]
+        if len(set(held.tolist())) != held.size:
+            return c
+    return -1
+
+
+def proper_d1(graph) -> np.ndarray:
+    return kernels.ff_sweep(graph)
+
+
+def proper_d2(bip) -> np.ndarray:
+    return kernels.d2_sweep(bip.incidence, bip.num_rows)
+
+
+@contextmanager
+def verifier_path(path: str):
+    """Run the verifiers on the oracle, the fallback or the default dispatch."""
+    if path == "oracle":
+        with reference_backend():
+            yield
+    elif path == "fallback":
+        with no_library():
+            yield
+    else:
+        yield
+
+
+def outcome(fn):
+    """What *fn* returns, or the type and message of what it raises."""
+    try:
+        return fn()
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def violations_key(violations) -> list:
+    return [(v.kind, v.vertices.tolist(), v.detail) for v in violations]
+
+
+class TestVerifyDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=simple_graphs(), kind=st.sampled_from(VERIFY_KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_d1_count(self, graph, kind, seed):
+        colors = verify_colors(kind, proper_d1(graph), np.random.default_rng(seed))
+        got = assert_same_verdict(three_verifies(1, graph, colors))
+        assert got == d1_truth(graph, colors)
+        if kind in ("proper", "uncolored"):
+            assert got == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(bip=incidences(), kind=st.sampled_from(VERIFY_KINDS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_d2_first_column(self, bip, kind, seed):
+        colors = verify_colors(kind, proper_d2(bip), np.random.default_rng(seed))
+        got = assert_same_verdict(three_verifies(2, bip, colors))
+        assert got == d2_truth(bip, colors)
+        if kind in ("proper", "uncolored"):
+            assert got == -1
+
+    @pytest.mark.parametrize("kind", VERIFY_KINDS)
+    def test_fixed_graphs(self, kind):
+        rng = np.random.default_rng(4)
+        graphs = [empty_graph(0), empty_graph(5), star_graph(30), complete_graph(9),
+                  erdos_renyi_graph(300, 0.04, seed=3)]
+        for graph in graphs:
+            colors = verify_colors(kind, proper_d1(graph), rng)
+            assert assert_same_verdict(three_verifies(1, graph, colors)) == \
+                d1_truth(graph, colors)
+        bips = [BipartiteGraph.from_incidence(empty_graph(4), 4),  # no columns
+                BipartiteGraph.from_incidence(empty_graph(7), 3),  # no nonzeros
+                BipartiteGraph.from_incidence(jacobian_band_pattern(80, 20, 3, seed=1), 80),
+                *(BipartiteGraph.square_cover(g) for g in graphs[1:])]
+        for bip in bips:
+            colors = verify_colors(kind, proper_d2(bip), rng)
+            assert assert_same_verdict(three_verifies(2, bip, colors)) == \
+                d2_truth(bip, colors)
+
+    def test_out_of_core_graph(self, tmp_path, monkeypatch):
+        """Mapped graphs give the same verdicts, and C reads them in place."""
+        from repro.graph.store import load_graph, save_graph
+
+        graph = load_dataset("cnr", scale=0.05, seed=0)
+        inc = BipartiteGraph.from_incidence(jacobian_band_pattern(400, 80, 4, seed=2),
+                                            400).incidence
+        mapped = load_graph(save_graph(graph, tmp_path / "g.csrg"))
+        mapped_bip = BipartiteGraph.from_incidence(
+            load_graph(save_graph(inc, tmp_path / "inc.csrg")), 400)
+        assert mapped.out_of_core and mapped_bip.incidence.out_of_core
+        rng = np.random.default_rng(5)
+        cases = [(1, graph, mapped, verify_colors(kind, proper_d1(graph), rng))
+                 for kind in VERIFY_KINDS]
+        cases += [(2, BipartiteGraph.from_incidence(inc, 400), mapped_bip,
+                   verify_colors(kind, proper_d2(mapped_bip), rng))
+                  for kind in VERIFY_KINDS]
+        for hops, item, mapped_item, colors in cases:
+            want = assert_same_verdict(three_verifies(hops, item, colors))
+            assert_same_verdict([want, *three_verifies(hops, mapped_item, colors)])
+        if compiled.load() is None:
+            return
+        for name in ("edge_arrays", "edge_chunks"):
+            monkeypatch.setattr(CSRGraph, name,
+                                lambda *a, **k: pytest.fail("edge list built"))
+        for hops, _, mapped_item, colors in cases:
+            verify_call(hops, mapped_item, colors)(None)
+
+    def test_dispatch_runs_c_when_loaded(self, monkeypatch):
+        if compiled.load() is None:
+            pytest.skip(f"no compiled library: {compiled.failure_reason()}")
+        graph = erdos_renyi_graph(200, 0.05, seed=1)
+        bip = BipartiteGraph.square_cover(graph)
+        colors = verify_colors("improper", proper_d1(graph), np.random.default_rng(3))
+        want = [verify_call(h, item, colors)("reference")
+                for h, item in ((1, graph), (2, bip))]
+        assert want[0] > 0 and want[1] >= 0
+        monkeypatch.setattr(kernels.conflicts, "count_monochromatic_edges",
+                            lambda *a: pytest.fail("the NumPy scan ran, not C"))
+        monkeypatch.setattr(reference, "d2_violating_column",
+                            lambda *a: pytest.fail("the Python loop ran, not C"))
+        got = [verify_call(h, item, colors)(None) for h, item in ((1, graph), (2, bip))]
+        assert got == want
+        assert not is_proper(graph, colors) and not is_partial_d2_proper(bip, colors)
+
+    def test_c_guards_graph_indices(self):
+        """Unvalidated graphs with out-of-range indices fail cleanly in C."""
+        if compiled.load() is None:
+            pytest.skip(f"no compiled library: {compiled.failure_reason()}")
+        colors = np.zeros(2, dtype=np.int64)
+        for bad in (CSRGraph(np.array([0, 1, 1]), np.array([5]), validate=False),
+                    CSRGraph(np.array([0, 1, 1]), np.array([-1]), validate=False),
+                    CSRGraph(np.array([0, 3, 1]), np.array([1]), validate=False)):
+            with pytest.raises(ValueError, match="valid CSR"):
+                kernels.count_monochromatic_edges(bad, colors)
+        g = complete_graph(4)  # column 2 touches column 3 after two rows
+        with pytest.raises(ValueError, match="incidence"):
+            kernels.d2_violating_column(CSRGraph(g.indptr, g.indices, validate=False),
+                                        2, np.array([0, 1]))
+
+    @pytest.mark.parametrize("kind", ["improper", "sparse", "uncolored"])
+    def test_messages_and_violations_match(self, kind):
+        """assert_* messages, verdicts and heal's violation lists are the
+        same on the oracle, the fallback and the default dispatch."""
+        graph = load_dataset("cnr", scale=0.05, seed=0)
+        bip = BipartiteGraph.square_cover(erdos_renyi_graph(300, 0.03, seed=7))
+        rng = np.random.default_rng(8)
+        colors = verify_colors(kind, proper_d1(graph), rng)
+        full = np.where(colors < 0, 0, colors)  # colored, so the edge is named
+        rows = verify_colors(kind, proper_d2(bip), rng)
+        checks = [
+            lambda: assert_proper(graph, colors),
+            lambda: assert_proper(graph, full),
+            lambda: (is_proper(graph, full), count_conflicts(graph, colors),
+                     conflicting_vertices(graph, colors).tolist()),
+            lambda: violations_key(check_invariants(graph, colors, 3)),
+            lambda: violations_key(check_invariants(graph, full)),
+            lambda: assert_partial_d2_proper(bip, rows),
+            lambda: assert_partial_d2_proper(bip, rows, require_total=True),
+            lambda: is_partial_d2_proper(bip, rows),
+        ]
+        runs = {}
+        for path in ("oracle", "fallback", "default"):
+            with verifier_path(path):
+                runs[path] = [outcome(check) for check in checks]
+        assert runs["oracle"] == runs["fallback"] == runs["default"]
+        assert runs["oracle"][1][1].startswith("edge (")
+        if kind != "uncolored":
+            assert runs["oracle"][5][1].startswith("distance-2 violation")
+
+
+#: a 6-vertex, 13-edge graph: K6 without the edges {0, 5} and {1, 4}
+_K6_MINUS = from_edge_arrays(*np.array([(u, v) for u in range(6) for v in range(u + 1, 6)
+                                        if (u, v) not in ((0, 5), (1, 4))]).T,
+                             num_vertices=6)
+_COVER = BipartiteGraph.square_cover(_K6_MINUS)
+_D1_CHECKS = {
+    "is_proper": lambda c: is_proper(_K6_MINUS, c),
+    "assert_proper": lambda c: assert_proper(_K6_MINUS, c),
+    "count_conflicts": lambda c: count_conflicts(_K6_MINUS, c),
+    "conflicting_vertices": lambda c: conflicting_vertices(_K6_MINUS, c),
+    "check_invariants": lambda c: check_invariants(_K6_MINUS, c),
+    "count_monochromatic_edges": lambda c: kernels.count_monochromatic_edges(_K6_MINUS, c),
+}
+_D2_CHECKS = {
+    "is_partial_d2_proper": lambda c: is_partial_d2_proper(_COVER, c),
+    "assert_partial_d2_proper": lambda c: assert_partial_d2_proper(_COVER, c),
+    "d2_violating_column": lambda c: kernels.d2_violating_column(
+        _COVER.incidence, _COVER.num_rows, c),
+}
+_BAD_COLORS = {
+    "float": [0.5, 1.2, 2.7, 3.1, 4.9, 5.0],
+    "2d": np.arange(6).reshape(6, 1),
+    "short": np.arange(5),
+    "long": np.arange(7),
+    "bool": np.ones(6, dtype=bool),
+}
+_BAD_VERIFIES = ([(name, case) for name in _D1_CHECKS for case in _BAD_COLORS]
+                 + [(name, case) for name in _D2_CHECKS
+                    for case in [*_BAD_COLORS, "below-minus-one"]])
+
+
+@pytest.mark.parametrize("path", ["reference", "numpy", "compiled"])
+@pytest.mark.parametrize("name,case", _BAD_VERIFIES,
+                         ids=[f"{n}-{c}" for n, c in _BAD_VERIFIES])
+def test_verifiers_reject_malformed_colors(monkeypatch, name, case, path):
+    """Non-integer, non-1-D or wrong-length colors, and D2 colors below -1,
+    raise ``ValueError`` on every path before any pointer reaches C --
+    except a 1-D length mismatch in ``assert_proper``, which stays an
+    ``AssertionError``."""
+    check = {**_D1_CHECKS, **_D2_CHECKS}[name]
+    colors = (np.array([-2, -2, 1, 2, 3, 4]) if case == "below-minus-one"
+              else _BAD_COLORS[case])
+    monkeypatch.setattr(compiled, "_state", (_Tripwire(), None) if path == "compiled"
+                        else (None, "disabled by the test"))
+    if path == "reference":
+        monkeypatch.setattr(kernels, "_override", "reference")
+    error = (AssertionError if name == "assert_proper" and case in ("short", "long")
+             else ValueError)
+    with pytest.raises(error):
+        check(colors)
 
 
 # ----------------------------------------------------------------------

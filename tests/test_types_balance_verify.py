@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.coloring import (
     Coloring,
     assert_proper,
@@ -16,6 +17,7 @@ from repro.coloring import (
     underfull_bins,
 )
 from repro.coloring.verify import conflicting_vertices
+from repro.resilience import check_invariants
 
 
 class TestColoring:
@@ -138,6 +140,18 @@ class TestVerify:
     def test_accepts_raw_array(self, petersen):
         c = greedy_coloring(petersen)
         assert is_proper(petersen, c.colors)
+
+    def test_uncolored_vertices_never_conflict(self, path10):
+        """Every check agrees: an edge between uncolored vertices is no
+        conflict; the vertices are only reported as uncolored."""
+        colors = np.full(10, -1, dtype=np.int64)
+        colors[[2, 3]] = 0  # one real conflict among the uncolored
+        assert count_conflicts(path10, colors) == 1
+        assert kernels.count_monochromatic_edges(path10, colors) == 1
+        assert np.array_equal(conflicting_vertices(path10, colors), [3])
+        kinds = {v.kind: v.vertices.size for v in check_invariants(path10, colors)}
+        assert kinds == {"uncolored": 8, "conflict": 1}
+        assert not is_proper(path10, colors)
 
 
 class TestBalanceReportMinSize:

@@ -10,8 +10,9 @@ edges, then writes ``BENCH_kernels.json`` at the repository root::
 
 Each row's ``tier`` names what its ``vectorized_s`` column timed: the
 ``vectorized`` backend runs the First-Fit sweep as compiled C when the
-library of :mod:`repro.kernels.compiled` loads (``compiled``), and as
-NumPy rounds otherwise (``numpy``); the shuffle drains always run NumPy.
+library of :mod:`repro.kernels.compiled` loads (``compiled``), and as the
+reference Python loop otherwise (``reference``); the shuffle drains always
+run the round-synchronous NumPy drain (``numpy``).
 
 ``--check BASELINE.json`` compares the measured vectorized/reference
 speedup ratios against a previously recorded baseline and exits non-zero
@@ -80,7 +81,7 @@ def bench_graph(name, graph, repeats: int, recorder=NULL):
     """
     init = greedy_coloring(graph, backend="reference")
     # loads (or builds, once per machine) the library before any timing
-    ff_tier = "numpy" if compiled.load() is None else "compiled"
+    ff_tier = "reference" if compiled.load() is None else "compiled"
     jobs = {
         "ff_sweep": lambda be: greedy_coloring(graph, backend=be),
         "shuffle_vertex": lambda be: shuffle_balance(

@@ -11,8 +11,10 @@ Subpackages
 ``repro.coloring``
     Sequential balanced-coloring strategies (the paper's Table I).
 ``repro.kernels``
-    Backend-dispatched compute kernels (``reference`` per-vertex loops vs
-    ``vectorized`` whole-array rounds) behind the coloring hot paths.
+    Backend-dispatched compute kernels behind the coloring hot paths:
+    ``reference`` runs the Python oracles, any other backend a compiled C
+    loop when the library loads, else the same oracle; only the shuffle
+    drain differs by backend (``vectorized`` batches its moves in rounds).
 ``repro.parallel``
     Tick-synchronous simulated shared-memory engine and the parallel
     variants of every strategy (Algorithms 2–5), plus a real

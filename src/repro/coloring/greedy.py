@@ -69,9 +69,9 @@ def greedy_coloring(
         Kernel backend (``"reference"`` or ``"vectorized"``; see
         :mod:`repro.kernels`).  First-Fit dispatches to the selected
         backend — both produce bit-identical colorings.  ``"lu"`` and
-        ``"random"`` always run the sequential loop: their choice rules
-        thread per-vertex state (live bin sizes, the RNG stream) through
-        the sweep, which a batched round cannot replicate exactly.
+        ``"random"`` always run the sequential Python loop: their choice
+        rules thread per-vertex state (live bin sizes, the RNG stream)
+        through the sweep, and no kernel implements them.
     recorder:
         Optional :class:`repro.obs.Recorder`.  Emits ``order``/``sweep``
         phase timers and a final ``coloring`` event (colors, RSD, backend).

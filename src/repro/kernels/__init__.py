@@ -1,22 +1,33 @@
 """Backend-dispatched compute kernels for the coloring hot paths.
 
-The hot loops of the library — the Greedy First-Fit sweep, the
-unscheduled-shuffling drain, and the bulk conflict/bin accounting shared
-by the speculation-and-iteration algorithms — are available as two
-backends:
+The hot loops of the library are the Greedy First-Fit and one-sided D2
+sweeps (:func:`ff_sweep`, :func:`d2_sweep`), one pass of the one-sided
+D2 balance drain (:func:`d2_drain_pass`), the Sched-Rev move commit
+(:func:`sched_commit`), the conflict detectors of the speculation rounds
+(:func:`detect_conflicts`, :func:`detect_cross_conflicts`,
+:func:`d2_conflicts`), the properness checks behind every verifier
+(:func:`count_monochromatic_edges`, :func:`d2_violating_column`) and the
+unscheduled-shuffling drain (:func:`shuffle_drain`).
 
-``reference``
-    The original per-vertex Python loops (:mod:`repro.kernels.reference`).
-    Semantic ground truth: the oracle every other form is tested against.
-``vectorized``
-    The fast tier.  The First-Fit and one-sided D2 sweeps run as compiled
-    C loops (:mod:`repro.kernels.compiled`) when the library loads, else
-    as whole-array NumPy rounds (:mod:`repro.kernels.vectorized`) built
-    on the paper's own speculate-and-resolve structure; every form is
-    bit-identical to the reference.  The conflict detectors run one C
-    loop over the work rows, else their NumPy scans, with identical retry
-    sets.  The shuffle drain runs NumPy rounds that reach the same
-    balance regime through round-synchronous batched moves.
+Every kernel but the shuffle drain has exactly two tiers, with one rule:
+
+* a resolved ``reference`` backend runs the **oracle**, the Python loop
+  of :mod:`repro.kernels.reference` (for the D1 detectors and the D1
+  count, the NumPy edge scans of :mod:`repro.kernels.conflicts`);
+* any other backend runs the **C loop** of :mod:`repro.kernels.compiled`
+  if the library loaded (it is built once with the system C compiler),
+  else that same oracle.
+
+The two tiers are bit-identical, so ``vectorized`` names the fast tier,
+not one implementation.  Every input is checked before either tier runs.
+
+The shuffle drain is the exception: its backends are two different
+algorithms, and its semantics differ by backend.  ``reference`` runs the
+paper's sequential single pass; ``vectorized`` runs the round-synchronous
+batched moves of :mod:`repro.kernels.vectorized`.  Both give proper
+colorings with the same color count and reduced imbalance, but not the
+same moves, so this kernel defaults to ``reference`` to keep the
+paper-pinned golden results reproducible.
 
 Backend selection, strongest first:
 
@@ -27,37 +38,16 @@ Backend selection, strongest first:
    :func:`repro.parallel.mp.mp_greedy_ff`, ...);
 2. a process-wide override installed with :func:`set_default_backend`;
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
-4. the call site's default: ``vectorized`` wherever the backends are
-   bit-identical (the sweeps), ``reference`` where they are only
-   statistically equivalent (the shuffle drain), so that the paper-pinned
-   golden results stay reproducible unless a backend is requested.
-
-The sequential loops have a Python form in :mod:`repro.kernels.reference`
-and a bit-identical C form in :mod:`repro.kernels.compiled`, compiled
-once with the system C compiler: the sweeps (:func:`ff_sweep`,
-:func:`d2_sweep`) and two loops with no whole-array form, one pass of the
-one-sided D2 balance drain (:func:`d2_drain_pass`) and the Sched-Rev move
-commit (:func:`sched_commit`).  The conflict detectors
-(:func:`detect_conflicts`, :func:`detect_cross_conflicts`,
-:func:`d2_conflicts`) share one more C loop, which walks only the rows
-of the work list instead of every edge or column.  A resolved
-``reference`` backend runs the Python loop or the NumPy scan, which
-stays the oracle.  Any other resolution runs C if the library loaded,
-else the NumPy rounds (sweeps), the NumPy scans (detectors) or the
-Python loop (drain pass, commit).
+4. the call site's default: ``vectorized`` for the two-tier kernels,
+   ``reference`` for the shuffle drain.
 
 Every properness verifier (:mod:`repro.coloring.verify`,
 :func:`repro.resilience.check_invariants`, the partial D2 verifiers of
 :mod:`repro.bipartite`) validates its colors with :func:`check_colors`
-and then calls one of the two dispatchers of one more C loop:
-:func:`count_monochromatic_edges` (distance 1) and
-:func:`d2_violating_column` (one-sided distance 2).  Their oracles and
-fallbacks are the edge scan
-:func:`repro.kernels.conflicts.count_monochromatic_edges` and the
-per-column loop :func:`repro.kernels.reference.d2_violating_column`.
-The verifiers take no ``backend=``; they follow the process-wide
-selection, so the override or the environment variable still selects
-the oracle.
+and then calls :func:`count_monochromatic_edges` (distance 1) or
+:func:`d2_violating_column` (one-sided distance 2).  The verifiers take
+no ``backend=``; they follow the process-wide selection, so the override
+or the environment variable still selects the oracle.
 """
 
 from __future__ import annotations
@@ -67,9 +57,10 @@ import os
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from . import conflicts, reference
 # imported with the package, not on the first kernel call: its stdlib
 # imports (subprocess, tempfile) cost milliseconds
-from . import compiled, conflicts
+from . import compiled
 from .conflicts import bin_sizes, monochromatic_edges
 
 __all__ = [
@@ -190,15 +181,14 @@ def ff_sweep(
     uncolored) in which every work vertex, in order, got the smallest
     color not held by any neighbor at its processing time.  *work* ids
     must lie in ``[0, n)`` and *base_colors* must have length n, else
-    :class:`ValueError`.  Every path produces bit-identical output; see
-    the backend modules for semantics.
+    :class:`ValueError`.  Both tiers produce bit-identical output.
     """
     name = resolve_backend(backend)
     n = graph.num_vertices
     work, base = _item_inputs(work, base_colors, n)
     lib = _compiled(name)
     if lib is None:
-        return _fallback(name).ff_sweep(graph, work, base)
+        return reference.ff_sweep(graph, work, base)
     indptr, indices = _graph_arrays(graph)
     out = np.array(base, dtype=np.int64)
     if work.shape[0] == 0:
@@ -236,14 +226,14 @@ def d2_sweep(
     ``[0, num_rows)`` or a base of another length raise
     :class:`ValueError`.  Each work row, in order, gets the smallest color
     not held by any other row within two hops (i.e. sharing a column) at
-    its processing time.  Every path produces bit-identical output.
+    its processing time.  Both tiers produce bit-identical output.
     """
     name = resolve_backend(backend)
     nr = _check_num_rows(graph, num_rows)
     work, base = _item_inputs(work, base_colors, nr)
     lib = _compiled(name)
     if lib is None:
-        return _fallback(name).d2_sweep(graph, nr, work, base)
+        return reference.d2_sweep(graph, nr, work, base)
     indptr, indices = _graph_arrays(graph)
     out = np.array(base, dtype=np.int64)
     if work.shape[0] == 0:
@@ -291,21 +281,14 @@ def d2_conflicts(
     if work.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
     lib = _compiled(name)
-    if lib is not None:
-        colmask = None
-        if cols is not None:
-            colmask = np.zeros(graph.num_vertices, dtype=np.uint8)
-            colmask[cols] = 1
-        return _c_conflicts(lib, graph, nr, colors, work, hops=2, cross=True,
-                            colmask=colmask)
-    if cols is None:
-        starts, lens = graph.indptr[work], np.diff(graph.indptr)[work]
-        total = int(lens.sum())
-        offs = np.repeat(
-            starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens
-        ) + np.arange(total, dtype=np.int64)
-        cols = np.unique(graph.indices[offs])
-    return _fallback(name).d2_conflicts(graph, nr, colors, work, cols)
+    if lib is None:
+        return reference.d2_conflicts(graph, nr, colors, work, cols)
+    colmask = None
+    if cols is not None:
+        colmask = np.zeros(graph.num_vertices, dtype=np.uint8)
+        colmask[cols] = 1
+    return _c_conflicts(lib, graph, nr, colors, work, hops=2, cross=True,
+                        colmask=colmask)
 
 
 def detect_conflicts(
@@ -375,9 +358,9 @@ def count_monochromatic_edges(
 
     An uncolored (negative) vertex never conflicts.  *colors* must pass
     :func:`check_colors` for length n.  The C loop walks the CSR rows
-    once, reading a memory-mapped graph in place; the fallback and the
-    oracle stream :meth:`~repro.graph.csr.CSRGraph.edge_chunks`.  Every
-    path returns the same count.
+    once, reading a memory-mapped graph in place; the oracle streams
+    :meth:`~repro.graph.csr.CSRGraph.edge_chunks`.  Both tiers return the
+    same count.
     """
     n = graph.num_vertices
     colors = check_colors(colors, n)
@@ -401,16 +384,14 @@ def d2_violating_column(
     Uncolored (``-1``) rows never conflict.  *colors* must pass
     :func:`check_colors` for length *num_rows* with floor ``-1``.  The C
     loop stamps each column's colors in one pass over its rows; the
-    fallback and the oracle run the per-column loop of
-    :func:`repro.kernels.reference.d2_violating_column`.  Every path
-    returns the same column.
+    oracle runs the per-column loop of
+    :func:`repro.kernels.reference.d2_violating_column`.  Both tiers
+    return the same column.
     """
     nr = _check_num_rows(graph, num_rows)
     colors = check_colors(colors, nr, unit="rows", floor=-1)
     lib = _compiled(backend)
     if lib is None:
-        from . import reference
-
         return reference.d2_violating_column(graph, nr, colors)
     col = _c_verify(lib, graph, nr, colors, hops=2)
     if col < -1:
@@ -443,10 +424,17 @@ def shuffle_drain(
     ``drain_round`` event per drain round — moves committed, the source
     bin (``-1`` for the reference vertex traversal's single interleaved
     pass), and the live RSD of the bin sizes.  Purely observational.
+
+    *choice* must be ``"ff"`` or ``"lu"`` and *traversal* ``"vertex"`` or
+    ``"color"``, else :class:`ValueError`.
     """
+    if choice not in ("ff", "lu"):
+        raise ValueError(f"choice must be 'ff' or 'lu', got {choice!r}")
+    if traversal not in ("vertex", "color"):
+        raise ValueError(f"traversal must be 'vertex' or 'color', got {traversal!r}")
     name = resolve_backend(backend, default="reference")
     from ..obs import as_recorder
-    from . import reference, vectorized
+    from . import vectorized
 
     impl = vectorized.shuffle_drain if name == "vectorized" else reference.shuffle_drain
     return impl(
@@ -456,13 +444,13 @@ def shuffle_drain(
 
 
 # ----------------------------------------------------------------------
-# compiled sequential loops (C when it loads, else the fallback)
+# the two tiers: C when it loads, else the oracle
 # ----------------------------------------------------------------------
 def _compiled(backend: str | None):
-    """The compiled library, or ``None`` when a Python or NumPy path must run.
+    """The compiled library, or ``None`` when the oracle must run.
 
-    A resolved ``reference`` backend always runs the Python loop (it is
-    the oracle); any other resolution runs C if it loaded.
+    A resolved ``reference`` backend always runs the oracle; any other
+    resolution runs C if it loaded.
     """
     if resolve_backend(backend) == "reference":
         return None
@@ -475,17 +463,6 @@ def _graph_arrays(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
         if arr.dtype != np.int64 or arr.ndim != 1 or not arr.flags.c_contiguous:
             raise ValueError(f"graph {name} must be a contiguous 1-D int64 array")
     return indptr, indices
-
-
-def _fallback(name: str):
-    """The Python oracle for ``reference``, else the NumPy forms."""
-    if name == "reference":
-        from . import reference
-
-        return reference
-    from . import vectorized
-
-    return vectorized
 
 
 def _check_inout(name: str, arr, dtype, length: int | None) -> np.ndarray:
@@ -504,8 +481,9 @@ def _check_ids(name: str, ids, bound: int | None, low: int = 0) -> np.ndarray:
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
         raise ValueError(f"{name} must be a 1-D integer array")
     ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if bound is not None and ids.size and (ids.min() < low or ids.max() >= bound):
-        raise ValueError(f"{name} must lie in [{low}, {bound})")
+    if ids.size and (ids.min() < low or (bound is not None and ids.max() >= bound)):
+        raise ValueError(f"{name} must lie in [{low}, {bound})" if bound is not None
+                         else f"{name} must be >= {low}")
     return ids
 
 
@@ -590,8 +568,6 @@ def d2_drain_pass(
     g = float(g)
     lib = _compiled(backend)
     if lib is None:
-        from . import reference
-
         cache = {} if cache is None else cache
         if "two_hop" not in cache:
             cache["two_hop"] = reference.two_hop_rows(graph, nr)
@@ -622,7 +598,9 @@ def sched_commit(
 
     Attempts each planned move ``vertices[i] → targets[i]`` once, in
     order: it commits only if no neighbor holds the target in the live
-    *colors* (int64, length n).  Both paths give bit-identical results.
+    *colors* (int64, length n).  A negative target, which would uncolor
+    its vertex, raises :class:`ValueError`.  Both paths give
+    bit-identical results.
     """
     n = graph.num_vertices
     indptr, indices = _graph_arrays(graph)
@@ -634,8 +612,6 @@ def sched_commit(
                          f"{targets.shape[0]} targets")
     lib = _compiled(backend)
     if lib is None:
-        from . import reference
-
         return reference.sched_commit(graph, colors, vertices, targets)
     committed = lib.sched_commit(
         indptr.ctypes.data, indices.ctypes.data, n, indices.shape[0],

@@ -59,7 +59,7 @@ load a half-written file.  The first :func:`load` in a process builds or
 opens it under a lock; if anything fails (no compiler, a compile error,
 an unwritable cache, a ``dlopen`` error), :func:`load` returns ``None``,
 :func:`failure_reason` says why, and the dispatchers in
-:mod:`repro.kernels` run their Python or NumPy forms instead.
+:mod:`repro.kernels` run their oracles instead.
 
 Every kernel returns ``-1`` (``verify``: ``-2``, since ``-1`` means "no
 violating column") instead of reading past an array when a graph index

@@ -7,10 +7,10 @@ vectorized shuffle drains all (a) detect monochromatic edges against the
 current colors array in one vectorized pass and (b) maintain per-bin size
 counters.  The two detection scans (:func:`detect_conflicts`,
 :func:`detect_cross_conflicts`) and the edge count
-(:func:`count_monochromatic_edges`) are the oracle and the no-compiler
-fallback of the dispatchers of the same names in :mod:`repro.kernels`,
-which otherwise run in C; the rest are backend-independent, and every
-backend uses them directly.
+(:func:`count_monochromatic_edges`) are the oracles of the dispatchers
+of the same names in :mod:`repro.kernels`, which run C instead when the
+library loads; the rest are backend-independent, and every backend uses
+them directly.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def monochromatic_edges(graph: CSRGraph, colors: np.ndarray) -> tuple[np.ndarray
 def count_monochromatic_edges(graph: CSRGraph, colors: np.ndarray) -> int:
     """Number of monochromatic edges under *colors* (streamed).
 
-    Uncolored (``-1``) vertices never conflict.  The oracle and fallback
-    of :func:`repro.kernels.count_monochromatic_edges`.
+    Uncolored (``-1``) vertices never conflict.  The oracle of
+    :func:`repro.kernels.count_monochromatic_edges`.
     """
     return sum(
         int(np.count_nonzero((colors[u] == colors[v]) & (colors[u] >= 0)))

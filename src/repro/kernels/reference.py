@@ -2,8 +2,9 @@
 
 These are the original interpreted hot loops of the library, moved here so
 the backend dispatcher can select them explicitly.  They are the semantic
-ground truth: the NumPy rounds and the compiled C loops are tested for
-equivalence against the functions in this module.
+ground truth: the compiled C loops of :mod:`repro.kernels.compiled` are
+tested for equivalence against the functions in this module, and a host
+where the C library does not load runs them in its place.
 
 The First-Fit sweep uses the classic O(n + m) "stamping" scheme: a scratch
 array ``forbidden`` records, per color, the stamp of the last vertex that
@@ -32,6 +33,22 @@ def _drain_round_event(recorder, source: int, moves: int, sizes: np.ndarray) -> 
     rsd = float(100.0 * sizes.std() / mean) if mean else 0.0
     recorder.event("drain_round", source_bin=int(source), moves=int(moves),
                    rsd_percent=rsd)
+
+
+def _gather_rows(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gather indices for variable-length rows, plus row ids per entry.
+
+    ``flat[k]`` walks ``starts[i] .. starts[i]+lens[i]`` for each row *i* in
+    sequence; ``seg[k]`` is the row id *i* of entry *k*.
+    """
+    total = int(lens.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    cum = np.cumsum(lens)
+    seg = np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - lens, lens)
+    return np.repeat(starts, lens) + offsets, seg
 
 
 def ff_sweep(graph: CSRGraph, work: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -97,7 +114,7 @@ def d2_sweep(
 
 def d2_conflicts(
     graph: CSRGraph, num_rows: int, colors: np.ndarray, work: np.ndarray,
-    cols: np.ndarray,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows of *work* that lost a speculative distance-2 race.
 
@@ -107,12 +124,15 @@ def d2_conflicts(
     the minimum id is retried, and the minimum is retried too when a
     finalized (not-in-work) row holds the same color — the finalized row
     always keeps its color.  Uncolored rows never conflict.  Only the
-    columns in *cols* are scanned (the facade passes the work-adjacent
-    set; per-column decisions are independent, so a partition of the
-    columns unions to the same retry set).  Returns the sorted unique
+    columns in *cols* are scanned, by default the columns adjacent to the
+    work rows (per-column decisions are independent, so a partition of
+    the columns unions to the same retry set).  Returns the sorted unique
     retry rows.
     """
     indptr, indices = graph.indptr, graph.indices
+    if cols is None:
+        flat, _ = _gather_rows(indptr[work], indptr[work + 1] - indptr[work])
+        cols = np.unique(indices[flat])
     in_work = np.zeros(num_rows, dtype=bool)
     in_work[work] = True
     retry: set[int] = set()
@@ -236,8 +256,6 @@ def two_hop_rows(graph: CSRGraph, num_rows: int) -> tuple[list[int], np.ndarray]
     blocks of rows holding about ``_TWO_HOP_BLOCK`` entries each, which
     bounds the int64 staging arrays.
     """
-    from .vectorized import _gather_rows
-
     nr = num_rows
     indptr, indices = graph.indptr, graph.indices
     deg = np.diff(indptr)

@@ -147,14 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "edge list")
     run.add_argument("--mutate", default=None, metavar="SPEC", dest="mutate",
                      help="after the base run, mutate the graph and re-color "
-                     "incrementally: 'add=U-V,...;remove=U-V,...;vertices=K' "
-                     "or 'churn=FRACTION' (random edge churn at constant "
+                     "it from the base coloring (the 'incremental' strategy): "
+                     "'add=U-V,...;remove=U-V,...;vertices=K' or "
+                     "'churn=FRACTION' (random edge churn at constant "
                      "density, deterministic for --seed)")
-    run.add_argument("--staleness-budget", default="0.05", metavar="B",
-                     dest="staleness_budget",
-                     help="--mutate: max fraction of vertices the incremental "
-                     "re-color may touch, or 'none' for unbounded (= full "
-                     "re-color parity); default 0.05")
     run.add_argument("--no-shm", action="store_true", dest="no_shm",
                      help="mp mode: use the legacy per-job pickling "
                      "transport instead of shared memory + the warm pool")
@@ -291,11 +287,9 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
                 from .graph.delta import parse_mutation_spec
                 from .run import mutate as run_mutate
 
-                budget = (None if args.staleness_budget.lower() in ("none", "")
-                          else float(args.staleness_budget))
                 batch = parse_mutation_spec(args.mutate, graph, seed=args.seed)
                 mutated_graph, mutated = run_mutate(
-                    graph, result.coloring, batch, staleness_budget=budget,
+                    graph, result.coloring, batch,
                     mode=args.mode if args.mode != "mp" else "sequential",
                     threads=args.threads, recorder=recorder)
     except ValueError as exc:
@@ -307,11 +301,8 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         meta = mutated.coloring.meta
         print(f"after --mutate {args.mutate!r} "
               f"(n={mutated_graph.num_vertices} m={mutated_graph.num_edges}, "
-              f"dirty={meta.get('dirty', 'all')}, budget={args.staleness_budget}):")
+              f"dirty={meta['dirty']}, seeded={meta['seeded']}):")
         print(mutated.summary())
-        print(f"incremental: seeded={meta.get('seeded', 0)} "
-              f"repaired={meta.get('repaired', 0)} moves={meta.get('moves', 0)} "
-              f"recolored_fraction={meta.get('recolored_fraction', 1.0):.4f}")
     if recorder is not None:
         print(recorder.summary())
         print(f"archived {len(recorder.events)} events to {args.trace}")

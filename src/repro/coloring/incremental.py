@@ -1,83 +1,38 @@
-"""Incremental balanced recoloring after graph churn.
+"""Balanced recoloring after graph churn.
 
-A mutated graph (see :mod:`repro.graph.delta`) differs from its base only
-around the *dirty* vertices — the endpoints of added/removed edges and any
-appended vertices.  Re-coloring the whole graph from scratch throws that
-locality away; this module instead carries the base coloring forward and
-repairs it in place:
+A mutated graph (see :mod:`repro.graph.delta`) keeps the vertex ids of
+its base, and appends new vertices at the tail.  The ``incremental``
+strategy re-colors it from the base coloring in two steps:
 
 1. **Carry-forward** (:func:`carry_forward`): surviving vertices keep
    their base color; appended vertices are FF-seeded sequentially in id
    order.  Removing edges never creates a conflict, so after this step
-   the only possible conflicts sit on *added* edges, whose endpoints are
-   dirty by construction.
-2. **Conflict repair**: a BFS frontier starting from the dirty vertices
-   re-colors conflicted vertices (smallest permissible color, preferring
-   bins below γ) until colors stabilize.  Sequential repair avoids every
-   neighbor's color, so the frontier empties after one wave; the loop
-   exists to keep the invariant explicit rather than assumed.
-3. **Localized drain**: balance is restored by shuffle moves (the VFF
-   rule, :func:`repro.kernels.reference.pick_shuffle_target`) restricted
-   to the dirty region plus a growing BFS halo, expanding one hop
-   whenever a pass makes no progress.
+   the only possible conflicts sit on *added* edges.
+2. **Full re-color**: :func:`~repro.coloring.recolor.balanced_recoloring`
+   of the carried-forward coloring, which is exactly what a from-scratch
+   caller would run on the mutated graph.  It re-colors every vertex, so
+   every conflict is gone and the balance is Recoloring's.
 
-The ``staleness_budget`` knob prices the drift/work trade-off: it caps
-the *fraction of vertices the incremental path may touch* (repairs,
-seeds, and moves combined).  ``staleness_budget=None`` means unbounded —
-the result is then defined as, and bit-identical to, a full
-:func:`~repro.coloring.recolor.balanced_recoloring` of the carried-
-forward coloring, which is exactly what a from-scratch caller would run
-on the mutated graph.  A small budget (default 0.05) keeps the touched
-set near the churn region and accepts whatever RSD drift remains.
-
-Conflict repair is **never** budget-limited: a proper coloring is a
-correctness property, while balance is a quality property, and only
-quality is for sale.
+The full re-color runs even for a tiny delta: with the capacity sweep in
+C it is faster than repairing and draining only the dirty region
+(DESIGN.md §13 has the measurements).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import kernels
 from ..graph.csr import CSRGraph
-from ..kernels.reference import pick_shuffle_target
 from ..obs import as_recorder
-from .balance import relative_std_dev
 from .recolor import balanced_recoloring
 from .types import Coloring
 
 __all__ = ["carry_forward", "incremental_recolor"]
 
-#: Default cap on the fraction of vertices the bounded path may touch.
-DEFAULT_STALENESS_BUDGET = 0.05
 
-#: Hard ceiling on drain passes — each pass either moves a vertex or
-#: grows the region, so termination is guaranteed anyway; this bounds
-#: pathological inputs.
-_MAX_DRAIN_PASSES = 1000
-
-
-def _ff_color(nbr_colors: np.ndarray, sizes: np.ndarray, capacity: float | None,
-              palette: int) -> int:
-    """Smallest color absent from *nbr_colors*, preferring bins below capacity.
-
-    Scans a window one slot past ``max(palette, neighbors)`` so a free
-    color always exists.  With ``capacity=None`` this is plain First-Fit.
-    """
-    limit = int(max(palette, int(nbr_colors.max(initial=-1)) + 1)) + 1
-    forbid = np.zeros(limit, dtype=bool)
-    inrange = nbr_colors[(nbr_colors >= 0) & (nbr_colors < limit)]
-    forbid[inrange] = True
-    free = np.nonzero(~forbid)[0]
-    if capacity is not None:
-        szs = sizes[free[free < sizes.shape[0]]]
-        under = free[:szs.shape[0]][szs < capacity]
-        if under.shape[0]:
-            return int(under[0])
-    return int(free[0])
-
-
-def carry_forward(graph: CSRGraph, base: Coloring) -> Coloring:
+def carry_forward(graph: CSRGraph, base: Coloring, *,
+                  backend: str | None = None) -> Coloring:
     """Extend *base* to *graph*: old vertices keep colors, new ones FF-seed.
 
     *graph* must have at least as many vertices as *base* colored (vertex
@@ -85,8 +40,8 @@ def carry_forward(graph: CSRGraph, base: Coloring) -> Coloring:
     New vertices are seeded sequentially in increasing id with the
     smallest color no neighbor holds, which may extend the palette.  The
     result is **not** guaranteed proper on added edges between old
-    vertices — that is the repair phase's job — but every vertex has a
-    valid color, so it is a well-formed :class:`Coloring`.
+    vertices, but every vertex has a valid color, so it is a well-formed
+    :class:`Coloring`.
     """
     n = graph.num_vertices
     n_old = base.num_vertices
@@ -94,116 +49,30 @@ def carry_forward(graph: CSRGraph, base: Coloring) -> Coloring:
         raise ValueError(
             f"base coloring has {n_old} vertices but mutated graph has {n}"
         )
-    colors = np.empty(n, dtype=np.int64)
-    colors[:n_old] = base.colors
-    colors[n_old:] = -1
-    num_colors = base.num_colors
-    indptr, indices = graph.indptr, graph.indices
-    for v in range(n_old, n):
-        nbr = colors[indices[indptr[v]:indptr[v + 1]]]
-        k = _ff_color(nbr, np.empty(0), None, num_colors)
-        colors[v] = k
-        num_colors = max(num_colors, k + 1)
+    carried = np.full(n, -1, dtype=np.int64)
+    carried[:n_old] = base.colors
+    colors = kernels.ff_sweep(graph, np.arange(n_old, n, dtype=np.int64), carried,
+                              backend=backend)
+    num_colors = max(base.num_colors, int(colors[n_old:].max(initial=-1)) + 1)
     return Coloring(colors, num_colors, strategy="carry-forward",
                     meta={"base_strategy": base.strategy,
                           "seeded_vertices": n - n_old})
 
 
-def _repair_conflicts(graph: CSRGraph, colors: np.ndarray, sizes: np.ndarray,
-                      capacity: float, dirty: np.ndarray) -> tuple[int, int]:
-    """Re-color conflicted vertices, BFS frontier from *dirty* until stable.
+def check_dirty(graph: CSRGraph, dirty) -> int:
+    """The number of distinct *dirty* vertices (``None``: all of them).
 
-    Mutates *colors* and *sizes* in place.  *sizes* never grows — a repair
-    that opens a color past its length is tracked only via the returned
-    ``num_colors``, and the caller re-bins when the palette extended.
-    Returns ``(repaired, num_colors)``.
+    *dirty* is the second return of :func:`repro.graph.delta.apply_delta`;
+    an id outside ``[0, n)`` raises :class:`ValueError`.  The re-color
+    does not need the set; it is recorded in the result's meta.
     """
-    indptr, indices = graph.indptr, graph.indices
-    num_colors = sizes.shape[0]
-    repaired = 0
-    frontier = np.unique(dirty)
-    waves = 0
-    while frontier.size:
-        waves += 1
-        if waves > graph.num_vertices + 1:  # cannot happen: each wave fixes >=1
-            raise RuntimeError("conflict repair failed to stabilize")
-        changed = []
-        for v in frontier:
-            v = int(v)
-            nbr = colors[indices[indptr[v]:indptr[v + 1]]]
-            if not np.any(nbr == colors[v]):
-                continue
-            k = _ff_color(nbr, sizes, capacity, num_colors)
-            old = colors[v]
-            colors[v] = k
-            sizes[old] -= 1
-            if k < sizes.shape[0]:
-                sizes[k] += 1
-            num_colors = max(num_colors, k + 1)
-            repaired += 1
-            changed.append(v)
-        if not changed:
-            break
-        # neighbors of re-colored vertices could in principle conflict now;
-        # sequential repair avoids every neighbor color so this is empty,
-        # but the frontier loop keeps the invariant checked, not assumed
-        nxt = np.unique(np.concatenate(
-            [indices[indptr[v]:indptr[v + 1]] for v in changed]))
-        conflicted = [int(w) for w in nxt
-                      if np.any(colors[indices[indptr[int(w)]:indptr[int(w) + 1]]]
-                                == colors[int(w)])]
-        frontier = np.asarray(conflicted, dtype=np.int64)
-    return repaired, num_colors
-
-
-def _localized_drain(graph: CSRGraph, colors: np.ndarray, sizes: np.ndarray,
-                     capacity: float, region: np.ndarray,
-                     move_budget: int) -> tuple[int, int]:
-    """Drain over-full bins by moving region vertices; grow region on stall.
-
-    Mutates *colors*, *sizes*, and *region* (a boolean mask) in place.
-    Returns ``(moves, passes)``.  Stops when no bin is over-full, the move
-    budget is spent, or a stalled pass cannot grow the region further.
-    """
-    indptr, indices = graph.indptr, graph.indices
-    C = sizes.shape[0]
-    moves = 0
-    passes = 0
-    while moves < move_budget and passes < _MAX_DRAIN_PASSES:
-        if not np.any(sizes > capacity):
-            break
-        passes += 1
-        progress = 0
-        # candidates: region vertices sitting in a currently over-full bin;
-        # the loop re-checks live, since earlier moves change the sizes
-        cand = np.nonzero(region)[0]
-        cand = cand[colors[cand] < C]
-        for v in cand:
-            if moves >= move_budget:
-                break
-            v = int(v)
-            c = int(colors[v])
-            if sizes[c] <= capacity:
-                continue
-            nbr = colors[indices[indptr[v]:indptr[v + 1]]]
-            t = pick_shuffle_target(nbr, sizes, capacity, c, "ff")
-            if t < 0:
-                continue
-            colors[v] = t
-            sizes[c] -= 1
-            sizes[t] += 1
-            moves += 1
-            progress += 1
-        if progress == 0:
-            # stalled: expand the region one BFS hop; stop if it cannot grow
-            u, v = graph.edge_arrays()
-            grow = region.copy()
-            grow[u[region[v]]] = True
-            grow[v[region[u]]] = True
-            if grow.sum() == region.sum():
-                break
-            region[:] = grow
-    return moves, passes
+    n = graph.num_vertices
+    if dirty is None:
+        return n
+    dirty = np.unique(np.asarray(dirty, dtype=np.int64))
+    if dirty.size and (dirty[0] < 0 or dirty[-1] >= n):
+        raise ValueError("dirty vertex id out of range")
+    return int(dirty.size)
 
 
 def incremental_recolor(
@@ -211,128 +80,23 @@ def incremental_recolor(
     base: Coloring,
     *,
     dirty=None,
-    staleness_budget: float | None = DEFAULT_STALENESS_BUDGET,
     backend: str | None = None,
     recorder=None,
 ) -> Coloring:
-    """Re-color the mutated *graph* starting from *base*, touching little.
+    """Re-color the mutated *graph* starting from *base*.
 
-    Parameters
-    ----------
-    base:
-        Coloring of the base graph (old vertex ids unchanged; appended
-        vertices, if any, take the tail ids of *graph*).
-    dirty:
-        Vertices whose neighborhood changed — the second return of
-        :func:`repro.graph.delta.apply_delta`.  ``None`` means unknown:
-        every vertex is treated as potentially dirty (correct, just not
-        incremental).
-    staleness_budget:
-        ``None`` → unbounded: delegate to a full
-        :func:`balanced_recoloring` of the carried-forward coloring
-        (bit-identical to re-coloring the mutated graph from the same
-        seed).  A float in ``(0, 1]`` → cap the fraction of vertices
-        touched (seeds + repairs + moves); remaining imbalance is the
-        accepted staleness.
-    backend:
-        Accepted for registry uniformity and validated; the incremental
-        path has only the reference implementation.
-
-    The returned coloring's ``meta`` records ``recolored_fraction`` (the
-    touched share of ``|V|``), ``repaired``, ``moves``, ``seeded``,
-    ``drain_passes``, and ``rsd_percent`` so callers (and the benchmark
-    gate) can audit the trade.
+    Returns ``balanced_recoloring(graph, carry_forward(graph, base))``
+    with strategy ``incremental``; its ``meta`` adds ``seeded`` (the
+    appended vertices) and ``dirty`` (see :func:`check_dirty`).
+    ``backend`` selects the kernels of both steps.
     """
-    if backend is not None:
-        from .. import kernels
-
-        kernels.resolve_backend(backend)
-    n = graph.num_vertices
+    num_dirty = check_dirty(graph, dirty)
     rec = as_recorder(recorder)
-
-    if staleness_budget is None:
-        with rec.phase("incremental/full"):
-            seeded = carry_forward(graph, base)
-            result = balanced_recoloring(graph, seeded, recorder=recorder)
-        touched = n
-        result = Coloring(result.colors, result.num_colors, strategy="incremental",
-                          meta={**result.meta, "staleness_budget": None,
-                                "recolored_fraction": 1.0, "seeded": seeded.meta[
-                                    "seeded_vertices"],
-                                "repaired": n, "moves": 0, "drain_passes": 0,
-                                "rsd_percent": relative_std_dev(
-                                    result.class_sizes())})
-        if rec.enabled:
-            rec.event("incremental", mode="full", touched=touched,
-                      num_colors=result.num_colors)
-        return result
-
-    if not 0.0 < staleness_budget <= 1.0:
-        raise ValueError(
-            f"staleness_budget must be in (0, 1] or None, got {staleness_budget}"
-        )
-    if dirty is None:
-        dirty = np.arange(n, dtype=np.int64)
-    else:
-        dirty = np.unique(np.asarray(dirty, dtype=np.int64))
-        if dirty.size and (dirty[0] < 0 or dirty[-1] >= n):
-            raise ValueError("dirty vertex id out of range")
-
-    with rec.phase("incremental/bounded"):
-        seeded = carry_forward(graph, base)
-        colors = seeded.colors.copy()
-        C = seeded.num_colors
-        # γ is pinned to the carried-forward palette: the bounded path never
-        # re-plans the color count, it only repairs and drains within it
-        capacity = n / C if C else 0.0
-        sizes = np.bincount(colors, minlength=C).astype(np.float64)
-
-        repaired, num_colors = _repair_conflicts(graph, colors, sizes,
-                                                 capacity, dirty)
-        if num_colors > C:
-            sizes = np.bincount(colors, minlength=num_colors).astype(np.float64)
-            C = num_colors
-
-        n_seeded = seeded.meta["seeded_vertices"]
-        touched = n_seeded + repaired
-        max_touch = max(int(np.ceil(staleness_budget * n)), 1)
-        move_budget = max(max_touch - touched, 0)
-
-        region = np.zeros(n, dtype=bool)
-        if dirty.size:
-            region[dirty] = True
-            # one-hop halo: the drain needs under-full *neighbors* of the
-            # churn region as move sources too
-            u, v = graph.edge_arrays()
-            halo = region.copy()
-            halo[u[region[v]]] = True
-            halo[v[region[u]]] = True
-            region = halo
-        moves, passes = _localized_drain(graph, colors, sizes, capacity,
-                                         region, move_budget)
-        touched += moves
-
-    result = Coloring(
-        colors, int(C), strategy="incremental",
-        meta={
-            "staleness_budget": float(staleness_budget),
-            "gamma": capacity,
-            "base_strategy": base.strategy,
-            "seeded": int(n_seeded),
-            "repaired": int(repaired),
-            "moves": int(moves),
-            "drain_passes": int(passes),
-            "dirty": int(dirty.size),
-            "recolored_fraction": (touched / n) if n else 0.0,
-            "rsd_percent": relative_std_dev(np.bincount(colors, minlength=C)),
-            "backend": "reference",
-        },
-    )
-    if rec.enabled:
-        rec.event("incremental", mode="bounded", dirty=int(dirty.size),
-                  repaired=int(repaired), moves=int(moves),
-                  touched=int(touched), num_colors=int(C),
-                  rsd_percent=result.meta["rsd_percent"])
-        rec.gauge("incremental.recolored_fraction",
-                  result.meta["recolored_fraction"])
-    return result
+    with rec.phase("incremental"):
+        seeded = carry_forward(graph, base, backend=backend)
+        result = balanced_recoloring(graph, seeded, backend=backend,
+                                     recorder=recorder)
+    return Coloring(result.colors, result.num_colors, strategy="incremental",
+                    meta={**result.meta, "base_strategy": base.strategy,
+                          "seeded": seeded.meta["seeded_vertices"],
+                          "dirty": num_dirty})

@@ -169,7 +169,7 @@ def _seq_recoloring(graph: CSRGraph, initial: Coloring | None = None, *,
     return balanced_recoloring(graph, initial, recorder=recorder, **kwargs)
 
 
-@_accepts("dirty", "staleness_budget", "backend")
+@_accepts("dirty", "backend")
 def _seq_incremental(graph: CSRGraph, initial: Coloring | None = None, *,
                      threads: int = 1, seed=None, recorder=None,
                      **kwargs) -> Coloring:
@@ -246,7 +246,7 @@ def _superstep_recoloring(graph: CSRGraph, initial: Coloring | None = None, *,
                                recorder=recorder, **kwargs)
 
 
-@_accepts("dirty", "staleness_budget", "max_rounds")
+@_accepts("dirty", "max_rounds")
 def _superstep_incremental(graph: CSRGraph, initial: Coloring | None = None, *,
                            threads: int = 1, seed=None, recorder=None,
                            **kwargs) -> Coloring:
@@ -453,7 +453,7 @@ STRATEGIES: dict[str, StrategySpec] = {
     ),
     "incremental": StrategySpec(
         "incremental", "guided", False,
-        "Localized repair + drain of a carried-forward coloring after churn",
+        "Recoloring of a carried-forward coloring after churn",
         sequential=_seq_incremental,
         superstep=_superstep_incremental,
     ),

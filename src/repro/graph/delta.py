@@ -161,8 +161,9 @@ def apply_delta(graph: CSRGraph, batch: MutationBatch) -> tuple[CSRGraph, np.nda
 
     ``dirty_vertices`` is the sorted, unique set of vertices whose
     neighborhood changed: every endpoint of an added or removed edge plus
-    every appended vertex.  This is the frontier seed for
-    :func:`repro.coloring.incremental.incremental_recolor`.
+    every appended vertex; the ``incremental`` strategy
+    (:func:`repro.coloring.incremental.incremental_recolor`) records its
+    size.
 
     Raises ``ValueError`` when a removed edge does not exist, an added
     edge already exists, or an endpoint is out of range — a delta that
@@ -226,7 +227,7 @@ def random_churn(graph: CSRGraph, fraction: float, *, seed=None,
     Picks ``k = round(fraction * m)`` existing edges to remove and draws
     ``k`` uniformly random non-edges to add (rejection-sampled against
     both the graph and itself), modeling steady-state churn at constant
-    density — the workload shape ``bench_incremental.py`` measures.
+    density.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")

@@ -1,8 +1,9 @@
 """Backend-dispatched compute kernels for the coloring hot paths.
 
 The hot loops of the library are the Greedy First-Fit and one-sided D2
-sweeps (:func:`ff_sweep`, :func:`d2_sweep`), one pass of the one-sided
-D2 balance drain (:func:`d2_drain_pass`), the Sched-Rev move commit
+sweeps (:func:`ff_sweep`, :func:`d2_sweep`), Balanced Recoloring's
+capacity-constrained sweep (:func:`capacity_sweep`), one pass of the
+one-sided D2 balance drain (:func:`d2_drain_pass`), the Sched-Rev move commit
 (:func:`sched_commit`), the conflict detectors of the speculation rounds
 (:func:`detect_conflicts`, :func:`detect_cross_conflicts`,
 :func:`d2_conflicts`), the properness checks behind every verifier
@@ -67,6 +68,7 @@ __all__ = [
     "BACKENDS",
     "available_backends",
     "bin_sizes",
+    "capacity_sweep",
     "check_colors",
     "count_monochromatic_edges",
     "d2_conflicts",
@@ -199,6 +201,48 @@ def ff_sweep(
                     stamp.ctypes.data, stamp.shape[0]) < 0:
         raise ValueError("graph is not a valid CSR")
     return out
+
+
+def capacity_sweep(
+    graph: CSRGraph,
+    order: np.ndarray,
+    capacity: float,
+    *,
+    backend: str | None = None,
+) -> tuple[np.ndarray, int]:
+    """First-Fit sweep over *order* under the per-bin capacity γ = *capacity*.
+
+    Every vertex starts uncolored; each vertex of *order*, in turn, takes
+    the smallest color no neighbor holds whose bin holds fewer than
+    *capacity* vertices, opening colors past the current count when it
+    must.  Returns ``(colors, num_colors)``; vertices not in *order* stay
+    ``-1``.  *order* must list ids in ``[0, n)``, each at most once, and
+    *capacity* must be positive when *order* is not empty, else
+    :class:`ValueError`.  Both tiers produce bit-identical output.
+    """
+    name = resolve_backend(backend)
+    n = graph.num_vertices
+    order = _check_ids("order", order, n)
+    capacity = float(capacity)
+    if order.size:
+        if not capacity > 0:
+            raise ValueError(f"capacity must be > 0, got {capacity}")
+        if np.bincount(order, minlength=n).max() > 1:
+            raise ValueError("order must list each vertex at most once")
+    lib = _compiled(name)
+    if lib is None:
+        return reference.capacity_sweep(graph, order, capacity)
+    indptr, indices = _graph_arrays(graph)
+    colors = np.full(n, -1, dtype=np.int64)
+    sizes = np.zeros(n + 1, dtype=np.int64)
+    forbidden = np.full(n + 1, -1, dtype=np.int64)
+    num_colors = lib.capacity_sweep(
+        indptr.ctypes.data, indices.ctypes.data, n, indices.shape[0],
+        colors.ctypes.data, order.ctypes.data, order.shape[0], capacity,
+        sizes.ctypes.data, forbidden.ctypes.data, n + 1)
+    if num_colors < 0:
+        raise ValueError("graph is not a valid CSR")
+    return colors, num_colors
 
 
 def _check_num_rows(graph: CSRGraph, num_rows: int) -> int:

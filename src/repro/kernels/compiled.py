@@ -1,6 +1,6 @@
 """Compiled C forms of the per-vertex loops.
 
-Four loops here are sequential at heart: each step reads what the step
+Five loops here are sequential at heart: each step reads what the step
 before it wrote.
 
 ``ff_sweep``
@@ -8,6 +8,11 @@ before it wrote.
     vertex takes the smallest color its neighbors do not hold, reading
     the live colors of earlier work items and the stale base colors of
     later ones;
+``capacity_sweep``
+    its capacity-constrained form behind Balanced Recoloring
+    (:func:`repro.kernels.capacity_sweep`): each vertex takes the
+    smallest color its neighbors do not hold whose bin is still below γ,
+    reading the live bin sizes;
 ``d2_sweep``
     its one-sided distance-2 form (:func:`repro.kernels.d2_sweep`) over
     the rows of a bipartite incidence graph;
@@ -38,7 +43,7 @@ Two more loops are not sequential, but are cheap only in C:
     with a color stamp finds the first column holding two same-colored
     rows.
 
-This module holds one short C source for all six, compiled once with the
+This module holds one short C source for all seven, compiled once with the
 system C compiler (``$CC``, else ``cc``; ``-O2 -shared -fPIC``, no
 host-specific tuning) and loaded with :mod:`ctypes`.  The sequential
 loops are transcriptions of the Python ones in
@@ -128,6 +133,38 @@ int64_t ff_sweep(const int64_t *indptr, const int64_t *indices,
         colors[v] = first_free(stamp, w, mark);
     }
     return 0;
+}
+
+/* Balanced Recoloring's capacity sweep over order, in place on colors
+   (length n, all -1) and sizes (length ls, zeroed): each vertex stamps
+   its neighbors' colors with its own id in forbidden (length ls, all -1)
+   and takes the first color t with forbidden[t] != v and sizes[t] < g.
+   Bins only fill, so every bin below open (the first one under g) stays
+   full and the scan starts there.  Returns the number of colors, or -1 on
+   an out-of-range graph index or when no bin below ls qualifies. */
+int64_t capacity_sweep(const int64_t *indptr, const int64_t *indices,
+                       int64_t n, int64_t nnz, int64_t *colors,
+                       const int64_t *order, int64_t norder, double g,
+                       int64_t *sizes, int64_t *forbidden, int64_t ls)
+{
+    int64_t num_colors = 0, open = 0;
+    for (int64_t i = 0; i < norder; i++) {
+        int64_t v = order[i], lo, hi, k;
+        if (row_span(indptr, n, nnz, v, &lo, &hi)) return -1;
+        for (int64_t p = lo; p < hi; p++) {
+            int64_t u = indices[p];
+            if (u < 0 || u >= n) return -1;
+            if (colors[u] >= 0) forbidden[colors[u]] = v;
+        }
+        while (open < ls && !((double)sizes[open] < g)) open++;
+        for (k = open; k < ls; k++)
+            if (forbidden[k] != v && (double)sizes[k] < g) break;
+        if (k == ls) return -1;
+        colors[v] = k;
+        sizes[k]++;
+        if (k >= num_colors) num_colors = k + 1;
+    }
+    return num_colors;
 }
 
 /* One-sided distance-2 First-Fit over the work rows, in place on colors
@@ -319,6 +356,7 @@ _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _SIGNATURES = {
     "ff_sweep": (_P, _P, _I, _I, _P, _P, _I, _P, _I),
     "d2_sweep": (_P, _P, _I, _I, _I, _P, _P, _I, _P),
+    "capacity_sweep": (_P, _P, _I, _I, _P, _P, _I, _D, _P, _P, _I),
     "d2_drain_pass": (_P, _P, _I, _I, _I, _P, _P, _P, _I, _D, _P, _I, _I, _P),
     "sched_commit": (_P, _P, _I, _I, _P, _P, _P, _I),
     "conflicts": (_P, _P, _I, _I, _I, _P, _P, _I, _P, _I, _I, _P, _P),

@@ -18,9 +18,9 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..obs import NULL
 
-__all__ = ["d2_conflicts", "d2_drain_pass", "d2_sweep", "d2_violating_column",
-           "ff_sweep", "pick_shuffle_target", "sched_commit", "shuffle_drain",
-           "two_hop_rows"]
+__all__ = ["capacity_sweep", "d2_conflicts", "d2_drain_pass", "d2_sweep",
+           "d2_violating_column", "ff_sweep", "pick_shuffle_target", "sched_commit",
+           "shuffle_drain", "two_hop_rows"]
 
 # two-hop entries gathered per block of rows: keeps the int64 staging
 # arrays at ~0.5 MB each, cache-resident (larger blocks measured slower)
@@ -76,6 +76,54 @@ def ff_sweep(graph: CSRGraph, work: np.ndarray, base: np.ndarray) -> np.ndarray:
         forbidden[nbr] = stamp
         local[v] = int(np.argmax(forbidden[:window_len] != stamp))
     return local
+
+
+def capacity_sweep(
+    graph: CSRGraph, order: np.ndarray, capacity: float
+) -> tuple[np.ndarray, int]:
+    """One First-Fit sweep over *order* under a per-bin capacity (γ).
+
+    Every vertex starts uncolored; each vertex of *order*, in turn, takes
+    the smallest color that no neighbor holds and whose bin holds fewer
+    than *capacity* vertices, opening colors past the current count when
+    every lower bin is hostile or full.  Returns ``(colors, num_colors)``.
+    The capacity couples every placement to the live bin sizes, so the
+    sweep is inherently sequential.  ``forbidden`` stamps each neighbor
+    color with the visiting vertex's id.
+    """
+    n = graph.num_vertices
+    colors = np.full(n, -1, dtype=np.int64)
+    indptr, indices = graph.indptr, graph.indices
+    # worst case: every color 0..deg(v) forbidden or full; bound generously
+    limit = n + 1
+    sizes = np.zeros(limit, dtype=np.int64)
+    forbidden = np.full(limit, -1, dtype=np.int64)
+    num_colors = 0
+
+    for v in order:
+        v = int(v)
+        nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
+        nbr_colors = nbr_colors[nbr_colors >= 0]
+        forbidden[nbr_colors] = v
+        # smallest color that is permissible AND below capacity; the
+        # search window must extend past full bins, so scan until found
+        window_len = nbr_colors.shape[0] + 1
+        while True:
+            w_forb = forbidden[:window_len]
+            w_size = sizes[:window_len]
+            ok = (w_forb != v) & (w_size < capacity)
+            hits = np.nonzero(ok)[0]
+            if hits.shape[0]:
+                k = int(hits[0])
+                break
+            if window_len >= limit:  # cannot happen: bin n is never full
+                raise ValueError("no permissible bin found within palette limit")
+            window_len = min(window_len * 2, limit)
+        colors[v] = k
+        sizes[k] += 1
+        if k >= num_colors:
+            num_colors = k + 1
+    return colors, num_colors
 
 
 def d2_sweep(

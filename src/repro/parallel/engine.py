@@ -208,10 +208,9 @@ class TickMachine:
     work list runs item ``i`` on thread ``i mod p``; every
     :class:`SuperstepRecord` is built here.  :meth:`speculate` is the one
     speculate/detect/retry loop of the superstep engines (Greedy-FF,
-    vertex-centric shuffling, Recoloring, incremental repair and partial
-    D2); engines without a retry loop (JP, Sched-Rev, color-centric
-    shuffling, Louvain, the multicolor solver) drive their own passes and
-    only use the accounting.
+    vertex-centric shuffling, Recoloring and partial D2); engines without
+    a retry loop (JP, Sched-Rev, color-centric shuffling, Louvain, the
+    multicolor solver) drive their own passes and only use the accounting.
     """
 
     def __init__(self, num_threads: int, *, algorithm: str = ""):

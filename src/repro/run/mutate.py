@@ -1,12 +1,12 @@
-"""One-call mutation pipeline: apply a delta, then re-color incrementally.
+"""One-call mutation pipeline: apply a delta, then re-color from the base.
 
 :func:`mutate` is the run-layer front door for graph churn, mirroring
 :func:`~repro.run.pipeline.execute` for the static case.  It applies a
 :class:`~repro.graph.delta.MutationBatch` to a base graph, builds the
 ``incremental``-strategy :class:`~repro.run.config.RunConfig` (the dirty
-set and staleness budget travel in ``strategy_kwargs``, so the config
-stays JSON-round-trippable and the serving layer can fingerprint it), and
-runs the standard pipeline with the base coloring as the carried-forward
+set travels in ``strategy_kwargs``, so the config stays
+JSON-round-trippable and the serving layer can fingerprint it), and runs
+the standard pipeline with the base coloring as the carried-forward
 initial.  The serve layer's ``POST /mutate`` is this function behind a
 job queue.
 """
@@ -25,7 +25,6 @@ __all__ = ["mutate", "mutation_config"]
 def mutation_config(
     dirty,
     *,
-    staleness_budget: float | None,
     mode: str = "sequential",
     threads: int = 1,
     backend: str | None = None,
@@ -45,11 +44,7 @@ def mutation_config(
         backend=backend,
         machine=machine,
         on_failure=on_failure,
-        strategy_kwargs={
-            "dirty": [int(v) for v in dirty],
-            "staleness_budget": (None if staleness_budget is None
-                                 else float(staleness_budget)),
-        },
+        strategy_kwargs={"dirty": [int(v) for v in dirty]},
     )
 
 
@@ -58,7 +53,6 @@ def mutate(
     coloring: Coloring,
     batch: MutationBatch,
     *,
-    staleness_budget: float | None = 0.05,
     mode: str = "sequential",
     threads: int = 1,
     backend: str | None = None,
@@ -66,7 +60,7 @@ def mutate(
     on_failure: str = "raise",
     recorder=None,
 ) -> tuple[CSRGraph, RunResult]:
-    """Apply *batch* to *graph* and incrementally re-color from *coloring*.
+    """Apply *batch* to *graph* and re-color it from *coloring*.
 
     Returns ``(mutated_graph, result)`` where ``result`` is a full
     :class:`RunResult` of the ``incremental`` strategy on the mutated
@@ -74,8 +68,7 @@ def mutate(
     exactly as for any other run).  *graph* and *coloring* are untouched.
     """
     mutated, dirty = apply_delta(graph, batch)
-    config = mutation_config(dirty, staleness_budget=staleness_budget,
-                             mode=mode, threads=threads, backend=backend,
+    config = mutation_config(dirty, mode=mode, threads=threads, backend=backend,
                              machine=machine, on_failure=on_failure)
     result = execute(mutated, config, initial=coloring, recorder=recorder)
     return mutated, result

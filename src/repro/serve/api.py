@@ -151,24 +151,23 @@ def _is_backpressure(exc: AdmissionError) -> bool:
 
 
 def _mutate(service: ColoringService, body: dict) -> tuple[int, dict]:
-    """``POST /mutate``: incremental re-color of a finished job's graph.
+    """``POST /mutate``: re-color a finished job's mutated graph.
 
     Body: ``{"base_job_id": id, "delta": MutationBatch.to_dict(),
-    "staleness_budget": f|null, "mode": m, "threads": t}`` — only
-    ``base_job_id`` and ``delta`` are required.  Replies ``202`` like
-    ``/submit`` (plus the dirty-vertex count), ``404`` for an unknown
-    base job, ``409`` when the base is not done yet, ``400`` for a
-    malformed delta, ``429`` under backpressure.
+    "mode": m, "threads": t}`` — only ``base_job_id`` and ``delta`` are
+    required.  Replies ``202`` like ``/submit`` (plus the dirty-vertex
+    count), ``404`` for an unknown base job, ``409`` when the base is not
+    done yet, ``400`` for a malformed delta or an unknown field, ``429``
+    under backpressure.
     """
     if not isinstance(body, dict):
         return 400, {"error": "mutate body must be a JSON object"}
-    unknown = sorted(set(body) - {"base_job_id", "delta", "staleness_budget",
-                                  "mode", "threads", "tenant", "priority",
-                                  "deadline_ms"})
+    unknown = sorted(set(body) - {"base_job_id", "delta", "mode", "threads",
+                                  "tenant", "priority", "deadline_ms"})
     if unknown:
         return 400, {"error": f"unknown mutate field(s) {unknown}; expected "
-                              "base_job_id/delta/staleness_budget/mode/"
-                              "threads/tenant/priority/deadline_ms"}
+                              "base_job_id/delta/mode/threads/tenant/"
+                              "priority/deadline_ms"}
     tenant = body.get("tenant")
     if tenant is not None and not isinstance(tenant, str):
         return 400, {"error": "tenant must be a string or null"}
@@ -185,12 +184,6 @@ def _mutate(service: ColoringService, body: dict) -> tuple[int, dict]:
     if "delta" not in body:
         return 400, {"error": "mutate needs a 'delta' object "
                               "(add_edges/remove_edges/add_vertices)"}
-    budget = body.get("staleness_budget", 0.05)
-    if budget is not None:
-        try:
-            budget = float(budget)
-        except (TypeError, ValueError):
-            return 400, {"error": "staleness_budget must be a number or null"}
     try:
         threads = int(body.get("threads", 1))
     except (TypeError, ValueError):
@@ -200,7 +193,7 @@ def _mutate(service: ColoringService, body: dict) -> tuple[int, dict]:
     except ValueError as exc:
         return 400, {"error": str(exc)}
     try:
-        job = service.mutate(base_job_id, batch, staleness_budget=budget,
+        job = service.mutate(base_job_id, batch,
                              mode=str(body.get("mode", "sequential")),
                              threads=threads, tenant=tenant,
                              priority=str(body.get("priority", "normal")),

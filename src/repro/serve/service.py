@@ -312,11 +312,10 @@ class ColoringService:
             lambda: datasets.load_dataset(name, scale=scale, seed=seed))
 
     def mutate(self, base_job_id: int, batch: MutationBatch, *,
-               staleness_budget: float | None = 0.05,
                mode: str = "sequential", threads: int = 1,
                tenant: str | None = None, priority: str = "normal",
                deadline_ms: float | None = None) -> Job:
-        """Admit an incremental re-color of a finished job's mutated graph.
+        """Admit a re-color of a finished job's mutated graph.
 
         The base job must be ``done``: its graph is the mutation target
         and its result coloring is carried forward as the incremental
@@ -359,8 +358,7 @@ class ColoringService:
             mutated, dirty = apply_delta(base.graph, batch)
         except ValueError as exc:
             raise MutationError(f"invalid delta: {exc}", status=400) from None
-        config = mutation_config(dirty, staleness_budget=staleness_budget,
-                                 mode=mode, threads=threads,
+        config = mutation_config(dirty, mode=mode, threads=threads,
                                  on_failure=base.config.on_failure)
         key = mutation_job_key(base.key, batch.digest(), config)
         meta = {"base_job_id": base_job_id, "delta_digest": batch.digest(),

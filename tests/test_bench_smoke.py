@@ -127,42 +127,6 @@ def test_quick_shm_bench_runs_and_passes_baseline_check(tmp_path):
     assert set(payload["results"]) == {"bytes", "pool", "rss"}
 
 
-BENCH_INCREMENTAL = REPO_ROOT / "benchmarks" / "bench_incremental.py"
-BASELINE_INCREMENTAL = REPO_ROOT / "BENCH_incremental.json"
-
-
-def test_incremental_baseline_artifact_meets_acceptance_floors():
-    """The checked-in artifact must show the PR's acceptance numbers: >=5x
-    over a full re-color at <=1% churn on 1e5+-edge graphs, with every
-    row proper and inside its staleness budget."""
-    payload = json.loads(BASELINE_INCREMENTAL.read_text())
-    rows = payload["results"]
-    gated = [r for r in rows if r["edges"] >= 100_000 and r["churn"] <= 0.01]
-    assert gated, "baseline has no 1e5+-edge low-churn rows"
-    for row in gated:
-        assert row["speedup"] >= 5.0
-    for row in rows:
-        assert row["proper"] is True
-        assert row["touched"] <= row["max_touch"]
-
-
-@pytest.mark.slow
-def test_quick_incremental_bench_runs_and_passes_baseline_check(tmp_path):
-    out = tmp_path / "bench_incremental_quick.json"
-    proc = subprocess.run(
-        [sys.executable, str(BENCH_INCREMENTAL), "--quick", "--out", str(out),
-         "--check", str(BASELINE_INCREMENTAL)],
-        capture_output=True,
-        text=True,
-        timeout=600,
-        cwd=REPO_ROOT,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(out.read_text())
-    assert payload["meta"]["mode"] == "quick"
-    assert all(r["proper"] for r in payload["results"])
-
-
 BENCH_SHARD = REPO_ROOT / "benchmarks" / "bench_shard.py"
 BASELINE_SHARD = REPO_ROOT / "BENCH_shard.json"
 

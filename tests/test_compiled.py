@@ -189,6 +189,33 @@ def sweep_case(item, kind: str, seed: int) -> tuple:
     return *head(item), rng.permutation(n)[: rng.integers(0, n + 1)].astype(np.int64), base
 
 
+CAPACITY_KINDS = ["recoloring", "random", "tiny", "empty"]
+
+
+def capacity_case(graph, kind: str, seed: int) -> tuple:
+    """``(graph, order, capacity)`` for one capacity sweep.
+
+    ``recoloring`` is Balanced Recoloring's call: the reverse classes of
+    a First-Fit coloring under γ = n / C; ``random`` a random subset of
+    the vertices in random order under a fractional or whole γ; ``tiny``
+    every vertex under γ = 0.5, so each bin holds one vertex and the
+    sweep opens colors far past any first-fit count; ``empty`` no order.
+    """
+    n, rng = graph.num_vertices, np.random.default_rng(seed)
+    if kind == "empty":
+        return graph, np.empty(0, dtype=np.int64), float(rng.integers(-1, 3))
+    if kind == "recoloring":
+        colors = kernels.ff_sweep(graph)
+        order = np.argsort(-colors, kind="stable").astype(np.int64)
+        return graph, order, n / (int(colors.max(initial=-1)) + 1 or 1)
+    if kind == "tiny":
+        return graph, rng.permutation(n).astype(np.int64), 0.5
+    order = rng.permutation(n)[: rng.integers(0, n + 1)].astype(np.int64)
+    capacity = (float(rng.integers(1, n + 2)) if rng.random() < 0.5
+                else float(rng.uniform(0.3, n + 1)))
+    return graph, order, capacity
+
+
 DETECT_KINDS = ["full", "subset", "empty"]
 
 
@@ -338,6 +365,18 @@ _BAD_SWEEP_ARGS = {
     "work-float": lambda b: (np.array([0.0, 1.0]), None),
     "work-2d": lambda b: (np.zeros((2, 2), dtype=np.int64), None),
 }
+#: (order, capacity) for a capacity sweep over *_G*; each is rejected
+_BAD_CAPACITY_ARGS = {
+    "order-negative": (np.array([-1, 4]), 5.0),
+    "order-past-end": (np.array([_G.num_vertices]), 5.0),
+    "order-float": (np.array([0.0, 1.0]), 5.0),
+    "order-2d": (np.zeros((2, 2), dtype=np.int64), 5.0),
+    "order-repeats": (np.array([3, 1, 3]), 5.0),
+    "capacity-zero": (np.array([0, 1]), 0.0),
+    "capacity-negative": (np.array([0]), -2.0),
+    "capacity-nan": (np.array([0]), float("nan")),
+    "capacity-text": (np.array([0]), "many"),
+}
 #: (colors, work) for a detection over *b* items; each is rejected
 _BAD_DETECT_ARGS = {
     "work-negative": lambda b: (np.zeros(b, dtype=np.int64), np.array([-1])),
@@ -437,6 +476,21 @@ def _sweep_ok(args, out) -> bool:
     return out.dtype == np.int64 and out.shape == args[-1].shape
 
 
+def _capacity_ok(args, out) -> bool:
+    """Int64 colors, -1 exactly off *order*, proper, every bin filled
+    only while under γ, and the color count one past the largest color."""
+    graph, order, capacity = args
+    colors, num_colors = out
+    colored = np.zeros(graph.num_vertices, dtype=bool)
+    colored[order] = True
+    u, v = graph.edge_arrays()
+    sizes = np.bincount(colors[colored], minlength=1)
+    return (colors.dtype == np.int64 and np.array_equal(colors >= 0, colored)
+            and not np.any((colors[u] == colors[v]) & (colors[u] >= 0))
+            and num_colors == int(colors.max(initial=-1)) + 1
+            and (not order.size or sizes.max() < capacity + 1))
+
+
 def _retries_ok(args, out) -> bool:
     return out.dtype == np.int64 and np.array_equal(out, np.unique(out))
 
@@ -488,6 +542,17 @@ KERNELS: dict[str, Kernel] = {
             "d2_sweep-num-rows-past-n": (_BIP.incidence, _BIP.incidence.num_vertices + 1),
         },
         check=_sweep_ok,
+    ),
+    "capacity_sweep": Kernel(
+        call=plain(kernels.capacity_sweep),
+        oracle=(reference, "capacity_sweep"),
+        draw=st.builds(capacity_case, simple_graphs(), st.sampled_from(CAPACITY_KINDS),
+                       SEEDS),
+        fixed={f"{gid}-{kind}": partial(_cases, [make], capacity_case, kind)
+               for gid, make in D1_GRAPHS.items() for kind in CAPACITY_KINDS},
+        malformed={f"capacity_sweep-{case}": (_G, *bad)
+                   for case, bad in _BAD_CAPACITY_ARGS.items()},
+        check=_capacity_ok,
     ),
     "detect_conflicts": _detect_row("detect_conflicts", "classic"),
     "detect_cross_conflicts": _detect_row("detect_cross_conflicts", "cross"),
@@ -656,12 +721,23 @@ def rejects(*names: str):
 class TestSweepDifferential:
     test_ff_sweep = differential("ff_sweep")
     test_d2_sweep = differential("d2_sweep")
+    test_capacity_sweep = differential("capacity_sweep")
     test_ff_sweep_fixed_graphs = fixed_differential("ff_sweep")
     test_d2_sweep_fixed_graphs = fixed_differential("d2_sweep")
-    test_dispatch_runs_c_when_loaded = dispatch_runs_c("ff_sweep", "d2_sweep")
+    test_capacity_sweep_fixed_graphs = fixed_differential("capacity_sweep")
+    test_dispatch_runs_c_when_loaded = dispatch_runs_c("ff_sweep", "d2_sweep",
+                                                       "capacity_sweep")
+
+    def test_capacity_sweep_on_table2_stand_ins(self):
+        """Balanced Recoloring's sweep on the four Table II stand-ins."""
+        for name in ("uk2002", "copapers", "channel", "cnr"):
+            graph = load_dataset(name, scale=0.1, seed=0)
+            colors, num_colors = assert_c_matches_oracle(
+                "capacity_sweep", capacity_case(graph, "recoloring", 0))
+            assert num_colors > 1 and colors.min() == 0
 
 
-test_sweep_rejects_bad_inputs = rejects("ff_sweep", "d2_sweep")
+test_sweep_rejects_bad_inputs = rejects("ff_sweep", "d2_sweep", "capacity_sweep")
 
 
 def test_c_sweeps_guard_graph_indices():
@@ -671,6 +747,8 @@ def test_c_sweeps_guard_graph_indices():
     dangling = CSRGraph(np.array([0, 1, 1]), np.array([5]), validate=False)
     with pytest.raises(ValueError, match="valid CSR"):
         kernels.ff_sweep(dangling)
+    with pytest.raises(ValueError, match="valid CSR"):
+        kernels.capacity_sweep(dangling, np.array([0, 1]), 1.0)
     g = complete_graph(4)  # rows 0 and 1 touch rows, not columns
     with pytest.raises(ValueError, match="incidence"):
         kernels.d2_sweep(CSRGraph(g.indptr, g.indices, validate=False), 2)

@@ -278,7 +278,8 @@ def _pinned_fingerprint(engine: str, graph, p: int, variant: str) -> dict:
 
 #: (engine, threads, variant) -> (colors, trace, meta, events) digests.
 #: Generated before the five engines shared one round driver; any drift in
-#: colors, traces, meta or recorder events is a behaviour change.
+#: colors, traces, meta or recorder events is a behaviour change.  The
+#: ``incremental`` rows pin the carry-forward + full parallel re-color.
 SUPERSTEP_PINS = {
     ("cff", 1, "clean"):
         ("38d3175395934cb4", "fd5ad10223fa132b", "277c74aff3f01793", "bf5e267bc2c88627"),
@@ -341,13 +342,13 @@ SUPERSTEP_PINS = {
     ("greedy-ff", 16, "stick@r1:6"):
         ("fc054236de21a72d", "799ffeff5899ab38", "aa9013853da410dd", "38100231ac85e6a3"),
     ("incremental", 1, "clean"):
-        ("6e083c2ec4d35236", "67523af2765c97c1", "4cee3b6f15e10227", "2d9f840ec645f47b"),
+        ("2c1341527fd567e3", "eeed4c4676e8aaef", "45a2faaba52a2293", "9f17c04da6daf52e"),
     ("incremental", 4, "clean"):
-        ("4b8823176992b0c0", "1616aaf2ee39fd77", "75ee923547fc5b51", "dcd79acde9d9c647"),
+        ("cc7f9223f6448b82", "fcd53a83a34e3630", "7546f4f403f3bed6", "ad4f898c096f5556"),
     ("incremental", 16, "clean"):
-        ("3dcadc9943da6b23", "e69c5f20ef196fd8", "236a5b8af7e328c1", "f540534e742fa89b"),
+        ("63c7de8decadcea8", "235c4f3ca47a3e46", "84374223cd3a0c2b", "e9f8dfa2383e3846"),
     ("incremental", 16, "max_rounds=1"):
-        ("3dcadc9943da6b23", "0189d1b77bdaf26c", "5c86973435693332", "05f6c275dc5abc21"),
+        ("0310c3b6dc7cf4bc", "6e1f02417df7a25a", "fe85fcf686309cf4", "11d641bf4d68b248"),
     ("recoloring", 1, "clean"):
         ("76e370d9e886589a", "6f00913770417792", "19df4e8737496baf", "81c121488b54ebda"),
     ("recoloring", 1, "stick@r0:6"):
@@ -404,3 +405,26 @@ def test_superstep_engines_match_pinned_outputs(small_cnr, engine, p, variant):
     got = _pinned_fingerprint(engine, small_cnr, p, variant)
     assert got == dict(zip(("colors", "trace", "meta", "events"),
                            SUPERSTEP_PINS[(engine, p, variant)]))
+
+
+@pytest.mark.parametrize("p", [1, 4, 16])
+def test_superstep_incremental_is_recoloring_of_carried_forward(small_cnr, p):
+    """Superstep ``incremental`` is ``parallel_recoloring`` of the
+    carried-forward coloring, trace included, and at one thread it is the
+    sequential strategy."""
+    from repro.coloring import carry_forward, incremental_recolor
+    from repro.graph import apply_delta, random_churn
+    from repro.parallel import parallel_incremental_recolor
+
+    base = greedy_coloring(small_cnr)
+    mutated, dirty = apply_delta(small_cnr, random_churn(small_cnr, 0.02, seed=8,
+                                                         add_vertices=2))
+    got = parallel_incremental_recolor(mutated, base, dirty=dirty, num_threads=p)
+    want = parallel_recoloring(mutated, carry_forward(mutated, base), num_threads=p)
+    assert np.array_equal(got.colors, want.colors)
+    assert got.num_colors == want.num_colors
+    assert got.meta["trace"].to_dict() == want.meta["trace"].to_dict()
+    assert_proper(mutated, got)
+    if p == 1:
+        seq = incremental_recolor(mutated, base, dirty=dirty)
+        assert np.array_equal(got.colors, seq.colors)

@@ -615,7 +615,7 @@ class TestSpillLifecycle:
 
 
 # ----------------------------------------------------------------------
-# POST /mutate: incremental re-color of a finished job's graph
+# POST /mutate: re-color a finished job's mutated graph
 # ----------------------------------------------------------------------
 class TestMutate:
     @staticmethod
@@ -637,7 +637,7 @@ class TestMutate:
         svc = ColoringService()
         base = self._submit_base(svc, graph)
         batch = self._delta(graph)
-        job = svc.mutate_and_wait(base.id, batch, staleness_budget=0.05)
+        job = svc.mutate_and_wait(base.id, batch)
         assert job.status == "done"
         mutated, _ = apply_delta(graph, batch)
         assert is_proper(mutated, job.result.coloring)
@@ -660,13 +660,15 @@ class TestMutate:
                               j2.result.coloring.colors)
 
     def test_unbounded_budget_matches_full_recolor_bitwise(self, graph):
+        """Every mutation job is the full re-color an unbounded staleness
+        budget used to select."""
         from repro.coloring import balanced_recoloring, carry_forward
         from repro.graph import apply_delta
 
         svc = ColoringService()
         base = self._submit_base(svc, graph)
         batch = self._delta(graph)
-        job = svc.mutate_and_wait(base.id, batch, staleness_budget=None)
+        job = svc.mutate_and_wait(base.id, batch)
         mutated, _ = apply_delta(graph, batch)
         full = balanced_recoloring(
             mutated, carry_forward(mutated, base.result.coloring))
@@ -710,8 +712,7 @@ class TestMutate:
         svc.process()
         batch = {"add_vertices": 2, "add_edges": [], "remove_edges": []}
         status, rep = dispatch(svc, "POST", "/mutate", {
-            "base_job_id": sub["job_id"], "delta": batch,
-            "staleness_budget": 0.05})
+            "base_job_id": sub["job_id"], "delta": batch})
         assert status == 202
         assert rep["base_job_id"] == sub["job_id"]
         assert rep["dirty_vertices"] == 2
@@ -739,6 +740,21 @@ class TestMutate:
                 continue  # the "likely absent" edge happened to exist
             assert status == want, (body, payload)
             assert "error" in payload
+
+
+    def test_dispatch_mutate_rejects_staleness_budget(self, graph):
+        """The bounded path and its knob are gone: a body that still sends
+        ``staleness_budget`` gets the unknown-field reply, and nothing is
+        admitted."""
+        svc = ColoringService()
+        base = self._submit_base(svc, graph)
+        for budget in (0.05, None):
+            status, payload = dispatch(svc, "POST", "/mutate", {
+                "base_job_id": base.id, "delta": {"add_vertices": 1},
+                "staleness_budget": budget})
+            assert status == 400
+            assert "unknown mutate field(s) ['staleness_budget']" in payload["error"]
+        assert svc.stats()["queue"]["submitted"] == 1  # the base job only
 
 
 # ----------------------------------------------------------------------

@@ -9,10 +9,10 @@ edges, then writes ``BENCH_kernels.json`` at the repository root::
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke
 
 Each row's ``tier`` names what its ``vectorized_s`` column timed: the
-``vectorized`` backend runs the First-Fit sweep as compiled C when the
-library of :mod:`repro.kernels.compiled` loads (``compiled``), and as the
-reference Python loop otherwise (``reference``); the shuffle drains always
-run the round-synchronous NumPy drain (``numpy``).
+``vectorized`` backend runs the First-Fit sweep and the shuffle drain as
+compiled C when the library of :mod:`repro.kernels.compiled` loads
+(``compiled``), and as the reference Python loops otherwise
+(``reference``).  Both tiers give the same coloring.
 
 ``--check BASELINE.json`` compares the measured vectorized/reference
 speedup ratios against a previously recorded baseline and exits non-zero
@@ -81,7 +81,7 @@ def bench_graph(name, graph, repeats: int, recorder=NULL):
     """
     init = greedy_coloring(graph, backend="reference")
     # loads (or builds, once per machine) the library before any timing
-    ff_tier = "reference" if compiled.load() is None else "compiled"
+    tier = "reference" if compiled.load() is None else "compiled"
     jobs = {
         "ff_sweep": lambda be: greedy_coloring(graph, backend=be),
         "shuffle_vertex": lambda be: shuffle_balance(
@@ -98,7 +98,7 @@ def bench_graph(name, graph, repeats: int, recorder=NULL):
                 "num_vertices": graph.num_vertices,
                 "num_edges": graph.num_edges,
                 "kernel": kernel,
-                "tier": ff_tier if kernel == "ff_sweep" else "numpy",
+                "tier": tier,
                 "reference_s": round(ref, 6),
                 "vectorized_s": round(vec, 6),
                 "speedup": round(ref / vec, 3) if vec > 0 else float("inf"),

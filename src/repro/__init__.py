@@ -13,8 +13,8 @@ Subpackages
 ``repro.kernels``
     Backend-dispatched compute kernels behind the coloring hot paths:
     ``reference`` runs the Python oracles, any other backend a compiled C
-    loop when the library loads, else the same oracle; only the shuffle
-    drain differs by backend (``vectorized`` batches its moves in rounds).
+    loop when the library loads, else the same oracle, with bit-identical
+    results.
 ``repro.parallel``
     Tick-synchronous simulated shared-memory engine and the parallel
     variants of every strategy (Algorithms 2–5), plus a real

@@ -284,14 +284,14 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             result = execute(graph, config, recorder=recorder)
             mutated = None
             if args.mutate is not None:
-                from .graph.delta import parse_mutation_spec
-                from .run import mutate as run_mutate
+                from .graph.delta import apply_delta, parse_mutation_spec
+                from .run import mutation_config
 
                 batch = parse_mutation_spec(args.mutate, graph, seed=args.seed)
-                mutated_graph, mutated = run_mutate(
-                    graph, result.coloring, batch,
+                mutated_graph, dirty = apply_delta(graph, batch)
+                mutated = execute(mutated_graph, mutation_config(
                     mode=args.mode if args.mode != "mp" else "sequential",
-                    threads=args.threads, recorder=recorder)
+                    threads=args.threads), initial=result.coloring, recorder=recorder)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -301,7 +301,7 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         meta = mutated.coloring.meta
         print(f"after --mutate {args.mutate!r} "
               f"(n={mutated_graph.num_vertices} m={mutated_graph.num_edges}, "
-              f"dirty={meta['dirty']}, seeded={meta['seeded']}):")
+              f"dirty={dirty.size}, seeded={meta['seeded']}):")
         print(mutated.summary())
     if recorder is not None:
         print(recorder.summary())

@@ -59,27 +59,10 @@ def carry_forward(graph: CSRGraph, base: Coloring, *,
                           "seeded_vertices": n - n_old})
 
 
-def check_dirty(graph: CSRGraph, dirty) -> int:
-    """The number of distinct *dirty* vertices (``None``: all of them).
-
-    *dirty* is the second return of :func:`repro.graph.delta.apply_delta`;
-    an id outside ``[0, n)`` raises :class:`ValueError`.  The re-color
-    does not need the set; it is recorded in the result's meta.
-    """
-    n = graph.num_vertices
-    if dirty is None:
-        return n
-    dirty = np.unique(np.asarray(dirty, dtype=np.int64))
-    if dirty.size and (dirty[0] < 0 or dirty[-1] >= n):
-        raise ValueError("dirty vertex id out of range")
-    return int(dirty.size)
-
-
 def incremental_recolor(
     graph: CSRGraph,
     base: Coloring,
     *,
-    dirty=None,
     backend: str | None = None,
     recorder=None,
 ) -> Coloring:
@@ -87,10 +70,8 @@ def incremental_recolor(
 
     Returns ``balanced_recoloring(graph, carry_forward(graph, base))``
     with strategy ``incremental``; its ``meta`` adds ``seeded`` (the
-    appended vertices) and ``dirty`` (see :func:`check_dirty`).
-    ``backend`` selects the kernels of both steps.
+    appended vertices).  ``backend`` selects the kernels of both steps.
     """
-    num_dirty = check_dirty(graph, dirty)
     rec = as_recorder(recorder)
     with rec.phase("incremental"):
         seeded = carry_forward(graph, base, backend=backend)
@@ -98,5 +79,4 @@ def incremental_recolor(
                                      recorder=recorder)
     return Coloring(result.colors, result.num_colors, strategy="incremental",
                     meta={**result.meta, "base_strategy": base.strategy,
-                          "seeded": seeded.meta["seeded_vertices"],
-                          "dirty": num_dirty})
+                          "seeded": seeded.meta["seeded_vertices"]})

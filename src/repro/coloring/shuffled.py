@@ -63,10 +63,9 @@ def shuffle_balance(
     paper's notion); ``"degree"`` equalizes per-class total degree (edge
     work, plus one unit per vertex so isolated vertices still count).
 
-    ``backend`` selects the drain kernel (see :mod:`repro.kernels`): the
-    ``reference`` backend (the default here) is the paper's sequential
-    single pass; ``vectorized`` batches moves in whole-array rounds and
-    reaches the same balance regime with a different move trace.
+    The drain is the paper's sequential single pass
+    (:func:`repro.kernels.shuffle_drain`); ``backend`` selects its tier
+    (see :mod:`repro.kernels`), never its result.
 
     ``recorder`` (optional :class:`repro.obs.Recorder`) receives a
     ``drain`` phase timer, per-round ``drain_round`` events from the
@@ -93,7 +92,7 @@ def shuffle_balance(
     np.add.at(sizes, colors, vertex_w)
 
     rec = as_recorder(recorder)
-    resolved = kernels.resolve_backend(backend, default="reference")
+    resolved = kernels.resolve_backend(backend)
     strategy = f"{'v' if traversal == 'vertex' else 'c'}{choice}"
     with rec.phase(f"{strategy}/drain"):
         moves = kernels.shuffle_drain(

@@ -169,7 +169,7 @@ def _seq_recoloring(graph: CSRGraph, initial: Coloring | None = None, *,
     return balanced_recoloring(graph, initial, recorder=recorder, **kwargs)
 
 
-@_accepts("dirty", "backend")
+@_accepts("backend")
 def _seq_incremental(graph: CSRGraph, initial: Coloring | None = None, *,
                      threads: int = 1, seed=None, recorder=None,
                      **kwargs) -> Coloring:
@@ -246,7 +246,7 @@ def _superstep_recoloring(graph: CSRGraph, initial: Coloring | None = None, *,
                                recorder=recorder, **kwargs)
 
 
-@_accepts("dirty", "max_rounds")
+@_accepts("max_rounds")
 def _superstep_incremental(graph: CSRGraph, initial: Coloring | None = None, *,
                            threads: int = 1, seed=None, recorder=None,
                            **kwargs) -> Coloring:

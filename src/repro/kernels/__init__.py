@@ -10,7 +10,7 @@ one-sided D2 balance drain (:func:`d2_drain_pass`), the Sched-Rev move commit
 (:func:`count_monochromatic_edges`, :func:`d2_violating_column`) and the
 unscheduled-shuffling drain (:func:`shuffle_drain`).
 
-Every kernel but the shuffle drain has exactly two tiers, with one rule:
+Every kernel has exactly two tiers, with one rule:
 
 * a resolved ``reference`` backend runs the **oracle**, the Python loop
   of :mod:`repro.kernels.reference` (for the D1 detectors and the D1
@@ -20,15 +20,8 @@ Every kernel but the shuffle drain has exactly two tiers, with one rule:
   else that same oracle.
 
 The two tiers are bit-identical, so ``vectorized`` names the fast tier,
-not one implementation.  Every input is checked before either tier runs.
-
-The shuffle drain is the exception: its backends are two different
-algorithms, and its semantics differ by backend.  ``reference`` runs the
-paper's sequential single pass; ``vectorized`` runs the round-synchronous
-batched moves of :mod:`repro.kernels.vectorized`.  Both give proper
-colorings with the same color count and reduced imbalance, but not the
-same moves, so this kernel defaults to ``reference`` to keep the
-paper-pinned golden results reproducible.
+not one implementation: a backend chooses how fast a result is computed,
+never which result.  Every input is checked before either tier runs.
 
 Backend selection, strongest first:
 
@@ -39,8 +32,7 @@ Backend selection, strongest first:
    :func:`repro.parallel.mp.mp_greedy_ff`, ...);
 2. a process-wide override installed with :func:`set_default_backend`;
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
-4. the call site's default: ``vectorized`` for the two-tier kernels,
-   ``reference`` for the shuffle drain.
+4. the default, ``vectorized``.
 
 Every properness verifier (:mod:`repro.coloring.verify`,
 :func:`repro.resilience.check_invariants`, the partial D2 verifiers of
@@ -122,14 +114,11 @@ def get_default_backend() -> str | None:
     return None
 
 
-def resolve_backend(backend: str | None = None, *, default: str = "vectorized") -> str:
-    """Resolve a backend name: explicit arg > override > env var > *default*."""
+def resolve_backend(backend: str | None = None) -> str:
+    """Resolve a backend name: explicit arg > override > env var > ``vectorized``."""
     if backend is not None:
         return _check_name(backend)
-    selected = get_default_backend()
-    if selected is not None:
-        return selected
-    return _check_name(default)
+    return get_default_backend() or "vectorized"
 
 
 # ----------------------------------------------------------------------
@@ -455,36 +444,72 @@ def shuffle_drain(
     backend: str | None = None,
     recorder=None,
 ) -> int:
-    """Drain over-full bins toward γ in place; returns the move count.
+    """The paper's unscheduled-shuffling pass toward γ = *g*, in place;
+    returns the move count.
 
-    The ``reference`` backend performs the paper's sequential single pass;
-    ``vectorized`` performs round-synchronous batched moves until no move
-    commits.  Both produce proper colorings with unchanged color count and
-    strictly reduced imbalance; move-for-move traces differ, which is why
-    this kernel defaults to ``reference`` (golden reproducibility) unless
-    a backend is requested.
+    The candidates are the vertices of the bins over γ when the pass
+    starts, in the groups of :func:`repro.kernels.reference.shuffle_groups`:
+    one per over-full bin in increasing index for ``traversal="color"``,
+    one interleaving all bins for ``"vertex"``.  Each candidate, in
+    vertex-id order, leaves its bin while that bin is still over γ, for
+    the first (``choice="ff"``) or first least-used (``"lu"``) bin under
+    γ that no neighbor holds, moving its weight ``vertex_w[v]`` between
+    the bin *sizes*.  Both tiers give bit-identical colors, sizes and
+    moves.
 
     ``recorder`` (optional :class:`repro.obs.Recorder`) receives one
-    ``drain_round`` event per drain round — moves committed, the source
-    bin (``-1`` for the reference vertex traversal's single interleaved
-    pass), and the live RSD of the bin sizes.  Purely observational.
+    ``drain_round`` event per group: its source bin (``-1`` for the vertex
+    traversal), its moves and the live RSD of the bin sizes.  Purely
+    observational.
 
-    *choice* must be ``"ff"`` or ``"lu"`` and *traversal* ``"vertex"`` or
-    ``"color"``, else :class:`ValueError`.
+    *sizes* must be a writeable contiguous float64 array (length C),
+    *colors* a writeable contiguous int64 array of length n with values in
+    ``[0, C)``, *vertex_w* a float64 array of length n, sizes and weights
+    finite, *g* a finite number, *choice* ``"ff"`` or ``"lu"`` and
+    *traversal* ``"vertex"`` or ``"color"``, else :class:`ValueError`.
     """
     if choice not in ("ff", "lu"):
         raise ValueError(f"choice must be 'ff' or 'lu', got {choice!r}")
     if traversal not in ("vertex", "color"):
         raise ValueError(f"traversal must be 'vertex' or 'color', got {traversal!r}")
-    name = resolve_backend(backend, default="reference")
+    n = graph.num_vertices
+    indptr, indices = _graph_arrays(graph)
+    C = _check_inout("sizes", sizes, np.float64, None).shape[0]
+    _check_inout("colors", colors, np.int64, n)
+    if n and (colors.min() < 0 or colors.max() >= C):
+        raise ValueError(f"colors must lie in [0, {C})")
+    vertex_w = np.asarray(vertex_w)
+    if vertex_w.dtype != np.float64 or vertex_w.shape != (n,):
+        raise ValueError(f"vertex_w must be a 1-D float64 array of length {n}")
+    vertex_w = np.ascontiguousarray(vertex_w)
+    g = float(g)
+    if not (np.isfinite(g) and np.isfinite(sizes).all() and np.isfinite(vertex_w).all()):
+        raise ValueError("g, sizes and vertex_w must be finite")
     from ..obs import as_recorder
-    from . import vectorized
 
-    impl = vectorized.shuffle_drain if name == "vectorized" else reference.shuffle_drain
-    return impl(
-        graph, colors, sizes, g, choice=choice, traversal=traversal,
-        vertex_w=vertex_w, recorder=as_recorder(recorder),
-    )
+    recorder = as_recorder(recorder)
+    lib = _compiled(backend)
+    stamp = np.zeros(C, dtype=np.int64)
+    moves = seen = 0
+    for source, group in reference.shuffle_groups(colors, sizes, g, traversal):
+        if lib is None:
+            group_moves = reference.shuffle_drain(graph, colors, sizes, g, group,
+                                                  choice, vertex_w)
+        else:
+            group_moves = lib.shuffle_drain(
+                indptr.ctypes.data, indices.ctypes.data, n, indices.shape[0],
+                colors.ctypes.data, sizes.ctypes.data, C, g, vertex_w.ctypes.data,
+                group.ctypes.data, group.shape[0], int(choice == "lu"),
+                stamp.ctypes.data, seen)
+            if group_moves < 0:
+                raise ValueError("graph is not a valid CSR")
+        seen += group.shape[0]
+        moves += group_moves
+        if recorder.enabled:
+            mean = sizes.mean() if C else 0.0
+            recorder.event("drain_round", source_bin=source, moves=group_moves,
+                           rsd_percent=float(100.0 * sizes.std() / mean) if mean else 0.0)
+    return moves
 
 
 # ----------------------------------------------------------------------

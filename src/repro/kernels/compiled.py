@@ -1,6 +1,6 @@
 """Compiled C forms of the per-vertex loops.
 
-Five loops here are sequential at heart: each step reads what the step
+Six loops here are sequential at heart: each step reads what the step
 before it wrote.
 
 ``ff_sweep``
@@ -21,6 +21,11 @@ before it wrote.
     (:func:`repro.bipartite.d2_shuffle_drain`): each candidate row's move
     depends on the live class sizes and the live colors of its two-hop
     rows;
+``shuffle_drain``
+    one candidate group of the unscheduled-shuffling drain behind
+    VFF/VLU/CFF/CLU (:func:`repro.kernels.shuffle_drain`): each candidate
+    leaves its bin while that bin is over γ, for a bin its neighbors do
+    not hold, reading the live colors and bin sizes;
 ``sched_commit``
     the move commit of Sched-Rev/Sched-Fwd
     (:func:`repro.coloring.scheduled_balance`): each planned move checks
@@ -43,7 +48,7 @@ Two more loops are not sequential, but are cheap only in C:
     with a color stamp finds the first column holding two same-colored
     rows.
 
-This module holds one short C source for all seven, compiled once with the
+This module holds one short C source for all eight, compiled once with the
 system C compiler (``$CC``, else ``cc``; ``-O2 -shared -fPIC``, no
 host-specific tuning) and loaded with :mod:`ctypes`.  The sequential
 loops are transcriptions of the Python ones in
@@ -88,6 +93,9 @@ from pathlib import Path
 
 __all__ = ["cache_dir", "failure_reason", "load"]
 
+# A new loop goes at the end of SOURCE: inserting one earlier moves the
+# machine code of the loops after it, which slowed the conflicts loop by
+# about 20% on a 2-core x86-64 host (gcc -O2).
 SOURCE = r"""
 #include <stdint.h>
 
@@ -348,6 +356,43 @@ int64_t verify(const int64_t *indptr, const int64_t *indices,
     }
     return -1;
 }
+
+/* One candidate group of the shuffle drain, in place on colors and sizes
+   (length C).  Each candidate v, in order, whose bin j = colors[v] is
+   still over g, stamps its neighbors' colors with mark0+i+1 in stamp
+   (length C, never holding a later mark) and moves to the first (lu: the
+   first smallest) unstamped bin t with sizes[t] < g, carrying weight w[v];
+   j itself is over g, so never a target.  Returns the number of moves, or
+   -1 on an out-of-range graph index. */
+int64_t shuffle_drain(const int64_t *indptr, const int64_t *indices,
+                      int64_t n, int64_t nnz, int64_t *colors, double *sizes,
+                      int64_t C, double g, const double *w, const int64_t *cand,
+                      int64_t ncand, int64_t lu, int64_t *stamp, int64_t mark0)
+{
+    int64_t moves = 0;
+    for (int64_t i = 0; i < ncand; i++) {
+        int64_t v = cand[i], mark = mark0 + i + 1, lo, hi, j, k = -1;
+        if (row_span(indptr, n, nnz, v, &lo, &hi)) return -1;
+        j = colors[v];
+        if (sizes[j] <= g) continue;
+        for (int64_t p = lo; p < hi; p++) {
+            int64_t u = indices[p];
+            if (u < 0 || u >= n) return -1;
+            stamp[colors[u]] = mark;  /* checked to lie in [0, C) */
+        }
+        for (int64_t t = 0; t < C; t++) {
+            if (stamp[t] == mark || !(sizes[t] < g)) continue;
+            if (!lu) { k = t; break; }
+            if (k < 0 || sizes[t] < sizes[k]) k = t;
+        }
+        if (k < 0) continue;
+        colors[v] = k;
+        sizes[j] -= w[v];
+        sizes[k] += w[v];
+        moves++;
+    }
+    return moves;
+}
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -358,6 +403,7 @@ _SIGNATURES = {
     "d2_sweep": (_P, _P, _I, _I, _I, _P, _P, _I, _P),
     "capacity_sweep": (_P, _P, _I, _I, _P, _P, _I, _D, _P, _P, _I),
     "d2_drain_pass": (_P, _P, _I, _I, _I, _P, _P, _P, _I, _D, _P, _I, _I, _P),
+    "shuffle_drain": (_P, _P, _I, _I, _P, _P, _I, _D, _P, _P, _I, _I, _P, _I),
     "sched_commit": (_P, _P, _I, _I, _P, _P, _P, _I),
     "conflicts": (_P, _P, _I, _I, _I, _P, _P, _I, _P, _I, _I, _P, _P),
     "verify": (_P, _P, _I, _I, _I, _P, _I, _P),

@@ -2,10 +2,10 @@
 
 These whole-array kernels are the shared machinery of every
 speculate-and-resolve loop in the library: the tick-machine parallel
-Greedy-FF, the multiprocessing backend, parallel Recoloring, and the
-vectorized shuffle drains all (a) detect monochromatic edges against the
-current colors array in one vectorized pass and (b) maintain per-bin size
-counters.  The two detection scans (:func:`detect_conflicts`,
+Greedy-FF, the multiprocessing backend and parallel Recoloring all (a)
+detect monochromatic edges against the current colors array in one
+vectorized pass and (b) maintain per-bin size counters.  The two
+detection scans (:func:`detect_conflicts`,
 :func:`detect_cross_conflicts`) and the edge count
 (:func:`count_monochromatic_edges`) are the oracles of the dispatchers
 of the same names in :mod:`repro.kernels`, which run C instead when the

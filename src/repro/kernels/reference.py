@@ -16,23 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..obs import NULL
 
 __all__ = ["capacity_sweep", "d2_conflicts", "d2_drain_pass", "d2_sweep",
            "d2_violating_column", "ff_sweep", "pick_shuffle_target", "sched_commit",
-           "shuffle_drain", "two_hop_rows"]
+           "shuffle_drain", "shuffle_groups", "two_hop_rows"]
 
 # two-hop entries gathered per block of rows: keeps the int64 staging
 # arrays at ~0.5 MB each, cache-resident (larger blocks measured slower)
 _TWO_HOP_BLOCK = 1 << 16
-
-
-def _drain_round_event(recorder, source: int, moves: int, sizes: np.ndarray) -> None:
-    """Emit one ``drain_round`` event with the live bin-size RSD."""
-    mean = sizes.mean() if sizes.size else 0.0
-    rsd = float(100.0 * sizes.std() / mean) if mean else 0.0
-    recorder.event("drain_round", source_bin=int(source), moves=int(moves),
-                   rsd_percent=rsd)
 
 
 def _gather_rows(starts: np.ndarray, lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,52 +234,56 @@ def pick_shuffle_target(
     return int(candidates[np.argmin(sizes[candidates])])
 
 
+def shuffle_groups(colors: np.ndarray, sizes: np.ndarray, g: float,
+                   traversal: str) -> list[tuple[int, np.ndarray]]:
+    """The candidate groups of one unscheduled-shuffling pass, in order.
+
+    A candidate is a vertex whose bin is over γ = *g* when the pass
+    starts.  ``traversal="color"`` gives one ``(bin, ids)`` group per
+    over-full bin in increasing bin index; ``"vertex"`` one ``(-1, ids)``
+    group that interleaves all bins.  *ids* are increasing vertex ids.
+    Both tiers of :func:`repro.kernels.shuffle_drain` drain these groups.
+    """
+    over = sizes > g
+    ids = np.flatnonzero(over[colors])
+    if traversal == "vertex":
+        return [(-1, ids)]
+    bins = np.flatnonzero(over)
+    ids = ids[np.argsort(colors[ids], kind="stable")]
+    cuts = np.cumsum(np.bincount(colors[ids], minlength=sizes.shape[0])[bins])[:-1]
+    return list(zip(bins.tolist(), np.split(ids, cuts)))
+
+
 def shuffle_drain(
     graph: CSRGraph,
     colors: np.ndarray,
     sizes: np.ndarray,
     g: float,
-    *,
+    candidates: np.ndarray,
     choice: str,
-    traversal: str,
     vertex_w: np.ndarray,
-    recorder=NULL,
 ) -> int:
-    """One unscheduled-shuffling pass draining over-full bins toward γ.
+    """One candidate group of the unscheduled-shuffling pass, in place.
 
-    Mutates *colors* and *sizes* in place; returns the number of moves.
-    ``traversal="color"`` walks one over-full bin at a time in increasing
-    color index; ``"vertex"`` interleaves candidates by vertex id.
-    *recorder* gets one ``drain_round`` event per candidate group (per
-    over-full bin for ``color``, one for the whole interleaved pass for
-    ``vertex``); it never alters the drain.
+    Each candidate, in order, leaves its bin while that bin is over γ,
+    for the target :func:`pick_shuffle_target` picks against its
+    neighbors' live colors, moving its weight ``vertex_w[v]`` between the
+    float64 *sizes*.  Returns the number of moves.
     """
     indptr, indices = graph.indptr, graph.indices
     moves = 0
-    overfull = np.nonzero(sizes > g)[0]
-    if traversal == "color":
-        candidate_groups = [(int(j), np.nonzero(colors == j)[0]) for j in overfull]
-    else:
-        mask = np.isin(colors, overfull)
-        candidate_groups = [(-1, np.nonzero(mask)[0])]
-
-    for source, group in candidate_groups:
-        group_moves = 0
-        for v in group:
-            v = int(v)
-            j = int(colors[v])
-            if sizes[j] <= g:  # bin reached balance; stop draining it
-                continue
-            nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
-            k = pick_shuffle_target(nbr_colors, sizes, g, j, choice)
-            if k >= 0:
-                colors[v] = k
-                sizes[j] -= vertex_w[v]
-                sizes[k] += vertex_w[v]
-                group_moves += 1
-        moves += group_moves
-        if recorder.enabled:
-            _drain_round_event(recorder, source, group_moves, sizes)
+    for v in candidates:
+        v = int(v)
+        j = int(colors[v])
+        if sizes[j] <= g:  # bin reached balance; stop draining it
+            continue
+        nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
+        k = pick_shuffle_target(nbr_colors, sizes, g, j, choice)
+        if k >= 0:
+            colors[v] = k
+            sizes[j] -= vertex_w[v]
+            sizes[k] += vertex_w[v]
+            moves += 1
     return moves
 
 

@@ -10,7 +10,7 @@ re-colored in full by the speculative
 
 from __future__ import annotations
 
-from ..coloring.incremental import carry_forward, check_dirty
+from ..coloring.incremental import carry_forward
 from ..coloring.types import Coloring
 from ..graph.csr import CSRGraph
 from .recolor import parallel_recoloring
@@ -22,23 +22,16 @@ def parallel_incremental_recolor(
     graph: CSRGraph,
     base: Coloring,
     *,
-    dirty=None,
     num_threads: int = 1,
     max_rounds: int = 100,
     recorder=None,
 ) -> Coloring:
     """``parallel_recoloring(graph, carry_forward(graph, base))`` with
-    strategy ``incremental-parallel``.
-
-    *dirty* is checked and counted as in
-    :func:`repro.coloring.incremental.incremental_recolor`.
-    """
-    num_dirty = check_dirty(graph, dirty)
+    strategy ``incremental-parallel``."""
     seeded = carry_forward(graph, base)
     result = parallel_recoloring(graph, seeded, num_threads=num_threads,
                                  max_rounds=max_rounds, recorder=recorder)
     return Coloring(result.colors, result.num_colors,
                     strategy="incremental-parallel",
                     meta={**result.meta, "base_strategy": base.strategy,
-                          "seeded": seeded.meta["seeded_vertices"],
-                          "dirty": num_dirty})
+                          "seeded": seeded.meta["seeded_vertices"]})

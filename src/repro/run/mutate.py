@@ -3,11 +3,11 @@
 :func:`mutate` is the run-layer front door for graph churn, mirroring
 :func:`~repro.run.pipeline.execute` for the static case.  It applies a
 :class:`~repro.graph.delta.MutationBatch` to a base graph, builds the
-``incremental``-strategy :class:`~repro.run.config.RunConfig` (the dirty
-set travels in ``strategy_kwargs``, so the config stays
-JSON-round-trippable and the serving layer can fingerprint it), and runs
+``incremental``-strategy :class:`~repro.run.config.RunConfig`, and runs
 the standard pipeline with the base coloring as the carried-forward
-initial.  The serve layer's ``POST /mutate`` is this function behind a
+initial.  The config does not name the delta: the serving layer keys a
+mutation job by its base job and the delta's digest
+(:func:`~repro.serve.fingerprint.mutation_job_key`).  The serve layer's ``POST /mutate`` is this function behind a
 job queue.
 """
 
@@ -23,7 +23,6 @@ __all__ = ["mutate", "mutation_config"]
 
 
 def mutation_config(
-    dirty,
     *,
     mode: str = "sequential",
     threads: int = 1,
@@ -31,12 +30,7 @@ def mutation_config(
     machine: str | None = None,
     on_failure: str = "raise",
 ) -> RunConfig:
-    """The canonical ``incremental`` RunConfig for a mutation.
-
-    ``dirty`` is stored as a plain list of ints so ``config.to_dict()``
-    stays JSON-serializable — the property the serving layer's
-    content-addressed keys depend on.
-    """
+    """The canonical ``incremental`` RunConfig for a mutation."""
     return RunConfig(
         "incremental",
         mode=mode,
@@ -44,7 +38,6 @@ def mutation_config(
         backend=backend,
         machine=machine,
         on_failure=on_failure,
-        strategy_kwargs={"dirty": [int(v) for v in dirty]},
     )
 
 
@@ -67,8 +60,8 @@ def mutate(
     graph (so balance stats, traces, and healing policy all behave
     exactly as for any other run).  *graph* and *coloring* are untouched.
     """
-    mutated, dirty = apply_delta(graph, batch)
-    config = mutation_config(dirty, mode=mode, threads=threads, backend=backend,
+    mutated, _ = apply_delta(graph, batch)
+    config = mutation_config(mode=mode, threads=threads, backend=backend,
                              machine=machine, on_failure=on_failure)
     result = execute(mutated, config, initial=coloring, recorder=recorder)
     return mutated, result

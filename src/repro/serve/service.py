@@ -358,7 +358,7 @@ class ColoringService:
             mutated, dirty = apply_delta(base.graph, batch)
         except ValueError as exc:
             raise MutationError(f"invalid delta: {exc}", status=400) from None
-        config = mutation_config(dirty, mode=mode, threads=threads,
+        config = mutation_config(mode=mode, threads=threads,
                                  on_failure=base.config.on_failure)
         key = mutation_job_key(base.key, batch.digest(), config)
         meta = {"base_job_id": base_job_id, "delta_digest": batch.digest(),

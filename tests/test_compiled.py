@@ -276,6 +276,23 @@ def drain_case(bip, C: int, seed: int, choice: str, free_mask: bool = False) -> 
     return *head(bip), colors, sizes, under, g, candidates, choice
 
 
+def shuffle_case(graph, choice: str, traversal: str, weight: str) -> tuple:
+    """``(graph, colors, sizes, g, choice, traversal, vertex_w)``: the drain
+    :func:`repro.coloring.shuffle_balance` runs on a First-Fit coloring."""
+    colors = kernels.ff_sweep(graph)
+    C = int(colors.max(initial=-1)) + 1
+    vertex_w = (np.ones(graph.num_vertices) if weight == "unit"
+                else graph.degrees.astype(np.float64) + 1.0)
+    sizes = np.zeros(C)
+    np.add.at(sizes, colors, vertex_w)
+    return (graph, colors, sizes, float(vertex_w.sum()) / C if C else 0.0, choice,
+            traversal, vertex_w)
+
+
+SHUFFLE_VARIANTS = [(c, t, w) for c in ("ff", "lu") for t in ("vertex", "color")
+                    for w in ("unit", "degree")]
+
+
 def commit_case(graph, C: int, seed: int, length: int | None = None) -> tuple:
     """``(graph, colors, vertices, targets)``: a random plan of moves."""
     rng = np.random.default_rng(seed)
@@ -334,6 +351,13 @@ DRAIN_GRAPHS = {
     "clique": lambda: BipartiteGraph.square_cover(complete_graph(7)),
     "band-cover": lambda: BipartiteGraph.square_cover(
         jacobian_band_pattern(40, 10, 3, seed=1)),
+}
+SHUFFLE_GRAPHS = {
+    "no-overfull": lambda: complete_graph(8),  # one vertex per bin, all at γ
+    "star-no-move": lambda: star_graph(12),  # no leaf may leave the over-full bin
+    "isolated": lambda: from_edge_arrays(np.array([0, 1, 2]), np.array([1, 2, 3]),
+                                         num_vertices=9),
+    "er": lambda: erdos_renyi_graph(300, 0.03, seed=11),
 }
 COMMIT_GRAPHS = {
     "empty": lambda: empty_graph(0),
@@ -423,12 +447,9 @@ _COMMIT = (("graph", "colors", "vertices", "targets"),
            commit_case(erdos_renyi_graph(150, 0.05, seed=4), 8, 6, length=200))
 
 
-def _bad_shuffle(**override):
-    graph = erdos_renyi_graph(80, 0.1, seed=5)
-    colors = kernels.ff_sweep(graph)
-    sizes = np.bincount(colors).astype(np.float64)
-    args = {"choice": "ff", "traversal": "color", "vertex_w": np.ones(80), **override}
-    return partial(kernels.shuffle_drain, graph, colors, sizes, 80 / sizes.size, **args)
+_SHUFFLE = (("graph", "colors", "sizes", "g", "choice", "traversal", "vertex_w"),
+            shuffle_case(erdos_renyi_graph(80, 0.1, seed=5), "ff", "color", "unit"))
+_SC = _SHUFFLE[1][2].size
 
 
 # ----------------------------------------------------------------------
@@ -468,6 +489,17 @@ def call_drain(args, backend):
     return (*rest[2:5], moves)  # colors, sizes, under: mutated in place
 
 
+def call_shuffle(args, backend):
+    """Colors, sizes, moves and the ``drain_round`` events of one drain."""
+    graph, colors, sizes, g, choice, traversal, vertex_w = args
+    rec = Recorder()
+    moves = kernels.shuffle_drain(graph, colors, sizes, g, choice=choice,
+                                  traversal=traversal, vertex_w=vertex_w,
+                                  backend=backend, recorder=rec)
+    return colors, sizes, moves, [(e["source_bin"], e["moves"], e["rsd_percent"])
+                                  for e in rec.events_of("drain_round")]
+
+
 def call_commit(args, backend):
     return args[1], kernels.sched_commit(*args, backend=backend)  # colors: in place
 
@@ -489,6 +521,21 @@ def _capacity_ok(args, out) -> bool:
             and not np.any((colors[u] == colors[v]) & (colors[u] >= 0))
             and num_colors == int(colors.max(initial=-1)) + 1
             and (not order.size or sizes.max() < capacity + 1))
+
+
+def _shuffle_ok(args, out) -> bool:
+    """Still proper, C unchanged, the move count true and the sizes the bin
+    weights.  With unit weights the total weight over γ never grows: a move
+    fills a bin under γ to at most ⌈γ⌉ (a heavier vertex can overshoot)."""
+    graph, colors, sizes, g, *_, vertex_w = args
+    got, got_sizes, moves, _ = out
+    u, v = graph.edge_arrays()
+    return (not np.any(got[u] == got[v]) and got_sizes.shape == sizes.shape
+            and (not got.size or 0 <= got.min() <= got.max() < sizes.size)
+            and moves == int((got != colors).sum())
+            and np.allclose(got_sizes, np.bincount(got, vertex_w, sizes.size))
+            and (np.any(vertex_w != 1) or np.maximum(got_sizes - g, 0).sum()
+                 <= np.maximum(sizes - g, 0).sum() + 1e-9))
 
 
 def _retries_ok(args, out) -> bool:
@@ -605,6 +652,35 @@ KERNELS: dict[str, Kernel] = {
             "drain-choice": _bad(_DRAIN, choice="random"),
         },
     ),
+    "shuffle_drain": Kernel(
+        call=call_shuffle,
+        oracle=(reference, "shuffle_drain"),
+        draw=st.builds(shuffle_case, simple_graphs(), st.sampled_from(["ff", "lu"]),
+                       st.sampled_from(["vertex", "color"]),
+                       st.sampled_from(["unit", "degree"])),
+        fixed={f"{gid}-{c}-{t}-{w}": (lambda make=make, v=(c, t, w): [shuffle_case(make(), *v)])
+               for gid, make in SHUFFLE_GRAPHS.items() for c, t, w in SHUFFLE_VARIANTS},
+        malformed={
+            "shuffle-choice": _bad(_SHUFFLE, choice="bogus"),
+            "shuffle-traversal": _bad(_SHUFFLE, traversal="bogus"),
+            # fractional weights would be truncated into an integer sizes array
+            "shuffle-sizes-int": _bad(_SHUFFLE, sizes=np.zeros(_SC, dtype=np.int64),
+                                      vertex_w=np.full(80, 0.5)),
+            "shuffle-sizes-readonly": _bad(_SHUFFLE, sizes=np.lib.stride_tricks.as_strided(
+                np.zeros(_SC), writeable=False)),
+            "shuffle-sizes-nan": _bad(_SHUFFLE, sizes=np.full(_SC, np.nan)),
+            "shuffle-colors-int32": _bad(_SHUFFLE, colors=np.zeros(80, dtype=np.int32)),
+            "shuffle-colors-short": _bad(_SHUFFLE, colors=np.zeros(79, dtype=np.int64)),
+            "shuffle-colors-too-big": _bad(_SHUFFLE, colors=np.full(80, _SC, dtype=np.int64)),
+            "shuffle-colors-negative": _bad(_SHUFFLE, colors=np.full(80, -1, dtype=np.int64)),
+            "shuffle-weights-short": _bad(_SHUFFLE, vertex_w=np.ones(79)),
+            "shuffle-weights-int": _bad(_SHUFFLE, vertex_w=np.ones(80, dtype=np.int64)),
+            "shuffle-weights-inf": _bad(_SHUFFLE, vertex_w=np.full(80, np.inf)),
+            "shuffle-g-nan": _bad(_SHUFFLE, g=float("nan")),
+            "shuffle-g-inf": _bad(_SHUFFLE, g=float("inf")),
+        },
+        check=_shuffle_ok,
+    ),
     "sched_commit": Kernel(
         call=call_commit,
         oracle=(reference, "sched_commit"),
@@ -622,13 +698,9 @@ KERNELS: dict[str, Kernel] = {
     ),
 }
 
-#: every malformed-input call, plus the shuffle drain's, which has no C tier
+#: every malformed-input call
 MALFORMED = {case: partial(row.call, args, None)
              for row in KERNELS.values() for case, args in row.malformed.items()}
-MALFORMED.update({
-    "shuffle-choice": _bad_shuffle(choice="bogus"),
-    "shuffle-traversal": _bad_shuffle(traversal="bogus"),
-})
 
 
 # ----------------------------------------------------------------------
@@ -978,14 +1050,26 @@ def test_verifiers_reject_malformed_colors(case, path):
 
 
 # ----------------------------------------------------------------------
-# the D2 drain pass and the Sched-Rev commit
+# the D2 drain pass, the shuffle drain and the Sched-Rev commit
 # ----------------------------------------------------------------------
 class TestKernelDifferential:
     test_drain_pass = differential("d2_drain_pass", examples=120)
+    test_shuffle_drain = differential("shuffle_drain", examples=120)
     test_sched_commit = differential("sched_commit", examples=120)
     test_drain_pass_fixed_graphs = fixed_differential("d2_drain_pass")
+    test_shuffle_drain_fixed_graphs = fixed_differential("shuffle_drain")
     test_sched_commit_fixed_graphs = fixed_differential("sched_commit")
-    test_dispatch_runs_c_when_loaded = dispatch_runs_c("d2_drain_pass", "sched_commit")
+    test_dispatch_runs_c_when_loaded = dispatch_runs_c("d2_drain_pass", "shuffle_drain",
+                                                       "sched_commit")
+
+    def test_shuffle_drain_on_table2_stand_ins(self):
+        """VFF/VLU/CFF/CLU with both weights on the four Table II stand-ins."""
+        for name in ("uk2002", "copapers", "channel", "cnr"):
+            graph = load_dataset(name, scale=0.1, seed=0)
+            for variant in SHUFFLE_VARIANTS:
+                _, _, moves, events = assert_c_matches_oracle(
+                    "shuffle_drain", shuffle_case(graph, *variant))
+                assert moves > 0 and events
 
     def test_empty_candidates_and_plan_are_noops(self):
         empty = np.empty(0, dtype=np.int64)
@@ -1003,9 +1087,14 @@ def test_malformed_input_is_rejected_before_c(case):
 
 
 def test_c_guards_graph_indices():
-    """An unvalidated incidence whose rows touch rows fails cleanly in C."""
+    """An unvalidated incidence whose rows touch rows, or a graph with an
+    out-of-range neighbor, fails cleanly in C."""
     if compiled.load() is None:
         pytest.skip(f"no compiled library: {compiled.failure_reason()}")
+    dangling = CSRGraph(np.array([0, 1, 1]), np.array([5]), validate=False)
+    with pytest.raises(ValueError, match="valid CSR"):
+        kernels.shuffle_drain(dangling, np.zeros(2, dtype=np.int64), np.array([2.0, 0.0]),
+                              1.0, choice="ff", traversal="vertex", vertex_w=np.ones(2))
     g = complete_graph(4)
     bad = CSRGraph(g.indptr, g.indices, validate=False)
     colors = np.array([0, 0], dtype=np.int64)

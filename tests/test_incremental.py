@@ -185,24 +185,24 @@ class TestIncrementalRecolor:
         the only path: sequential ``incremental`` is exactly Recoloring of
         the carried-forward coloring."""
         batch = random_churn(graph, 0.01, seed=2, add_vertices=2)
-        mutated, dirty = apply_delta(graph, batch)
-        inc = incremental_recolor(mutated, base, dirty=dirty)
+        mutated, _ = apply_delta(graph, batch)
+        inc = incremental_recolor(mutated, base)
         full = balanced_recoloring(mutated, carry_forward(mutated, base))
         assert np.array_equal(inc.colors, full.colors)
         assert inc.num_colors == full.num_colors
         assert inc.strategy == "incremental"
-        assert (inc.meta["seeded"], inc.meta["dirty"]) == (2, dirty.size)
+        assert inc.meta["seeded"] == 2 and "dirty" not in inc.meta
         assert is_proper(mutated, inc)
 
     def test_dense_churn_ends_proper(self):
         # a 10% churn leaves many conflicts in the carried-forward coloring
         g = erdos_renyi_graph(200, 0.05, seed=1)
         base = greedy_coloring(g)
-        mutated, dirty = apply_delta(g, random_churn(g, 0.10, seed=4))
+        mutated, _ = apply_delta(g, random_churn(g, 0.10, seed=4))
         assert not is_proper(mutated, carry_forward(mutated, base))
-        assert is_proper(mutated, incremental_recolor(mutated, base, dirty=dirty))
+        assert is_proper(mutated, incremental_recolor(mutated, base))
         assert is_proper(mutated, parallel_incremental_recolor(
-            mutated, base, dirty=dirty, num_threads=8))
+            mutated, base, num_threads=8))
 
     def test_carry_forward_seeds_new_vertices(self, graph, base):
         mutated, _ = graph.add_vertices(3)
@@ -219,11 +219,11 @@ class TestIncrementalRecolor:
         def no_c():
             raise AssertionError("C kernel ran under backend='reference'")
 
-        mutated, dirty = apply_delta(
+        mutated, _ = apply_delta(
             graph, random_churn(graph, 0.02, seed=5, add_vertices=3))
-        want = incremental_recolor(mutated, base, dirty=dirty)
+        want = incremental_recolor(mutated, base)
         monkeypatch.setattr(compiled, "load", no_c)
-        got = incremental_recolor(mutated, base, dirty=dirty, backend="reference")
+        got = incremental_recolor(mutated, base, backend="reference")
         assert np.array_equal(got.colors, want.colors)
         assert got.meta["backend"] == "reference"
 
@@ -231,34 +231,34 @@ class TestIncrementalRecolor:
         u, v = graph.edge_arrays()
         batch = MutationBatch.from_edges(remove=[(int(u[i]), int(v[i]))
                                                  for i in range(5)])
-        mutated, dirty = apply_delta(graph, batch)
+        mutated, _ = apply_delta(graph, batch)
         assert is_proper(mutated, carry_forward(mutated, base))
-        assert is_proper(mutated, incremental_recolor(mutated, base, dirty=dirty))
+        assert is_proper(mutated, incremental_recolor(mutated, base))
 
     def test_invalid_budget_rejected(self, graph, base):
-        """The staleness budget is gone: every entry point rejects it."""
-        config = RunConfig("incremental", strategy_kwargs={"staleness_budget": 0.05})
-        with pytest.raises(ValueError, match="staleness_budget"):
-            execute(graph, config, initial=base)
-        with pytest.raises(ValueError, match="dirty vertex id out of range"):
-            incremental_recolor(graph, base, dirty=[graph.num_vertices])
+        """The staleness budget and the dirty set are gone: every entry
+        point rejects them."""
+        for option in ("staleness_budget", "dirty"):
+            config = RunConfig("incremental", strategy_kwargs={option: [0]})
+            with pytest.raises(ValueError, match=option):
+                execute(graph, config, initial=base)
+        with pytest.raises(TypeError, match="dirty"):
+            incremental_recolor(graph, base, dirty=[0])
         with pytest.raises(TypeError, match="staleness_budget"):
             mutate(graph, base, MutationBatch.from_edges(add_vertices=1),
                    staleness_budget=0.05)
 
     def test_superstep_one_thread_matches_sequential(self, graph, base):
         batch = random_churn(graph, 0.02, seed=8, add_vertices=1)
-        mutated, dirty = apply_delta(graph, batch)
-        seq = incremental_recolor(mutated, base, dirty=dirty)
-        par = parallel_incremental_recolor(mutated, base, dirty=dirty,
-                                           num_threads=1)
+        mutated, _ = apply_delta(graph, batch)
+        seq = incremental_recolor(mutated, base)
+        par = parallel_incremental_recolor(mutated, base, num_threads=1)
         assert np.array_equal(seq.colors, par.colors)
 
     def test_superstep_many_threads_proper_with_trace(self, graph, base):
         batch = random_churn(graph, 0.02, seed=8)
-        mutated, dirty = apply_delta(graph, batch)
-        par = parallel_incremental_recolor(mutated, base, dirty=dirty,
-                                           num_threads=8)
+        mutated, _ = apply_delta(graph, batch)
+        par = parallel_incremental_recolor(mutated, base, num_threads=8)
         assert is_proper(mutated, par)
         assert par.meta["trace"].supersteps  # speculation actually ran
 
@@ -276,10 +276,11 @@ class TestRunLayer:
         assert result.balance.rsd_percent >= 0.0
 
     def test_mutation_config_is_json_roundtrippable(self):
-        cfg = mutation_config([3, 1, 2])
+        cfg = mutation_config(mode="superstep", threads=4)
         clone = RunConfig.from_dict(cfg.to_dict())
         assert clone == cfg
-        assert clone.strategy_kwargs["dirty"] == [3, 1, 2]
+        assert (clone.strategy, clone.threads, clone.strategy_kwargs) == (
+            "incremental", 4, {})
 
     def test_incremental_in_registry_both_modes(self, graph):
         from repro.coloring import STRATEGIES

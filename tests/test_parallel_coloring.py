@@ -250,10 +250,9 @@ def _superstep_run(engine: str, graph, p: int, variant: str):
                                   recorder=rec, **kw)
     elif engine == "incremental":
         del kw["fault_plan"]  # no fault-injection points
-        mutated, dirty = apply_delta(graph, random_churn(graph, 0.02, seed=8))
+        mutated, _ = apply_delta(graph, random_churn(graph, 0.02, seed=8))
         out = parallel_incremental_recolor(mutated, greedy_coloring(graph),
-                                           dirty=dirty, num_threads=p,
-                                           recorder=rec, **kw)
+                                           num_threads=p, recorder=rec, **kw)
     else:
         bip = (BipartiteGraph.square_cover(graph) if engine == "d2-cover"
                else BipartiteGraph.from_incidence(
@@ -279,7 +278,8 @@ def _pinned_fingerprint(engine: str, graph, p: int, variant: str) -> dict:
 #: (engine, threads, variant) -> (colors, trace, meta, events) digests.
 #: Generated before the five engines shared one round driver; any drift in
 #: colors, traces, meta or recorder events is a behaviour change.  The
-#: ``incremental`` rows pin the carry-forward + full parallel re-color.
+#: ``incremental`` rows pin the carry-forward + full parallel re-color; their
+#: meta digests were re-pinned when the ``dirty`` count left the meta.
 SUPERSTEP_PINS = {
     ("cff", 1, "clean"):
         ("38d3175395934cb4", "fd5ad10223fa132b", "277c74aff3f01793", "bf5e267bc2c88627"),
@@ -342,13 +342,13 @@ SUPERSTEP_PINS = {
     ("greedy-ff", 16, "stick@r1:6"):
         ("fc054236de21a72d", "799ffeff5899ab38", "aa9013853da410dd", "38100231ac85e6a3"),
     ("incremental", 1, "clean"):
-        ("2c1341527fd567e3", "eeed4c4676e8aaef", "45a2faaba52a2293", "9f17c04da6daf52e"),
+        ("2c1341527fd567e3", "eeed4c4676e8aaef", "debcc73ad8d7ac86", "9f17c04da6daf52e"),
     ("incremental", 4, "clean"):
-        ("cc7f9223f6448b82", "fcd53a83a34e3630", "7546f4f403f3bed6", "ad4f898c096f5556"),
+        ("cc7f9223f6448b82", "fcd53a83a34e3630", "38f757d7f42ed104", "ad4f898c096f5556"),
     ("incremental", 16, "clean"):
-        ("63c7de8decadcea8", "235c4f3ca47a3e46", "84374223cd3a0c2b", "e9f8dfa2383e3846"),
+        ("63c7de8decadcea8", "235c4f3ca47a3e46", "aec21e64631b1b89", "e9f8dfa2383e3846"),
     ("incremental", 16, "max_rounds=1"):
-        ("0310c3b6dc7cf4bc", "6e1f02417df7a25a", "fe85fcf686309cf4", "11d641bf4d68b248"),
+        ("0310c3b6dc7cf4bc", "6e1f02417df7a25a", "a65008719428bb54", "11d641bf4d68b248"),
     ("recoloring", 1, "clean"):
         ("76e370d9e886589a", "6f00913770417792", "19df4e8737496baf", "81c121488b54ebda"),
     ("recoloring", 1, "stick@r0:6"):
@@ -417,14 +417,14 @@ def test_superstep_incremental_is_recoloring_of_carried_forward(small_cnr, p):
     from repro.parallel import parallel_incremental_recolor
 
     base = greedy_coloring(small_cnr)
-    mutated, dirty = apply_delta(small_cnr, random_churn(small_cnr, 0.02, seed=8,
-                                                         add_vertices=2))
-    got = parallel_incremental_recolor(mutated, base, dirty=dirty, num_threads=p)
+    mutated, _ = apply_delta(small_cnr, random_churn(small_cnr, 0.02, seed=8,
+                                                     add_vertices=2))
+    got = parallel_incremental_recolor(mutated, base, num_threads=p)
     want = parallel_recoloring(mutated, carry_forward(mutated, base), num_threads=p)
     assert np.array_equal(got.colors, want.colors)
     assert got.num_colors == want.num_colors
     assert got.meta["trace"].to_dict() == want.meta["trace"].to_dict()
     assert_proper(mutated, got)
     if p == 1:
-        seq = incremental_recolor(mutated, base, dirty=dirty)
+        seq = incremental_recolor(mutated, base)
         assert np.array_equal(got.colors, seq.colors)

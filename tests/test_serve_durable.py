@@ -497,6 +497,42 @@ class TestPoisonedDurableState:
         finally:
             svc2.stop()
 
+    def test_pending_dirty_job_fails_with_reason(self, tmp_path, graph):
+        """A mutation job persisted while the incremental strategy still
+        took the dirty set carries it in ``strategy_kwargs``: after a
+        restart it fails with the field named, and the pump keeps serving."""
+        from repro.graph import apply_delta, random_churn
+        from repro.serve.fingerprint import mutation_job_key
+
+        root = tmp_path / "st"
+        svc = ColoringService(store=root)
+        base = svc.submit_and_wait(graph, RunConfig("vff", seed=0))
+        batch = random_churn(graph, 0.01, seed=0)
+        mutated, dirty = apply_delta(graph, batch)
+        config = RunConfig("incremental", strategy_kwargs={"dirty": dirty.tolist()})
+        old = svc.queue.submit(
+            mutated, config, key=mutation_job_key(base.key, batch.digest(), config),
+            initial=base.result.coloring,
+            meta={"base_job_id": base.id, "initial_from_key": base.key})
+        svc.store.close()  # crash before the pump took it
+
+        svc2 = ColoringService(store=root)
+        assert svc2.recovered == {"requeued": 1, "failed": 0, "terminal": 1}
+        svc2.start()
+        try:
+            job = svc2.result(old.id)
+            assert job.wait(30)
+            assert job.status == "failed"
+            assert "'dirty'" in job.error
+            assert svc2.store.get(old.id)["status"] == "failed"
+            assert svc2.pump_alive
+            fresh = svc2.mutate_and_wait(base.id, batch)
+            assert fresh.status == "done" and fresh.key != old.key
+            assert fresh.meta["dirty_vertices"] == dirty.size
+            assert is_proper(mutated, fresh.result.coloring)
+        finally:
+            svc2.stop()
+
     def test_truncated_spill_quarantined_and_recomputed(self, tmp_path,
                                                         graph,
                                                         counted_execute):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Chaos soak for the supervised serving layer.
 
-Drives an in-process :class:`repro.serve.ColoringService` through three
+Drives an in-process :class:`repro.serve.ColoringService` through two
 fault campaigns and verifies the robustness invariants the supervision
 layer exists for — not throughput:
 
@@ -10,11 +10,6 @@ layer exists for — not throughput:
   still finish with a proper coloring, the cache must degrade to
   memory-only instead of failing jobs, and a restart must serve every
   persisted result without re-executing it.
-- ``process_chaos`` — a supervised sharded service whose warm-pool
-  workers are SIGKILLed both by the chaos plan (``poolkill``) and by the
-  harness (all workers at once, wedging the pool on its own task-queue
-  lock): the supervisor must respawn the pool and every job must drain
-  within a bounded number of recovery rounds.
 - ``crash_restart`` — jobs interrupted mid-flight by a hard stop: the
   next life must re-admit exactly the interrupted jobs and re-execute
   nothing that already persisted.
@@ -38,8 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import signal
 import sys
 import tempfile
 import time
@@ -53,7 +46,6 @@ from repro.coloring.verify import is_proper  # noqa: E402
 from repro.graph import erdos_renyi_graph  # noqa: E402
 from repro.run import RunConfig  # noqa: E402
 from repro.serve import ColoringService  # noqa: E402
-from repro.shm import shutdown_warm_pool, warm_pool  # noqa: E402
 
 #: Hard ceiling on post-fault drain rounds before a campaign is declared
 #: stuck.  Generous: a healthy drain takes a handful of rounds.
@@ -151,69 +143,6 @@ def run_io_chaos(quick: bool) -> dict:
     }
 
 
-def run_process_chaos(quick: bool) -> dict:
-    """Supervised sharded service with plan + harness worker kills."""
-    n = 3_000 if quick else 6_000
-    graph = erdos_renyi_graph(n, 4.0 / n, seed=11)
-    by_id = {id(graph): graph}
-    total = 6 if quick else 12
-    # bound each dispatch attempt so a wedged pool costs seconds, not
-    # the 60s default, and the ladder/retry machinery does the rest
-    config_for = lambda s: RunConfig(  # noqa: E731
-        "greedy-ff", seed=s, strategy_kwargs={"round_timeout": 5.0})
-
-    shutdown_warm_pool()  # campaign owns the pool's lifecycle
-    svc = ColoringService(backend=4, supervise=True,
-                          fault_plan="poolkill@r2.w0x2")
-    svc.supervisor.ping_timeout = 2.0  # keep wedge detection cheap
-    svc.supervisor.ping_every = 1  # probe every tick: ticks are manual here
-    t0 = time.perf_counter()
-    jobs = []
-    harness_kills = 0
-    for s in range(total):
-        jobs.append(svc.submit(graph, config_for(s)))
-        if s == total // 2:
-            # harness chaos: SIGKILL every worker at once — the holder
-            # of the shared task-queue lock dies with it, wedging the
-            # pool until the supervisor respawns it
-            for pid in warm_pool().worker_pids():
-                os.kill(pid, signal.SIGKILL)
-                harness_kills += 1
-        # the tick runs after the kills, like the background loop would:
-        # chaos injection, then heartbeat/ping/respawn before dispatch
-        svc.supervisor.tick()
-        svc.process(max_rounds=1)
-
-    rounds = 0
-    while svc.queue.pending_count and rounds < RECOVERY_ROUND_CAP:
-        svc.supervisor.tick()
-        svc.process(max_rounds=1)
-        rounds += 1
-    wall_s = time.perf_counter() - t0
-
-    lost, improper, worst_rsd = _audit(jobs, by_id)
-    sup = svc.supervisor.stats()
-    sched = svc.stats()["scheduler"]
-    backend = svc.backend.stats()
-    svc.stop()
-    shutdown_warm_pool()
-
-    return {
-        "campaign": "process_chaos",
-        "jobs": len(jobs),
-        "lost": lost,
-        "improper": improper,
-        "faults_injected": sup["kills_injected"] + harness_kills,
-        "reexecuted": 0,
-        "recovery_rounds": rounds,
-        "pool_respawns": sup["pool_respawns"],
-        "readmitted": sched["readmitted"],
-        "downgrades": backend.get("downgrades", 0),
-        "worst_rsd_percent": round(worst_rsd, 3),
-        "wall_s": round(wall_s, 3),
-    }
-
-
 def run_crash_restart(quick: bool) -> dict:
     """Hard-stop with jobs mid-flight; next life must not lose or redo."""
     n = 1_000 if quick else 2_000
@@ -264,7 +193,7 @@ def run_crash_restart(quick: bool) -> dict:
     }
 
 
-CAMPAIGNS = [run_io_chaos, run_process_chaos, run_crash_restart]
+CAMPAIGNS = [run_io_chaos, run_crash_restart]
 
 
 def check_against_baseline(results, baseline_path: Path) -> int:

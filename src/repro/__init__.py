@@ -17,8 +17,8 @@ Subpackages
     results.
 ``repro.parallel``
     Tick-synchronous simulated shared-memory engine and the parallel
-    variants of every strategy (Algorithms 2–5), plus a real
-    multiprocessing backend.
+    variants of every strategy (Algorithms 2–5), plus real
+    speculative rounds on a thread team (``mp`` mode).
 ``repro.machine``
     Analytic machine models (4-socket Xeon, Tilera TileGx36 with a 2-D
     mesh NoC) that price execution traces into estimated run times.

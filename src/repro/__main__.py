@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=list(MODES), default="sequential",
                      help="execution mode (default sequential)")
     run.add_argument("--threads", type=int, default=1,
-                     help="simulated threads (superstep) or workers (mp)")
+                     help="simulated threads (superstep) or team threads (mp)")
     run.add_argument("--input", choices=sorted(DATASETS), default="cnr",
                      help="input stand-in graph (default cnr)")
     run.add_argument("--machine", choices=sorted(MACHINES), default=None,
@@ -132,12 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fault-plan", default=None, metavar="SPEC",
                      dest="fault_plan",
                      help="deterministic fault injection, e.g. "
-                     "'kill@r0.w1;stall@r1.w0:0.5' (see repro.resilience; "
+                     "'corrupt@r0.w1;stall@r1.w0:0.5' (see repro.resilience; "
                      "also honors the REPRO_FAULT_PLAN env var)")
     run.add_argument("--round-timeout", type=float, default=None,
                      metavar="SECONDS", dest="round_timeout",
-                     help="mp mode: per-block collection timeout — a dead or "
-                     "hung worker is detected after at most this long "
+                     help="mp mode: per-block collection timeout — a "
+                     "stalled block is detected after at most this long "
                      "(default 60)")
     run.add_argument("--graph-file", type=Path, default=None, dest="graph_file",
                      metavar="PATH",
@@ -151,14 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "'add=U-V,...;remove=U-V,...;vertices=K' or "
                      "'churn=FRACTION' (random edge churn at constant "
                      "density, deterministic for --seed)")
-    run.add_argument("--no-shm", action="store_true", dest="no_shm",
-                     help="mp mode: use the legacy per-job pickling "
-                     "transport instead of shared memory + the warm pool")
-    run.add_argument("--mp-context", default=None, dest="mp_context",
-                     choices=["fork", "spawn", "forkserver"],
-                     help="mp mode: multiprocessing start method (default: "
-                     "fork where available, else spawn; also honors the "
-                     "REPRO_MP_CONTEXT env var)")
 
     store = parser.add_argument_group("store options (python -m repro store)")
     store.add_argument("--out", type=Path, default=None, metavar="DIR",
@@ -173,12 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port for 'serve' (default 8734; 0 picks a "
                        "free port)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="scheduler worker-pool width for non-mp jobs "
+                       help="scheduler worker-pool width "
                        "(default 1 = fully sequential)")
-    serve.add_argument("--prewarm", type=int, default=0, metavar="N",
-                       help="spawn the shared mp worker pool with N workers "
-                       "at service start, so the first mp job skips the "
-                       "cold start (default 0 = lazy)")
     serve.add_argument("--max-pending", type=int, default=None,
                        dest="max_pending", metavar="N",
                        help="admission bound: jobs in flight before submits "
@@ -197,16 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
                        "re-run on startup (default: in-memory, ephemeral)")
     serve.add_argument("--shards", type=int, default=0, metavar="N",
                        help="cut big graphs into N shards and color them "
-                       "across the warm worker pool, repairing cross-shard "
+                       "on the mp thread team, repairing cross-shard "
                        "conflicts (default 0 = inline execution)")
     serve.add_argument("--tenant-quota", type=int, default=None,
                        dest="tenant_quota", metavar="N",
                        help="max unfinished jobs per tenant; submits over "
                        "the quota are rejected with 429 (default: unlimited)")
     serve.add_argument("--supervise", action="store_true",
-                       help="'serve': run the supervisor (warm-pool "
-                       "heartbeats + respawn, deadline sweeps, pump "
-                       "restarts) and the degradation ladder "
+                       help="'serve': run the supervisor (deadline "
+                       "sweeps, pump restarts) and the degradation ladder "
                        "(sharded → inline → sequential behind circuit "
                        "breakers)")
     serve.add_argument("--deadline", type=float, default=None,
@@ -257,13 +244,6 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         strategy_kwargs = {}
         if args.round_timeout is not None:
             strategy_kwargs["round_timeout"] = args.round_timeout
-        if args.mode == "mp":
-            if args.no_shm:
-                strategy_kwargs["shm"] = False
-            if args.mp_context is not None:
-                strategy_kwargs["context"] = args.mp_context
-        elif args.no_shm or args.mp_context is not None:
-            parser.error("--no-shm/--mp-context only apply to --mode mp")
         config = RunConfig(
             strategy=args.strategy, mode=args.mode, threads=args.threads,
             machine=args.machine, backend=args.backend, ordering=args.ordering,
@@ -364,10 +344,6 @@ def _serve_command(args) -> int:
               f"{recovered['terminal']} terminal kept, "
               f"{recovered['requeued']} interrupted re-queued, "
               f"{recovered['failed']} unrecoverable failed", flush=True)
-    if args.prewarm:
-        service.prewarm(args.prewarm)
-        print(f"repro serve: warm pool up with {args.prewarm} workers",
-              flush=True)
     service.start()
     print(f"repro serve: listening on http://{host}:{port} "
           f"(workers={args.workers}, cache={max_bytes // (1024 * 1024)}MiB, "

@@ -16,7 +16,7 @@ bipartite row/column graph.  The subsystem provides:
   protocol: :func:`partial_d2_sequential` (one kernel sweep),
   :func:`optimistic_partial_d2` (tick-machine supersteps with an
   execution trace, watchdog and fault injection), and
-  :func:`mp_partial_d2` (real worker processes over the shm transport);
+  :func:`mp_partial_d2` (real concurrent blocks on the mp thread team);
 - :func:`balance_partial_d2` — the one-sided analogue of
   :func:`repro.coloring.shuffle_balance`, draining over-full distance-2
   color classes toward γ without adding colors.

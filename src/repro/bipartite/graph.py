@@ -8,8 +8,8 @@ pattern so that rows sharing a column get distinct colors — a one-sided
 *incidence* ``CSRGraph``: vertices ``[0, num_rows)`` are the row side,
 ``[num_rows, n)`` the column side, and every edge crosses the bipartition.
 One representation means the whole existing substrate — generators,
-datasets, the graph store, :class:`repro.shm.SharedGraph` zero-copy
-transport, ``edge_chunks`` streaming — works on bipartite inputs unchanged.
+datasets, the graph store, the mp thread team, ``edge_chunks`` streaming —
+works on bipartite inputs unchanged.
 
 Two constructions cover the two workloads:
 

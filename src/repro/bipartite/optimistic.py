@@ -15,7 +15,7 @@ round.  Three engines share the protocol:
   :class:`~repro.resilience.ConvergenceWatchdog`.  With one thread it is
   bit-identical to the sequential sweep (no two rows share a tick, so no
   race can happen);
-- :func:`mp_partial_d2` — real worker processes: the ``d2``
+- :func:`mp_partial_d2` — real concurrent blocks on a thread team: the ``d2``
   neighbourhood of the round driver :func:`repro.parallel.mp.run_rounds`
   (rows split in id order into contiguous blocks, the locality the
   tall-skinny patterns want), with :func:`replay_partial_rounds` as its
@@ -38,7 +38,6 @@ from ..parallel.mp import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_ROUND_TIMEOUT,
     Neighbourhood,
-    resolve_transport,
     run_rounds,
 )
 from ..resilience import DEFAULT_PATIENCE, FaultPlan, resolve_fault_plan
@@ -217,34 +216,30 @@ def mp_partial_d2(
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
     max_retries: int = DEFAULT_MAX_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
-    shm: bool | None = None,
-    context: str | None = None,
 ) -> PartialD2Coloring:
-    """Partial D2 coloring computed by *num_workers* OS processes.
+    """Partial D2 coloring computed by *num_workers* threads of the team.
 
-    Deterministic for a fixed ``num_workers``, and independent of
-    transport, start method, and pool warmth — the shm and pickle paths
-    run the identical protocol.  With ``num_workers=1`` the sweep runs
-    in-process and the result is bit-identical to
+    Deterministic for a fixed ``num_workers``, and bit-identical to the
+    inline replay (:func:`replay_partial_rounds`).  With
+    ``num_workers=1`` the sweep runs in-process and the result is
+    bit-identical to
     :func:`~repro.bipartite.optimistic.partial_d2_sequential`.
 
     Guarding, fault injection (``fault_plan``), salvage, the residual
     sequential pass, the meta keys (``workers``/``rounds``/``conflicts``/
-    ``faults``/``degraded``/``residual``/``transport``/``context``/
-    ``bytes_to_workers``/``pool_reused``) and the recorder events
+    ``faults``/``degraded``/``residual``/``transport``/``pool_reused``)
+    and the recorder events
     (``mp_pool``/``mp_round``/``mp_salvage``/``mp_degraded``/``fault_*``
     inside a ``d2-mp`` phase) all match
     :func:`repro.parallel.mp.mp_greedy_ff`.
     """
     rec = as_recorder(recorder)
     resolved = kernels.resolve_backend(backend)
-    transport = resolve_transport(shm)
     with rec.phase("d2-mp"):
         colors, meta = run_rounds(
             Neighbourhood("d2", bip.incidence, bip.num_rows), num_workers,
-            transport=transport, max_rounds=max_rounds, backend=resolved,
-            plan=resolve_fault_plan(fault_plan), context=context,
-            round_timeout=round_timeout, max_retries=max_retries,
+            transport="threads", max_rounds=max_rounds, backend=resolved,
+            plan=resolve_fault_plan(fault_plan), round_timeout=round_timeout, max_retries=max_retries,
             backoff=backoff, rec=rec)
     num_colors = int(colors.max(initial=-1)) + 1
     if rec.enabled:

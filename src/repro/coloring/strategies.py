@@ -3,7 +3,7 @@
 Each :class:`StrategySpec` declares its implementation per *execution
 mode* — ``sequential`` (the reference algorithms in this package),
 ``superstep`` (the tick-machine speculation schemes in
-:mod:`repro.parallel`), and ``mp`` (the real ``multiprocessing`` backend)
+:mod:`repro.parallel`), and ``mp`` (real speculative rounds on a thread team)
 — so the registry, not the call sites, is the single source of truth for
 which (strategy, mode) pairs exist and how they are invoked.
 
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: the three execution regimes the paper compares (sequential reference,
-#: speculate-and-iterate supersteps, real multiprocessing)
+#: speculate-and-iterate supersteps, real concurrent rounds)
 MODES = ("sequential", "superstep", "mp")
 
 
@@ -257,12 +257,12 @@ def _superstep_incremental(graph: CSRGraph, initial: Coloring | None = None, *,
 
 
 # --------------------------------------------------------------------------
-# mp implementations (real multiprocessing)
+# mp implementations (real concurrent rounds on the thread team)
 # --------------------------------------------------------------------------
 
 
 @_accepts("max_rounds", "partition", "backend", "fault_plan", "round_timeout",
-          "max_retries", "shm", "context")
+          "max_retries")
 def _mp_greedy_ff(graph: CSRGraph, initial: Coloring | None = None, *,
                   threads: int = 1, seed=None, recorder=None, **kwargs) -> Coloring:
     from ..parallel.mp import mp_greedy_ff
@@ -351,7 +351,7 @@ def _superstep_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *
 
 
 @_accepts("max_rounds", "backend", "fault_plan", "round_timeout",
-          "max_retries", "shm", "context")
+          "max_retries")
 def _mp_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *,
                       threads: int = 1, seed=None, recorder=None, cover=None,
                       **kwargs) -> Coloring:

@@ -69,8 +69,8 @@ class CSRGraph:
     a simple graph (a self-loop would make a vertex uncolorable).
     """
 
-    __slots__ = ("indptr", "indices", "mmap_paths", "shared_segments",
-                 "_degrees", "_edge_arrays", "_fingerprint", "__weakref__")
+    __slots__ = ("indptr", "indices", "mmap_paths", "_degrees",
+                 "_edge_arrays", "_fingerprint")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, *, validate: bool = True):
         self.indptr = _frozen_view(np.ascontiguousarray(indptr, dtype=np.int64))
@@ -78,9 +78,6 @@ class CSRGraph:
         #: ``(indptr_path, indices_path)`` when the arrays are memory-mapped
         #: ``.npy`` files from :mod:`repro.graph.store`, else ``None``.
         self.mmap_paths: tuple[str, str] | None = None
-        #: Parent-side :class:`repro.shm.SharedGraph` cache (set lazily by
-        #: the shm execution path; never pickled).
-        self.shared_segments = None
         self._degrees: np.ndarray | None = None
         self._edge_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._fingerprint: str | None = None
@@ -314,8 +311,7 @@ class CSRGraph:
         return self._fingerprint
 
     def __getstate__(self) -> dict:
-        # transient state never crosses process boundaries: the shm handle
-        # is parent-owned, and the memoized O(m) arrays would bloat pickles
+        # the memoized O(m) arrays would bloat pickles
         return {"indptr": self.indptr, "indices": self.indices,
                 "mmap_paths": self.mmap_paths,
                 "_fingerprint": self._fingerprint}
@@ -324,7 +320,6 @@ class CSRGraph:
         self.indptr = _frozen_view(np.asarray(state["indptr"]))
         self.indices = _frozen_view(np.asarray(state["indices"]))
         self.mmap_paths = state.get("mmap_paths")
-        self.shared_segments = None
         self._degrees = None
         self._edge_arrays = None
         self._fingerprint = state.get("_fingerprint")

@@ -15,11 +15,9 @@ arrays as plain ``.npy`` files plus a small JSON manifest::
 :func:`load_graph` opens the arrays with ``numpy.load(mmap_mode="r")``,
 so construction is O(1) I/O and pages fault in lazily as algorithms
 touch them; the resulting graph reports :attr:`CSRGraph.out_of_core`
-and keeps its hot paths chunked (see ``edge_chunks``).  Because the OS
-page cache backs the mapping, every worker process of the shm execution
-layer shares the *same* physical pages — an out-of-core graph is
-zero-copy across the whole warm pool by construction
-(:class:`repro.shm.SharedGraph` just passes the file paths along).
+and keeps its hot paths chunked (see ``edge_chunks``).  The mp thread
+team's blocks all read the one mapping, so an out-of-core graph is
+never copied into RAM by a parallel run.
 
 :func:`load_graph_file` is the CLI-facing dispatcher behind
 ``python -m repro run --graph-file`` and the serve layer's

@@ -2,7 +2,7 @@
 
 These whole-array kernels are the shared machinery of every
 speculate-and-resolve loop in the library: the tick-machine parallel
-Greedy-FF, the multiprocessing backend and parallel Recoloring all (a)
+Greedy-FF, the mp round driver and parallel Recoloring all (a)
 detect monochromatic edges against the current colors array in one
 vectorized pass and (b) maintain per-bin size counters.  The two
 detection scans (:func:`detect_conflicts`,

@@ -20,9 +20,9 @@ estimated run times on the paper's two platforms.
 With ``num_threads=1`` every algorithm is bit-identical to its sequential
 reference in :mod:`repro.coloring` — the test-suite checks this.
 
-:mod:`repro.parallel.mp` additionally provides a real ``multiprocessing``
-backend for initial coloring (partition, color, resolve boundary
-conflicts), demonstrating actual parallel execution where the GIL allows.
+:mod:`repro.parallel.mp` additionally runs the speculative rounds for
+real, on a thread team whose block sweeps are compiled calls that
+release the GIL (partition, color, resolve boundary conflicts).
 """
 
 from .engine import ExecutionTrace, SuperstepRecord, TickMachine

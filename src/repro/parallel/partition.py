@@ -1,4 +1,4 @@
-"""Vertex partitioning strategies for the multiprocessing backend.
+"""Vertex partitioning strategies for the mp round driver.
 
 How vertices are split across workers drives the conflict rate of the
 speculative rounds in :func:`repro.parallel.mp.mp_greedy_ff`: workers

@@ -5,7 +5,7 @@ completes and every proposal arrives.  This package drops that assumption
 for every execution path behind :func:`repro.run.execute`:
 
 - :mod:`repro.resilience.faults` — a deterministic, seeded
-  :class:`FaultPlan` that kills/stalls a chosen mp worker, corrupts a
+  :class:`FaultPlan` that stalls a chosen mp block, corrupts a
   block's proposals, serves stale snapshots, or wastes superstep rounds,
   replayable bit-identically (CLI ``--fault-plan``, env
   ``REPRO_FAULT_PLAN``);
@@ -26,7 +26,6 @@ from .faults import (
     WORKER_FAULT_KINDS,
     FaultPlan,
     FaultSpec,
-    InjectedFault,
     NO_FAULTS,
     resolve_fault_plan,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "InjectedFault",
     "InvariantViolationError",
     "NO_FAULTS",
     "ON_FAILURE_POLICIES",

@@ -3,34 +3,30 @@
 The speculation-and-iteration framework the paper builds on assumes every
 round completes and every proposal arrives; this module makes that
 assumption *testable* by injecting the failures a real deployment sees —
-worker crashes, stalls, corrupted proposals, stale snapshots, and rounds
-that simply make no progress — at precisely chosen points, from a seeded
+stalls, corrupted proposals, stale snapshots, and rounds that simply
+make no progress — at precisely chosen points, from a seeded
 plan, so the same failure replays bit-identically.
 
 A :class:`FaultPlan` is a value: an immutable tuple of :class:`FaultSpec`
 entries plus a seed.  The execution layers consult it at well-defined
 injection points:
 
-- ``kill`` / ``stall`` fire *inside* a multiprocessing worker (hard
-  ``os._exit`` / a sleep longer than the round timeout), exercising the
-  dead-worker and hung-worker detection paths of
-  :func:`repro.parallel.mp.mp_greedy_ff`;
+- ``stall`` fires *inside* a block's task on the mp thread team (a
+  sleep longer than the round timeout), exercising the hung-block
+  detection path of :func:`repro.parallel.mp.run_rounds`;
 - ``corrupt`` tampers with a block's returned color proposals before the
   merge, exercising proposal validation;
-- ``stale`` serves a worker the *previous* round's colors snapshot,
+- ``stale`` serves a block the *previous* round's colors snapshot,
   exercising conflict-retry convergence under outdated reads;
 - ``stick`` wastes whole superstep rounds (the round's commits are
   discarded), exercising the convergence watchdog of the tick-machine
   loops.
 
 Beyond the algorithm-level faults above, the same plan grammar drives
-**process/IO-level chaos** against the serving stack (the sites consult
+**IO-level chaos** against the serving stack (the sites consult
 :meth:`FaultPlan.for_op` with a 0-based *occurrence index* in place of a
 round):
 
-- ``poolkill`` — the supervisor SIGKILLs a live warm-pool worker process
-  on its N-th supervision tick (``.wM`` picks which worker, default 0),
-  exercising heartbeat detection and pool respawn;
 - ``spill`` — the N-th result-cache spill write raises ``ENOSPC``,
   exercising the cache's degrade-to-memory-only path;
 - ``spillrot`` — the N-th spill write lands *truncated* on disk (a torn
@@ -41,13 +37,11 @@ round):
 Plans parse from a compact spec string (CLI ``--fault-plan``, env
 ``REPRO_FAULT_PLAN``)::
 
-    kill@r1.w0              kill worker 0's task in round 1
-    stall@r0.w2:1.5         worker 2 sleeps 1.5 s in round 0
+    stall@r0.w2:1.5         block 2 sleeps 1.5 s in round 0
     corrupt@r0.w1           corrupt block 1's proposals in round 0
     stale@r2.w0             serve block 0 a stale snapshot in round 2
     stick@r0:4              rounds 0..3 commit nothing (superstep loops)
-    kill@r0.w0x3            fire on the first 3 attempts (retries included)
-    poolkill@r2.w1          SIGKILL pool worker 1 on supervisor tick 2
+    stall@r0.w0x3           fire on the first 3 attempts (retries included)
     spill@r0x3              spill writes 0..2 fail with ENOSPC
     storeerr@r1x2           store transitions 1..2 raise StoreError
 
@@ -69,17 +63,16 @@ __all__ = [
     "WORKER_FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "InjectedFault",
     "NO_FAULTS",
     "resolve_fault_plan",
 ]
 
 #: Worker-task faults, matched by (round, worker) via :meth:`FaultPlan.for_task`.
-WORKER_FAULT_KINDS = ("kill", "stall", "corrupt", "stale")
+WORKER_FAULT_KINDS = ("stall", "corrupt", "stale")
 
-#: Process/IO chaos faults, matched by occurrence index via
+#: IO chaos faults, matched by occurrence index via
 #: :meth:`FaultPlan.for_op` at their respective serving-stack sites.
-PROCESS_FAULT_KINDS = ("poolkill", "spill", "spillrot", "storeerr")
+PROCESS_FAULT_KINDS = ("spill", "spillrot", "storeerr")
 
 #: Recognized fault kinds, by injection point.
 FAULT_KINDS = WORKER_FAULT_KINDS + ("stick",) + PROCESS_FAULT_KINDS
@@ -88,19 +81,14 @@ FAULT_KINDS = WORKER_FAULT_KINDS + ("stick",) + PROCESS_FAULT_KINDS
 ENV_VAR = "REPRO_FAULT_PLAN"
 
 
-class InjectedFault(RuntimeError):
-    """Raised inside a worker when a plan directs a simulated crash."""
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """One injected failure: what, when, and how often.
 
     ``round`` is the 0-based speculation/superstep round — or, for the
-    process/IO chaos kinds, the 0-based *occurrence index* at the
-    injection site (supervision tick, spill write, store transition).
-    ``worker`` is the 0-based block/worker index (ignored for ``stick``
-    and the IO kinds; for ``poolkill`` it picks which pool worker dies).
+    IO chaos kinds, the 0-based *occurrence index* at the injection
+    site (spill write, store transition).  ``worker`` is the 0-based
+    block/worker index (ignored for ``stick`` and the IO kinds).
     ``duration`` is the stall sleep in seconds, or the number of wasted
     rounds for ``stick``.  ``attempts`` makes the fault fire on the
     first N attempts of the same (round, worker) task — or, for the
@@ -130,7 +118,7 @@ class FaultSpec:
     def to_spec(self) -> str:
         """The compact string form this spec parses back from."""
         text = f"{self.kind}@r{self.round}"
-        if self.kind in WORKER_FAULT_KINDS or self.kind == "poolkill":
+        if self.kind in WORKER_FAULT_KINDS:
             text += f".w{self.worker}"
         if self.kind == "stall":
             text += f":{self.duration:g}"
@@ -202,10 +190,10 @@ class FaultPlan:
     def for_task(self, round: int, worker: int, attempt: int = 0) -> FaultSpec | None:
         """The worker-level fault to apply to this task, if any.
 
-        Matches ``kill``/``stall``/``corrupt``/``stale`` specs whose
+        Matches ``stall``/``corrupt``/``stale`` specs whose
         (round, worker) equal the task's and whose ``attempts`` budget
         covers *attempt* (0-based).  First match wins.  The ``stick``
-        and process/IO chaos kinds never match here — they fire at their
+        and IO chaos kinds never match here — they fire at their
         own sites (:meth:`stick_active` / :meth:`for_op`).
         """
         for f in self.faults:
@@ -215,9 +203,9 @@ class FaultPlan:
         return None
 
     def for_op(self, kind: str, index: int) -> FaultSpec | None:
-        """The process/IO fault to inject at occurrence *index*, if any.
+        """The IO fault to inject at occurrence *index*, if any.
 
-        Chaos sites (supervision ticks, spill writes, store transitions)
+        Chaos sites (spill writes, store transitions)
         keep their own 0-based occurrence counter and consult the plan
         with it; a spec fires when ``round <= index < round + attempts``
         (``xK`` widens the window to K consecutive occurrences).  First

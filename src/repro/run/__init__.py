@@ -19,7 +19,7 @@ table; the CLI counterpart is ``python -m repro run``.
 
 from .config import RunConfig, RunResult
 from .pipeline import execute, supported_runs
-from .mutate import mutate, mutation_config
+from .mutate import mutation_config
 
 __all__ = ["RunConfig", "RunResult", "execute", "supported_runs",
-           "mutate", "mutation_config"]
+           "mutation_config"]

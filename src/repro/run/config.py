@@ -57,8 +57,8 @@ class RunConfig:
 
     - ``strategy``: a Table-I registry name (see ``repro.coloring.STRATEGIES``).
     - ``mode``: ``"sequential"`` (reference algorithms), ``"superstep"``
-      (tick-machine speculation schemes), or ``"mp"`` (real processes).
-    - ``threads``: simulated threads (superstep) or worker processes (mp);
+      (tick-machine speculation schemes), or ``"mp"`` (real threads).
+    - ``threads``: simulated threads (superstep) or team threads (mp);
       must stay 1 in sequential mode.
     - ``machine``: optional machine model (or its registry name,
       ``"tilegx36"`` / ``"x7560"``) used to price the execution trace.

@@ -16,7 +16,7 @@ every request.  It is layered bottom-up:
 - :mod:`repro.serve.backends` — the execution layer:
   :class:`InlineBackend` (plain ``execute``) and
   :class:`ShardedBackend` (partition the graph, fan the shards across
-  the warm worker pool, repair cross-shard conflicts, verify);
+  the mp thread team, repair cross-shard conflicts, verify);
 - :mod:`repro.serve.queue` — :class:`SubmissionQueue` with admission
   control, two-class priorities, per-tenant quotas, and
   reject-with-reason backpressure;
@@ -24,9 +24,9 @@ every request.  It is layered bottom-up:
   cache lookup, in-flight dedup, compatible grouping, worker-pool
   dispatch under the job's resilience policy;
 - :mod:`repro.serve.supervisor` — the robustness layer:
-  :class:`Supervisor` (warm-pool heartbeats, respawn, deadline sweeps,
-  pump restarts), :class:`DegradingBackend` (the breaker-driven
-  degradation ladder ``sharded → inline → sequential``), and
+  :class:`Supervisor` (deadline sweeps and pump restarts),
+  :class:`DegradingBackend` (the breaker-driven degradation ladder
+  ``sharded → inline → sequential``), and
   :class:`CircuitBreaker`;
 - :mod:`repro.serve.service` — :class:`ColoringService`, the in-process
   façade (``submit`` / ``mutate`` / ``result`` / ``stats`` /

@@ -7,8 +7,8 @@ backend behind it decides *how*:
   :func:`repro.run.execute` call on the scheduler's worker thread.
 - :class:`ShardedBackend` — one large graph, many workers: the vertex
   set is cut with :mod:`repro.parallel.partition`, shards fan out across
-  the PR 6 :class:`~repro.shm.WarmPool` as shared-memory descriptors,
-  every shard First-Fit-colors against a snapshot, and cross-shard
+  the mp thread team (:class:`~repro.shm.WarmPool`), every shard
+  First-Fit-colors against a snapshot, and cross-shard
   boundary conflicts are repaired by the existing mp conflict-resolve
   rounds (:func:`repro.parallel.mp.detect_cross_conflicts`) — the
   Sarıyüce-style shard-then-repair structure, reusing the speculation
@@ -32,9 +32,9 @@ parallel modes, fault-plan runs, mutation jobs carrying a base coloring,
 are then **bit-identical** to :class:`InlineBackend` by construction.
 
 :func:`shard_rounds` runs the same protocol on the round driver's inline
-transport, for the ``dispatch="inline"`` mode (environments without
-usable multiprocessing) and for ``benchmarks/bench_shard.py``, whose
-critical-path model needs contention-free per-shard compute times.
+transport, for the ``dispatch="inline"`` mode and for
+``benchmarks/bench_shard.py``, whose critical-path model needs
+contention-free per-shard compute times.
 """
 
 from __future__ import annotations
@@ -165,15 +165,12 @@ class ShardedBackend(ExecutionBackend):
         Partitioner name (see :data:`repro.parallel.partition.PARTITIONS`);
         fewer cross-shard edges mean fewer boundary-repair rounds.
     dispatch:
-        ``"pool"`` (default) fans shards out across the process-wide
-        :class:`~repro.shm.WarmPool` via shared-memory descriptors (the
-        pickling transport where shm is unavailable); ``"inline"`` runs
-        the identical protocol in-process via :func:`shard_rounds` —
-        same colorings, no processes.
+        ``"pool"`` (default) sweeps the shards concurrently on the
+        process-wide mp thread team (:class:`~repro.shm.WarmPool`);
+        ``"inline"`` runs the identical protocol one shard after another
+        via :func:`shard_rounds` — same colorings.
     min_vertices:
         Smallest graph worth sharding; smaller jobs run inline.
-    context:
-        Start-method override for the pool (``fork``/``spawn``).
     recorder:
         Observability sink for the ``serve_shard*`` events.
     """
@@ -183,7 +180,7 @@ class ShardedBackend(ExecutionBackend):
     def __init__(self, shards: int = 4, *, partition: str = "block",
                  dispatch: str = "pool",
                  min_vertices: int = DEFAULT_MIN_SHARD_VERTICES,
-                 context: str | None = None, recorder=None):
+                 recorder=None):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if partition not in PARTITIONS:
@@ -196,7 +193,6 @@ class ShardedBackend(ExecutionBackend):
         self.partition = partition
         self.dispatch = dispatch
         self.min_vertices = int(min_vertices)
-        self.context = context
         self._rec = as_recorder(recorder)
         self._lock = threading.Lock()
         self._sharded = 0
@@ -269,8 +265,6 @@ class ShardedBackend(ExecutionBackend):
             return self._wrap(config, coloring)
         kwargs = dict(config.strategy_kwargs)
         kwargs["partition"] = self.partition
-        if self.context is not None:
-            kwargs["context"] = self.context
         derived = config.replace(mode="mp", threads=self.shards,
                                  strategy_kwargs=kwargs)
         result = execute(job.graph, derived)
@@ -287,8 +281,7 @@ class ShardedBackend(ExecutionBackend):
 
         return mp_greedy_ff(graph, num_workers=self.shards,
                             partition=self.partition, seed=seed,
-                            backend=backend, context=self.context,
-                            recorder=self._rec)
+                            backend=backend, recorder=self._rec)
 
     @staticmethod
     def _wrap(config, coloring: Coloring):

@@ -11,8 +11,6 @@ resolves every job in it through a fixed funnel:
    round cost one ``execute`` call);
 3. **grouping** — primaries are batched into compatible dispatch groups
    by ``(mode, threads)`` so one round's pool has a uniform shape;
-   ``mp``-mode groups always dispatch serially (each such job already
-   owns a process pool — nesting it under worker threads oversubscribes);
 4. **dispatch** — each group runs through the worker pool, every job via
    the configured :class:`~repro.serve.backends.ExecutionBackend`
    (inline ``execute`` by default, the sharded shard-and-repair path
@@ -35,7 +33,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from ..obs import as_recorder
-from ..shm.pool import PoolUnavailableError
 from .backends import ExecutionBackend, InlineBackend
 from .cache import ResultCache
 from .queue import Job, SubmissionQueue
@@ -52,18 +49,13 @@ class BatchScheduler:
         The submission queue to drain and the result cache to consult
         and publish into.
     workers:
-        Worker-pool width for non-``mp`` dispatch groups (1 = run jobs
-        inline, sequentially — the fully deterministic default).
+        Worker-pool width for dispatch groups (1 = run jobs inline,
+        sequentially — the fully deterministic default).
     batch_size:
         Max jobs drained per round (``None`` = everything queued).
     backend:
         The :class:`~repro.serve.backends.ExecutionBackend` primaries run
         on (default: a fresh :class:`~repro.serve.backends.InlineBackend`).
-    job_retries:
-        How many times a job interrupted by *infrastructure* failure
-        (the warm pool dying mid-dispatch — :class:`PoolUnavailableError`)
-        is re-admitted through the ``running → pending`` edge before the
-        failure is surfaced.  Algorithmic failures never retry.
     recorder:
         Observability sink for the ``serve.scheduler.*`` counters.
     """
@@ -71,19 +63,16 @@ class BatchScheduler:
     def __init__(self, queue: SubmissionQueue, cache: ResultCache, *,
                  workers: int = 1, batch_size: int | None = None,
                  backend: ExecutionBackend | None = None,
-                 job_retries: int = 0, recorder=None):
+                 recorder=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if job_retries < 0:
-            raise ValueError(f"job_retries must be >= 0, got {job_retries}")
         self.queue = queue
         self.cache = cache
         self.backend = backend if backend is not None else InlineBackend()
         self.workers = int(workers)
         self.batch_size = batch_size
-        self.job_retries = int(job_retries)
         self._rec = as_recorder(recorder)
         self._lock = threading.RLock()
         self._rounds = 0
@@ -92,7 +81,6 @@ class BatchScheduler:
         self._dedup_hits = 0
         self._failures = 0
         self._resolved = 0
-        self._readmitted = 0
         self._deadline_failed = 0
 
     # ------------------------------------------------------------------
@@ -140,26 +128,10 @@ class BatchScheduler:
         groups: dict[tuple[str, int], list[Job]] = {}
         for job in primaries:
             groups.setdefault((job.config.mode, job.config.threads), []).append(job)
-        for (mode, _threads), group in groups.items():
-            width = 1 if mode == "mp" else min(self.workers, len(group))
-            for job, outcome in zip(group, self._dispatch(group, width)):
-                result, error, kind = outcome
+        for group in groups.values():
+            width = min(self.workers, len(group))
+            for job, (result, error) in zip(group, self._dispatch(group, width)):
                 kin = [job] + followers.get(job.key, [])
-                if kind == "retryable":
-                    # infrastructure died under the job (pool terminated
-                    # mid-dispatch): re-admit through running → pending
-                    # instead of failing work that never really ran
-                    retries = int(job.meta.get("retries", 0))
-                    if retries < self.job_retries:
-                        job.meta["retries"] = retries + 1
-                        with self._lock:
-                            self._readmitted += len(kin)
-                        self._rec.count("serve.scheduler.readmitted")
-                        self._rec.event("serve_job_readmitted", job=job.id,
-                                        retry=retries + 1, error=error)
-                        for j in kin:
-                            self.queue.readmit(j)
-                        continue
                 if error is not None:
                     for j in kin:
                         self._finish(j, source="computed" if j is job else "dedup",
@@ -189,25 +161,22 @@ class BatchScheduler:
 
     # ------------------------------------------------------------------
     def _dispatch(self, group: list[Job], width: int) -> list[tuple]:
-        """Run one group's jobs; (result, error, kind) per job, in order."""
+        """Run one group's jobs; (result, error) per job, in order."""
         if width == 1 or len(group) == 1:
             return [self._run_one(job) for job in group]
         with ThreadPoolExecutor(max_workers=width) as pool:
             return list(pool.map(self._run_one, group))
 
     def _run_one(self, job: Job) -> tuple:
-        """Execute one primary; *kind* is ``ok``/``error``/``retryable``."""
+        """Execute one primary: ``(result, None)`` or ``(None, error)``."""
         self.queue.mark_running(job)
         with self._lock:
             self._executed += 1
         self._rec.count("serve.scheduler.executed")
         try:
-            return self.backend.run(job), None, "ok"
-        except PoolUnavailableError as exc:
-            # not the job's fault: the shared pool died under it
-            return None, f"{type(exc).__name__}: {exc}", "retryable"
+            return self.backend.run(job), None
         except Exception as exc:  # noqa: BLE001 - a bad job must not kill the service
-            return None, f"{type(exc).__name__}: {exc}", "error"
+            return None, f"{type(exc).__name__}: {exc}"
 
     def _finish(self, job: Job, *, source: str, result=None, error=None) -> None:
         job.source = source
@@ -243,9 +212,8 @@ class BatchScheduler:
                 "cache_hits": self._cache_hits,
                 "dedup_hits": self._dedup_hits,
                 "failures": self._failures,
-                "readmitted": self._readmitted,
+                "readmitted": 0,  # perfbench reads it; goes when perfbench next changes
                 "deadline_failed": self._deadline_failed,
-                "job_retries": self.job_retries,
                 "workers": self.workers,
                 **self.backend.stats(),
             }

@@ -25,7 +25,7 @@ Three layers meet here:
 - **execution backend** — ``backend=`` picks how primary jobs run:
   ``None`` for the inline path, an int or a
   :class:`~repro.serve.backends.ShardedBackend` to cut big graphs
-  across the warm worker pool.
+  into blocks that sweep on the mp thread team.
 - **job lifecycle** — submit returns immediately with a durable id;
   jobs carry ``tenant``/``priority``; completion is event-based
   (:meth:`Job.wait`), never a sleep-poll.
@@ -132,12 +132,10 @@ class ColoringService:
     Robustness knobs: *supervise* wraps the backend in the
     :class:`~repro.serve.supervisor.DegradingBackend` ladder, attaches a
     background :class:`~repro.serve.supervisor.Supervisor` (started with
-    the pump), and enables one infrastructure retry per job.
-    *fault_plan* is the chaos schedule (a
-    :class:`~repro.resilience.FaultPlan` or spec string) whose
-    process/IO kinds are injected into the cache's spill writes, the
-    store's transitions, and the supervisor's ticks.  *job_retries*
-    overrides how often a pool-death-interrupted job is re-admitted.
+    the pump).  *fault_plan* is the chaos schedule (a
+    :class:`~repro.resilience.FaultPlan` or spec string) whose IO kinds
+    are injected into the cache's spill writes and the store's
+    transitions.
     """
 
     def __init__(self, *, max_pending: int = DEFAULT_MAX_PENDING,
@@ -146,8 +144,7 @@ class ColoringService:
                  batch_size: int | None = None, recorder=None,
                  store=None, backend=None, tenant_quota: int | None = None,
                  recover: bool = True, supervise: bool = False,
-                 fault_plan=None, job_retries: int | None = None,
-                 supervisor_interval: float = 0.5):
+                 fault_plan=None, supervisor_interval: float = 0.5):
         self.recorder = as_recorder(recorder)
         self.fault_plan = resolve_fault_plan(fault_plan)
         self._owns_store = not isinstance(store, JobStore)
@@ -170,15 +167,11 @@ class ColoringService:
         if supervise:
             self.backend = DegradingBackend.ladder(self.backend,
                                                    recorder=self.recorder)
-        if job_retries is None:
-            job_retries = 1 if supervise else 0
         self.scheduler = BatchScheduler(self.queue, self.cache,
                                         workers=workers, batch_size=batch_size,
                                         backend=self.backend,
-                                        job_retries=job_retries,
                                         recorder=self.recorder)
         self.supervisor = (Supervisor(self, interval=supervisor_interval,
-                                      plan=self.fault_plan,
                                       recorder=self.recorder)
                            if supervise else None)
         self._pump: threading.Thread | None = None
@@ -399,8 +392,8 @@ class ColoringService:
         return job
 
     def stats(self) -> dict:
-        """One JSON-ready dict: queue, scheduler, cache, store, and pool
-        counters (store depth by status, per-priority queue depth, and
+        """One JSON-ready dict: queue, scheduler, cache, store, and mp
+        thread-team counters (store depth by status, per-priority queue depth, and
         job latency percentiles included)."""
         from ..shm import warm_pool
 
@@ -417,25 +410,6 @@ class ColoringService:
         if self.supervisor is not None:
             out["supervisor"] = self.supervisor.stats()
         return out
-
-    def prewarm(self, workers: int) -> bool:
-        """Spin the process-wide warm worker pool up front; True on reuse.
-
-        The pool is shared with every mp-mode job this process runs, so
-        prewarming at service start moves the one-time worker spawn out
-        of the first job's latency (see ``benchmarks/bench_shm.py`` for
-        the measured difference).  A no-op when the pool is already at
-        least *workers* wide.
-        """
-        from ..shm import shm_available, warm_pool
-
-        if not shm_available():  # pragma: no cover - env dependent
-            return False
-        reused = warm_pool().ensure(workers)
-        if self.recorder.enabled:
-            self.recorder.event("serve_prewarm", workers=workers,
-                                reused=reused)
-        return reused
 
     def healthz(self) -> dict:
         """Health summary for load balancers: three-state status + backlog.

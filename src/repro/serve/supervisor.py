@@ -18,26 +18,16 @@ Three pieces, each usable alone, composed by
   rung would fail jobs a sequential run could still serve), and every
   downgrade is stamped into the job's ``meta`` and counted in
   ``/stats``.
-- :class:`Supervisor` — a background thread that heartbeats the process-
-  wide :class:`~repro.shm.pool.WarmPool` (pid liveness each tick, a
-  round-trip :meth:`~repro.shm.pool.WarmPool.ping` periodically and
-  whenever a dead worker is seen), respawns the pool when it is wedged
-  or terminated, sweeps expired deadlines out of the queue, restarts a
-  died pump thread, and — under a chaos plan — *injects* the
-  ``poolkill`` fault (SIGKILL of a live pool worker) so the recovery
-  path it guards is exercised by the same schedule that tests it.
+- :class:`Supervisor` — a background thread that sweeps expired
+  deadlines out of the queue and restarts a died pump thread.
 
-Jobs interrupted by a pool death are not the supervisor's to retry: the
-scheduler observes :class:`~repro.shm.pool.PoolUnavailableError` at
-dispatch and re-admits through the ``running → pending`` recovery edge
-(see ``BatchScheduler.job_retries``); the supervisor's respawn merely
-makes the retry land on a live pool.  See DESIGN.md §15.
+A stalled mp block is not the supervisor's to catch: the round driver's
+timeout, retry and in-process salvage handle it inside the job (see
+:func:`repro.parallel.mp.run_rounds`).  See DESIGN.md §15.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import threading
 import time
 
@@ -125,8 +115,8 @@ class CircuitBreaker:
 class SequentialBackend(ExecutionBackend):
     """Last-resort rung: run the job in ``sequential`` mode, one thread.
 
-    The slowest but most dependable way to serve a coloring — no pools,
-    no shards, no threads.  A job whose config already is sequential
+    The slowest but most dependable way to serve a coloring — no shards,
+    no threads.  A job whose config already is sequential
     runs unchanged; anything else is rewritten, the downgrade is
     stamped into ``meta`` and — because the coloring may differ from
     what the job's content key promises (the key hashes the *requested*
@@ -253,45 +243,26 @@ class Supervisor:
 
     Every ``interval`` seconds one :meth:`tick` runs:
 
-    1. **chaos** — under a fault plan, ``poolkill@rN`` SIGKILLs a live
-       warm-pool worker on tick N (the supervisor injects the very
-       failure class it exists to absorb, so soaks exercise it end to
-       end);
-    2. **deadlines** — :meth:`SubmissionQueue.expire_deadlines` fails
+    1. **deadlines** — :meth:`SubmissionQueue.expire_deadlines` fails
        queued jobs whose budget elapsed, even when the pump is wedged;
-    3. **pool** — a :meth:`WarmPool.heartbeat` pid sweep counts lost
-       workers; a terminated/unhealthy pool, or a failed round-trip
-       :meth:`WarmPool.ping` (run every ``ping_every`` ticks and
-       whenever a dead pid is seen), triggers :meth:`WarmPool.respawn`;
-    4. **pump** — a service whose pump thread died while wanted is
+    2. **pump** — a service whose pump thread died while wanted is
        restarted.
 
     A tick that raises is counted (``supervisor_errors``) and the loop
     keeps running — the supervisor must outlive everything it watches.
     """
 
-    def __init__(self, service, *, interval: float = 0.5,
-                 ping_timeout: float = 10.0, ping_every: int = 4,
-                 plan=None, recorder=None):
+    def __init__(self, service, *, interval: float = 0.5, recorder=None):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
-        if ping_every < 1:
-            raise ValueError(f"ping_every must be >= 1, got {ping_every}")
-        from ..resilience import NO_FAULTS
-
         self.service = service
         self.interval = float(interval)
-        self.ping_timeout = float(ping_timeout)
-        self.ping_every = int(ping_every)
-        self.plan = plan if plan is not None else NO_FAULTS
         self._rec = as_recorder(recorder)
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._ticks = 0
-        self._known_pids: set[int] = set()
-        self._stats = {"ticks": 0, "kills_injected": 0, "worker_lost": 0,
-                       "pool_respawns": 0, "pump_restarts": 0,
+        self._stats = {"ticks": 0, "pump_restarts": 0,
                        "deadline_expired": 0, "supervisor_errors": 0}
 
     # ------------------------------------------------------------------
@@ -335,36 +306,8 @@ class Supervisor:
             idx = self._ticks
             self._ticks += 1
             self._stats["ticks"] += 1
-        report = {"tick": idx, "killed": None, "expired": 0,
-                  "worker_lost": 0, "respawned": False,
-                  "pump_restarted": False}
-        report["killed"] = self._inject_chaos(idx)
-        report["expired"] = self._expire_deadlines()
-        lost, respawned = self._check_pool(idx)
-        report["worker_lost"] = lost
-        report["respawned"] = respawned
-        report["pump_restarted"] = self._check_pump()
-        return report
-
-    def _inject_chaos(self, idx: int) -> int | None:
-        spec = self.plan.for_op("poolkill", idx)
-        if spec is None:
-            return None
-        from ..shm.pool import warm_pool
-
-        pids = warm_pool().worker_pids()
-        if not pids:
-            return None
-        victim = pids[spec.worker % len(pids)]
-        try:
-            os.kill(victim, signal.SIGKILL)
-        except (OSError, ProcessLookupError):  # already gone
-            return None
-        with self._lock:
-            self._stats["kills_injected"] += 1
-        self._rec.count("serve.supervisor.kills_injected")
-        self._rec.event("serve_chaos_poolkill", tick=idx, pid=victim)
-        return victim
+        return {"tick": idx, "expired": self._expire_deadlines(),
+                "pump_restarted": self._check_pump()}
 
     def _expire_deadlines(self) -> int:
         expired = self.service.queue.expire_deadlines()
@@ -372,37 +315,6 @@ class Supervisor:
             with self._lock:
                 self._stats["deadline_expired"] += expired
         return expired
-
-    def _check_pool(self, idx: int) -> tuple[int, bool]:
-        from ..shm.pool import warm_pool
-
-        pool = warm_pool()
-        hb = pool.heartbeat()
-        if not hb["pids"]:
-            self._known_pids = set()
-            return 0, False
-        pids = set(hb["pids"])
-        lost = (self._known_pids - pids) | set(hb["dead"])
-        self._known_pids = pids - set(hb["dead"])
-        if lost:
-            with self._lock:
-                self._stats["worker_lost"] += len(lost)
-            self._rec.count("serve.supervisor.worker_lost", len(lost))
-            self._rec.event("serve_worker_lost", tick=idx, pids=sorted(lost))
-        respawn = not hb["healthy"]
-        if not respawn and (lost or idx % self.ping_every == 0):
-            # mp.Pool replaces a dead worker itself; the ping tells a
-            # self-healed pool apart from a wedged/terminated one
-            respawn = not pool.ping(timeout=self.ping_timeout)
-        if respawn:
-            width = pool.respawn()
-            self._known_pids = set(pool.worker_pids())
-            with self._lock:
-                self._stats["pool_respawns"] += 1
-            self._rec.count("serve.supervisor.pool_respawns")
-            self._rec.event("serve_pool_respawn", tick=idx, width=width)
-            return len(lost), True
-        return len(lost), False
 
     def _check_pump(self) -> bool:
         service = self.service

@@ -1,40 +1,10 @@
-"""Zero-copy shared-memory execution substrate.
+"""The thread team mp rounds run on, under the names perfbench imports.
 
-This package removes the multiprocessing backend's dominant hot-path
-tax — per-round pickling of the colors snapshot and per-job pool
-start-up — by (a) publishing the CSR arrays and the per-round working
-state in POSIX shared memory (:mod:`repro.shm.segments`) so worker
-tasks receive only segment names and integer offsets, and (b) keeping
-one persistent warm worker pool per process (:mod:`repro.shm.pool`)
-that jobs and rounds share.  See DESIGN.md §12 for the architecture and
-segment lifecycle, and ``benchmarks/bench_shm.py`` for the measured
-pickling tax before/after.
+See :mod:`repro.shm.pool`; DESIGN.md §12 describes the execution model.
 """
 
-from .pool import (
-    PoolUnavailableError,
-    WarmPool,
-    pick_context,
-    shutdown_warm_pool,
-    warm_pool,
-)
-from .segments import (
-    SharedColors,
-    SharedGraph,
-    attach_colors,
-    attach_graph,
-    shm_available,
-)
+from .pool import WarmPool, pick_context, shutdown_warm_pool, warm_pool
+from .segments import SharedGraph, shm_available
 
-__all__ = [
-    "PoolUnavailableError",
-    "SharedColors",
-    "SharedGraph",
-    "WarmPool",
-    "attach_colors",
-    "attach_graph",
-    "pick_context",
-    "shm_available",
-    "shutdown_warm_pool",
-    "warm_pool",
-]
+__all__ = ["SharedGraph", "WarmPool", "pick_context", "shm_available",
+           "shutdown_warm_pool", "warm_pool"]

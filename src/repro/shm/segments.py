@@ -1,298 +1,22 @@
-"""Shared-memory segments for zero-copy worker communication.
+"""What perfbench still imports from the deleted shared-memory transport.
 
-The multiprocessing backend's per-round tax used to be pickling: every
-worker received the full colors snapshot (``n`` int64) plus its block
-array each round, so one round shipped ``(workers + 1) * n * 8`` bytes
-through the pool's pipes.  This module moves all of that bulk data into
-POSIX shared memory (:mod:`multiprocessing.shared_memory`), so a worker
-task degrades to a tuple of segment names and integer offsets — a few
-hundred bytes regardless of graph size:
-
-- :class:`SharedGraph` publishes the CSR arrays.  For an ordinary
-  in-RAM graph they are copied *once* into a shared segment; for an
-  out-of-core graph loaded by :mod:`repro.graph.store` the descriptor
-  simply names the memory-mapped ``.npy`` files, and every worker maps
-  the same pages from the OS page cache — zero copies anywhere.
-- :class:`SharedColors` holds the per-job working state: a
-  double-buffered colors snapshot (two rows, so the ``stale`` fault of
-  :mod:`repro.resilience` can serve the previous round's view without
-  shipping anything) and the ordered work list, which workers slice by
-  ``(start, stop)`` offsets.
-
-Workers never *write* shared state: proposals return through the pool's
-normal result channel (they are only ``n / workers`` entries each, and
-the guarded retry/salvage protocol of :func:`repro.parallel.mp` relies
-on per-attempt results that an abandoned, stalled task can never
-clobber).  Shared segments are therefore read-only on the worker side,
-which keeps the shm path bit-identical to the legacy pickling path by
-construction.
-
-Lifecycle: the parent process owns every segment.  :class:`SharedColors`
-lives for one job and is unlinked in a ``finally``; :class:`SharedGraph`
-is cached on the graph object and unlinked when the graph is garbage
-collected (``weakref.finalize``) or at interpreter exit, so consecutive
-jobs on one graph — the warm-pool serving case — pay the copy once.
-Workers attach lazily per descriptor and keep a small bounded cache;
-on Python < 3.13 an attach is explicitly unregistered from the
-``resource_tracker`` so a dying worker can never unlink a segment it
-does not own.
+mp rounds run on a thread team inside one process (:mod:`.pool`), so
+no graph or colors array is ever published to shared memory.  Both
+names below go when perfbench next changes.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import weakref
-from multiprocessing import resource_tracker, shared_memory
 
-import numpy as np
-
-from ..graph.csr import CSRGraph
-
-__all__ = [
-    "SharedColors",
-    "SharedGraph",
-    "attach_colors",
-    "attach_graph",
-    "shm_available",
-]
+__all__ = ["SharedGraph", "shm_available"]
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without claiming ownership.
-
-    On Python < 3.13 ``SharedMemory(name=...)`` registers the mapping
-    with the process's resource tracker even for a plain attach, and a
-    spawn-context worker runs its *own* tracker — when the worker dies,
-    that tracker unlinks everything still registered, i.e. it would
-    destroy the parent's segment.  (Under fork the tracker is shared, so
-    an unregister-after-attach would instead cancel the parent's own
-    registration.)  Suppressing registration for the duration of the
-    attach gives attach-only semantics on every start method — the same
-    thing 3.13+ spells ``track=False``.
-    """
-    orig_register = resource_tracker.register
-    resource_tracker.register = lambda *a, **k: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = orig_register
+def shm_available() -> bool:  # perfbench imports it; goes when perfbench next changes
+    return os.access("/dev/shm", os.W_OK)
 
 
-def shm_available() -> bool:
-    """True when POSIX shared memory actually works in this environment.
-
-    Containers occasionally mount ``/dev/shm`` read-only or not at all;
-    probing once with a tiny segment lets the mp backend fall back to
-    the legacy pickling transport instead of failing mid-round.
-    """
-    global _SHM_AVAILABLE
-    if _SHM_AVAILABLE is None:
-        try:
-            seg = shared_memory.SharedMemory(create=True, size=8)
-            seg.close()
-            seg.unlink()
-            _SHM_AVAILABLE = True
-        except (OSError, ValueError):  # pragma: no cover - env dependent
-            _SHM_AVAILABLE = False
-    return _SHM_AVAILABLE
-
-
-_SHM_AVAILABLE: bool | None = None
-
-
-# ----------------------------------------------------------------------
-# parent side: segment owners
-# ----------------------------------------------------------------------
-class SharedGraph:
-    """Parent-side owner of a graph's shared CSR representation.
-
-    ``spec`` is the picklable descriptor workers attach from:
-
-    - ``("mmap", indptr_path, indices_path)`` for out-of-core graphs —
-      nothing is copied, workers map the same files;
-    - ``("shm", name, n_indptr, n_indices)`` for in-RAM graphs — both
-      arrays live back to back in one segment, copied once at creation.
-    """
-
-    def __init__(self, graph: CSRGraph):
-        self._segment: shared_memory.SharedMemory | None = None
-        if graph.mmap_paths is not None:
-            indptr_path, indices_path = graph.mmap_paths
-            self.spec = ("mmap", str(indptr_path), str(indices_path))
-            return
-        n_indptr = graph.indptr.shape[0]
-        n_indices = graph.indices.shape[0]
-        nbytes = (n_indptr + n_indices) * 8
-        self._segment = shared_memory.SharedMemory(
-            create=True, size=max(nbytes, 8))
-        buf = np.frombuffer(self._segment.buf, dtype=np.int64,
-                            count=n_indptr + n_indices)
-        buf[:n_indptr] = graph.indptr
-        buf[n_indptr:] = graph.indices
-        self.spec = ("shm", self._segment.name, n_indptr, n_indices)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held in the shared segment (0 for the mmap descriptor)."""
-        return 0 if self._segment is None else self._segment.size
-
-    def close(self) -> None:
-        """Unmap and unlink the segment (idempotent; no-op for mmap)."""
-        seg, self._segment = self._segment, None
-        if seg is not None:
-            try:
-                seg.close()
-                seg.unlink()
-            except (OSError, BufferError):  # pragma: no cover - teardown race
-                pass
-
-    # -- per-graph caching ---------------------------------------------
+class SharedGraph:  # perfbench patches for_graph; goes when perfbench next changes
     @classmethod
-    def for_graph(cls, graph: CSRGraph) -> "SharedGraph":
-        """The graph's cached shared representation, created on first use.
-
-        Cached on the graph object itself (graphs are immutable), so
-        consecutive jobs on one graph — the serving layer's usual shape —
-        publish the CSR exactly once.  A ``weakref.finalize`` unlinks the
-        segment when the graph is collected; :func:`_cleanup_all` is the
-        interpreter-exit backstop.
-        """
-        shared = graph.shared_segments
-        if shared is None:
-            shared = cls(graph)
-            graph.shared_segments = shared
-            if shared._segment is not None:
-                _LIVE.add(shared)
-                weakref.finalize(graph, shared.close)
-        return shared
-
-
-class SharedColors:
-    """Per-job shared working state: snapshot double buffer + work list.
-
-    One segment holds three logical int64 arrays for an ``n``-vertex
-    job: ``snapshots`` with shape ``(2, n)`` (the round's snapshot and
-    the previous round's, for the ``stale`` fault) and ``work`` with
-    shape ``(n,)`` (the round's conflict-ordered work list).  Workers
-    attach read-only; the parent rewrites the buffers between rounds.
-    """
-
-    def __init__(self, num_vertices: int):
-        n = int(num_vertices)
-        self._segment = shared_memory.SharedMemory(
-            create=True, size=max(3 * n * 8, 8))
-        flat = np.frombuffer(self._segment.buf, dtype=np.int64, count=3 * n)
-        self.snapshots = flat[: 2 * n].reshape(2, n)
-        self.work = flat[2 * n :]
-        self.spec = ("colors", self._segment.name, n)
-        _LIVE.add(self)
-
-    @property
-    def nbytes(self) -> int:
-        return self._segment.size if self._segment is not None else 0
-
-    def close(self) -> None:
-        """Release the views, unmap, and unlink (idempotent)."""
-        seg, self._segment = self._segment, None
-        if seg is not None:
-            # drop numpy views into the buffer before closing the mapping
-            self.snapshots = None
-            self.work = None
-            try:
-                seg.close()
-                seg.unlink()
-            except (OSError, BufferError):  # pragma: no cover - teardown race
-                pass
-        _LIVE.discard(self)
-
-
-#: Parent-side registry of live owners, unlinked at interpreter exit so a
-#: crashed run cannot leak /dev/shm segments.
-_LIVE: set = set()
-
-
-def _cleanup_all() -> None:  # pragma: no cover - exit hook
-    for owner in list(_LIVE):
-        owner.close()
-    _LIVE.clear()
-
-
-atexit.register(_cleanup_all)
-
-
-# ----------------------------------------------------------------------
-# worker side: bounded attach cache
-# ----------------------------------------------------------------------
-#: spec -> (object, [SharedMemory handles to close on eviction])
-_ATTACHED: dict[tuple, tuple] = {}
-_ATTACH_CAP = 8
-
-
-def _cleanup_attached() -> None:  # pragma: no cover - exit hook
-    # Drop the cached numpy views *before* closing their segments:
-    # closing a mapping that still has exported buffers raises
-    # BufferError noise from SharedMemory.__del__ at interpreter exit.
-    while _ATTACHED:
-        _, (value, handles) = _ATTACHED.popitem()
-        del value
-        for seg in handles:
-            try:
-                seg.close()
-            except (OSError, BufferError):
-                pass
-
-
-atexit.register(_cleanup_attached)
-
-
-def _cache(spec: tuple, value, handles: list) -> None:
-    while len(_ATTACHED) >= _ATTACH_CAP:
-        oldest = next(iter(_ATTACHED))
-        _, old_handles = _ATTACHED.pop(oldest)
-        for seg in old_handles:
-            try:  # pragma: no cover - defensive
-                seg.close()
-            except (OSError, BufferError):
-                pass
-    _ATTACHED[spec] = (value, handles)
-
-
-def attach_graph(spec: tuple) -> CSRGraph:
-    """Worker-side: materialize the :class:`CSRGraph` a spec describes.
-
-    Attaches (or memory-maps) lazily and caches per spec, so each worker
-    pays the attach exactly once per graph regardless of rounds or jobs.
-    The arrays are zero-copy views into the shared segment / page cache.
-    """
-    cached = _ATTACHED.get(spec)
-    if cached is not None:
-        return cached[0]
-    kind = spec[0]
-    if kind == "mmap":
-        _, indptr_path, indices_path = spec
-        indptr = np.load(indptr_path, mmap_mode="r")
-        indices = np.load(indices_path, mmap_mode="r")
-        graph = CSRGraph(indptr, indices, validate=False)
-        graph.mmap_paths = (indptr_path, indices_path)
-        _cache(spec, graph, [])
+    def for_graph(cls, graph):
         return graph
-    _, name, n_indptr, n_indices = spec
-    seg = _attach_segment(name)
-    flat = np.frombuffer(seg.buf, dtype=np.int64, count=n_indptr + n_indices)
-    graph = CSRGraph(flat[:n_indptr], flat[n_indptr:], validate=False)
-    _cache(spec, graph, [seg])
-    return graph
-
-
-def attach_colors(spec: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Worker-side: ``(snapshots, work)`` views for a colors spec."""
-    cached = _ATTACHED.get(spec)
-    if cached is not None:
-        return cached[0]
-    _, name, n = spec
-    seg = _attach_segment(name)
-    flat = np.frombuffer(seg.buf, dtype=np.int64, count=3 * n)
-    views = (flat[: 2 * n].reshape(2, n), flat[2 * n :])
-    _cache(spec, views, [seg])
-    return views

@@ -267,42 +267,6 @@ class TestMpPartialD2:
         assert np.array_equal(replay.colors, pc.colors)
         assert len(rounds) == pc.meta["rounds"]
 
-    def test_transports_bit_identical(self):
-        from repro.shm import shm_available
-
-        if not shm_available():
-            pytest.skip("shared memory unusable here")
-        bip = random_pattern(200, 40, 1000, seed=16)
-        a = mp_partial_d2(bip, num_workers=3, shm=True)
-        b = mp_partial_d2(bip, num_workers=3, shm=False)
-        assert np.array_equal(a.colors, b.colors)
-        assert a.meta["transport"] == "shm" and b.meta["transport"] == "pickle"
-
-    def test_transports_bit_identical_under_faults(self):
-        from repro.shm import shm_available
-
-        if not shm_available():
-            pytest.skip("shared memory unusable here")
-        bip = BipartiteGraph.from_incidence(
-            random_sparse_pattern(600, 80, 6, seed=0), 600)
-        plan = "kill@r0.w0;corrupt@r0.w2;stale@r1.w1"
-        a, b = (mp_partial_d2(bip, num_workers=3, fault_plan=plan,
-                              round_timeout=5.0, shm=shm)
-                for shm in (True, False))
-        assert np.array_equal(a.colors, b.colors)
-        assert_partial_d2_proper(bip, a, require_total=True)
-        assert_partial_d2_proper(bip, b, require_total=True)
-        assert a.meta["faults"]["injected"] == 3
-        assert b.meta["faults"]["injected"] == 3
-
-    def test_kill_fault_recovers_bit_identically(self):
-        bip = random_pattern(200, 40, 1000, seed=17)
-        clean = mp_partial_d2(bip, num_workers=3)
-        faulty = mp_partial_d2(bip, num_workers=3, fault_plan="kill@r0.w1",
-                               round_timeout=10.0)
-        assert np.array_equal(faulty.colors, clean.colors)
-        assert faulty.meta["faults"]["recovered"] >= 1
-
 
 # ----------------------------------------------------------------------
 # one-sided balance drain

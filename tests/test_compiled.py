@@ -64,7 +64,6 @@ from repro.parallel.mp import Neighbourhood, run_rounds
 from repro.resilience import check_invariants, repair_coloring
 from repro.run import RunConfig, execute
 from repro.serve.backends import shard_rounds
-from repro.shm import WarmPool
 
 
 # ----------------------------------------------------------------------
@@ -1108,9 +1107,9 @@ def test_c_guards_graph_indices():
 # ----------------------------------------------------------------------
 # end to end: the default dispatch == the oracles
 # ----------------------------------------------------------------------
-# meta keys that name the resolved backend (the mp task bytes carry the
-# name too) or record the warm pool's history
-_RUN_STATE_KEYS = {"backend", "bytes_to_workers", "pool_reused"}
+# meta keys that name the resolved backend or record the thread team's
+# history
+_RUN_STATE_KEYS = {"backend", "pool_reused"}
 
 
 def _meta(coloring, skip=_RUN_STATE_KEYS) -> dict:
@@ -1369,13 +1368,3 @@ def test_forked_child_loads_while_another_thread_holds_the_lock(monkeypatch):
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-
-
-def test_warm_pool_loads_the_library_before_forking(monkeypatch):
-    monkeypatch.setattr(compiled, "_state", None)
-    pool = WarmPool()
-    try:
-        pool.ensure(1)
-        assert compiled._state is not None
-    finally:
-        pool.shutdown()

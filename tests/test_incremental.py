@@ -31,7 +31,7 @@ from repro.graph import (
     random_churn,
 )
 from repro.parallel import parallel_incremental_recolor
-from repro.run import RunConfig, execute, mutate, mutation_config
+from repro.run import RunConfig, execute, mutation_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -244,9 +244,10 @@ class TestIncrementalRecolor:
                 execute(graph, config, initial=base)
         with pytest.raises(TypeError, match="dirty"):
             incremental_recolor(graph, base, dirty=[0])
+        mutated, _ = apply_delta(graph, MutationBatch.from_edges(add_vertices=1))
         with pytest.raises(TypeError, match="staleness_budget"):
-            mutate(graph, base, MutationBatch.from_edges(add_vertices=1),
-                   staleness_budget=0.05)
+            execute(mutated, mutation_config(staleness_budget=0.05),
+                    initial=base)
 
     def test_superstep_one_thread_matches_sequential(self, graph, base):
         batch = random_churn(graph, 0.02, seed=8, add_vertices=1)
@@ -270,7 +271,8 @@ class TestRunLayer:
     def test_mutate_returns_full_run_result(self, graph):
         base = execute(graph, RunConfig("vff", seed=0))
         batch = random_churn(graph, 0.01, seed=1)
-        mutated, result = mutate(graph, base.coloring, batch)
+        mutated, _ = apply_delta(graph, batch)
+        result = execute(mutated, mutation_config(), initial=base.coloring)
         assert result.config.strategy == "incremental"
         assert is_proper(mutated, result.coloring)
         assert result.balance.rsd_percent >= 0.0

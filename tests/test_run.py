@@ -294,7 +294,7 @@ class TestConfigDictRoundTrip:
             "sched-fwd", mode="superstep", threads=8, machine="tilegx36",
             backend="vectorized", ordering="degree", seed=42, rounds=3,
             weight="degree", strategy_kwargs={"fill": "fwd"},
-            on_failure="repair", fault_plan="kill@r0.w1;stall@r1.w0:0.5",
+            on_failure="repair", fault_plan="corrupt@r0.w1;stall@r1.w0:0.5",
         )
         data = cfg.to_dict()
         restored = RunConfig.from_dict(data)
@@ -362,7 +362,7 @@ class TestConfigDictRoundTrip:
         ("backend", 1, "'backend'"),
         ("strategy_kwargs", [1], "'strategy_kwargs'"),
         ("fault_plan", 5, "'fault_plan'"),
-        ("fault_plan", {"spec": "kill@r0.w0", "extra": 1}, "'fault_plan'"),
+        ("fault_plan", {"spec": "corrupt@r0.w0", "extra": 1}, "'fault_plan'"),
         ("fault_plan", "garbage", "'fault_plan'"),
     ])
     def test_from_dict_bad_field_named(self, field, value, match):

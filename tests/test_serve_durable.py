@@ -214,7 +214,7 @@ class TestBackends:
 
     def test_shard_rounds_matches_mp_protocol(self, big_graph):
         run = shard_rounds(big_graph, 4, seed=0)
-        via_mp = mp_greedy_ff(big_graph, num_workers=4, seed=0, shm=False)
+        via_mp = mp_greedy_ff(big_graph, num_workers=4, seed=0)
         assert np.array_equal(run.coloring.colors, via_mp.colors)
         assert run.coloring.num_colors == via_mp.num_colors
         assert is_proper(big_graph, run.coloring)
@@ -402,32 +402,6 @@ def counted_execute(monkeypatch):
 # ----------------------------------------------------------------------
 # warm-pool sharing: growing must not kill in-flight work
 # ----------------------------------------------------------------------
-def _pool_echo(value):  # top-level: must pickle under spawn too
-    import time
-
-    time.sleep(0.05)
-    return value * 2
-
-
-class TestPoolRetireOnGrow:
-    def test_grow_retires_instead_of_terminating(self):
-        from repro.shm import shm_available
-        from repro.shm.pool import WarmPool
-
-        if not shm_available():  # pragma: no cover - env dependent
-            pytest.skip("multiprocessing unavailable")
-        pool = WarmPool()
-        try:
-            pool.ensure(1)
-            handle = pool.apply_async(_pool_echo, (21,))
-            pool.ensure(2)  # grows while the task is in flight
-            assert handle.get(timeout=30) == 42  # old pool drained, not killed
-            assert pool.stats()["retired"] == 1
-            assert pool.processes == 2
-        finally:
-            pool.shutdown()
-
-
 # ----------------------------------------------------------------------
 # poisoned durable state: recovery must quarantine, never crash
 # ----------------------------------------------------------------------
@@ -530,6 +504,37 @@ class TestPoisonedDurableState:
             assert fresh.status == "done" and fresh.key != old.key
             assert fresh.meta["dirty_vertices"] == dirty.size
             assert is_proper(mutated, fresh.result.coloring)
+        finally:
+            svc2.stop()
+
+    @pytest.mark.parametrize("field,value", [("shm", False),
+                                             ("context", "spawn")])
+    def test_pending_removed_mp_kwarg_fails_with_reason(self, tmp_path, graph,
+                                                        field, value):
+        """An mp job persisted while the worker-process transport still took
+        ``shm``/``context`` carries it in ``strategy_kwargs``: after a
+        restart it fails with the field named, and the pump keeps serving."""
+        root = tmp_path / "st"
+        svc = ColoringService(store=root)
+        config = RunConfig("greedy-ff", mode="mp", threads=2, seed=0,
+                           strategy_kwargs={field: value})
+        old = svc.submit(graph, config)
+        svc.store.close()  # crash before the pump took it
+
+        svc2 = ColoringService(store=root)
+        assert svc2.recovered == {"requeued": 1, "failed": 0, "terminal": 0}
+        svc2.start()
+        try:
+            job = svc2.result(old.id)
+            assert job.wait(30)
+            assert job.status == "failed"
+            assert f"'{field}'" in job.error
+            assert svc2.store.get(old.id)["status"] == "failed"
+            assert svc2.pump_alive
+            fresh = svc2.submit_and_wait(graph, config.replace(
+                strategy_kwargs={}))
+            assert fresh.status == "done"
+            assert is_proper(graph, fresh.result.coloring)
         finally:
             svc2.stop()
 

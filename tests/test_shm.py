@@ -1,90 +1,29 @@
-"""Tests for the zero-copy shared-memory execution substrate.
+"""Tests for the mp thread team (:mod:`repro.shm.pool`).
 
-Covers the PR-6 acceptance criteria: shm/legacy bit-parity across every
-mp variant, warm-pool reuse across consecutive jobs, segment cleanup
-after injected worker kills, the out-of-core store round-trip, and an
-mmap-backed graph coloring end-to-end through ``execute()`` with a
-result cache smaller than the graph.
+The team is created lazily, only ever widens (finishing the blocks
+already queued), and is reused across jobs and ``execute()`` calls; a
+narrower job rides a wider team.
 """
 
 from __future__ import annotations
 
-import glob
-import os
-import subprocess
-import sys
+import threading
 
 import numpy as np
-import pytest
 
 from repro.coloring import assert_proper
-from repro.graph import erdos_renyi_graph, load_graph, load_graph_file, save_graph
-from repro.graph.store import is_graph_store
-from repro.obs import Recorder
-from repro.parallel.mp import mp_greedy_ff, resolve_transport
+from repro.parallel.mp import mp_greedy_ff
 from repro.run import RunConfig, execute
-from repro.shm import (
-    SharedColors,
-    SharedGraph,
-    attach_colors,
-    attach_graph,
-    pick_context,
-    shm_available,
-    warm_pool,
-)
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="POSIX shared memory unavailable")
+from repro.shm import WarmPool, pick_context, shutdown_warm_pool, warm_pool
 
 
-def _segment_names() -> set[str]:
-    """Names of this test run's live /dev/shm segments (Linux only)."""
-    return {os.path.basename(p) for p in glob.glob("/dev/shm/psm_*")}
-
-
-# ----------------------------------------------------------------------
-# segments
-# ----------------------------------------------------------------------
-class TestSegments:
-    def test_graph_round_trip(self, small_cnr):
-        shared = SharedGraph.for_graph(small_cnr)
-        assert shared is SharedGraph.for_graph(small_cnr)  # cached
-        back = attach_graph(shared.spec)
-        assert np.array_equal(back.indptr, small_cnr.indptr)
-        assert np.array_equal(back.indices, small_cnr.indices)
-
-    def test_mmap_graph_ships_paths_not_bytes(self, small_cnr, tmp_path):
-        save_graph(small_cnr, tmp_path / "g.csrg")
-        g = load_graph(tmp_path / "g.csrg")
-        shared = SharedGraph.for_graph(g)
-        assert shared.spec[0] == "mmap"
-        assert shared.nbytes == 0  # nothing copied anywhere
-        back = attach_graph(shared.spec)
-        assert np.array_equal(back.indices, g.indices)
-
-    def test_colors_views_and_cleanup(self):
-        sc = SharedColors(100)
-        assert sc.snapshots.shape == (2, 100)
-        assert sc.work.shape == (100,)
-        sc.snapshots[0].fill(7)
-        snapshots, work = attach_colors(sc.spec)
-        assert int(snapshots[0][0]) == 7
-        name = sc.spec[1]
-        sc.close()
-        sc.close()  # idempotent
-        assert name not in _segment_names()
-
-
-# ----------------------------------------------------------------------
-# warm pool
-# ----------------------------------------------------------------------
 class TestWarmPool:
     def test_reuse_across_jobs(self, small_cnr):
         pool = warm_pool()
         pool.ensure(2)
         before = pool.stats()
-        a = mp_greedy_ff(small_cnr, num_workers=2, shm=True)
-        b = mp_greedy_ff(small_cnr, num_workers=2, shm=True)
+        a = mp_greedy_ff(small_cnr, num_workers=2)
+        b = mp_greedy_ff(small_cnr, num_workers=2)
         after = pool.stats()
         assert a.meta["pool_reused"] and b.meta["pool_reused"]
         assert after["cold_starts"] == before["cold_starts"]
@@ -99,194 +38,31 @@ class TestWarmPool:
         assert np.array_equal(first.coloring.colors, second.coloring.colors)
 
     def test_grow_then_reuse(self, small_cnr):
-        from repro.shm import shutdown_warm_pool
-
         shutdown_warm_pool()  # fresh singleton: earlier tests may have grown it
         pool = warm_pool()
         pool.ensure(2)
-        wide = mp_greedy_ff(small_cnr, num_workers=3, shm=True)
-        narrow = mp_greedy_ff(small_cnr, num_workers=2, shm=True)
+        wide = mp_greedy_ff(small_cnr, num_workers=3)
+        narrow = mp_greedy_ff(small_cnr, num_workers=2)
         assert not wide.meta["pool_reused"]  # grew: counted as cold
-        assert narrow.meta["pool_reused"]  # narrower job rides the wide pool
+        assert narrow.meta["pool_reused"]  # narrower job rides the wide team
+        assert pool.threads == 3
         assert_proper(small_cnr, narrow)
 
-    def test_pick_context_prefers_fork_else_spawn(self, monkeypatch):
+    def test_grow_keeps_blocks_in_flight(self):
+        pool, release = WarmPool(), threading.Event()
+        try:
+            pool.ensure(1)
+            handle = pool.submit(lambda: release.wait(30) and 42)
+            assert pool.ensure(2) is False  # widens while the block runs
+            release.set()
+            assert handle.result(timeout=30) == 42  # finished, not dropped
+            assert pool.threads == 2 and pool.stats()["cold_starts"] == 2
+        finally:
+            release.set()
+            pool.shutdown()
+
+    def test_pick_context_prefers_fork_else_spawn(self):
         import multiprocessing as mp
 
         expected = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        monkeypatch.delenv("REPRO_MP_CONTEXT", raising=False)
         assert pick_context().get_start_method() == expected
-        monkeypatch.setenv("REPRO_MP_CONTEXT", "spawn")
-        assert pick_context().get_start_method() == "spawn"
-        with pytest.raises(ValueError):
-            pick_context("not-a-method")
-
-
-# ----------------------------------------------------------------------
-# transport parity
-# ----------------------------------------------------------------------
-class TestTransportParity:
-    @pytest.mark.parametrize("partition", ["block", "random", "bfs"])
-    def test_bit_identical_across_partitions(self, small_cnr, partition):
-        a = mp_greedy_ff(small_cnr, num_workers=3, partition=partition,
-                         seed=11, shm=True)
-        b = mp_greedy_ff(small_cnr, num_workers=3, partition=partition,
-                         seed=11, shm=False)
-        assert a.meta["transport"] == "shm"
-        assert b.meta["transport"] == "pickle"
-        assert np.array_equal(a.colors, b.colors)
-
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_bit_identical_across_backends(self, small_cnr, backend):
-        a = mp_greedy_ff(small_cnr, num_workers=2, backend=backend, shm=True)
-        b = mp_greedy_ff(small_cnr, num_workers=2, backend=backend, shm=False)
-        assert np.array_equal(a.colors, b.colors)
-
-    def test_bit_identical_under_faults(self, small_cnr):
-        plan = "kill@r0.w0;corrupt@r0.w2;stale@r1.w1"
-        a = mp_greedy_ff(small_cnr, num_workers=3, seed=1, shm=True,
-                         fault_plan=plan, round_timeout=5.0)
-        b = mp_greedy_ff(small_cnr, num_workers=3, seed=1, shm=False,
-                         fault_plan=plan, round_timeout=5.0)
-        assert a.meta["faults"]["injected"] == 3
-        assert np.array_equal(a.colors, b.colors)
-        assert_proper(small_cnr, a)
-
-    def test_shm_ships_fewer_bytes(self, small_cnr):
-        a = mp_greedy_ff(small_cnr, num_workers=3, seed=2, shm=True)
-        b = mp_greedy_ff(small_cnr, num_workers=3, seed=2, shm=False)
-        assert a.meta["bytes_to_workers"] * 5 < b.meta["bytes_to_workers"]
-
-    def test_recorder_counts_bytes_and_pool_events(self, small_cnr):
-        rec = Recorder()
-        mp_greedy_ff(small_cnr, num_workers=2, shm=True, recorder=rec)
-        counters = rec.counters
-        assert counters.get("mp.bytes_to_workers", 0) > 0
-        assert (counters.get("shm.pool.reused", 0)
-                + counters.get("shm.pool.cold_start", 0)) == 1
-        kinds = {e["kind"] for e in rec.events}
-        assert "mp_pool" in kinds and "mp_round" in kinds
-
-    def test_env_transport_override(self, small_cnr, monkeypatch):
-        monkeypatch.setenv("REPRO_MP_SHM", "0")
-        assert resolve_transport() == "pickle"
-        c = mp_greedy_ff(small_cnr, num_workers=2)
-        assert c.meta["transport"] == "pickle"
-        monkeypatch.setenv("REPRO_MP_SHM", "banana")
-        with pytest.raises(ValueError):
-            resolve_transport()
-
-
-# ----------------------------------------------------------------------
-# cleanup under faults
-# ----------------------------------------------------------------------
-class TestCleanup:
-    def test_no_leaked_segments_after_kills(self, small_cnr):
-        before = _segment_names()
-        c = mp_greedy_ff(small_cnr, num_workers=2, seed=0, shm=True,
-                         fault_plan="kill@r0.w0;kill@r1.w1",
-                         round_timeout=5.0)
-        assert c.meta["faults"]["injected"] >= 1
-        assert_proper(small_cnr, c)
-        # per-job colors segment is gone; only the cached per-graph CSR
-        # segment (parent-owned, freed with the graph) may remain
-        leaked = _segment_names() - before
-        graph_seg = small_cnr.shared_segments.spec[1]
-        assert leaked <= {graph_seg}
-
-    def test_graph_segment_freed_with_graph(self):
-        g = erdos_renyi_graph(300, 0.02, seed=5)
-        shared = SharedGraph.for_graph(g)
-        name = shared.spec[1]
-        assert name in _segment_names()
-        del g, shared
-        import gc
-
-        gc.collect()
-        assert name not in _segment_names()
-
-
-# ----------------------------------------------------------------------
-# out-of-core store
-# ----------------------------------------------------------------------
-class TestStore:
-    def test_save_load_round_trip(self, small_cnr, tmp_path):
-        store = save_graph(small_cnr, tmp_path / "g.csrg")
-        assert is_graph_store(store)
-        g = load_graph(store)
-        assert g.out_of_core
-        assert g == small_cnr
-        assert g.fingerprint() == small_cnr.fingerprint()
-        resident = load_graph(store, mmap=False)
-        assert not resident.out_of_core
-        assert resident == small_cnr
-
-    def test_load_graph_file_dispatch(self, small_cnr, tmp_path):
-        store = save_graph(small_cnr, tmp_path / "g.csrg")
-        assert load_graph_file(store).out_of_core
-        with pytest.raises(ValueError, match="no such graph"):
-            load_graph_file(tmp_path / "missing")
-        with pytest.raises(ValueError, match="not a graph store"):
-            load_graph(tmp_path)
-
-    def test_truncated_store_fails_loudly(self, small_cnr, tmp_path):
-        store = save_graph(small_cnr, tmp_path / "g.csrg")
-        meta = store / "meta.json"
-        meta.write_text(meta.read_text().replace(
-            f'"num_vertices": {small_cnr.num_vertices}', '"num_vertices": 7'))
-        with pytest.raises(ValueError, match="truncated"):
-            load_graph(store)
-
-    def test_mmap_graph_through_execute_small_cache(self, small_cnr, tmp_path):
-        """An out-of-core graph colors end-to-end through execute() and
-        serves from a cache whose byte budget is far below the CSR size."""
-        from repro.serve import ColoringService
-
-        store = save_graph(small_cnr, tmp_path / "g.csrg")
-        g = load_graph(store)
-        config = RunConfig(strategy="greedy-ff", mode="mp", threads=2, seed=9)
-        result = execute(g, config)
-        assert_proper(g, result.coloring)
-        baseline = execute(small_cnr, config)
-        assert np.array_equal(result.coloring.colors, baseline.coloring.colors)
-
-        csr_bytes = g.indptr.nbytes + g.indices.nbytes
-        svc = ColoringService(max_bytes=max(1024, csr_bytes // 16))
-        job = svc.submit_and_wait(g, config)
-        assert job.status == "done"
-        assert np.array_equal(job.result.coloring.colors,
-                              baseline.coloring.colors)
-
-    def test_chunked_edges_match_bulk(self, small_cnr, tmp_path):
-        g = load_graph(save_graph(small_cnr, tmp_path / "g.csrg"))
-        u0, v0 = small_cnr.edge_arrays()
-        chunks = list(g.edge_chunks(chunk=97))
-        u1 = np.concatenate([c[0] for c in chunks])
-        v1 = np.concatenate([c[1] for c in chunks])
-        assert np.array_equal(u0, u1) and np.array_equal(v0, v1)
-
-
-# ----------------------------------------------------------------------
-# spawn context
-# ----------------------------------------------------------------------
-class TestSpawnContext:
-    def test_spawn_smoke_subprocess(self):
-        """Full parity run under REPRO_MP_CONTEXT=spawn, in a fresh
-        interpreter so the start method is genuinely spawn-side."""
-        code = (
-            "import numpy as np\n"
-            "from repro.graph import erdos_renyi_graph\n"
-            "from repro.parallel.mp import mp_greedy_ff\n"
-            "g = erdos_renyi_graph(200, 0.04, seed=3)\n"
-            "a = mp_greedy_ff(g, num_workers=2, seed=5, shm=True)\n"
-            "b = mp_greedy_ff(g, num_workers=2, seed=5, shm=False)\n"
-            "assert a.meta['context'] == 'spawn', a.meta\n"
-            "assert b.meta['context'] == 'spawn', b.meta\n"
-            "assert np.array_equal(a.colors, b.colors)\n"
-        )
-        env = dict(os.environ, REPRO_MP_CONTEXT="spawn")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr

@@ -1,18 +1,14 @@
 """Tests for the supervision/degradation layer (repro.serve.supervisor).
 
-Covers the circuit breaker's state machine, the degradation ladder, the
-warm pool's supervision surface (heartbeat/ping/respawn and the
-retryable PoolUnavailableError), the scheduler's infrastructure-retry
-re-admission, per-job deadlines, store-error tolerance, spill-failure
-degradation, the HTTP 500 boundary, and the supervisor's tick loop —
+Covers the circuit breaker's state machine, the degradation ladder,
+per-job deadlines, store-error tolerance, spill-failure degradation,
+the HTTP 500 boundary, and the supervisor's tick loop —
 all in-process and deterministic (chaos comes from seeded FaultPlans or
 explicit calls, never from timing luck).
 """
 
 from __future__ import annotations
 
-import os
-import signal
 import time
 
 import pytest
@@ -34,7 +30,6 @@ from repro.serve import (
     SequentialBackend,
 )
 from repro.serve.api import dispatch
-from repro.shm import PoolUnavailableError, WarmPool, shutdown_warm_pool
 
 
 @pytest.fixture
@@ -55,11 +50,11 @@ class FakeClock:
 # ----------------------------------------------------------------------
 class TestChaosPlan:
     def test_chaos_kinds_round_trip(self):
-        spec = "poolkill@r2.w1;spill@r0x3;spillrot@r4;storeerr@r1x2"
+        spec = "spill@r0x3;spillrot@r4;storeerr@r1x2"
         plan = FaultPlan.from_spec(spec)
         assert plan.to_spec() == spec
         assert [f.kind for f in plan.faults] == [
-            "poolkill", "spill", "spillrot", "storeerr"]
+            "spill", "spillrot", "storeerr"]
 
     def test_for_op_occurrence_window(self):
         plan = FaultPlan.from_spec("spill@r1x2")
@@ -70,16 +65,16 @@ class TestChaosPlan:
 
     def test_for_op_rejects_worker_kinds(self):
         with pytest.raises(ValueError, match="for_op kind"):
-            FaultPlan().for_op("kill", 0)
+            FaultPlan().for_op("stall", 0)
 
     def test_chaos_kinds_never_match_worker_tasks(self):
-        plan = FaultPlan.from_spec("poolkill@r0.w0;spill@r0;storeerr@r0")
+        plan = FaultPlan.from_spec("spill@r0;spillrot@r0;storeerr@r0")
         assert plan.for_task(0, 0) is None
         assert set(PROCESS_FAULT_KINDS).isdisjoint(WORKER_FAULT_KINDS)
 
     def test_worker_kinds_still_require_worker(self):
         with pytest.raises(ValueError, match="needs a worker"):
-            FaultPlan.from_spec("kill@r0")
+            FaultPlan.from_spec("stall@r0")
         FaultPlan.from_spec("spill@r0")  # IO kinds do not
 
 
@@ -210,133 +205,6 @@ class TestDegradingBackend:
         assert svc.cache.get(job.key) is None
         expected = execute(graph, cfg.replace(mode="sequential", threads=1))
         assert (job.result.coloring.colors == expected.coloring.colors).all()
-
-
-# ----------------------------------------------------------------------
-# warm pool supervision surface
-# ----------------------------------------------------------------------
-class TestWarmPoolSupervision:
-    def teardown_method(self):
-        shutdown_warm_pool()
-
-    def test_submit_before_ensure_is_retryable(self):
-        pool = WarmPool()
-        with pytest.raises(PoolUnavailableError):
-            pool.apply_async(os.getpid, ())
-
-    def test_terminated_pool_raises_retryable_then_heals(self):
-        pool = WarmPool()
-        pool.ensure(2)
-        pool._pool.terminate()  # external chaos
-        with pytest.raises(PoolUnavailableError):
-            pool.apply_async(os.getpid, ())
-        # the next ensure cold-starts a replacement instead of reusing
-        assert pool.ensure(2) is False
-        assert pool.stats()["respawns"] == 1
-        assert pool.ping(timeout=30)
-        pool.shutdown()
-
-    def test_heartbeat_and_ping(self):
-        pool = WarmPool()
-        assert pool.heartbeat()["pids"] == []
-        assert pool.ping() is True  # nothing to probe
-        pool.ensure(2)
-        hb = pool.heartbeat()
-        assert len(hb["pids"]) == 2 and hb["healthy"] and not hb["dead"]
-        assert pool.ping(timeout=30)
-        pool.shutdown()
-
-    def test_respawn_replaces_workers(self):
-        pool = WarmPool()
-        assert pool.respawn() == 0  # never ensured: no-op
-        pool.ensure(2)
-        old = set(pool.worker_pids())
-        assert pool.respawn() == 2
-        new = set(pool.worker_pids())
-        assert new and new.isdisjoint(old)
-        assert pool.ping(timeout=30)
-        assert pool.stats()["respawns"] == 1
-        pool.shutdown()
-
-    def test_sigkilled_worker_detected_by_heartbeat(self):
-        pool = WarmPool()
-        pool.ensure(2)
-        victim = pool.worker_pids()[0]
-        os.kill(victim, signal.SIGKILL)
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            hb = pool.heartbeat()
-            if victim in hb["dead"] or victim not in hb["pids"]:
-                break
-            time.sleep(0.02)
-        else:
-            pytest.fail("killed worker never left the heartbeat")
-        # a worker killed while holding the task-queue lock wedges the
-        # whole pool; either way the supervisor's answer — respawn —
-        # restores service and shutdown stays bounded
-        if not pool.ping(timeout=5):
-            assert pool.respawn() == 2
-        assert pool.ping(timeout=30)
-        pool.shutdown()
-
-
-# ----------------------------------------------------------------------
-# scheduler re-admission (running → pending on pool death)
-# ----------------------------------------------------------------------
-class _DiesOnce(backends_mod.ExecutionBackend):
-    """Raises PoolUnavailableError for the first N runs, then succeeds."""
-
-    name = "dies-once"
-
-    def __init__(self, failures=1):
-        self.failures = failures
-        self.calls = 0
-
-    def run(self, job):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise PoolUnavailableError("pool terminated mid-flight")
-        return backends_mod.execute(job.graph, job.config,
-                                    initial=job.initial)
-
-
-class TestInfrastructureRetry:
-    def test_pool_death_readmits_through_recovery_edge(self, graph):
-        svc = ColoringService(job_retries=1)
-        svc.scheduler.backend = _DiesOnce()
-        job = svc.submit(graph, RunConfig("greedy-ff", seed=0))
-        assert svc.process(max_rounds=1) >= 1  # dispatch fails, readmit
-        assert job.status == "pending"
-        assert svc.store.get(job.id)["status"] == "pending"
-        svc.process()
-        assert job.status == "done" and job.meta["retries"] == 1
-        assert svc.scheduler.stats()["readmitted"] == 1
-
-    def test_retries_exhausted_fails_job(self, graph):
-        svc = ColoringService(job_retries=1)
-        svc.scheduler.backend = _DiesOnce(failures=5)
-        job = svc.submit(graph, RunConfig("greedy-ff", seed=0))
-        svc.process()
-        svc.process()
-        assert job.status == "failed"
-        assert "PoolUnavailableError" in job.error
-
-    def test_no_retries_by_default(self, graph):
-        svc = ColoringService()
-        svc.scheduler.backend = _DiesOnce()
-        job = svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=0))
-        assert job.status == "failed"
-
-    def test_followers_readmitted_with_primary(self, graph):
-        svc = ColoringService(job_retries=1)
-        svc.scheduler.backend = _DiesOnce()
-        cfg = RunConfig("greedy-ff", seed=0)
-        a = svc.submit(graph, cfg)
-        b = svc.submit(graph, cfg)
-        svc.process()  # both readmitted
-        svc.process()
-        assert a.status == "done" and b.status == "done"
-        assert {a.source, b.source} == {"computed", "dedup"}
 
 
 # ----------------------------------------------------------------------
@@ -498,9 +366,6 @@ class TestHttpErrorBoundary:
 # the supervisor itself
 # ----------------------------------------------------------------------
 class TestSupervisor:
-    def teardown_method(self):
-        shutdown_warm_pool()
-
     def test_tick_sweeps_deadlines(self, graph):
         svc = ColoringService(supervise=True)
         jobs = [svc.submit(graph, RunConfig("greedy-ff", seed=s),
@@ -510,18 +375,6 @@ class TestSupervisor:
         assert report["expired"] == 2
         assert all(j.status == "failed" for j in jobs)
         assert svc.supervisor.stats()["deadline_expired"] == 2
-
-    def test_tick_respawns_terminated_pool(self):
-        from repro.shm import warm_pool
-
-        svc = ColoringService(supervise=True)
-        pool = warm_pool()
-        pool.ensure(2)
-        pool._pool.terminate()  # the pool is now unusable
-        report = svc.supervisor.tick()
-        assert report["respawned"] is True
-        assert pool.ping(timeout=30)
-        assert svc.supervisor.stats()["pool_respawns"] == 1
 
     def test_tick_restarts_dead_pump(self, graph):
         svc = ColoringService(supervise=True)
@@ -542,22 +395,6 @@ class TestSupervisor:
             assert job.wait(30) and job.status == "done"
         finally:
             svc.stop()
-
-    def test_poolkill_chaos_injected_on_scheduled_tick(self):
-        from repro.shm import warm_pool
-
-        svc = ColoringService(supervise=True, fault_plan="poolkill@r1.w0")
-        warm_pool().ensure(2)
-        before = set(warm_pool().worker_pids())
-        assert svc.supervisor.tick()["killed"] is None  # tick 0: no fault
-        victim = svc.supervisor.tick()["killed"]  # tick 1: SIGKILL
-        assert victim in before
-        assert svc.supervisor.stats()["kills_injected"] == 1
-        # pool still serves (mp self-heal or respawn on a later tick)
-        deadline = time.monotonic() + 30
-        while not warm_pool().ping(timeout=5):
-            assert time.monotonic() < deadline, "pool never recovered"
-            svc.supervisor.tick()
 
     def test_supervisor_thread_lifecycle(self):
         svc = ColoringService(supervise=True, supervisor_interval=0.01)

@@ -93,6 +93,13 @@ def _audit(jobs, graphs) -> tuple[int, int, float]:
     return lost, improper, worst_rsd
 
 
+def _process_rounds(svc) -> int:
+    """Drain *svc*'s queue on this thread; return the scheduler rounds taken."""
+    before = svc.scheduler.stats()["rounds"]
+    svc.process()
+    return svc.scheduler.stats()["rounds"] - before
+
+
 def run_io_chaos(quick: bool) -> dict:
     """Durable service under spill/spillrot/storeerr faults + restart."""
     n = 1_000 if quick else 3_000
@@ -107,7 +114,7 @@ def run_io_chaos(quick: bool) -> dict:
         svc = ColoringService(store=root, fault_plan=plan)
         jobs = [svc.submit(g, RunConfig("vff", seed=s))
                 for g in graphs for s in range(jobs_per_graph)]
-        svc.process()
+        recovery_rounds = _process_rounds(svc)
         lost, improper, worst_rsd = _audit(jobs, by_id)
         cache = svc.cache.stats()
         store_injected = getattr(svc.store, "injected", 0)
@@ -134,7 +141,7 @@ def run_io_chaos(quick: bool) -> dict:
         "improper": improper,
         "faults_injected": faults,
         "reexecuted": reexecuted,
-        "recovery_rounds": 0,
+        "recovery_rounds": recovery_rounds,
         "store_errors": store_errors,
         "spill_errors": cache["spill_errors"],
         "cache_degraded": cache["degraded"],
@@ -166,7 +173,7 @@ def run_crash_restart(quick: bool) -> dict:
         with _CountingExecute() as counter:
             svc2 = ColoringService(store=root)
             requeued = svc2.recovered["requeued"]
-            svc2.process()
+            recovery_rounds = _process_rounds(svc2)
             redone = [svc2.result(j.id) for j in victims]
             kept = [svc2.result(j.id) for j in done_jobs]
             reexecuted = counter.calls - len(victims)
@@ -186,7 +193,7 @@ def run_crash_restart(quick: bool) -> dict:
         "improper": improper,
         "faults_injected": interrupted,  # each interruption is one fault
         "reexecuted": max(0, reexecuted),
-        "recovery_rounds": 0,
+        "recovery_rounds": recovery_rounds,
         "requeued": requeued,
         "expected_requeued": interrupted,
         "wall_s": round(wall_s, 3),

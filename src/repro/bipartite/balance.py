@@ -12,11 +12,11 @@ distance-1 drain.
 The two-hop permissibility scan makes one sequential pass per round over
 the rows of over-full classes (id order — the deterministic analogue of
 the distance-1 ``vertex`` traversal) and rounds repeat until a pass
-commits no move: a move that drains one class can newly overfill another
-only transiently (the target was under γ), but it *can* unlock a
-previously impermissible move, which is why a single pass — the
-distance-1 drain's shape — would leave easy moves on the table in the
-denser two-hop conflict graph.
+commits no move: a move can unlock a previously impermissible one in the
+denser two-hop conflict graph.  A row leaves class j for k only if
+``sizes[k] + 1 < sizes[j]``, which forbids moves that just swap a ⌈γ⌉
+and a ⌊γ⌋ size; every move lowers Σ sizes² by at least 2, so the rounds
+end without a cap.
 
 Each pass is one :func:`repro.kernels.d2_drain_pass` call.  Its C loop
 walks the incidence CSR directly per candidate; its Python loop (the
@@ -47,7 +47,6 @@ def d2_shuffle_drain(
     g: float,
     *,
     choice: str = "ff",
-    max_rounds: int = 20,
     backend: str | None = None,
     recorder=None,
 ) -> tuple[int, int]:
@@ -71,7 +70,7 @@ def d2_shuffle_drain(
     cache: dict = {}
     total_moves = 0
     rounds = 0
-    while rounds < max_rounds:
+    while True:
         rounds += 1
         overfull = np.nonzero(sizes > g)[0]
         if overfull.shape[0] == 0:
@@ -96,7 +95,6 @@ def balance_partial_d2(
     initial: PartialD2Coloring,
     *,
     choice: str = "ff",
-    max_rounds: int = 20,
     backend: str | None = None,
     recorder=None,
 ) -> PartialD2Coloring:
@@ -123,9 +121,8 @@ def balance_partial_d2(
     sizes = np.bincount(colors[colors >= 0], minlength=C).astype(np.float64)
 
     with rec.phase("d2-drain"):
-        moves, rounds = d2_shuffle_drain(
-            bip, colors, sizes, g, choice=choice, max_rounds=max_rounds,
-            backend=backend, recorder=rec)
+        moves, rounds = d2_shuffle_drain(bip, colors, sizes, g, choice=choice,
+                                         backend=backend, recorder=rec)
 
     result = PartialD2Coloring(
         colors, C, strategy="d2-balanced",

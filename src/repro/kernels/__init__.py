@@ -611,10 +611,10 @@ def d2_drain_pass(
     *colors* (int64, length ``num_rows``, ``-1`` = uncolored), *sizes*
     (float64 class sizes, length C) and *under* (bool, length C+1, the
     ``sizes < g`` mask with slot C False) are mutated in place.  Each
-    colored row of *candidates*, in order, leaves its class while that
+    colored row of *candidates*, in order, leaves its class j while that
     class is over γ = *g*, for the first (``choice="ff"``) or first
-    smallest (``"lu"``) under-full class that no row sharing a column with
-    it holds.  Both paths give bit-identical results.
+    smallest (``"lu"``) under-full class k with ``sizes[k] + 1 < sizes[j]``
+    that no row sharing a column with it holds.  Both paths agree bit for bit.
 
     The Python loop walks a two-hop list; pass the same *cache* dict to
     every pass of one drain so it is built at most once (the C loop walks

@@ -207,7 +207,8 @@ int64_t d2_sweep(const int64_t *indptr, const int64_t *indices,
 
 /* One pass of the one-sided D2 drain over the candidate rows.  stamp (length
    C, zeroed) marks the classes held by a row's two-hop rows; ff takes the
-   first under-full unmarked class, lu the first one of minimum size.
+   first under-full unmarked class t with sizes[t] < sizes[j] - 1 (so the
+   sum of squared sizes falls), lu the first such one of minimum size.
    Returns the number of moves, or -1 on an out-of-range graph index. */
 int64_t d2_drain_pass(const int64_t *indptr, const int64_t *indices,
                       int64_t n, int64_t nnz, int64_t num_rows,
@@ -230,8 +231,9 @@ int64_t d2_drain_pass(const int64_t *indptr, const int64_t *indices,
             }
         }
         int64_t k = -1;
+        double cap = sizes[j] - 1.0;
         for (int64_t t = 0; t < C; t++) {
-            if (!under[t] || stamp[t] == mark) continue;
+            if (!under[t] || stamp[t] == mark || !(sizes[t] < cap)) continue;
             if (!lu) { k = t; break; }
             if (k < 0 || sizes[t] < sizes[k]) k = t;
         }

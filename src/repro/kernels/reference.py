@@ -332,11 +332,11 @@ def d2_drain_pass(
     """One pass of the one-sided D2 balance drain over *candidates*.
 
     ``(ptr, nbr)`` is the two-hop list of :func:`two_hop_rows`.  Each
-    candidate row still in an over-full class moves to the first (FF) or
-    first smallest (LU) under-full class no two-hop row holds.  *under*
-    (length C+1) is the maintained ``sizes < g`` mask; slot C stays False
-    and absorbs color -1 in the gather.  Mutates *colors*, *sizes* and
-    *under*; returns the number of moves.
+    candidate row still in an over-full class j moves to the first (FF) or
+    first smallest (LU) under-full class k with ``sizes[k] + 1 < sizes[j]``
+    that no two-hop row holds.  *under* (length C+1) is the maintained
+    ``sizes < g`` mask; slot C stays False and absorbs color -1 in the
+    gather.  Mutates *colors*, *sizes* and *under*; returns the moves.
     """
     C = sizes.shape[0]
     round_moves = 0
@@ -346,6 +346,7 @@ def d2_drain_pass(
             continue
         # j is over-full, so mask[j] is already False
         mask = under.copy()
+        mask[:C] &= sizes < sizes[j] - 1.0
         mask[colors.take(nbr[ptr[r] : ptr[r + 1]])] = False
         if choice == "ff":
             k = int(mask.argmax())

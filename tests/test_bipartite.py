@@ -282,14 +282,14 @@ def _oracle_two_hop_colors(indptr, indices, colors, r: int) -> np.ndarray:
 
 
 def oracle_d2_shuffle_drain(bip, colors, sizes, g, *, choice="ff",
-                            max_rounds=20, recorder=None):
+                            recorder=None):
     """The per-candidate drain: one slice per column per visit, kept as
     the move-for-move reference for :func:`d2_shuffle_drain`."""
     rec = as_recorder(recorder)
     indptr, indices = bip.incidence.indptr, bip.incidence.indices
     total_moves = 0
     rounds = 0
-    while rounds < max_rounds:
+    while True:
         rounds += 1
         overfull = np.nonzero(sizes > g)[0]
         if overfull.shape[0] == 0:
@@ -303,7 +303,11 @@ def oracle_d2_shuffle_drain(bip, colors, sizes, g, *, choice="ff",
                 continue
             colors[r] = -1  # self-exclusion for the two-hop scan
             nbr_colors = _oracle_two_hop_colors(indptr, indices, colors, r)
-            k = pick_shuffle_target(nbr_colors, sizes, g, j, choice)
+            # the size rule: a move must lower Σ sizes², so a class t with
+            # sizes[t] + 1 >= sizes[j] is as blocked as a two-hop color
+            too_big = np.nonzero(sizes >= sizes[j] - 1.0)[0]
+            k = pick_shuffle_target(np.concatenate([nbr_colors, too_big]),
+                                    sizes, g, j, choice)
             colors[r] = j
             if k >= 0:
                 colors[r] = k
@@ -391,20 +395,19 @@ class TestBalance:
         assert ([(e["moves"], e["rsd_percent"]) for e in got_rec.events]
                 == [(e["moves"], e["rsd_percent"]) for e in want_rec.events])
 
+    @pytest.mark.parametrize("holes", [False, True])
     @pytest.mark.parametrize("choice", ["ff", "lu"])
-    def test_drain_matches_oracle_at_round_cap(self, choice):
-        bip = DRAIN_PATTERNS["band"]()
-        colors, sizes, g = _drain_inputs(bip, holes=False)
-        want_c, want_s = colors.copy(), sizes.copy()
-        want = oracle_d2_shuffle_drain(bip, want_c, want_s, g, choice=choice,
-                                       max_rounds=3)
-        got = d2_shuffle_drain(bip, colors, sizes, g, choice=choice,
-                               max_rounds=3)
-        assert got == want
-        assert got[1] == 3  # the cap cut a drain that was still moving rows
-        assert np.array_equal(colors, want_c)
-        assert np.array_equal(sizes, want_s)
-
+    @pytest.mark.parametrize("pattern", sorted(DRAIN_PATTERNS))
+    def test_drain_ends_on_a_zero_move_pass(self, pattern, choice, holes):
+        """With no round cap, every drain stops on a pass that moved nothing."""
+        bip = DRAIN_PATTERNS[pattern]()
+        colors, sizes, g = _drain_inputs(bip, holes)
+        rec = Recorder()
+        moves, rounds = d2_shuffle_drain(bip, colors, sizes, g, choice=choice,
+                                         recorder=rec)
+        per_pass = [e["moves"] for e in rec.events_of("drain_round")]
+        assert len(per_pass) == rounds and sum(per_pass) == moves
+        assert per_pass[-1] == 0
 
     def test_recorder_off_bit_parity(self):
         bip = random_pattern(200, 40, 900, seed=20)

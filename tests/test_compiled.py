@@ -275,6 +275,20 @@ def drain_case(bip, C: int, seed: int, choice: str, free_mask: bool = False) -> 
     return *head(bip), colors, sizes, under, g, candidates, choice
 
 
+def swap_only_case(class_sizes: list[int], choice: str) -> tuple:
+    """A drain case whose only under-full targets are one row smaller than
+    their sources, on rows that share no column: a move would just swap
+    two sizes and leave Σ sizes² as it was, so :func:`_drain_ok` holds
+    only if the pass commits none."""
+    C = len(class_sizes)
+    colors = np.repeat(np.arange(C, dtype=np.int64), class_sizes)
+    bip = BipartiteGraph.from_matrix_pattern([], [], num_rows=colors.size, num_cols=1)
+    sizes = np.array(class_sizes, dtype=np.float64)
+    g = colors.size / C
+    under = np.append(sizes < g, False)
+    return *head(bip), colors, sizes, under, g, np.arange(colors.size), choice
+
+
 def shuffle_case(graph, choice: str, traversal: str, weight: str) -> tuple:
     """``(graph, colors, sizes, g, choice, traversal, vertex_w)``: the drain
     :func:`repro.coloring.shuffle_balance` runs on a First-Fit coloring."""
@@ -351,6 +365,9 @@ DRAIN_GRAPHS = {
     "band-cover": lambda: BipartiteGraph.square_cover(
         jacobian_band_pattern(40, 10, 3, seed=1)),
 }
+# class sizes around a fractional γ, each under-full class one row below an
+# over-full one
+SWAP_ONLY_SIZES = [[76, 75], [76, 76, 75, 75, 75], [3, 2, 3]]
 SHUFFLE_GRAPHS = {
     "no-overfull": lambda: complete_graph(8),  # one vertex per bin, all at γ
     "star-no-move": lambda: star_graph(12),  # no leaf may leave the over-full bin
@@ -522,6 +539,14 @@ def _capacity_ok(args, out) -> bool:
             and (not order.size or sizes.max() < capacity + 1))
 
 
+def _drain_ok(args, out) -> bool:
+    """Every move lowers Σ sizes² by at least 2 (a row leaves class j for
+    class k only when sizes[k] + 1 < sizes[j]), so repeated passes end."""
+    sizes = args[3]
+    _, got_sizes, _, moves = out
+    return np.square(got_sizes).sum() <= np.square(sizes).sum() - 2 * moves
+
+
 def _shuffle_ok(args, out) -> bool:
     """Still proper, C unchanged, the move count true and the sizes the bin
     weights.  With unit weights the total weight over γ never grows: a move
@@ -628,10 +653,13 @@ KERNELS: dict[str, Kernel] = {
         oracle=(reference, "d2_drain_pass"),
         draw=st.builds(drain_case, incidences(), st.integers(1, 8), SEEDS,
                        st.sampled_from(["ff", "lu"]), st.booleans()),
-        fixed={f"{gid}-{choice}": (lambda make=make, choice=choice: [
+        fixed={**{f"{gid}-{choice}": (lambda make=make, choice=choice: [
                    drain_case(bip, C, seed, choice, free_mask=seed % 2 == 1)
                    for bip in [make()] for C in (1, 2, 5) for seed in range(6)])
-               for gid, make in DRAIN_GRAPHS.items() for choice in ("ff", "lu")},
+                  for gid, make in DRAIN_GRAPHS.items() for choice in ("ff", "lu")},
+               **{f"swap-only-{choice}": (lambda choice=choice: [
+                   swap_only_case(sizes, choice) for sizes in SWAP_ONLY_SIZES])
+                  for choice in ("ff", "lu")}},
         malformed={
             "drain-colors-int32": _bad(_DRAIN, colors=np.zeros(_NR, dtype=np.int32)),
             "drain-colors-short": _bad(_DRAIN, colors=np.zeros(_NR - 1, dtype=np.int64)),
@@ -650,6 +678,7 @@ KERNELS: dict[str, Kernel] = {
             "drain-num-rows": _bad(_DRAIN, num_rows=10**6),
             "drain-choice": _bad(_DRAIN, choice="random"),
         },
+        check=_drain_ok,
     ),
     "shuffle_drain": Kernel(
         call=call_shuffle,

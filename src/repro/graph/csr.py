@@ -206,30 +206,13 @@ class CSRGraph:
         """Validate CSR invariants; raise ``ValueError`` on violation.
 
         Checks: monotone indptr, index bounds, sorted rows, no self-loops,
-        no duplicate neighbors, and symmetry (u in adj(v) iff v in adj(u)).
+        no duplicate neighbors, and symmetry (u in adj(v) iff v in adj(u)),
+        with :func:`repro.kernels.csr_check`: one linear C pass when the
+        compiled kernels load, else its NumPy oracle.
         """
-        n = self.num_vertices
-        if n < 0:
-            raise ValueError("indptr must have at least one entry")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.shape[0]:
-            raise ValueError("indptr endpoints do not match indices length")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
-        if self.indices.shape[0]:
-            if self.indices.min() < 0 or self.indices.max() >= n:
-                raise ValueError("indices out of range")
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        if np.any(src == self.indices):
-            raise ValueError("self-loops are not allowed")
-        # sorted + no duplicates within each row
-        same_row = src[1:] == src[:-1]
-        if np.any(same_row & (self.indices[1:] <= self.indices[:-1])):
-            raise ValueError("neighbor lists must be strictly increasing")
-        # symmetry: multiset of (src, dst) equals multiset of (dst, src)
-        fwd = src * n + self.indices
-        bwd = self.indices * n + src
-        if not np.array_equal(np.sort(fwd), np.sort(bwd)):
-            raise ValueError("adjacency is not symmetric")
+        from ..kernels import csr_check  # repro.kernels imports this module
+
+        csr_check(self)
 
     def to_scipy_sparse(self):
         """Convert to a ``scipy.sparse.csr_array`` of 1s (unweighted)."""

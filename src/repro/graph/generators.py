@@ -289,9 +289,10 @@ def clique_overlay_graph(
     sizes = np.clip(sizes, min_size, max_size)
     all_u = []
     all_v = []
+    pairs = {int(s): np.triu_indices(int(s), k=1) for s in np.unique(sizes)}
     for s in sizes:
         members = rng.choice(n, size=int(s), replace=False).astype(np.int64)
-        iu, iv = np.triu_indices(int(s), k=1)
+        iu, iv = pairs[int(s)]
         all_u.append(members[iu])
         all_v.append(members[iv])
     if base is not None:

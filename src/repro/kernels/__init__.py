@@ -8,7 +8,9 @@ one-sided D2 balance drain (:func:`d2_drain_pass`), the Sched-Rev move commit
 (:func:`detect_conflicts`, :func:`detect_cross_conflicts`,
 :func:`d2_conflicts`), the properness checks behind every verifier
 (:func:`count_monochromatic_edges`, :func:`d2_violating_column`) and the
-unscheduled-shuffling drain (:func:`shuffle_drain`).
+unscheduled-shuffling drain (:func:`shuffle_drain`).  Every graph is
+assembled and validated by kernels too (:func:`csr_assemble`,
+:func:`csr_check`).
 
 Every kernel has exactly two tiers, with one rule:
 
@@ -40,7 +42,9 @@ Every properness verifier (:mod:`repro.coloring.verify`,
 and then calls :func:`count_monochromatic_edges` (distance 1) or
 :func:`d2_violating_column` (one-sided distance 2).  The verifiers take
 no ``backend=``; they follow the process-wide selection, so the override
-or the environment variable still selects the oracle.
+or the environment variable still selects the oracle.  So do the CSR
+assembly and validation behind :func:`repro.graph.from_edge_arrays` and
+:meth:`repro.graph.CSRGraph.check`.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ __all__ = [
     "capacity_sweep",
     "check_colors",
     "count_monochromatic_edges",
+    "csr_assemble",
+    "csr_check",
     "d2_conflicts",
     "d2_drain_pass",
     "d2_sweep",
@@ -689,3 +695,64 @@ def sched_commit(
     if committed < 0:
         raise ValueError("graph is not a valid CSR")
     return committed
+
+
+def csr_assemble(u, v, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the simple graph with edges ``{u[i], v[i]}``
+    over *num_vertices* vertices: self-loops dropped, duplicates collapsed,
+    both directions stored, each row's neighbors in increasing order.
+
+    The CSR of a simple graph is canonical, so both tiers give the same
+    arrays.  *u* and *v* must be 1-D integer arrays of one length with ids
+    in ``[0, num_vertices)``, else :class:`ValueError`.  Follows the
+    process-wide backend selection, like the verifiers.
+    """
+    u, v = np.asarray(u), np.asarray(v)
+    for arr in (u, v):
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError("endpoints must be 1-D integer arrays")
+    u = np.ascontiguousarray(u, dtype=np.int64)
+    v = np.ascontiguousarray(v, dtype=np.int64)
+    if u.shape != v.shape:
+        raise ValueError(f"endpoint arrays differ in length: {u.shape} vs {v.shape}")
+    if u.size and (u.min() < 0 or v.min() < 0):
+        raise ValueError("vertex ids must be non-negative")
+    n = int(num_vertices)
+    if n < 0:
+        raise ValueError(f"num_vertices must be >= 0, got {n}")
+    if u.size and max(u.max(), v.max()) >= n:
+        raise ValueError("vertex id exceeds num_vertices")
+    lib = _compiled(None)
+    if lib is None:
+        return reference.csr_assemble(u, v, n)
+    m = u.shape[0]
+    indptr, pos = np.zeros(n + 1, dtype=np.int64), np.empty(n, dtype=np.int64)
+    tmp, indices = np.empty(2 * m, dtype=np.int64), np.empty(2 * m, dtype=np.int64)
+    kept = lib.csr_assemble(u.ctypes.data, v.ctypes.data, m, n, indptr.ctypes.data,
+                            pos.ctypes.data, tmp.ctypes.data, indices.ctypes.data)
+    # self-loops and duplicates leave slack: copy so the graph does not pin it
+    return indptr, indices if kept == 2 * m else indices[:kept].copy()
+
+
+def csr_check(graph: CSRGraph) -> None:
+    """Validate *graph*'s CSR; raise :class:`ValueError` on a violation.
+
+    The invariants of :data:`repro.kernels.reference.CSR_ERRORS` are tested
+    in order (monotone indptr with matching endpoints, index bounds, no
+    self-loops, strictly increasing rows, symmetry), and the first one
+    violated names the error on both tiers.  The C loop reads the arrays in
+    place, so a memory-mapped graph is checked without copying it.
+    Follows the process-wide backend selection, like the verifiers.
+    """
+    indptr, indices = _graph_arrays(graph)
+    if indptr.shape[0] == 0:
+        raise ValueError("indptr must have at least one entry")
+    lib = _compiled(None)
+    if lib is None:
+        return reference.csr_check(graph)
+    n = graph.num_vertices
+    cursor = np.empty(n, dtype=np.int64)
+    failed = lib.csr_check(indptr.ctypes.data, indices.ctypes.data, n,
+                           indices.shape[0], cursor.ctypes.data)
+    if failed:
+        raise ValueError(reference.CSR_ERRORS[failed - 1])

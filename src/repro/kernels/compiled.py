@@ -48,7 +48,20 @@ Two more loops are not sequential, but are cheap only in C:
     with a color stamp finds the first column holding two same-colored
     rows.
 
-This module holds one short C source for all eight, compiled once with the
+Two more build and check every graph (:class:`repro.graph.CSRGraph`):
+
+``csr_assemble``
+    the CSR assembly behind :func:`repro.graph.from_edge_arrays`
+    (:func:`repro.kernels.csr_assemble`): both directions of every edge
+    are counting-sorted by destination, then stably by source, and each
+    row drops its duplicates in place;
+``csr_check``
+    the invariant check behind :meth:`repro.graph.CSRGraph.check`
+    (:func:`repro.kernels.csr_check`): linear passes over the arrays in
+    the oracle's order, the last one matching every entry to its mirror
+    with one cursor per row, so no edge-sized temporary is allocated.
+
+This module holds one short C source for all ten, compiled once with the
 system C compiler (``$CC``, else ``cc``; ``-O2 -shared -fPIC``, no
 host-specific tuning) and loaded with :mod:`ctypes`.  The sequential
 loops are transcriptions of the Python ones in
@@ -58,7 +71,10 @@ same first-index tie-breaks, so their output is bit-identical and the
 Python loops stay the oracle.  The detection loop returns the same retry
 set as the edge and column scans it replaces, and the verification loop
 the same count or column as the edge scan and the per-column loop; those
-stay their oracles.
+stay their oracles.  The CSR of a simple graph is canonical, so the
+assembly gives the same arrays as the sort-based NumPy assembly, and the
+check fails on the same first invariant as the NumPy check; both stay
+the oracles.
 
 The shared library is cached in a private per-user directory
 (``$XDG_CACHE_HOME/repro/kernels``, else ``~/.cache/repro/kernels``,
@@ -72,9 +88,10 @@ an unwritable cache, a ``dlopen`` error), :func:`load` returns ``None``,
 :mod:`repro.kernels` run their oracles instead.
 
 Every kernel returns ``-1`` (``verify``: ``-2``, since ``-1`` means "no
-violating column") instead of reading past an array when a graph index
-is out of range; the dispatchers check dtypes, lengths and id ranges
-before a pointer reaches C.
+violating column"; ``csr_check``: the number of the failed invariant)
+instead of reading past an array when a graph index is out of range; the
+dispatchers check dtypes, lengths and id ranges before a pointer reaches
+C.
 """
 
 from __future__ import annotations
@@ -395,6 +412,83 @@ int64_t shuffle_drain(const int64_t *indptr, const int64_t *indices,
     }
     return moves;
 }
+
+/* The CSR of the simple graph with edges {u[i], v[i]} over n vertices.
+   Self-loops are dropped; both directions of every other edge are
+   counting-sorted by destination into tmp, then stably by source into
+   indices (an LSD radix sort with n buckets; tmp and indices hold 2m
+   entries), and duplicates are dropped in place within each row.  indptr
+   (length n+1) must be zeroed; pos (length n) is scratch.  Returns the
+   number of entries kept, or -1 on an endpoint outside [0, n). */
+int64_t csr_assemble(const int64_t *u, const int64_t *v, int64_t m, int64_t n,
+                     int64_t *indptr, int64_t *pos, int64_t *tmp, int64_t *indices)
+{
+    for (int64_t i = 0; i < m; i++) {
+        int64_t a = u[i], b = v[i];
+        if (a < 0 || a >= n || b < 0 || b >= n) return -1;
+        if (a == b) continue;
+        indptr[a + 1]++;
+        indptr[b + 1]++;
+    }
+    for (int64_t x = 0; x < n; x++) {
+        indptr[x + 1] += indptr[x];
+        pos[x] = indptr[x];
+    }
+    for (int64_t i = 0; i < m; i++) {
+        int64_t a = u[i], b = v[i];
+        if (a == b) continue;
+        tmp[pos[b]++] = a;
+        tmp[pos[a]++] = b;
+    }
+    for (int64_t x = 0; x < n; x++) pos[x] = indptr[x];
+    for (int64_t d = 0; d < n; d++)
+        for (int64_t p = indptr[d]; p < indptr[d + 1]; p++)
+            indices[pos[tmp[p]]++] = d;
+    int64_t kept = 0, lo = 0;
+    for (int64_t x = 0; x < n; x++) {
+        int64_t hi = indptr[x + 1], last = -1;
+        for (int64_t p = lo; p < hi; p++)
+            if (indices[p] != last) last = indices[kept++] = indices[p];
+        indptr[x + 1] = kept;
+        lo = hi;
+    }
+    return kept;
+}
+
+/* Validates a CSR over n vertices: returns 0, else the number of the first
+   failed check in this order: 1 the indptr endpoints, 2 a decreasing
+   indptr, 3 an index outside [0, n), 4 a self-loop, 5 a row that is not
+   strictly increasing, 6 an entry (x, w) with no mirror (w, x).  Each
+   check makes the reads of the next safe.  The mirror check walks the
+   implicit transpose: rows x come in increasing order, so row w must meet
+   them in its stored order; cursor (length n) holds each row's next
+   unmatched entry, and since every entry advances one cursor, all nnz
+   matched means every row was matched in full. */
+int64_t csr_check(const int64_t *indptr, const int64_t *indices, int64_t n,
+                  int64_t nnz, int64_t *cursor)
+{
+    if (indptr[0] != 0 || indptr[n] != nnz) return 1;
+    for (int64_t x = 0; x < n; x++)
+        if (indptr[x + 1] < indptr[x]) return 2;
+    for (int64_t p = 0; p < nnz; p++)
+        if (indices[p] < 0 || indices[p] >= n) return 3;
+    int64_t loop = 0, unsorted = 0;
+    for (int64_t x = 0; x < n; x++)
+        for (int64_t p = indptr[x]; p < indptr[x + 1]; p++) {
+            loop |= indices[p] == x;
+            unsorted |= p > indptr[x] && indices[p] <= indices[p - 1];
+        }
+    if (loop) return 4;
+    if (unsorted) return 5;
+    for (int64_t x = 0; x < n; x++) cursor[x] = indptr[x];
+    for (int64_t x = 0; x < n; x++)
+        for (int64_t p = indptr[x]; p < indptr[x + 1]; p++) {
+            int64_t w = indices[p];
+            if (cursor[w] == indptr[w + 1] || indices[cursor[w]] != x) return 6;
+            cursor[w]++;
+        }
+    return 0;
+}
 """
 
 FLAGS = ("-O2", "-shared", "-fPIC")
@@ -409,6 +503,8 @@ _SIGNATURES = {
     "sched_commit": (_P, _P, _I, _I, _P, _P, _P, _I),
     "conflicts": (_P, _P, _I, _I, _I, _P, _P, _I, _P, _I, _I, _P, _P),
     "verify": (_P, _P, _I, _I, _I, _P, _I, _P),
+    "csr_assemble": (_P, _P, _I, _I, _P, _P, _P, _P),
+    "csr_check": (_P, _P, _I, _I, _P),
 }
 
 # what a failed build or load raises: OSError (cache directory, dlopen),

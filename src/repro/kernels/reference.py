@@ -9,6 +9,10 @@ where the C library does not load runs them in its place.
 The First-Fit sweep uses the classic O(n + m) "stamping" scheme: a scratch
 array ``forbidden`` records, per color, the stamp of the last vertex that
 saw that color on a neighbor, so clearing between vertices is free.
+
+The CSR assembly and check at the end (:func:`csr_assemble`,
+:func:`csr_check`) are sort-based NumPy code, not loops: they are the
+oracles of the linear C loops that build and validate every graph.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 
-__all__ = ["capacity_sweep", "d2_conflicts", "d2_drain_pass", "d2_sweep",
-           "d2_violating_column", "ff_sweep", "pick_shuffle_target", "sched_commit",
-           "shuffle_drain", "shuffle_groups", "two_hop_rows"]
+__all__ = ["CSR_ERRORS", "capacity_sweep", "csr_assemble", "csr_check", "d2_conflicts",
+           "d2_drain_pass", "d2_sweep", "d2_violating_column", "ff_sweep",
+           "pick_shuffle_target", "sched_commit", "shuffle_drain", "shuffle_groups",
+           "two_hop_rows"]
 
 # two-hop entries gathered per block of rows: keeps the int64 staging
 # arrays at ~0.5 MB each, cache-resident (larger blocks measured slower)
@@ -381,3 +386,67 @@ def sched_commit(
             colors[v] = k
             committed += 1
     return committed
+
+
+#: The CSR invariants in the order :func:`csr_check` tests them, each with
+#: the message of the ``ValueError`` its violation raises.
+CSR_ERRORS = (
+    "indptr endpoints do not match indices length",
+    "indptr must be non-decreasing",
+    "indices out of range",
+    "self-loops are not allowed",
+    "neighbor lists must be strictly increasing",
+    "adjacency is not symmetric",
+)
+
+
+def csr_assemble(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the simple graph with edges ``{u[i], v[i]}``.
+
+    Self-loops are dropped and duplicates collapsed; every row lists its
+    neighbors once, in increasing order.  Sort-based: the canonical
+    ``lo * n + hi`` keys are sorted and deduplicated, then both directions
+    are sorted by ``src * n + dst`` (n <= ~3e9 keeps the keys in int64).
+    """
+    keep = u != v
+    u, v = u[keep], v[keep]
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    keys = lo * n + hi
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    lo = keys // n
+    hi = keys - lo * n
+    sym = np.concatenate([keys, hi * n + lo])
+    sym.sort()
+    src = sym // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, sym - src * n
+
+
+def csr_check(graph: CSRGraph) -> None:
+    """Raise ``ValueError`` with the first violated entry of :data:`CSR_ERRORS`.
+
+    Symmetry compares the multisets of ``(src, dst)`` and ``(dst, src)``
+    keys; once the rows are strictly increasing the forward keys are
+    already sorted, so only the backward ones are.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    n = graph.num_vertices
+    if indptr[0] != 0 or indptr[-1] != indices.shape[0]:
+        raise ValueError(CSR_ERRORS[0])
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError(CSR_ERRORS[1])
+    if indices.shape[0] and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError(CSR_ERRORS[2])
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    if np.any(src == indices):
+        raise ValueError(CSR_ERRORS[3])
+    same_row = src[1:] == src[:-1]
+    if np.any(same_row & (indices[1:] <= indices[:-1])):
+        raise ValueError(CSR_ERRORS[4])
+    if not np.array_equal(src * n + indices, np.sort(indices * n + src)):
+        raise ValueError(CSR_ERRORS[5])

@@ -58,6 +58,8 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.csr import CSRGraph
+from repro.graph.datasets import DATASETS
+from repro.graph.store import INDICES, load_graph, save_graph
 from repro.kernels import compiled, conflicts, reference
 from repro.obs import Recorder
 from repro.parallel.mp import Neighbourhood, run_rounds
@@ -468,6 +470,112 @@ _SHUFFLE = (("graph", "colors", "sizes", "g", "choice", "traversal", "vertex_w")
 _SC = _SHUFFLE[1][2].size
 
 
+def _ids(*xs) -> np.ndarray:
+    return np.array(xs, dtype=np.int64)
+
+
+@st.composite
+def edge_arrays(draw):
+    """``(u, v, n)``: up to 3n endpoint pairs over 0 to 30 vertices, with
+    self-loops, repeats and both orientations of some edges."""
+    n = draw(st.integers(0, 30))
+    if n == 0:
+        return _ids(), _ids(), 0
+    m = draw(st.integers(0, 3 * n))
+    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    u, v = np.asarray(draw(ids), dtype=np.int64), np.asarray(draw(ids), dtype=np.int64)
+    k = draw(st.integers(0, m))
+    return np.concatenate([u, v[:k]]), np.concatenate([v, u[:k]]), n
+
+
+def hub_case(seed: int) -> tuple:
+    """Vertex 0 joined to most of 60 others, many pairs twice or reversed."""
+    rng = np.random.default_rng(seed)
+    leaves = rng.integers(0, 60, size=200)
+    hub = np.zeros(200, dtype=np.int64)
+    return np.concatenate([hub, leaves]), np.concatenate([leaves, hub]), 60
+
+
+ASSEMBLE_CASES = {
+    "no-vertices": lambda: [(_ids(), _ids(), 0)],
+    "isolated": lambda: [(_ids(), _ids(), 7), (_ids(0, 1), _ids(1, 0), 9)],
+    "all-self-loops": lambda: [(_ids(0, 3, 3, 4), _ids(0, 3, 3, 4), 5)],
+    "hub": lambda: [hub_case(seed) for seed in range(3)],
+    "er": lambda: [tuple(np.random.default_rng(seed).integers(0, 300, size=(2, 3000)))
+                   + (300,) for seed in range(3)],
+}
+
+
+def csr_case(indptr, indices) -> tuple:
+    """``(graph,)``: the given CSR arrays, not validated."""
+    return (CSRGraph(np.asarray(indptr, dtype=np.int64),
+                     np.asarray(indices, dtype=np.int64), validate=False),)
+
+
+def raw_csr_case(indptr, indices) -> tuple:
+    """``(graph,)`` holding the arrays exactly as given, as unpickling leaves them."""
+    graph = CSRGraph.__new__(CSRGraph)
+    graph.__setstate__({"indptr": indptr, "indices": indices})
+    return (graph,)
+
+
+CSR_FAULTS = ("retarget", "drop", "indptr", "swap")
+
+
+@st.composite
+def csrs(draw):
+    """``(graph,)``: a random simple graph's CSR with up to three faults: an
+    entry retargeted to a vertex in [-1, n] (its row re-sorted or not), one
+    direction of an edge dropped, an indptr entry nudged, or two adjacent
+    entries swapped."""
+    graph = draw(simple_graphs())
+    n, rng = graph.num_vertices, np.random.default_rng(draw(SEEDS))
+    indptr, indices = graph.indptr.copy(), graph.indices.copy()
+    for fault in draw(st.lists(st.sampled_from(CSR_FAULTS), max_size=3)):
+        nnz = indices.shape[0]
+        if fault == "retarget" and nnz:
+            p = rng.integers(nnz)
+            indices[p] = rng.integers(-1, n + 1)
+            row = np.searchsorted(indptr, p, side="right") - 1
+            if rng.random() < 0.5 and 0 <= row < n:
+                indices[indptr[row]:indptr[row + 1]].sort()
+        elif fault == "drop" and nnz:
+            p = rng.integers(nnz)
+            indices = np.delete(indices, p)
+            indptr[indptr > p] -= 1
+        elif fault == "indptr":
+            indptr[rng.integers(n + 1)] += rng.integers(-2, 3)
+        elif fault == "swap" and nnz > 1:
+            p = rng.integers(nnz - 1)
+            indices[[p, p + 1]] = indices[[p + 1, p]]
+    return csr_case(indptr, indices)
+
+
+_E = reference.CSR_ERRORS
+#: expected outcome, indptr, indices; most are faults of the path 0-1-2
+#: (indptr [0, 1, 3, 4], indices [1, 0, 2, 1]), and a case with two faults
+#: names the one tested first
+CHECK_CASES = {
+    "valid-no-vertices": (None, [0], []),
+    "valid-isolated": (None, [0, 0, 0, 0], []),
+    "valid-path": (None, [0, 1, 3, 4], [1, 0, 2, 1]),
+    "endpoint-last": (_E[0], [0, 1, 3, 5], [1, 0, 2, 1]),
+    "endpoint-first": (_E[0], [1, 1, 3, 4], [1, 0, 2, 1]),
+    "decreasing": (_E[1], [0, 3, 1, 4], [1, 0, 2, 1]),
+    "index-past-n": (_E[2], [0, 1, 3, 4], [1, 0, 3, 1]),
+    "index-negative": (_E[2], [0, 1, 3, 4], [1, 0, -1, 1]),
+    "self-loop": (_E[3], [0, 1, 3, 4], [1, 1, 2, 1]),
+    "duplicate": (_E[4], [0, 2, 4], [1, 1, 0, 0]),
+    "unsorted": (_E[4], [0, 1, 3, 4], [1, 2, 0, 1]),
+    "mirror-missing": (_E[5], [0, 1, 3, 3], [1, 0, 2]),
+    "directed-triangle": (_E[5], [0, 1, 2, 3], [1, 2, 0]),
+    "loop-and-range": (_E[2], [0, 1, 3, 4], [1, 1, 5, 1]),
+    "loop-and-unsorted": (_E[3], [0, 1, 3, 4], [1, 2, 1, 1]),
+    "decreasing-and-range": (_E[1], [0, 3, 1, 4], [1, 0, 9, 1]),
+    "unsorted-and-asymmetric": (_E[4], [0, 2, 3, 3], [2, 1, 0]),
+}
+
+
 # ----------------------------------------------------------------------
 # the table
 # ----------------------------------------------------------------------
@@ -520,6 +628,31 @@ def call_commit(args, backend):
     return args[1], kernels.sched_commit(*args, backend=backend)  # colors: in place
 
 
+def selected(fn):
+    """For kernels without ``backend=``: they follow the process-wide
+    selection, which a non-``None`` *backend* overrides for the call."""
+    def call(args, backend):
+        saved = kernels._override
+        if backend is not None:
+            kernels._override = backend
+        try:
+            return fn(*args)
+        finally:
+            kernels._override = saved
+    return call
+
+
+def call_check(args, backend):
+    """``None`` for a valid CSR, else the message of the invariant it fails."""
+    try:
+        selected(kernels.csr_check)(args, backend)
+    except ValueError as exc:
+        if str(exc) not in reference.CSR_ERRORS:
+            raise
+        return str(exc)
+    return None
+
+
 def _sweep_ok(args, out) -> bool:
     return out.dtype == np.int64 and out.shape == args[-1].shape
 
@@ -560,6 +693,25 @@ def _shuffle_ok(args, out) -> bool:
             and np.allclose(got_sizes, np.bincount(got, vertex_w, sizes.size))
             and (np.any(vertex_w != 1) or np.maximum(got_sizes - g, 0).sum()
                  <= np.maximum(sizes - g, 0).sum() + 1e-9))
+
+
+def _assemble_ok(args, out) -> bool:
+    """A valid CSR over n vertices whose edges are the non-loop pairs."""
+    u, v, n = args
+    graph = CSRGraph(*out)
+    keep = u != v
+    pairs = set(zip(np.minimum(u, v)[keep].tolist(), np.maximum(u, v)[keep].tolist()))
+    return graph.num_vertices == n and set(graph.edges()) == pairs
+
+
+def _csr_ok(args, message) -> bool:
+    """A CSR that passes is the canonical one of its own edges."""
+    if message is not None:
+        return message in reference.CSR_ERRORS
+    graph = args[0]
+    src = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+    indptr, indices = reference.csr_assemble(src, graph.indices, graph.num_vertices)
+    return np.array_equal(indptr, graph.indptr) and np.array_equal(indices, graph.indices)
 
 
 def _retries_ok(args, out) -> bool:
@@ -723,6 +875,36 @@ KERNELS: dict[str, Kernel] = {
             "commit-vertices-2d": _bad(_COMMIT, vertices=np.zeros((2, 100), dtype=np.int64)),
             "commit-target-negative": _bad(_COMMIT, targets=np.full(200, -1)),
         },
+    ),
+    "csr_assemble": Kernel(
+        call=selected(kernels.csr_assemble),
+        oracle=(reference, "csr_assemble"),
+        draw=edge_arrays(),
+        fixed=ASSEMBLE_CASES,
+        malformed={
+            "assemble-u-float": (np.array([0.0, 1.0]), _ids(1, 2), 3),
+            "assemble-u-2d": (np.zeros((2, 2), dtype=np.int64), _ids(0, 1, 1, 0), 3),
+            "assemble-length-mismatch": (_ids(0, 1), _ids(1), 3),
+            "assemble-negative-id": (_ids(-1), _ids(1), 3),
+            "assemble-id-past-n": (_ids(3), _ids(1), 3),
+            "assemble-n-negative": (_ids(), _ids(), -1),
+        },
+        check=_assemble_ok,
+    ),
+    "csr_check": Kernel(
+        call=call_check,
+        oracle=(reference, "csr_check"),
+        draw=csrs(),
+        fixed={case: (lambda arrays=arrays: [csr_case(*arrays)])
+               for case, (_, *arrays) in CHECK_CASES.items()},
+        malformed={
+            "check-indptr-empty": csr_case([], []),
+            "check-indptr-int32": raw_csr_case(np.zeros(1, dtype=np.int32), _ids()),
+            "check-indices-float": raw_csr_case(_ids(0, 1, 2), np.array([1.0, 0.0])),
+            "check-indices-2d": raw_csr_case(_ids(0, 1, 2), _ids(1, 0).reshape(2, 1)),
+            "check-indptr-strided": raw_csr_case(_ids(0, 9, 1, 9, 2)[::2], _ids(1, 0)),
+        },
+        check=_csr_ok,
     ),
 }
 
@@ -1075,6 +1257,69 @@ def test_verifiers_reject_malformed_colors(case, path):
     error = (AssertionError if case in ("assert_proper-short", "assert_proper-long")
              else ValueError)
     assert_rejected(_BAD_VERIFIES[case], path, error)
+
+
+# ----------------------------------------------------------------------
+# CSR assembly and validation
+# ----------------------------------------------------------------------
+class TestCSRDifferential:
+    test_assemble = differential("csr_assemble")
+    test_check = differential("csr_check", examples=300)
+    test_fixed_cases = fixed_differential("csr_assemble", "csr_check")
+    test_dispatch_runs_c_when_loaded = dispatch_runs_c("csr_assemble", "csr_check")
+
+    def test_each_invariant_names_its_error(self):
+        """Each fault raises its own message, the first in test order when
+        there are two, on every path."""
+        for case, (want, *arrays) in CHECK_CASES.items():
+            assert assert_c_matches_oracle("csr_check", csr_case(*arrays)) == want, case
+
+    @pytest.mark.parametrize("scale", [0.05, 0.25])
+    def test_datasets_are_byte_identical(self, scale):
+        for name in DATASETS:
+            for seed in (0, 1):
+                prints = []
+                for path in ("reference", "default"):
+                    with on_path(path):
+                        prints.append(load_dataset(name, scale=scale, seed=seed).fingerprint())
+                assert prints[0] == prints[1], (name, scale, seed)
+
+    def test_mapped_store_round_trip(self, tmp_path):
+        """A validated load of a mapped store passes clean and names the
+        same fault on every path once one index is moved to a vertex its
+        row does not hold."""
+        graph = load_dataset("cnr", scale=0.05, seed=0)
+        path = save_graph(graph, tmp_path / "g.csrg")
+        for p in ("reference", "numpy", "default"):
+            with on_path(p):
+                mapped = load_graph(path, validate=True)
+                assert mapped.out_of_core and mapped == graph
+        indptr, indices = graph.indptr, graph.indices
+        x = next(x for x in range(graph.num_vertices)
+                 if indptr[x + 1] > indptr[x]
+                 and indices[indptr[x + 1] - 1] + 1 not in (x, graph.num_vertices))
+        flipped = np.load(path / INDICES, mmap_mode="r+")
+        flipped[indptr[x + 1] - 1] += 1
+        flipped.flush()
+        del flipped
+        for p in ("reference", "numpy", "default"):
+            with on_path(p), pytest.raises(ValueError, match=f"^{_E[5]}$"):
+                load_graph(path, validate=True)
+
+    def test_builders_reach_c(self, monkeypatch):
+        """from_edge_arrays and CSRGraph validation run the C loops when the
+        library loaded."""
+        if compiled.load() is None:
+            pytest.skip(f"no compiled library: {compiled.failure_reason()}")
+        for name in ("csr_assemble", "csr_check"):
+            monkeypatch.setattr(reference, name,
+                                lambda *a, name=name, **k: pytest.fail(f"{name}: the oracle ran"))
+        assert erdos_renyi_graph(200, 0.05, seed=1) == _G
+        with pytest.raises(ValueError, match=_E[3]):
+            CSRGraph(np.array([0, 1]), np.array([0]))
+
+
+test_csr_rejects_bad_inputs = rejects("csr_assemble", "csr_check")
 
 
 # ----------------------------------------------------------------------

@@ -114,15 +114,30 @@ class BipartiteGraph:
         Rows and columns both stand for ``V(graph)``; row ``u`` meets
         column ``v`` iff ``u == v`` or ``u ~ v``.  Two rows share a column
         exactly when their vertices are within distance two in *graph*.
+
+        *graph* is symmetric with sorted rows, so both halves of the
+        incidence are the closed neighbourhoods ``N[u]``, built with one
+        scatter from its CSR and no sort; the result is validated as
+        every :class:`~repro.graph.csr.CSRGraph` is.
         """
         n = graph.num_vertices
         if n == 0:
             raise ValueError("square_cover needs a non-empty graph")
-        src, dst = graph.edge_arrays()  # one direction per undirected edge
-        ident = np.arange(n, dtype=np.int64)
-        u = np.concatenate([src, dst, ident])
-        v = np.concatenate([dst + n, src + n, ident + n])
-        return cls(from_edge_arrays(u, v, num_vertices=2 * n), n)
+        indptr, indices = graph.indptr, graph.indices
+        nnz = indices.shape[0]
+        # the closed neighbourhood N[u] is row u with u put after its lower
+        # neighbours: entry p of row u moves right by u slots, and by one
+        # more once past u
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        upper = indices > src
+        starts = indptr + np.arange(n + 1, dtype=np.int64)
+        closed = np.empty(nnz + n, dtype=np.int64)
+        closed[np.arange(nnz, dtype=np.int64) + src + upper] = indices
+        closed[starts[:-1] + np.bincount(src[~upper], minlength=n)] = np.arange(n)
+        # row u meets columns n + N[u], and column v holds rows N[v]
+        incidence = CSRGraph(np.concatenate([starts, starts[1:] + nnz + n]),
+                             np.concatenate([closed + n, closed]))
+        return cls(incidence, n)
 
     # ------------------------------------------------------------------
     # shape and adjacency

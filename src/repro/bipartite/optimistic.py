@@ -181,7 +181,8 @@ def optimistic_partial_d2(
         return units[batch]
 
     def detect(work, record):
-        # each work row rescans its two-hop slots
+        # the model charges each work row its two-hop slots; the kernel
+        # itself decides one column at a time
         retry = kernels.d2_conflicts(bip.incidence, nr, colors, work,
                                      backend=resolved)
         return retry, units[work]

@@ -36,14 +36,19 @@ def from_edge_arrays(
     u, v:
         Integer arrays of equal length; each position describes one
         undirected edge.  Order, duplicates, and self-loops are all
-        tolerated and normalized away.
+        tolerated and normalized away.  A non-integer endpoint (a float,
+        a bool) raises :class:`ValueError` instead of being truncated;
+        empty arrays may have any dtype.
     num_vertices:
         Total vertex count; defaults to ``max(endpoint) + 1``.
     """
     from ..kernels import csr_assemble  # repro.kernels imports this package
 
-    u = np.asarray(u, dtype=np.int64).ravel()
-    v = np.asarray(v, dtype=np.int64).ravel()
+    u, v = np.asarray(u).ravel(), np.asarray(v).ravel()
+    for arr in (u, v):
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"endpoints must be integers, got {arr.dtype}")
+    u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
     if num_vertices is None:
         num_vertices = int(max(u.max(initial=-1), v.max(initial=-1)) + 1)
     return CSRGraph(*csr_assemble(u, v, num_vertices))

@@ -15,16 +15,21 @@ Pass ``scale`` to grow or shrink every dataset together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
+from .build import from_edge_arrays
 from .csr import CSRGraph
 from .generators import (
-    clique_overlay_graph,
-    grid_3d_graph,
+    clique_edges,
+    grid_3d_edges,
     jacobian_band_pattern,
     random_sparse_pattern,
-    rmat_graph,
+    rmat_edges,
+    road_network_edges,
     road_network_graph,
 )
 
@@ -51,26 +56,25 @@ def _scaled(base: int, scale: float, minimum: int = 64) -> int:
     return max(minimum, int(base * scale))
 
 
+# Each stand-in hands its raw edge arrays to from_edge_arrays once, and
+# keeps no reference to a part once it is merged, so the build's peak
+# memory holds one copy of the edge list.
 def _cnr(scale: float, seed: int) -> CSRGraph:
     # web crawl: heavy-tailed RMAT + moderate cliques -> ~60-90 FF colors
-    import math
-
     sc = max(8, int(round(math.log2(_scaled(16384, scale)))))
-    base = rmat_graph(sc, 6.0, a=0.57, b=0.19, c=0.19, seed=seed)
-    return clique_overlay_graph(
-        base.num_vertices, _scaled(180, scale), min_size=4, max_size=40,
-        exponent=2.1, base=base, seed=seed + 1,
-    )
+    return from_edge_arrays(*clique_edges(
+        1 << sc, _scaled(180, scale), min_size=4, max_size=40, exponent=2.1,
+        base_edges=rmat_edges(sc, 6.0, a=0.57, b=0.19, c=0.19, seed=seed),
+        seed=seed + 1), num_vertices=1 << sc)
 
 
 def _copapers(scale: float, seed: int) -> CSRGraph:
     # co-authorship: clique-dominated with a sparse backbone -> few hundred colors
     n = _scaled(16384, scale)
-    backbone = road_network_graph(n, shortcut_frac=0.1, seed=seed)
-    return clique_overlay_graph(
-        n, _scaled(1200, scale), min_size=5, max_size=110,
-        exponent=2.0, base=backbone, seed=seed + 1,
-    )
+    return from_edge_arrays(*clique_edges(
+        n, _scaled(1200, scale), min_size=5, max_size=110, exponent=2.0,
+        base_edges=road_network_edges(n, shortcut_frac=0.1, seed=seed),
+        seed=seed + 1), num_vertices=n)
 
 
 def _channel(scale: float, seed: int) -> CSRGraph:
@@ -79,40 +83,30 @@ def _channel(scale: float, seed: int) -> CSRGraph:
     # mesh numbering), giving ~12 skewed color classes instead of the
     # perfectly periodic (and already balanced) pattern of lexicographic
     # grid order.
-    import numpy as np
-
     side = max(6, int(round(26 * scale ** (1 / 3))))
-    g = grid_3d_graph(side, side, max(4, side * 2 // 3), stencil=18)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(g.num_vertices).astype(np.int64)
-    u, v = g.edge_arrays()
-    from .build import from_edge_arrays
-
-    return from_edge_arrays(perm[u], perm[v], num_vertices=g.num_vertices)
+    nz = max(4, side * 2 // 3)
+    perm = np.random.default_rng(seed).permutation(side * side * nz).astype(np.int64)
+    u, v = grid_3d_edges(side, side, nz, stencil=18)
+    u, v = perm[u], perm[v]
+    return from_edge_arrays(u, v, num_vertices=perm.shape[0])
 
 
 def _mg2(scale: float, seed: int) -> CSRGraph:
     # dense biological network: dense RMAT + many large cliques -> most colors
-    import math
-
     sc = max(8, int(round(math.log2(_scaled(12288, scale)))))
-    base = rmat_graph(sc, 22.0, a=0.55, b=0.2, c=0.2, seed=seed)
-    return clique_overlay_graph(
-        base.num_vertices, _scaled(420, scale), min_size=8, max_size=260,
-        exponent=1.95, base=base, seed=seed + 1,
-    )
+    return from_edge_arrays(*clique_edges(
+        1 << sc, _scaled(420, scale), min_size=8, max_size=260, exponent=1.95,
+        base_edges=rmat_edges(sc, 22.0, a=0.55, b=0.2, c=0.2, seed=seed),
+        seed=seed + 1), num_vertices=1 << sc)
 
 
 def _uk2002(scale: float, seed: int) -> CSRGraph:
     # .uk web crawl: extreme degree skew, several hundred FF colors
-    import math
-
     sc = max(9, int(round(math.log2(_scaled(32768, scale)))))
-    base = rmat_graph(sc, 8.0, a=0.62, b=0.17, c=0.17, seed=seed)
-    return clique_overlay_graph(
-        base.num_vertices, _scaled(420, scale), min_size=5, max_size=190,
-        exponent=2.0, base=base, seed=seed + 1,
-    )
+    return from_edge_arrays(*clique_edges(
+        1 << sc, _scaled(420, scale), min_size=5, max_size=190, exponent=2.0,
+        base_edges=rmat_edges(sc, 8.0, a=0.62, b=0.17, c=0.17, seed=seed),
+        seed=seed + 1), num_vertices=1 << sc)
 
 
 def _europe_osm(scale: float, seed: int) -> CSRGraph:

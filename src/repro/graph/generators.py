@@ -38,6 +38,12 @@ __all__ = [
     "clique_overlay_graph",
     "jacobian_band_pattern",
     "random_sparse_pattern",
+    # the raw endpoint arrays behind four of the graphs above, so a dataset
+    # stand-in can combine them and assemble its graph once
+    "rmat_edges",
+    "grid_3d_edges",
+    "road_network_edges",
+    "clique_edges",
 ]
 
 
@@ -128,6 +134,13 @@ def rmat_graph(
     distributions like web crawls.  Duplicate edges and self-loops are
     collapsed, so the realized edge count is slightly below the target.
     """
+    return from_edge_arrays(*rmat_edges(scale, edge_factor, a=a, b=b, c=c, seed=seed),
+                            num_vertices=1 << scale)
+
+
+def rmat_edges(scale: int, edge_factor: float, *, a: float = 0.57, b: float = 0.19,
+               c: float = 0.19, seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """The raw endpoint arrays of :func:`rmat_graph`, repeats and loops kept."""
     check_positive("scale", scale)
     check_positive("edge_factor", edge_factor)
     d = 1.0 - a - b - c
@@ -149,7 +162,7 @@ def rmat_graph(
         v = (v << 1) | r_col
     # permute vertex ids so low ids are not systematically high degree
     perm = rng.permutation(n).astype(np.int64)
-    return from_edge_arrays(perm[u], perm[v], num_vertices=n)
+    return perm[u], perm[v]
 
 
 def powerlaw_cluster_graph(n: int, attach: int, *, triangle_p: float = 0.5, seed=None) -> CSRGraph:
@@ -191,6 +204,13 @@ def grid_3d_graph(nx: int, ny: int, nz: int, *, stencil: int = 6) -> CSRGraph:
     The 18-point stencil (faces + edges, no corners) matches the ``Channel``
     input's max degree of 18 and its ~12-color Greedy-FF profile.
     """
+    return from_edge_arrays(*grid_3d_edges(nx, ny, nz, stencil=stencil),
+                            num_vertices=nx * ny * nz)
+
+
+def grid_3d_edges(nx: int, ny: int, nz: int, *,
+                  stencil: int = 6) -> tuple[np.ndarray, np.ndarray]:
+    """The raw endpoint arrays of :func:`grid_3d_graph`, both directions."""
     for name, val in (("nx", nx), ("ny", ny), ("nz", nz)):
         check_positive(name, val)
     if stencil not in (6, 18, 26):
@@ -215,7 +235,6 @@ def grid_3d_graph(nx: int, ny: int, nz: int, *, stencil: int = 6) -> CSRGraph:
         indexing="ij",
     )
     xs, ys, zs = xs.ravel(), ys.ravel(), zs.ravel()
-    n = nx * ny * nz
 
     def vid(x, y, z):
         return (x * ny + y) * nz + z
@@ -230,7 +249,7 @@ def grid_3d_graph(nx: int, ny: int, nz: int, *, stencil: int = 6) -> CSRGraph:
         )
         all_u.append(vid(xs[ok], ys[ok], zs[ok]))
         all_v.append(vid(xs[ok] + dx, ys[ok] + dy, zs[ok] + dz))
-    return from_edge_arrays(np.concatenate(all_u), np.concatenate(all_v), num_vertices=n)
+    return np.concatenate(all_u), np.concatenate(all_v)
 
 
 def road_network_graph(n: int, *, shortcut_frac: float = 0.06, seed=None) -> CSRGraph:
@@ -239,12 +258,17 @@ def road_network_graph(n: int, *, shortcut_frac: float = 0.06, seed=None) -> CSR
     Average degree lands just above 2 with a small maximum degree, like
     ``Europe-osm`` (avg 2.12, Greedy-FF uses ~5 colors).
     """
+    return from_edge_arrays(*road_network_edges(n, shortcut_frac=shortcut_frac,
+                                                seed=seed), num_vertices=n)
+
+
+def road_network_edges(n: int, *, shortcut_frac: float = 0.06,
+                       seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """The raw endpoint arrays of :func:`road_network_graph`."""
     check_positive("n", n)
     if shortcut_frac < 0:
         raise ValueError(f"shortcut_frac must be >= 0, got {shortcut_frac}")
     rng = as_rng(seed)
-    if n == 1:
-        return empty_graph(1)
     # random tree: each vertex v >= 1 attaches to a recent vertex (locality
     # keeps degrees small, like road segments chaining)
     children = np.arange(1, n, dtype=np.int64)
@@ -254,9 +278,7 @@ def road_network_graph(n: int, *, shortcut_frac: float = 0.06, seed=None) -> CSR
     k = int(shortcut_frac * n)
     su = rng.integers(0, n, size=k, dtype=np.int64)
     sv = np.clip(su + rng.integers(1, 50, size=k), 0, n - 1)
-    return from_edge_arrays(
-        np.concatenate([children, su]), np.concatenate([parents, sv]), num_vertices=n
-    )
+    return np.concatenate([children, su]), np.concatenate([parents, sv])
 
 
 def clique_overlay_graph(
@@ -276,6 +298,19 @@ def clique_overlay_graph(
     a clique of size *k* forces at least *k* colors.  If *base* is given its
     edges are included (overlay on an existing graph).
     """
+    if base is not None and base.num_vertices != n:
+        raise ValueError("base graph vertex count mismatch")
+    return from_edge_arrays(*clique_edges(
+        n, num_cliques, min_size=min_size, max_size=max_size, exponent=exponent,
+        base_edges=None if base is None else base.edge_arrays(), seed=seed),
+        num_vertices=n)
+
+
+def clique_edges(n: int, num_cliques: int, *, min_size: int = 3, max_size: int = 30,
+                 exponent: float = 2.2, base_edges: tuple[np.ndarray, np.ndarray] | None = None,
+                 seed=None) -> tuple[np.ndarray, np.ndarray]:
+    """The raw endpoint arrays of :func:`clique_overlay_graph`: its cliques,
+    then the endpoint arrays *base_edges* if given, in one concatenation."""
     check_positive("n", n)
     check_positive("num_cliques", num_cliques)
     if not 2 <= min_size <= max_size:
@@ -295,13 +330,10 @@ def clique_overlay_graph(
         iu, iv = pairs[int(s)]
         all_u.append(members[iu])
         all_v.append(members[iv])
-    if base is not None:
-        if base.num_vertices != n:
-            raise ValueError("base graph vertex count mismatch")
-        bu, bv = base.edge_arrays()
-        all_u.append(bu)
-        all_v.append(bv)
-    return from_edge_arrays(np.concatenate(all_u), np.concatenate(all_v), num_vertices=n)
+    if base_edges is not None:
+        all_u.append(base_edges[0])
+        all_v.append(base_edges[1])
+    return np.concatenate(all_u), np.concatenate(all_v)
 
 
 # ----------------------------------------------------------------------

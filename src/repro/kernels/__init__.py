@@ -305,6 +305,14 @@ def d2_conflicts(
     retry set.  *colors* must be an integer array of length *num_rows*,
     *work* ids must lie in ``[0, num_rows)``, else :class:`ValueError`.
 
+    Both tiers decide per column, the way Taş & Kaya detect per net: the
+    oracle groups each column's rows by color, and the C loop makes two
+    passes over each column's rows (the lowest row and any finalized row
+    per color, then the losers), so a round costs Σ deg(column) over the
+    columns it visits instead of each work row's whole two-hop
+    neighbourhood.  Sparse color ids are ranked before the C loop sizes
+    its per-color scratch.
+
     *cols* restricts the scan to the given column vertex ids (in
     ``[num_rows, n)``).  The default is the columns adjacent to the work
     rows — an exact restriction, since a column no work row touches can
@@ -322,12 +330,22 @@ def d2_conflicts(
     lib = _compiled(name)
     if lib is None:
         return reference.d2_conflicts(graph, nr, colors, work, cols)
-    colmask = None
-    if cols is not None:
-        colmask = np.zeros(graph.num_vertices, dtype=np.uint8)
-        colmask[cols] = 1
-    return _c_conflicts(lib, graph, nr, colors, work, hops=2, cross=True,
-                        colmask=colmask)
+    indptr, indices = _graph_arrays(graph)
+    colors = _ranked_colors(colors, nr)
+    top = int(colors.max(initial=-1)) + 1
+    at, first = np.full(top, -1, dtype=np.int64), np.empty(top, dtype=np.int64)
+    seen = np.zeros(graph.num_vertices - nr, dtype=np.uint8) if cols is None else None
+    mark = np.zeros(nr, dtype=np.uint8)
+    out = np.empty(work.shape[0], dtype=np.int64)
+    count = lib.d2_conflicts(
+        indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
+        indices.shape[0], nr, colors.ctypes.data, work.ctypes.data, work.shape[0],
+        None if cols is None else cols.ctypes.data, 0 if cols is None else cols.shape[0],
+        None if seen is None else seen.ctypes.data, at.ctypes.data, first.ctypes.data,
+        mark.ctypes.data, out.ctypes.data)
+    if count < 0:
+        raise ValueError(f"graph is not a valid incidence CSR with rows [0, {nr})")
+    return np.sort(out[:count])
 
 
 def detect_conflicts(
@@ -387,7 +405,16 @@ def _d1_conflicts(graph, colors, work_list, backend, *, cross: bool) -> np.ndarr
     if lib is None:
         scan = conflicts.detect_cross_conflicts if cross else conflicts.detect_conflicts
         return scan(graph, colors, work)
-    return _c_conflicts(lib, graph, n, colors, work, hops=1, cross=cross)
+    indptr, indices = _graph_arrays(graph)
+    mark = np.zeros(n, dtype=np.uint8)
+    out = np.empty(work.shape[0], dtype=np.int64)
+    count = lib.conflicts(indptr.ctypes.data, indices.ctypes.data, n,
+                          indices.shape[0], colors.ctypes.data, work.ctypes.data,
+                          work.shape[0], int(cross), mark.ctypes.data,
+                          out.ctypes.data)
+    if count < 0:
+        raise ValueError("graph is not a valid CSR")
+    return np.sort(out[:count])
 
 
 def count_monochromatic_edges(
@@ -562,22 +589,16 @@ def _check_ids(name: str, ids, bound: int | None, low: int = 0) -> np.ndarray:
     return ids
 
 
-def _c_conflicts(lib, graph: CSRGraph, size: int, colors: np.ndarray,
-                 work: np.ndarray, *, hops: int, cross: bool,
-                 colmask: np.ndarray | None = None) -> np.ndarray:
-    """The C detection loop over checked *work* ids in ``[0, size)``."""
-    indptr, indices = _graph_arrays(graph)
-    mark = np.zeros(size, dtype=np.uint8)
-    out = np.empty(work.shape[0], dtype=np.int64)
-    count = lib.conflicts(
-        indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
-        indices.shape[0], size, colors.ctypes.data, work.ctypes.data,
-        work.shape[0], None if colmask is None else colmask.ctypes.data,
-        hops, int(cross), mark.ctypes.data, out.ctypes.data)
-    if count < 0:
-        raise ValueError("graph is not a valid CSR" if hops == 1 else
-                         f"graph is not a valid incidence CSR with rows [0, {size})")
-    return np.sort(out[:count])
+def _ranked_colors(colors: np.ndarray, size: int) -> np.ndarray:
+    """*colors* (checked, length *size*) as they are when no color exceeds
+    *size*; else the colors >= 0 replaced by their ranks and every negative
+    one by -1.  Either way per-color scratch needs at most ``size + 1``
+    entries."""
+    if int(colors.max(initial=-1)) <= size:
+        return colors
+    ids, ranks = np.unique(colors, return_inverse=True)
+    ranks = ranks.reshape(-1) - np.searchsorted(ids, 0)
+    return np.ascontiguousarray(np.maximum(ranks, -1), dtype=np.int64)
 
 
 def _c_verify(lib, graph: CSRGraph, size: int, colors: np.ndarray, *,
@@ -586,13 +607,8 @@ def _c_verify(lib, graph: CSRGraph, size: int, colors: np.ndarray, *,
     indptr, indices = _graph_arrays(graph)
     stamp = None
     if hops == 2:
-        top = int(colors.max(initial=-1))
-        if top > size:  # sparse color ids: rank them, keeping -1 as -1
-            ids, colors = np.unique(colors, return_inverse=True)
-            colors = np.ascontiguousarray(colors.reshape(-1) - (ids[0] < 0),
-                                          dtype=np.int64)
-            top = int(colors.max())
-        stamp = np.full(top + 1, -1, dtype=np.int64)
+        colors = _ranked_colors(colors, size)
+        stamp = np.full(int(colors.max(initial=-1)) + 1, -1, dtype=np.int64)
     return lib.verify(indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
                       indices.shape[0], size, colors.ctypes.data, hops,
                       None if stamp is None else stamp.ctypes.data)

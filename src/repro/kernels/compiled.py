@@ -31,15 +31,22 @@ before it wrote.
     (:func:`repro.coloring.scheduled_balance`): each planned move checks
     its target against the live colors of its neighbors.
 
-Two more loops are not sequential, but are cheap only in C:
+Three more loops are not sequential, but are cheap only in C:
 
 ``conflicts``
-    the detection phase of the speculation rounds
+    the detection phase of the distance-1 speculation rounds
     (:func:`repro.kernels.detect_conflicts`,
-    :func:`repro.kernels.detect_cross_conflicts`,
-    :func:`repro.kernels.d2_conflicts`): each work item checks its one-
-    or two-hop neighbors for the same color and is retried when it loses;
-    it walks the work rows instead of every edge;
+    :func:`repro.kernels.detect_cross_conflicts`): each work vertex checks
+    its neighbors for the same color and is retried when it loses; it
+    walks the work rows instead of every edge;
+``d2_conflicts``
+    the detection phase of the distance-2 rounds
+    (:func:`repro.kernels.d2_conflicts`): each column next to a work row
+    is visited once and decided on its own, as the per-column oracle and
+    Taş & Kaya's per-net detection do: one pass over its rows finds, per
+    color, the lowest row and whether a finalized row holds it, a second
+    retries the losers.  A round costs the degrees of the columns it
+    visits, not the two-hop neighbourhood of every work row;
 ``verify``
     the properness check behind every verifier
     (:func:`repro.kernels.count_monochromatic_edges`,
@@ -58,20 +65,22 @@ Two more build and check every graph (:class:`repro.graph.CSRGraph`):
 ``csr_check``
     the invariant check behind :meth:`repro.graph.CSRGraph.check`
     (:func:`repro.kernels.csr_check`): linear passes over the arrays in
-    the oracle's order, the last one matching every entry to its mirror
-    with one cursor per row, so no edge-sized temporary is allocated.
+    the oracle's order, the last one matching every upper entry to its
+    mirror with one cursor per row, so no edge-sized temporary is
+    allocated; a row's lower part must be used up by the time the row
+    comes up.
 
-This module holds one short C source for all ten, compiled once with the
+This module holds one short C source for all eleven, compiled once with the
 system C compiler (``$CC``, else ``cc``; ``-O2 -shared -fPIC``, no
 host-specific tuning) and loaded with :mod:`ctypes`.  The sequential
 loops are transcriptions of the Python ones in
 :mod:`repro.kernels.reference`: the same visit order, the same live
 reads, the same color windows, the same float64 size arithmetic and the
 same first-index tie-breaks, so their output is bit-identical and the
-Python loops stay the oracle.  The detection loop returns the same retry
-set as the edge and column scans it replaces, and the verification loop
-the same count or column as the edge scan and the per-column loop; those
-stay their oracles.  The CSR of a simple graph is canonical, so the
+Python loops stay the oracle.  The detection loops return the same retry
+sets as the edge scans and the per-column loop, and the verification
+loop the same count or column as the edge scan and the per-column loop;
+those stay their oracles.  The CSR of a simple graph is canonical, so the
 assembly gives the same arrays as the sort-based NumPy assembly, and the
 check fails on the same first invariant as the NumPy check; both stay
 the oracles.
@@ -289,48 +298,35 @@ int64_t sched_commit(const int64_t *indptr, const int64_t *indices,
     return committed;
 }
 
-/* The work items that lost a speculative race, written to out in work
+/* The work vertices that lost a speculative race, written to out in work
    order; returns their count, or -1 on an out-of-range graph index.  A
-   colored item w is retried when some item x with colors[x] == colors[w]
-   is its graph neighbor (hops 1) or shares a column with it (hops 2;
-   columns not set in colmask are skipped unless colmask is NULL), and
+   colored vertex w is retried when a neighbor x holds its color and
    x < w or, with cross set, x is not in work.  w itself never counts: it
-   is in work and not below itself.  mark (length size, zeroed) holds 1
-   for items in work and 2 once an item is retried, so out has no
+   is in work and not below itself.  mark (length n, zeroed) holds 1 for
+   vertices in work and 2 once a vertex is retried, so out has no
    duplicates. */
 int64_t conflicts(const int64_t *indptr, const int64_t *indices,
-                  int64_t n, int64_t nnz, int64_t size, const int64_t *colors,
-                  const int64_t *work, int64_t nwork, const uint8_t *colmask,
-                  int64_t hops, int64_t cross, uint8_t *mark, int64_t *out)
+                  int64_t n, int64_t nnz, const int64_t *colors,
+                  const int64_t *work, int64_t nwork, int64_t cross,
+                  uint8_t *mark, int64_t *out)
 {
     for (int64_t i = 0; i < nwork; i++) {
-        if (work[i] < 0 || work[i] >= size) return -1;
+        if (work[i] < 0 || work[i] >= n) return -1;
         mark[work[i]] = 1;
     }
     int64_t count = 0;
     for (int64_t i = 0; i < nwork; i++) {
-        int64_t w = work[i], c = colors[w], lo, hi, lose = 0;
+        int64_t w = work[i], c = colors[w], lo, hi;
         if (c < 0 || mark[w] == 2) continue;
-        if (row_span(indptr, size, nnz, w, &lo, &hi)) return -1;
-        for (int64_t p = lo; p < hi && !lose; p++) {
-            /* one hop: the slice [p, p+1) holds the neighbor itself */
-            int64_t xlo = p, xhi = p + 1;
-            if (hops == 2) {
-                if (row_span(indptr, n, nnz, indices[p], &xlo, &xhi)) return -1;
-                if (colmask && !colmask[indices[p]]) continue;
+        if (row_span(indptr, n, nnz, w, &lo, &hi)) return -1;
+        for (int64_t p = lo; p < hi; p++) {
+            int64_t x = indices[p];
+            if (x < 0 || x >= n) return -1;
+            if (colors[x] == c && (x < w || (cross && !mark[x]))) {
+                mark[w] = 2;
+                out[count++] = w;
+                break;
             }
-            for (int64_t q = xlo; q < xhi; q++) {
-                int64_t x = indices[q];
-                if (x < 0 || x >= size) return -1;
-                if (colors[x] == c && (x < w || (cross && !mark[x]))) {
-                    lose = 1;
-                    break;
-                }
-            }
-        }
-        if (lose) {
-            mark[w] = 2;
-            out[count++] = w;
         }
     }
     return count;
@@ -460,10 +456,12 @@ int64_t csr_assemble(const int64_t *u, const int64_t *v, int64_t m, int64_t n,
    indptr, 3 an index outside [0, n), 4 a self-loop, 5 a row that is not
    strictly increasing, 6 an entry (x, w) with no mirror (w, x).  Each
    check makes the reads of the next safe.  The mirror check walks the
-   implicit transpose: rows x come in increasing order, so row w must meet
-   them in its stored order; cursor (length n) holds each row's next
-   unmatched entry, and since every entry advances one cursor, all nnz
-   matched means every row was matched in full. */
+   implicit transpose: rows x come in increasing order, so each upper
+   entry (x, w > x) must meet the lower part of row w in its stored order,
+   and cursor (length n) holds each row's next unmatched lower entry.  By
+   the time row x comes up, every row below it has matched its entry
+   (y, x), so the lower part of row x must be used up and its cursor
+   stands at its upper part: the lower entries are never read again. */
 int64_t csr_check(const int64_t *indptr, const int64_t *indices, int64_t n,
                   int64_t nnz, int64_t *cursor)
 {
@@ -481,13 +479,88 @@ int64_t csr_check(const int64_t *indptr, const int64_t *indices, int64_t n,
     if (loop) return 4;
     if (unsorted) return 5;
     for (int64_t x = 0; x < n; x++) cursor[x] = indptr[x];
-    for (int64_t x = 0; x < n; x++)
-        for (int64_t p = indptr[x]; p < indptr[x + 1]; p++) {
+    for (int64_t x = 0; x < n; x++) {
+        int64_t p = cursor[x], hi = indptr[x + 1];
+        if (p < hi && indices[p] < x) return 6;
+        for (; p < hi; p++) {
             int64_t w = indices[p];
             if (cursor[w] == indptr[w + 1] || indices[cursor[w]] != x) return 6;
             cursor[w]++;
         }
+    }
     return 0;
+}
+
+/* Distance-2 retries over an incidence CSR with rows [0, num_rows), one
+   column at a time.  Each visited column (the ncols ids in cols, else
+   every column next to a colored work row, once: seen, length
+   n - num_rows, zeroed) takes two passes over its rows: the first keeps,
+   per color k >= 0, first[k], the lowest row holding k, or -1 when a row
+   outside work holds k (at[k], filled with -1, is the last column that
+   saw k); the second retries each colored work row r with first[k] != r.
+   So within a same-colored group every work row but the lowest loses, and
+   the lowest loses too when a finalized row shares its color.  mark
+   (length num_rows, zeroed) holds 1 for rows in work and 2 once a row is
+   retried; the losers are then written to out in work order, without
+   duplicates.  Returns their count, or -1 on an out-of-range graph index. */
+int64_t d2_conflicts(const int64_t *indptr, const int64_t *indices,
+                     int64_t n, int64_t nnz, int64_t num_rows,
+                     const int64_t *colors, const int64_t *work, int64_t nwork,
+                     const int64_t *cols, int64_t ncols, uint8_t *seen,
+                     int64_t *at, int64_t *first, uint8_t *mark, int64_t *out)
+{
+    for (int64_t i = 0; i < nwork; i++) {
+        if (work[i] < 0 || work[i] >= num_rows) return -1;
+        mark[work[i]] = 1;
+    }
+    int64_t i = 0, p = 0, lo = 0, hi = 0;
+    for (;;) {
+        int64_t c;
+        if (cols) {
+            if (i == ncols) break;
+            c = cols[i++];
+        } else {
+            /* the next unseen column of a colored work row not yet retried:
+               a column whose colored work rows were all retried already
+               cannot retry another */
+            while (p == hi && i < nwork) {
+                int64_t r = work[i++];
+                if (colors[r] < 0 || mark[r] == 2) continue;
+                if (row_span(indptr, num_rows, nnz, r, &lo, &hi)) return -1;
+                p = lo;
+            }
+            if (p == hi) break;
+            c = indices[p++];
+            if (c < num_rows || c >= n) return -1;
+            if (seen[c - num_rows]) continue;
+            seen[c - num_rows] = 1;
+        }
+        int64_t clo, chi;
+        if (c < num_rows || row_span(indptr, n, nnz, c, &clo, &chi)) return -1;
+        for (int64_t q = clo; q < chi; q++) {
+            int64_t s = indices[q];
+            if (s < 0 || s >= num_rows) return -1;
+            int64_t k = colors[s], f = mark[s] ? s : -1;
+            if (k < 0) continue;
+            if (at[k] != c) {
+                at[k] = c;
+                first[k] = f;
+            } else if (first[k] >= 0 && (f < 0 || f < first[k])) {
+                first[k] = f;
+            }
+        }
+        for (int64_t q = clo; q < chi; q++) {
+            int64_t s = indices[q], k = colors[s];
+            if (k >= 0 && mark[s] == 1 && first[k] != s) mark[s] = 2;
+        }
+    }
+    int64_t count = 0;
+    for (int64_t j = 0; j < nwork; j++)
+        if (mark[work[j]] == 2) {
+            mark[work[j]] = 3;
+            out[count++] = work[j];
+        }
+    return count;
 }
 """
 
@@ -501,10 +574,11 @@ _SIGNATURES = {
     "d2_drain_pass": (_P, _P, _I, _I, _I, _P, _P, _P, _I, _D, _P, _I, _I, _P),
     "shuffle_drain": (_P, _P, _I, _I, _P, _P, _I, _D, _P, _P, _I, _I, _P, _I),
     "sched_commit": (_P, _P, _I, _I, _P, _P, _P, _I),
-    "conflicts": (_P, _P, _I, _I, _I, _P, _P, _I, _P, _I, _I, _P, _P),
+    "conflicts": (_P, _P, _I, _I, _P, _P, _I, _I, _P, _P),
     "verify": (_P, _P, _I, _I, _I, _P, _I, _P),
     "csr_assemble": (_P, _P, _I, _I, _P, _P, _P, _P),
     "csr_check": (_P, _P, _I, _I, _P),
+    "d2_conflicts": (_P, _P, _I, _I, _I, _P, _P, _I, _P, _I, _P, _P, _P, _P, _P),
 }
 
 # what a failed build or load raises: OSError (cache directory, dlopen),

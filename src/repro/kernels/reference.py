@@ -171,7 +171,8 @@ def d2_conflicts(
     columns in *cols* are scanned, by default the columns adjacent to the
     work rows (per-column decisions are independent, so a partition of
     the columns unions to the same retry set).  Returns the sorted unique
-    retry rows.
+    retry rows.  The C loop ``d2_conflicts`` transcribes this per-column
+    rule with two passes over each column's rows instead of a sort.
     """
     indptr, indices = graph.indptr, graph.indices
     if cols is None:

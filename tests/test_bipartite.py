@@ -26,11 +26,16 @@ from repro.coloring import color_and_balance
 from repro.coloring.balance import relative_std_dev
 from repro.coloring.distance2 import assert_distance2_proper, greedy_distance2
 from repro.graph import (
+    complete_graph,
+    empty_graph,
     erdos_renyi_graph,
+    from_edge_arrays,
     jacobian_band_pattern,
     load_dataset,
     random_sparse_pattern,
+    star_graph,
 )
+from repro.graph.datasets import DATASETS
 from repro.kernels.reference import pick_shuffle_target
 from repro.obs import Recorder, as_recorder
 from repro.run import execute
@@ -101,6 +106,34 @@ class TestBipartiteGraph:
                 int(w) for v in g.neighbors(r) for w in g.neighbors(int(v))}
             expected.discard(r)
             assert set(cover.d2_neighbors(r).tolist()) == expected
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: empty_graph(1),
+        lambda: empty_graph(6),
+        lambda: star_graph(20),
+        lambda: complete_graph(9),
+        lambda: erdos_renyi_graph(200, 0.05, seed=4),
+        *(lambda name=name: load_dataset(name, scale=0.05, seed=1) for name in DATASETS),
+    ])
+    def test_square_cover_matches_the_edge_list_build(self, make):
+        """The scatter build gives the arrays of the edge-list assembly it
+        replaced: both edge directions plus the diagonal, through
+        from_edge_arrays."""
+        g = make()
+        n = g.num_vertices
+        src, dst = g.edge_arrays()
+        ident = np.arange(n, dtype=np.int64)
+        want = from_edge_arrays(np.concatenate([src, dst, ident]),
+                                np.concatenate([dst + n, src + n, ident + n]),
+                                num_vertices=2 * n)
+        cover = BipartiteGraph.square_cover(g)
+        assert cover.num_rows == n
+        assert cover.incidence.fingerprint() == want.fingerprint()
+
+    def test_square_cover_rejects_an_empty_graph(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            BipartiteGraph.square_cover(empty_graph(0))
 
 
 # ----------------------------------------------------------------------

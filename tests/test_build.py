@@ -44,6 +44,20 @@ class TestFromEdgeArrays:
         with pytest.raises(ValueError, match="length"):
             from_edge_arrays([0, 1], [1])
 
+    @pytest.mark.parametrize("u, v", [
+        ([0.9, 2.7], [1.2, 0.1]),  # would truncate to edges (0, 1) and (0, 2)
+        (np.array([0.0, 1.0]), np.array([1, 2])),
+        (np.array([0, 1]), np.array([True, False])),
+    ])
+    def test_non_integer_endpoints_rejected(self, u, v):
+        with pytest.raises(ValueError, match="integers"):
+            from_edge_arrays(u, v)
+
+    def test_empty_endpoints_of_any_dtype_accepted(self):
+        g = from_edge_arrays(np.array([], dtype=np.float64), [], num_vertices=3)
+        assert g.num_vertices == 3 and g.num_edges == 0
+        assert from_edge_arrays([], []).num_vertices == 0
+
     def test_symmetry_of_result(self):
         g = from_edge_arrays([3, 1, 4], [1, 5, 9], num_vertices=10)
         for u, v in g.edges():

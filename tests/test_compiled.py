@@ -41,7 +41,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.bipartite import BipartiteGraph, assert_partial_d2_proper, is_partial_d2_proper
+from repro.bipartite import (
+    BipartiteGraph,
+    assert_partial_d2_proper,
+    is_partial_d2_proper,
+    mp_partial_d2,
+    optimistic_partial_d2,
+)
 from repro.coloring.verify import (
     assert_proper,
     conflicting_vertices,
@@ -718,6 +724,83 @@ def _retries_ok(args, out) -> bool:
     return out.dtype == np.int64 and np.array_equal(out, np.unique(out))
 
 
+#: rows 0-5 over columns 6-8: column 6 holds rows 0, 2 and 4, column 7
+#: rows 1, 2, 3 and 5, column 8 rows 0 and 5
+_GROUPS = BipartiteGraph.from_matrix_pattern([0, 2, 4, 1, 2, 3, 5, 0, 5],
+                                             [0, 0, 0, 1, 1, 1, 1, 2, 2])
+
+
+def _group_cases() -> dict[str, list[tuple]]:
+    """Hand-built D2 detection inputs, ``(*head, colors, work[, cols])``
+    each; :meth:`TestDetectDifferential.test_d2_group_rule` pins their
+    retry sets."""
+    g, nr = head(_GROUPS)
+    c = np.array([3, 7, 3, 7, 3, 7], dtype=np.int64)
+    band = BipartiteGraph.from_incidence(jacobian_band_pattern(200, 50, 5, seed=2), 200)
+    big = detect_case(band, "full", 1)
+    return {
+        # the group's lowest row is finalized: every work row of it loses
+        "d2-first-finalized": [(g, nr, c, _ids(2, 4)), (g, nr, c, _ids(4)),
+                               (g, nr, c, _ids(0, 2)), (g, nr, c, _ids(5, 3))],
+        # uncolored rows (any negative id) inside a group never count
+        "d2-uncolored-in-group": [
+            (g, nr, np.array([-1, 7, -5, 7, 3, -1], dtype=np.int64), _ids(0, 1, 2, 3, 4, 5)),
+            (g, nr, np.array([3, -1, -1, -9, 3, -1], dtype=np.int64), _ids(4, 1, 3))],
+        "d2-duplicate-work": [(g, nr, c, _ids(3, 1, 3, 1, 5, 5, 2)),
+                              (*big[:3], np.repeat(big[3][::-1], 3))],
+        # ids past num_rows are ranked before the C loop sizes its scratch
+        "d2-sparse-colors": [
+            (g, nr, c * 10**15 + 1, _ids(0, 1, 2, 3, 4, 5)),
+            (g, nr, np.array([nr + 1, -3, nr + 1, 2**62, nr + 1, 2**62]), _ids(2, 4, 5)),
+            (*big[:2], np.where(big[2] >= 0, big[2] * 10**12 + 5, -2), big[3])],
+        # explicit column subsets: one column, repeats, a column no work row
+        # touches, none at all, and the default's columns in another order
+        "d2-cols-subsets": [(g, nr, c, _ids(2, 4), _ids(6)),
+                            (g, nr, c, _ids(3, 5), _ids(7, 7, 8, 7)),
+                            (g, nr, c, _ids(4), _ids(7, 8)),
+                            (g, nr, c, _ids(0, 1, 2, 3, 4, 5), _ids()),
+                            (*big, np.arange(band.incidence.num_vertices - 1,
+                                             band.num_rows - 1, -1))],
+    }
+
+
+#: the retry sets of :func:`_group_cases`, in case order
+GROUP_RETRIES = {
+    "d2-first-finalized": [[2, 4], [4], [0, 2], [3, 5]],
+    "d2-uncolored-in-group": [[3], [4]],
+    "d2-duplicate-work": [[2, 3, 5], None],
+    "d2-sparse-colors": [[2, 3, 4, 5], [2, 4, 5], None],
+    "d2-cols-subsets": [[2, 4], [3, 5], [], [], None],
+}
+
+
+def _row_rule(graph, num_rows, colors, work) -> np.ndarray:
+    """Distance-2 retries decided row by row: a colored work row loses when
+    a row sharing a column holds its color and has a lower id or is not in
+    *work* (the two-hop rescan the per-column C loop replaced)."""
+    indptr, indices = graph.indptr, graph.indices
+    in_work = np.zeros(num_rows, dtype=bool)
+    in_work[work] = True
+    retry = []
+    for w in np.unique(work):
+        if colors[w] < 0:
+            continue
+        cols = indices[indptr[w]:indptr[w + 1]]
+        rows = np.concatenate([indices[indptr[c]:indptr[c + 1]] for c in cols] or [[]])
+        rows = rows.astype(np.int64)
+        if np.any((colors[rows] == colors[w]) & ((rows < w) | ~in_work[rows])):
+            retry.append(w)
+    return np.array(retry, dtype=np.int64)
+
+
+def _incidence_rows(graph) -> int:
+    """The row count of a rows-first incidence graph: its first vertex
+    whose smallest neighbor precedes it is its first column."""
+    return next(v for v in range(graph.num_vertices)
+                if graph.indptr[v + 1] > graph.indptr[v]
+                and graph.indices[graph.indptr[v]] < v)
+
+
 def _detect_row(fn_name: str, rule: str) -> Kernel:
     d2 = rule == "d2"
     item = _BIP if d2 else _DG
@@ -734,8 +817,10 @@ def _detect_row(fn_name: str, rule: str) -> Kernel:
         oracle=(reference, "d2_conflicts") if d2 else (conflicts, fn_name),
         draw=st.builds(detect_case, incidences() if d2 else simple_graphs(),
                        st.sampled_from(DETECT_KINDS), SEEDS),
-        fixed={f"{kind}-{rule}": partial(_cases, makes, detect_case, kind)
-               for kind in DETECT_KINDS},
+        fixed={**{f"{kind}-{rule}": partial(_cases, makes, detect_case, kind)
+                  for kind in DETECT_KINDS},
+               **({case: lambda case=case: _group_cases()[case] for case in GROUP_RETRIES}
+                  if d2 else {})},
         malformed=malformed,
         check=_retries_ok,
     )
@@ -1061,6 +1146,41 @@ class TestDetectDifferential:
                  for share in np.array_split(cols, parts)]
         full = assert_c_matches_oracle("d2_conflicts", args)
         assert np.array_equal(full, np.unique(np.concatenate(union)))
+
+    @pytest.mark.parametrize("case", sorted(GROUP_RETRIES))
+    def test_d2_group_rule(self, case):
+        """The retry sets of the hand-built groups, pinned, on every path."""
+        for args, want in zip(_group_cases()[case], GROUP_RETRIES[case]):
+            got = assert_c_matches_oracle("d2_conflicts", args)
+            if want is not None:
+                assert got.tolist() == want
+
+    def test_every_d2_round_keeps_the_row_rule(self, monkeypatch):
+        """Every detection of the mp and superstep rounds, on the Jacobian
+        stand-ins and on their square covers, returns the retry set of the
+        row-at-a-time rule the per-column loop replaced."""
+        calls = []
+        detect = kernels.d2_conflicts
+
+        def recorded(graph, num_rows, colors, work=None, **kwargs):
+            got = detect(graph, num_rows, colors, work, **kwargs)
+            calls.append((graph, num_rows, np.array(colors), np.array(work), got))
+            return got
+
+        monkeypatch.setattr(kernels, "d2_conflicts", recorded)
+        for name in ("jacrand", "jacband"):
+            graph = load_dataset(name, scale=0.05, seed=1)
+            bip = BipartiteGraph.from_incidence(graph, _incidence_rows(graph))
+            for mode, threads in (("mp", 2), ("superstep", 4)):
+                before = len(calls)
+                execute(graph, RunConfig("d2-optimistic", mode=mode, threads=threads))
+                if mode == "mp":
+                    mp_partial_d2(bip, num_workers=2)
+                else:
+                    optimistic_partial_d2(bip, num_threads=4)
+                assert len(calls) > before + 2, (name, mode)
+        for graph, num_rows, colors, work, got in calls:
+            assert_same(_row_rule(graph, num_rows, colors, work), got)
 
     def test_stale_snapshot_finalized_higher_neighbor(self):
         """Vertex 0 speculated against a stale snapshot and took the color

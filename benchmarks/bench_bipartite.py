@@ -14,7 +14,7 @@ retry set).  Per round the modeled wall time is the slowest sweep share
 plus the slowest detection share; the speedup is the sequential sweep
 time over the summed per-round critical path.
 
-As in ``bench_shard.py`` the kernel backend is pinned to ``reference``:
+The kernel backend is pinned to ``reference``:
 the model needs per-row compute proportional to per-row work, and the
 vectorized backend's whole-batch staging would let large shares amortize
 in ways a thread cannot.

@@ -183,19 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="durable job store directory (sqlite): job ids "
                        "and results survive restarts, interrupted jobs are "
                        "re-run on startup (default: in-memory, ephemeral)")
-    serve.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="cut big graphs into N shards and color them "
-                       "on the mp thread team, repairing cross-shard "
-                       "conflicts (default 0 = inline execution)")
     serve.add_argument("--tenant-quota", type=int, default=None,
                        dest="tenant_quota", metavar="N",
                        help="max unfinished jobs per tenant; submits over "
                        "the quota are rejected with 429 (default: unlimited)")
     serve.add_argument("--supervise", action="store_true",
-                       help="'serve': run the supervisor (deadline "
-                       "sweeps, pump restarts) and the degradation ladder "
-                       "(sharded → inline → sequential behind circuit "
-                       "breakers)")
+                       help="'serve': run the supervisor thread that "
+                       "fails queued jobs whose --deadline elapsed")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="MS", dest="deadline_ms",
                        help="'submit': wall-clock budget in milliseconds — "
@@ -328,7 +322,6 @@ def _serve_command(args) -> int:
             max_bytes=max_bytes, spill_dir=args.spill_dir,
             workers=args.workers,
             store=args.job_store,
-            backend=args.shards or None,
             tenant_quota=args.tenant_quota,
             supervise=args.supervise,
             fault_plan=args.fault_plan,
@@ -349,7 +342,6 @@ def _serve_command(args) -> int:
           f"(workers={args.workers}, cache={max_bytes // (1024 * 1024)}MiB, "
           f"spill={args.spill_dir or 'off'}, "
           f"store={args.job_store or 'memory'}, "
-          f"backend={'sharded:%d' % args.shards if args.shards else 'inline'}, "
           f"supervise={'on' if args.supervise else 'off'})",
           flush=True)
     print("endpoints: POST /submit  POST /mutate  GET /result/<id>  "

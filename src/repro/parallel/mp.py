@@ -340,10 +340,9 @@ def mp_greedy_ff(
     Deterministic for fixed ``(num_workers, partition, seed)`` and
     independent of the team's width: the blocks merge in block order,
     so which thread sweeps a block never matters, and the result is
-    bit-identical to the inline replay
-    (:func:`repro.serve.backends.shard_rounds`).  With ``num_workers=1``
-    the sweep runs in-process and equals the sequential First-Fit
-    coloring.
+    bit-identical to :func:`run_rounds` on its inline transport.  With
+    ``num_workers=1`` the sweep runs in-process and equals the
+    sequential First-Fit coloring.
 
     ``partition`` selects how vertices are split across workers (see
     :mod:`repro.parallel.partition`): ``"block"``, ``"random"``, or
@@ -417,8 +416,8 @@ def partition_positions(parts: list[np.ndarray], num_vertices: int) -> np.ndarra
     """Each vertex's rank in the concatenated partition order.
 
     The order every round's work list is sorted by before re-splitting
-    (:attr:`Neighbourhood.position`), so both transports and the serve
-    layer's sharded backend split identically.
+    (:attr:`Neighbourhood.position`), so both transports split
+    identically.
     """
     position = np.empty(num_vertices, dtype=np.int64)
     offset = 0

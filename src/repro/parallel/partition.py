@@ -84,9 +84,8 @@ def partition_by_name(graph: CSRGraph, num_parts: int, name: str = "block",
                       *, seed=None) -> list[np.ndarray]:
     """Resolve a partitioner by *name* and run it.
 
-    The shared front door of :func:`repro.parallel.mp.mp_greedy_ff` and
-    the serve layer's sharded execution backend — one spelling of the
-    name set, one error message, identical splits everywhere.  ``seed``
+    The front door of :func:`repro.parallel.mp.mp_greedy_ff` — one
+    spelling of the name set, one error message.  ``seed``
     is ignored by the deterministic ``"block"`` strategy.
     """
     if name == "block":

@@ -132,8 +132,7 @@ class RunConfig:
         """A copy with *changes* applied, fully re-validated.
 
         The frozen-dataclass idiom (``dataclasses.replace``) wrapped so
-        derived configs — the sharded backend rewriting ``mode`` /
-        ``threads``, experiment sweeps varying one knob — go back
+        derived configs (a sweep varying one knob) go back
         through ``__post_init__`` and fail eagerly on illegal
         combinations instead of deep inside a run.
         """

@@ -1,4 +1,4 @@
-"""Coloring-as-a-service: durable store, sharded backends, scheduler, cache.
+"""Coloring-as-a-service: durable store, scheduler, cache, supervisor.
 
 The serving subsystem turns :func:`repro.run.execute` into a front door
 for many concurrent clients without paying the full coloring cost for
@@ -13,21 +13,16 @@ every request.  It is layered bottom-up:
 - :mod:`repro.serve.cache` — :class:`ResultCache`, an in-memory LRU
   under a byte budget with ``.npz`` disk spill (write-through on
   durable services, so published results survive a crash);
-- :mod:`repro.serve.backends` — the execution layer:
-  :class:`InlineBackend` (plain ``execute``) and
-  :class:`ShardedBackend` (partition the graph, fan the shards across
-  the mp thread team, repair cross-shard conflicts, verify);
+- :mod:`repro.serve.backends` — :class:`InlineBackend`, the one
+  execution path: a job is one ``execute`` call under its own config;
 - :mod:`repro.serve.queue` — :class:`SubmissionQueue` with admission
   control, two-class priorities, per-tenant quotas, and
   reject-with-reason backpressure;
 - :mod:`repro.serve.scheduler` — :class:`BatchScheduler`: per-round
   cache lookup, in-flight dedup, compatible grouping, worker-pool
   dispatch under the job's resilience policy;
-- :mod:`repro.serve.supervisor` — the robustness layer:
-  :class:`Supervisor` (deadline sweeps and pump restarts),
-  :class:`DegradingBackend` (the breaker-driven degradation ladder
-  ``sharded → inline → sequential``), and
-  :class:`CircuitBreaker`;
+- :mod:`repro.serve.supervisor` — :class:`Supervisor`, a background
+  deadline sweep;
 - :mod:`repro.serve.service` — :class:`ColoringService`, the in-process
   façade (``submit`` / ``mutate`` / ``result`` / ``stats`` /
   ``healthz``) with restart recovery on durable stores;
@@ -41,19 +36,13 @@ served from cache, or recovered from a store.  See DESIGN.md §11/§14::
     from repro.serve import ColoringService
     from repro.run import RunConfig
 
-    svc = ColoringService(store="var/serve", backend=4)
+    svc = ColoringService(store="var/serve")
     job = svc.submit(graph, RunConfig("vff", seed=0))
     svc.process()
     print(svc.result(job.id).result.summary(), svc.stats()["store"])
 """
 
-from .backends import (
-    ExecutionBackend,
-    InlineBackend,
-    ShardedBackend,
-    resolve_backend,
-    shard_rounds,
-)
+from .backends import InlineBackend
 from .cache import DEFAULT_MAX_BYTES, ResultCache
 from .fingerprint import (
     config_fingerprint,
@@ -79,23 +68,15 @@ from .store import (
     StoreError,
     open_store,
 )
-from .supervisor import (
-    CircuitBreaker,
-    DegradingBackend,
-    SequentialBackend,
-    Supervisor,
-)
+from .supervisor import Supervisor
 
 __all__ = [
     "AdmissionError",
     "BatchScheduler",
     "ChaosStore",
-    "CircuitBreaker",
     "ColoringService",
     "DEFAULT_MAX_BYTES",
     "DEFAULT_MAX_PENDING",
-    "DegradingBackend",
-    "ExecutionBackend",
     "InlineBackend",
     "JOB_STATES",
     "Job",
@@ -104,8 +85,6 @@ __all__ = [
     "MutationError",
     "PRIORITIES",
     "ResultCache",
-    "SequentialBackend",
-    "ShardedBackend",
     "SqliteStore",
     "StoreError",
     "SubmissionQueue",
@@ -115,6 +94,4 @@ __all__ = [
     "job_key",
     "mutation_job_key",
     "open_store",
-    "resolve_backend",
-    "shard_rounds",
 ]

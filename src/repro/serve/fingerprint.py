@@ -41,24 +41,29 @@ def graph_fingerprint(graph: CSRGraph) -> str:
     return graph.fingerprint()
 
 
-def config_fingerprint(config: RunConfig) -> str:
+def config_fingerprint(config: RunConfig | dict) -> str:
     """Hex SHA-256 of the config's canonical JSON serialization.
 
-    Raises ``ValueError`` (naming the field) for configs that cannot be
+    *config* is a :class:`RunConfig` or the dict its
+    :meth:`~RunConfig.to_dict` returned (a caller that already
+    serialized it passes the dict; the digest is the same).  Raises
+    ``ValueError`` (naming the field) for configs that cannot be
     serialized — a custom machine instance, a non-JSON seed — because an
     unserializable config has no stable identity to cache under.
     """
-    if not isinstance(config, RunConfig):
+    if isinstance(config, RunConfig):
+        config = config.to_dict()
+    elif not isinstance(config, dict):
         raise TypeError(
             f"config_fingerprint needs a RunConfig, got {type(config).__name__}"
         )
-    canonical = json.dumps(config.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def job_key(graph: CSRGraph, config: RunConfig) -> str:
-    """The content-addressed cache key for one (graph, config) job."""
+def job_key(graph: CSRGraph, config: RunConfig | dict) -> str:
+    """The content-addressed cache key for one (graph, config) job;
+    *config* as for :func:`config_fingerprint`."""
     h = hashlib.sha256()
     h.update(b"repro.serve/job/v1:")
     h.update(graph_fingerprint(graph).encode("ascii"))

@@ -223,7 +223,7 @@ class SubmissionQueue:
         budget from submission: once it elapses, the job is failed fast
         with ``reason="deadline"`` instead of occupying a worker.
         """
-        reason = self._validate(graph, config)
+        reason, config_dict = self._validate(graph, config)
         if reason is None and initial is not None:
             if not isinstance(initial, Coloring):
                 reason = (f"initial must be a Coloring, "
@@ -246,7 +246,7 @@ class SubmissionQueue:
             self._rec.count("serve.queue.rejected_invalid")
             raise AdmissionError(reason)
         if key is None:
-            key = job_key(graph, config)
+            key = job_key(graph, config_dict)
         with self._lock:
             if self._in_flight >= self.max_pending:
                 self._rejected += 1
@@ -273,7 +273,7 @@ class SubmissionQueue:
                 # budget (measured from the original submission time)
                 stored_meta["deadline_ms"] = deadline_ms
             job_id = self.store.allocate(
-                key=key, config=config.to_dict(),
+                key=key, config=config_dict,
                 graph_ref=self.store.persist_graph(graph), tenant=tenant,
                 priority=priority, meta=stored_meta, submitted_at=now)
             job = Job(id=job_id, key=key, graph=graph, config=config,
@@ -316,24 +316,28 @@ class SubmissionQueue:
             self._jobs.setdefault(job.id, job)
 
     @staticmethod
-    def _validate(graph: CSRGraph, config: RunConfig) -> str | None:
+    def _validate(graph: CSRGraph,
+                  config: RunConfig) -> tuple[str | None, dict | None]:
+        """``(reason, None)`` for a refused request, else ``(None, the
+        config's to_dict())``: the one serialization the key and the
+        store row reuse."""
         if not isinstance(graph, CSRGraph):
-            return f"graph must be a CSRGraph, got {type(graph).__name__}"
+            return f"graph must be a CSRGraph, got {type(graph).__name__}", None
         if not isinstance(config, RunConfig):
-            return f"config must be a RunConfig, got {type(config).__name__}"
+            return (f"config must be a RunConfig, "
+                    f"got {type(config).__name__}"), None
         spec = STRATEGIES.get(config.strategy)
         if spec is None:
             return (f"unknown strategy {config.strategy!r}; choose from "
-                    f"{sorted(STRATEGIES)}")
+                    f"{sorted(STRATEGIES)}"), None
         if config.mode not in spec.modes:
             return (f"strategy {config.strategy!r} does not support mode "
-                    f"{config.mode!r}; supported: {list(spec.modes)}")
+                    f"{config.mode!r}; supported: {list(spec.modes)}"), None
         try:
             # a config that cannot serialize has no cache identity
-            config.to_dict()
+            return None, config.to_dict()
         except ValueError as exc:
-            return f"config is not serializable: {exc}"
-        return None
+            return f"config is not serializable: {exc}", None
 
     # ------------------------------------------------------------------
     def take_batch(self, limit: int | None = None) -> list[Job]:

@@ -11,17 +11,15 @@ resolves every job in it through a fixed funnel:
    round cost one ``execute`` call);
 3. **grouping** — primaries are batched into compatible dispatch groups
    by ``(mode, threads)`` so one round's pool has a uniform shape;
-4. **dispatch** — each group runs through the worker pool, every job via
-   the configured :class:`~repro.serve.backends.ExecutionBackend`
-   (inline ``execute`` by default, the sharded shard-and-repair path
-   when the service is built with one) under its own config — including
-   its ``on_failure`` resilience policy, so a degraded-but-healed run is
-   a normal ``done`` job while an unhealable one fails with the error
-   recorded;
+4. **dispatch** — each group runs through the worker pool, every job as
+   one :class:`~repro.serve.backends.InlineBackend` ``execute`` call
+   under its own config — including its ``on_failure`` resilience
+   policy, so a degraded-but-healed run is a normal ``done`` job while
+   an unhealable one fails with the error recorded;
 5. **publish** — successes enter the cache; primaries and followers are
    marked terminal and their queue slots released.
 
-Determinism: every backend is deterministic for a fixed seed, jobs are
+Determinism: ``execute`` is deterministic for a fixed seed, jobs are
 independent, and batch order is preserved everywhere, so the same
 submissions yield bit-identical colorings whether a job was computed,
 deduplicated, or served from cache — the test-suite asserts this.
@@ -33,7 +31,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from ..obs import as_recorder
-from .backends import ExecutionBackend, InlineBackend
+from .backends import InlineBackend
 from .cache import ResultCache
 from .queue import Job, SubmissionQueue
 
@@ -53,16 +51,12 @@ class BatchScheduler:
         sequentially — the fully deterministic default).
     batch_size:
         Max jobs drained per round (``None`` = everything queued).
-    backend:
-        The :class:`~repro.serve.backends.ExecutionBackend` primaries run
-        on (default: a fresh :class:`~repro.serve.backends.InlineBackend`).
     recorder:
         Observability sink for the ``serve.scheduler.*`` counters.
     """
 
     def __init__(self, queue: SubmissionQueue, cache: ResultCache, *,
                  workers: int = 1, batch_size: int | None = None,
-                 backend: ExecutionBackend | None = None,
                  recorder=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -70,7 +64,7 @@ class BatchScheduler:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.queue = queue
         self.cache = cache
-        self.backend = backend if backend is not None else InlineBackend()
+        self.backend = InlineBackend()
         self.workers = int(workers)
         self.batch_size = batch_size
         self._rec = as_recorder(recorder)
@@ -139,8 +133,7 @@ class BatchScheduler:
                 else:
                     # 5. publish before resolving so a concurrent round
                     # observing "done" also observes the cache entry
-                    if not job.meta.get("no_cache"):
-                        self.cache.put(job.key, result)
+                    self.cache.put(job.key, result)
                     for j in kin:
                         self._finish(j, source="computed" if j is job else "dedup",
                                      result=result)
@@ -215,5 +208,4 @@ class BatchScheduler:
                 "readmitted": 0,  # perfbench reads it; goes when perfbench next changes
                 "deadline_failed": self._deadline_failed,
                 "workers": self.workers,
-                **self.backend.stats(),
             }

@@ -22,10 +22,10 @@ Three layers meet here:
   files, and a job whose result already persisted is **never**
   re-executed (the scheduler's cache check finds the write-through
   spill first).
-- **execution backend** — ``backend=`` picks how primary jobs run:
-  ``None`` for the inline path, an int or a
-  :class:`~repro.serve.backends.ShardedBackend` to cut big graphs
-  into blocks that sweep on the mp thread team.
+- **execution** — every primary job is one :func:`repro.run.execute`
+  call under its own config (:class:`~repro.serve.backends.InlineBackend`);
+  an ``mp`` job sweeps its blocks on the mp thread team inside that
+  call, so a job key has one execution path and one coloring.
 - **job lifecycle** — submit returns immediately with a durable id;
   jobs carry ``tenant``/``priority``; completion is event-based
   (:meth:`Job.wait`), never a sleep-poll.
@@ -57,13 +57,12 @@ from ..obs import as_recorder
 from ..resilience import resolve_fault_plan
 from ..run.config import RunConfig
 from ..run.mutate import mutation_config
-from .backends import resolve_backend
 from .cache import DEFAULT_MAX_BYTES, ResultCache
 from .fingerprint import mutation_job_key
 from .queue import DEFAULT_MAX_PENDING, Job, SubmissionQueue
 from .scheduler import BatchScheduler
 from .store import ChaosStore, JobStore, SqliteStore, StoreError, open_store
-from .supervisor import DegradingBackend, Supervisor
+from .supervisor import Supervisor
 
 __all__ = ["ColoringService", "MutationError", "dataset_params"]
 
@@ -123,26 +122,23 @@ class ColoringService:
     (``None`` = in-memory, a path opens a sqlite store there — whose
     ``spill/`` directory becomes the default *spill_dir*, with
     write-through spilling so results persist at publish time).
-    *backend* selects the execution backend (``None`` = inline, an int
-    ``n`` = ``ShardedBackend(n)``).  *recover* (default on) re-admits a
-    persistent store's interrupted jobs at construction.  *recorder* is
-    shared by every component, so one observability sink sees the whole
-    ``serve.*`` counter family.
+    *recover* (default on) re-admits a persistent store's interrupted
+    jobs at construction.  *recorder* is shared by every component, so
+    one observability sink sees the whole ``serve.*`` counter family.
 
-    Robustness knobs: *supervise* wraps the backend in the
-    :class:`~repro.serve.supervisor.DegradingBackend` ladder, attaches a
-    background :class:`~repro.serve.supervisor.Supervisor` (started with
-    the pump).  *fault_plan* is the chaos schedule (a
-    :class:`~repro.resilience.FaultPlan` or spec string) whose IO kinds
-    are injected into the cache's spill writes and the store's
-    transitions.
+    Robustness knobs: *supervise* attaches a background
+    :class:`~repro.serve.supervisor.Supervisor` that sweeps expired
+    deadlines (started with the pump).  *fault_plan* is the chaos
+    schedule (a :class:`~repro.resilience.FaultPlan` or spec string)
+    whose IO kinds are injected into the cache's spill writes and the
+    store's transitions.
     """
 
     def __init__(self, *, max_pending: int = DEFAULT_MAX_PENDING,
                  max_bytes: int = DEFAULT_MAX_BYTES,
                  spill_dir=None, workers: int = 1,
                  batch_size: int | None = None, recorder=None,
-                 store=None, backend=None, tenant_quota: int | None = None,
+                 store=None, tenant_quota: int | None = None,
                  recover: bool = True, supervise: bool = False,
                  fault_plan=None, supervisor_interval: float = 0.5):
         self.recorder = as_recorder(recorder)
@@ -163,19 +159,13 @@ class ColoringService:
                                      store=self.store,
                                      tenant_quota=tenant_quota,
                                      recorder=self.recorder)
-        self.backend = resolve_backend(backend, recorder=self.recorder)
-        if supervise:
-            self.backend = DegradingBackend.ladder(self.backend,
-                                                   recorder=self.recorder)
         self.scheduler = BatchScheduler(self.queue, self.cache,
                                         workers=workers, batch_size=batch_size,
-                                        backend=self.backend,
                                         recorder=self.recorder)
         self.supervisor = (Supervisor(self, interval=supervisor_interval,
                                       recorder=self.recorder)
                            if supervise else None)
         self._pump: threading.Thread | None = None
-        self._pump_wanted = False
         self._pump_errors = 0
         self._wake = threading.Event()
         self._stopping = threading.Event()
@@ -417,8 +407,8 @@ class ColoringService:
         ``status`` is ``"live"`` (process up, pump not running — e.g.
         a synchronously-driven service), ``"ready"`` (pump running,
         nothing degraded), or ``"degraded"`` (serving, but something is
-        limping: the cache fell back to memory-only, a ladder rung's
-        breaker is open, or store writes have been failing).
+        limping: the cache fell back to memory-only, or store writes have
+        been failing).
         ``degraded_reasons`` names each cause; ``live`` is always True
         when this answered at all.
         """
@@ -427,10 +417,6 @@ class ColoringService:
         if self.cache.degraded:
             reasons.append("cache: spill disabled after repeated "
                            "write failures (memory-only)")
-        if isinstance(self.backend, DegradingBackend) and self.backend.degraded:
-            open_rungs = [b.name for b in self.backend.breakers
-                          if b.state != "closed"]
-            reasons.append(f"backend: breaker open for {open_rungs}")
         if q["store_errors"]:
             reasons.append(f"store: {q['store_errors']} failed transitions "
                            "(durability is best-effort)")
@@ -497,10 +483,8 @@ class ColoringService:
     def start(self) -> None:
         """Start the background pump thread (idempotent).
 
-        On a supervised service the :class:`Supervisor` starts here too;
-        from then on a pump that dies is restarted by the next tick.
+        On a supervised service the :class:`Supervisor` starts here too.
         """
-        self._pump_wanted = True
         if self.supervisor is not None:
             self.supervisor.start()
         if self.pump_alive:
@@ -527,7 +511,6 @@ class ColoringService:
         opened itself (from a path) is closed here; an injected store
         instance stays open, its owner decides.
         """
-        self._pump_wanted = False
         if self.supervisor is not None:
             self.supervisor.stop(timeout)
         self._stopping.set()
@@ -565,7 +548,7 @@ class ColoringService:
             try:
                 busy = self.scheduler.run_round() > 0
             except Exception as exc:  # noqa: BLE001 - the pump must survive
-                # a round that blows up (chaos, backend bug) costs that
+                # a round that blows up (chaos, an execute bug) costs that
                 # batch's jobs nothing durable — they are still in the
                 # store — but the pump itself must keep draining
                 self._pump_errors += 1

@@ -1,8 +1,19 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import re
+import subprocess
+import sys
+import threading
+import urllib.request
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCli:
@@ -92,3 +103,48 @@ class TestRunCommand:
         assert "archived" in out
         events = read_jsonl(trace)
         assert any(e["kind"] == "superstep" for e in events)
+
+
+class TestServeCommand:
+    """``python -m repro serve`` as a child process (it blocks to serve)."""
+
+    @staticmethod
+    def _serve(*args):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            cwd=REPO_ROOT, env=env)
+
+    def test_shards_flag_is_rejected(self):
+        proc = self._serve("--shards", "2")
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2
+        assert "--shards" in err
+
+    def test_supervised_service_answers_healthz(self):
+        proc = self._serve("--port", "0", "--supervise")
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            url = None
+            for line in proc.stdout:
+                match = re.search(r"listening on (http://\S+)", line)
+                if match:
+                    url = match.group(1)
+                    break
+            assert url is not None, proc.stderr.read()
+            assert "supervise=on" in line
+            with urllib.request.urlopen(url + "/healthz", timeout=30) as reply:
+                health = json.load(reply)
+            assert health["live"] is True
+            assert health["status"] in ("ready", "degraded"), health
+            with urllib.request.urlopen(url + "/stats", timeout=30) as reply:
+                assert json.load(reply)["supervisor"]["running"] is True
+        finally:
+            watchdog.cancel()
+            proc.kill()
+            proc.communicate()

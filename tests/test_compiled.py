@@ -68,10 +68,10 @@ from repro.graph.datasets import DATASETS
 from repro.graph.store import INDICES, load_graph, save_graph
 from repro.kernels import compiled, conflicts, reference
 from repro.obs import Recorder
-from repro.parallel.mp import Neighbourhood, run_rounds
+from repro.parallel.mp import Neighbourhood, partition_positions, run_rounds
+from repro.parallel.partition import block_partition
 from repro.resilience import check_invariants, repair_coloring
 from repro.run import RunConfig, execute
-from repro.serve.backends import shard_rounds
 
 
 # ----------------------------------------------------------------------
@@ -1587,21 +1587,16 @@ def test_sweeps_end_to_end_match_reference(strategy, mode, extra):
 
 def test_inline_transport_matches_reference():
     graph = load_dataset("cnr", scale=0.05, seed=0)
-    default = shard_rounds(graph, 2)
-    with on_path("reference"):
-        oracle = shard_rounds(graph, 2)
-    assert np.array_equal(default.coloring.colors, oracle.coloring.colors)
-    assert _meta(default.coloring) == _meta(oracle.coloring)
-    assert default.coloring.meta["rounds"] > 1
-
+    position = partition_positions(block_partition(graph, 2),
+                                   graph.num_vertices)
     bip = BipartiteGraph.square_cover(erdos_renyi_graph(300, 0.03, seed=7))
-    runs = []
-    for backend in ("vectorized", "reference"):
-        runs.append(run_rounds(Neighbourhood("d2", bip.incidence, bip.num_rows), 2,
-                               transport="inline", backend=backend))
-    (colors, meta), (oracle_colors, oracle_meta) = runs
-    assert np.array_equal(colors, oracle_colors)
-    assert meta == oracle_meta and meta["rounds"] > 1
+    for hood in (Neighbourhood("d1", graph, graph.num_vertices, position),
+                 Neighbourhood("d2", bip.incidence, bip.num_rows)):
+        (colors, meta), (oracle_colors, oracle_meta) = [
+            run_rounds(hood, 2, transport="inline", backend=backend)
+            for backend in ("vectorized", "reference")]
+        assert np.array_equal(colors, oracle_colors)
+        assert meta == oracle_meta and meta["rounds"] > 1
 
 
 def test_repair_matches_reference():

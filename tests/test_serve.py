@@ -232,6 +232,43 @@ class TestSubmissionQueue:
             q.submit(graph, RunConfig("nope"))
         q.submit(graph, RunConfig("greedy-ff", seed=0))
 
+    def test_submit_serializes_config_once(self, graph, monkeypatch):
+        calls = []
+        to_dict = RunConfig.to_dict
+
+        def counting(config):
+            calls.append(config)
+            return to_dict(config)
+
+        monkeypatch.setattr(RunConfig, "to_dict", counting)
+        q = SubmissionQueue()
+        configs = [RunConfig("vff", mode="superstep", threads=4, seed=3),
+                   RunConfig("greedy-ff", seed=0)]
+        jobs = [q.submit(graph, c) for c in configs]
+        assert calls == configs  # one to_dict per admitted submit
+        # the reused dict gives the same key as serializing afresh, and
+        # the key bytes are the ones earlier releases computed
+        assert [j.key for j in jobs] == [job_key(graph, c) for c in configs]
+        assert jobs[0].key == ("ffb5144fb59d96029d1744d8c31a48dc"
+                               "abba0c703695bab9b802b45304f34055")
+        assert q.store.get(jobs[0].id)["config"] == to_dict(configs[0])
+
+    def test_unserializable_config_rejected_with_reason(self, graph):
+        import dataclasses
+
+        from repro.machine import tilegx36
+
+        custom = dataclasses.replace(tilegx36(), name="bespoke")
+        q = SubmissionQueue()
+        with pytest.raises(AdmissionError) as exc:
+            q.submit(graph, RunConfig("vff", mode="superstep", threads=4,
+                                      machine=custom))
+        assert exc.value.reason == (
+            "config is not serializable: machine 'bespoke' is not a "
+            "registry model; a custom MachineModel instance cannot be "
+            "serialized — pass its registry name instead")
+        assert q.stats()["rejections_invalid"] == 1
+
     def test_mark_terminal_requires_terminal_status(self, graph):
         q = SubmissionQueue()
         job = q.submit(graph, RunConfig("greedy-ff", seed=0))
@@ -334,6 +371,27 @@ class TestService:
         finally:
             svc.stop()
         assert svc.healthz()["pump"] is False
+
+    def test_pump_survives_a_round_that_raises(self, graph, monkeypatch):
+        svc = ColoringService()
+        run_round = svc.scheduler.run_round
+        calls = []
+
+        def first_round_raises():
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("round blew up")
+            return run_round()
+
+        monkeypatch.setattr(svc.scheduler, "run_round", first_round_raises)
+        svc.start()
+        try:
+            job = svc.submit(graph, RunConfig("greedy-ff", seed=1))
+            assert job.wait(30) and job.status == "done"
+            assert svc.pump_alive
+            assert svc.stats()["pump_errors"] == 1
+        finally:
+            svc.stop()
 
     def test_acceptance_100_jobs_10_pairs(self, counted_execute):
         """The ISSUE acceptance workload: 100 jobs, 10 pairs, 10 executes."""

@@ -1,8 +1,7 @@
 """Tests for the durable serving stack (PR 8).
 
-Covers the three new layers bottom-up: the job store's transition
-semantics and restart-surviving ids, the execution backends' parity and
-properness guarantees, and the service-level lifecycle — priorities,
+Covers the layers bottom-up: the job store's transition semantics and
+restart-surviving ids, and the service-level lifecycle — priorities,
 tenant quotas, event-based waits, and crash recovery (interrupted jobs
 re-run; persisted results are never re-executed).
 """
@@ -16,19 +15,14 @@ import repro.serve.backends as backends_mod
 from repro.coloring.verify import assert_proper, is_proper
 from repro.graph import erdos_renyi_graph
 from repro.graph.delta import MutationBatch
-from repro.parallel.mp import mp_greedy_ff
 from repro.run import RunConfig, execute
 from repro.serve import (
     AdmissionError,
     ColoringService,
-    InlineBackend,
     MemoryStore,
-    ShardedBackend,
     SqliteStore,
     StoreError,
     SubmissionQueue,
-    resolve_backend,
-    shard_rounds,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -37,19 +31,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 @pytest.fixture
 def graph():
     return erdos_renyi_graph(300, 0.03, seed=7)
-
-
-@pytest.fixture
-def big_graph():
-    # big enough to clear ShardedBackend's default min_vertices checks
-    # when we lower them, dense enough to force cross-shard conflicts
-    return erdos_renyi_graph(3000, 0.004, seed=2)
-
-
-def _sharded(shards, **kw):
-    kw.setdefault("dispatch", "inline")
-    kw.setdefault("min_vertices", 64)
-    return ShardedBackend(shards, **kw)
 
 
 # ----------------------------------------------------------------------
@@ -197,79 +178,6 @@ class TestPrioritiesAndQuota:
 
 
 # ----------------------------------------------------------------------
-# backends: parity and properness
-# ----------------------------------------------------------------------
-class TestBackends:
-    def test_resolve_backend_coercions(self):
-        assert isinstance(resolve_backend(None), InlineBackend)
-        assert isinstance(resolve_backend(1), InlineBackend)
-        sharded = resolve_backend(4)
-        assert isinstance(sharded, ShardedBackend) and sharded.shards == 4
-        passthrough = ShardedBackend(2)
-        assert resolve_backend(passthrough) is passthrough
-        with pytest.raises(TypeError):
-            resolve_backend(True)
-        with pytest.raises(TypeError):
-            resolve_backend("four")
-
-    def test_shard_rounds_matches_mp_protocol(self, big_graph):
-        run = shard_rounds(big_graph, 4, seed=0)
-        via_mp = mp_greedy_ff(big_graph, num_workers=4, seed=0)
-        assert np.array_equal(run.coloring.colors, via_mp.colors)
-        assert run.coloring.num_colors == via_mp.num_colors
-        assert is_proper(big_graph, run.coloring)
-        assert run.rounds and run.critical_path_s() <= run.serial_s()
-
-    def test_shards_1_bit_identical_to_inline(self, big_graph):
-        cfg = RunConfig("greedy-ff", seed=0)
-        ref = execute(big_graph, cfg)
-        svc = ColoringService(backend=_sharded(1))
-        job = svc.submit_and_wait(big_graph, cfg)
-        assert job.meta["backend"] == "inline"
-        assert np.array_equal(job.result.coloring.colors,
-                              ref.coloring.colors)
-        svc.stop()
-
-    def test_sharded_ab_initio_proper_and_balanced(self, big_graph):
-        svc = ColoringService(backend=_sharded(4))
-        job = svc.submit_and_wait(big_graph, RunConfig("greedy-ff", seed=0))
-        assert job.meta["backend"] == "sharded" and job.meta["shards"] == 4
-        assert_proper(big_graph, job.result.coloring)
-        # the balance invariant checker accepts the report
-        assert job.result.balance.num_colors == job.result.coloring.num_colors
-        assert job.result.balance.rsd_percent >= 0.0
-        stats = svc.stats()["scheduler"]
-        assert stats["sharded_jobs"] == 1 and stats["inline_fallbacks"] == 0
-        svc.stop()
-
-    def test_sharded_guided_strategy_keeps_semantics(self, big_graph):
-        svc = ColoringService(backend=_sharded(4))
-        job = svc.submit_and_wait(big_graph, RunConfig("vff", seed=3))
-        assert job.meta["backend"] == "sharded"
-        assert_proper(big_graph, job.result.coloring)
-        assert job.result.initial is not None  # shard protocol fed the init
-        svc.stop()
-
-    def test_small_graph_falls_back_inline(self, graph):
-        svc = ColoringService(backend=ShardedBackend(4, dispatch="inline"))
-        job = svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=0))
-        assert job.meta["backend"] == "inline"
-        assert "too small" in job.meta["fallback_reason"]
-        ref = execute(graph, RunConfig("greedy-ff", seed=0))
-        assert np.array_equal(job.result.coloring.colors, ref.coloring.colors)
-        svc.stop()
-
-    def test_mutation_jobs_fall_back_inline(self, big_graph):
-        svc = ColoringService(backend=_sharded(4))
-        base = svc.submit_and_wait(big_graph, RunConfig("greedy-ff", seed=0))
-        batch = MutationBatch.from_edges(add=[(0, 17), (1, 23)])
-        job = svc.mutate_and_wait(base.id, batch)
-        assert job.status == "done"
-        assert job.meta["backend"] == "inline"
-        svc.stop()
-
-
-# ----------------------------------------------------------------------
 # service: durability and crash recovery
 # ----------------------------------------------------------------------
 class TestDurableService:
@@ -314,7 +222,7 @@ class TestDurableService:
         svc = ColoringService(store=root)
         job = svc.submit(graph, RunConfig("vff", seed=0))
         svc.queue.mark_running(job)
-        svc.cache.put(job.key, svc.backend.run(job))
+        svc.cache.put(job.key, svc.scheduler.backend.run(job))
         svc.store.close()
         executed_before = len(counted_execute)
 
@@ -548,7 +456,7 @@ class TestPoisonedDurableState:
         svc = ColoringService(store=root)
         job = svc.submit(graph, RunConfig("vff", seed=0))
         svc.queue.mark_running(job)
-        svc.cache.put(job.key, svc.backend.run(job))
+        svc.cache.put(job.key, svc.scheduler.backend.run(job))
         svc.store.close()
         spills = list((root / "spill").glob("*.npz"))
         assert len(spills) == 1

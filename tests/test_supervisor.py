@@ -1,10 +1,11 @@
-"""Tests for the supervision/degradation layer (repro.serve.supervisor).
+"""Tests for the serving layer's robustness (repro.serve.supervisor and
+the service's chaos tolerance).
 
-Covers the circuit breaker's state machine, the degradation ladder,
-per-job deadlines, store-error tolerance, spill-failure degradation,
-the HTTP 500 boundary, and the supervisor's tick loop —
-all in-process and deterministic (chaos comes from seeded FaultPlans or
-explicit calls, never from timing luck).
+Covers the chaos fault-plan grammar, per-job deadlines, store-error
+tolerance, spill-failure degradation, the HTTP 500 boundary, and the
+supervisor's deadline-sweep loop — all in-process and deterministic
+(chaos comes from seeded FaultPlans or explicit calls, never from
+timing luck).
 """
 
 from __future__ import annotations
@@ -20,29 +21,14 @@ from repro.resilience import (
     PROCESS_FAULT_KINDS,
     WORKER_FAULT_KINDS,
 )
-from repro.run import RunConfig, execute
-from repro.serve import (
-    ChaosStore,
-    CircuitBreaker,
-    ColoringService,
-    DegradingBackend,
-    InlineBackend,
-    SequentialBackend,
-)
+from repro.run import RunConfig
+from repro.serve import ChaosStore, ColoringService
 from repro.serve.api import dispatch
 
 
 @pytest.fixture
 def graph():
     return erdos_renyi_graph(250, 0.03, seed=3)
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
 
 
 # ----------------------------------------------------------------------
@@ -76,135 +62,6 @@ class TestChaosPlan:
         with pytest.raises(ValueError, match="needs a worker"):
             FaultPlan.from_spec("stall@r0")
         FaultPlan.from_spec("spill@r0")  # IO kinds do not
-
-
-# ----------------------------------------------------------------------
-# circuit breaker
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_opens_after_threshold(self):
-        clock = FakeClock()
-        br = CircuitBreaker("x", fail_threshold=3, cooldown_s=10, clock=clock)
-        assert br.state == "closed" and br.allow()
-        br.record_failure()
-        br.record_failure()
-        assert br.state == "closed"
-        br.record_failure()
-        assert br.state == "open" and not br.allow()
-
-    def test_half_open_probe_success_closes(self):
-        clock = FakeClock()
-        br = CircuitBreaker("x", fail_threshold=1, cooldown_s=10, clock=clock)
-        br.record_failure()
-        assert not br.allow()
-        clock.now += 10
-        assert br.state == "half-open" and br.allow()
-        br.record_success()
-        assert br.state == "closed"
-
-    def test_half_open_probe_failure_rearms_cooldown(self):
-        clock = FakeClock()
-        br = CircuitBreaker("x", fail_threshold=1, cooldown_s=10, clock=clock)
-        br.record_failure()
-        clock.now += 10
-        assert br.allow()
-        br.record_failure()  # failed probe
-        assert br.state == "open" and not br.allow()
-        clock.now += 9.9
-        assert not br.allow()
-        clock.now += 0.2
-        assert br.allow()
-
-    def test_success_resets_streak(self):
-        br = CircuitBreaker("x", fail_threshold=2)
-        br.record_failure()
-        br.record_success()
-        br.record_failure()
-        assert br.state == "closed"
-
-
-# ----------------------------------------------------------------------
-# degradation ladder
-# ----------------------------------------------------------------------
-class _Boom(backends_mod.ExecutionBackend):
-    name = "boom"
-
-    def __init__(self, exc=RuntimeError("shard blew up")):
-        self.exc = exc
-        self.calls = 0
-
-    def run(self, job):
-        self.calls += 1
-        raise self.exc
-
-
-class TestDegradingBackend:
-    def _service(self, backend, **kwargs):
-        svc = ColoringService(**kwargs)
-        svc.scheduler.backend = backend
-        svc.backend = backend
-        return svc
-
-    def test_falls_through_to_inline_and_stamps_meta(self, graph):
-        boom = _Boom()
-        ladder = DegradingBackend.ladder(boom)
-        assert [r.name for r in ladder.rungs] == ["boom", "inline",
-                                                  "sequential"]
-        svc = self._service(ladder)
-        job = svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=0))
-        assert job.status == "done"
-        assert job.meta["degraded_to"] == "inline"
-        assert job.meta["downgrades"] == ["boom"]
-        assert ladder.stats()["downgrades"] == 1
-        assert ladder.stats()["breakers"]["boom"]["failures"] == 1
-
-    def test_open_breaker_skips_rung(self, graph):
-        boom = _Boom()
-        ladder = DegradingBackend.ladder(boom, fail_threshold=1,
-                                         cooldown_s=3600)
-        svc = self._service(ladder)
-        svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=0))
-        assert boom.calls == 1 and ladder.degraded
-        # different key → second job skips the open boom rung entirely
-        svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=1))
-        assert boom.calls == 1
-        assert ladder.stats()["rung_skips"] >= 1
-
-    def test_last_rung_always_attempted(self, graph, monkeypatch):
-        ladder = DegradingBackend([SequentialBackend()], fail_threshold=1,
-                                  cooldown_s=3600)
-        ladder.breakers[0].record_failure()
-        assert not ladder.breakers[0].allow()
-        svc = self._service(ladder)
-        job = svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=0))
-        assert job.status == "done"
-
-    def test_all_rungs_fail_surfaces_last_error(self, graph):
-        ladder = DegradingBackend([_Boom(), _Boom(ValueError("still bad"))])
-        svc = self._service(ladder)
-        job = svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=0))
-        assert job.status == "failed"
-        assert "still bad" in job.error
-
-    def test_ladder_passthrough_and_dedup(self):
-        ladder = DegradingBackend.ladder(InlineBackend())
-        assert [r.name for r in ladder.rungs] == ["inline", "sequential"]
-        assert DegradingBackend.ladder(ladder) is ladder
-
-    def test_sequential_rung_result_is_proper_and_uncached(self, graph):
-        ladder = DegradingBackend.ladder(_Boom())
-        # force straight to the last rung
-        ladder.rungs = [ladder.rungs[0], ladder.rungs[2]]
-        ladder.breakers = [ladder.breakers[0], ladder.breakers[2]]
-        svc = self._service(ladder)
-        cfg = RunConfig("greedy-ff", mode="superstep", threads=2, seed=0)
-        job = svc.submit_and_wait(graph, cfg)
-        assert job.status == "done"
-        assert job.meta["degraded_mode"] == "sequential"
-        # the degraded result must not be published under the batch-sync key
-        assert svc.cache.get(job.key) is None
-        expected = execute(graph, cfg.replace(mode="sequential", threads=1))
-        assert (job.result.coloring.colors == expected.coloring.colors).all()
 
 
 # ----------------------------------------------------------------------
@@ -375,26 +232,6 @@ class TestSupervisor:
         assert report["expired"] == 2
         assert all(j.status == "failed" for j in jobs)
         assert svc.supervisor.stats()["deadline_expired"] == 2
-
-    def test_tick_restarts_dead_pump(self, graph):
-        svc = ColoringService(supervise=True)
-        try:
-            svc.start()
-            assert svc.pump_alive
-            # simulate a pump crash: kill the thread by stopping it but
-            # leaving _pump_wanted set (what an uncaught death looks like)
-            svc._stopping.set()
-            svc._wake.set()
-            svc._pump.join(5)
-            assert not svc.pump_alive and svc._pump_wanted
-            svc._stopping.clear()
-            report = svc.supervisor.tick()
-            assert report["pump_restarted"] is True
-            assert svc.pump_alive
-            job = svc.submit(graph, RunConfig("greedy-ff", seed=0))
-            assert job.wait(30) and job.status == "done"
-        finally:
-            svc.stop()
 
     def test_supervisor_thread_lifecycle(self):
         svc = ColoringService(supervise=True, supervisor_interval=0.01)

@@ -14,10 +14,10 @@ retry set).  Per round the modeled wall time is the slowest sweep share
 plus the slowest detection share; the speedup is the sequential sweep
 time over the summed per-round critical path.
 
-The kernel backend is pinned to ``reference``:
-the model needs per-row compute proportional to per-row work, and the
-vectorized backend's whole-batch staging would let large shares amortize
-in ways a thread cannot.
+The timed section runs inside ``kernels.use_backend("reference")``: the
+model needs per-row compute proportional to per-row work, and a C call's
+fixed cost (input checks, argument marshalling) would dominate the small
+per-thread shares in a way a thread's share of one sweep never pays.
 
 The two patterns probe opposite regimes.  ``jacrand`` (uniform random
 columns) keeps tick peers distance-2 independent, so conflicts are rare
@@ -62,8 +62,8 @@ from repro.graph import jacobian_band_pattern, random_sparse_pattern  # noqa: E4
 THREADS = 4
 SEED = 7
 REPEATS = 3
-# Pinned to the scalar backend: the critical-path model needs per-row
-# compute proportional to per-row work (see module docstring).
+# The tier the timed section runs on: the critical-path model needs
+# per-row compute proportional to per-row work (see module docstring).
 KERNEL = "reference"
 
 
@@ -102,12 +102,11 @@ def bench_pattern(name: str, bip: BipartiteGraph, repeats: int) -> dict:
     all_rows = np.arange(nr, dtype=np.int64)
 
     inline_s = _best(
-        lambda: kernels.d2_sweep(inc, nr, all_rows, backend=KERNEL), repeats)
-    seq_colors = kernels.d2_sweep(inc, nr, all_rows, backend=KERNEL)
+        lambda: kernels.d2_sweep(inc, nr, all_rows), repeats)
+    seq_colors = kernels.d2_sweep(inc, nr, all_rows)
 
     captured: list[dict] = []
-    coloring = optimistic_partial_d2(bip, num_threads=THREADS,
-                                     backend=KERNEL, capture=captured)
+    coloring = optimistic_partial_d2(bip, num_threads=THREADS, capture=captured)
     critical_path_s = 0.0
     retried = 0
     for idx, rnd in enumerate(captured):
@@ -122,16 +121,14 @@ def bench_pattern(name: str, bip: BipartiteGraph, repeats: int) -> dict:
             share, cshare = work[t::THREADS], cols[t::THREADS]
             if share.shape[0]:
                 sweep_s.append(_best(
-                    lambda s=share: kernels.d2_sweep(inc, nr, s, snapshot,
-                                                     backend=KERNEL), repeats))
+                    lambda s=share: kernels.d2_sweep(inc, nr, s, snapshot), repeats))
             if cshare.shape[0]:
                 detect_s.append(_best(
-                    lambda c=cshare: kernels.d2_conflicts(
-                        inc, nr, after, work, cols=c, backend=KERNEL),
+                    lambda c=cshare: kernels.d2_conflicts(inc, nr, after, work, cols=c),
                     repeats))
         critical_path_s += max(sweep_s) + max(detect_s)
 
-    single = optimistic_partial_d2(bip, num_threads=1, backend=KERNEL)
+    single = optimistic_partial_d2(bip, num_threads=1)
     row = {
         "pattern": name,
         "num_rows": nr,
@@ -161,7 +158,8 @@ def _rsd(sizes: np.ndarray) -> float:
 
 
 def bench_balance(name: str, bip: BipartiteGraph) -> dict:
-    initial = partial_d2_sequential(bip, backend=KERNEL)
+    with kernels.use_backend(KERNEL):
+        initial = partial_d2_sequential(bip)
     balanced = balance_partial_d2(bip, initial)
     row = {
         "pattern": name,
@@ -242,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
           f"kernel={KERNEL}:")
     pats = _patterns(args.quick)
     for name, bip in pats:
-        results["patterns"].append(bench_pattern(name, bip, repeats))
+        with kernels.use_backend(KERNEL):
+            results["patterns"].append(bench_pattern(name, bip, repeats))
     print("one-sided shuffle drain:")
     for name, bip in pats:
         results["balance"].append(bench_balance(name, bip))

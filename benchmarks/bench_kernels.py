@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Time the kernel backends (reference vs vectorized) and record speedups.
+"""Time each kernel's C tier against its Python oracle and record speedups.
 
 Runs the First-Fit sweep and both shuffle-drain traversals on RMAT,
 Erdős–Rényi and preferential-attachment graphs between 10^4 and 10^6
@@ -8,10 +8,12 @@ edges, then writes ``BENCH_kernels.json`` at the repository root::
     PYTHONPATH=src python benchmarks/bench_kernels.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke
 
-Each row's ``tier`` names what its ``vectorized_s`` column timed: the
-``vectorized`` backend runs the First-Fit sweep and the shuffle drain as
-compiled C when the library of :mod:`repro.kernels.compiled` loads
-(``compiled``), and as the reference Python loops otherwise
+Each job runs once inside ``kernels.use_backend("reference")`` (the
+``reference_s`` column: the Python oracle) and once inside
+``kernels.use_backend("vectorized")``.  Each row's ``tier`` names what
+its ``vectorized_s`` column timed: the First-Fit sweep and the shuffle
+drain as compiled C when the library of :mod:`repro.kernels.compiled`
+loads (``compiled``), and as the reference Python loops otherwise
 (``reference``).  Both tiers give the same coloring.
 
 ``--check BASELINE.json`` compares the measured vectorized/reference
@@ -79,20 +81,20 @@ def bench_graph(name, graph, repeats: int, recorder=NULL):
     event per row inside a per-graph phase timer; the timed jobs
     themselves run without a recorder so the measurements stay clean.
     """
-    init = greedy_coloring(graph, backend="reference")
     # loads (or builds, once per machine) the library before any timing
     tier = "reference" if compiled.load() is None else "compiled"
+    init = greedy_coloring(graph)
     jobs = {
-        "ff_sweep": lambda be: greedy_coloring(graph, backend=be),
-        "shuffle_vertex": lambda be: shuffle_balance(
-            graph, init, traversal="vertex", backend=be),
-        "shuffle_color": lambda be: shuffle_balance(
-            graph, init, traversal="color", backend=be),
+        "ff_sweep": lambda: greedy_coloring(graph),
+        "shuffle_vertex": lambda: shuffle_balance(graph, init, traversal="vertex"),
+        "shuffle_color": lambda: shuffle_balance(graph, init, traversal="color"),
     }
     with recorder.phase(f"bench/{name}"):
         for kernel, job in jobs.items():
-            ref = _best_of(lambda: job("reference"), repeats)
-            vec = _best_of(lambda: job("vectorized"), repeats)
+            with kernels.use_backend("reference"):
+                ref = _best_of(job, repeats)
+            with kernels.use_backend("vectorized"):
+                vec = _best_of(job, repeats)
             row = {
                 "graph": name,
                 "num_vertices": graph.num_vertices,
@@ -168,7 +170,7 @@ def main(argv=None) -> int:
         "meta": {
             "mode": "quick" if args.quick else "full",
             "repeats": repeats,
-            "backends": list(kernels.available_backends()),
+            "backends": list(kernels.BACKENDS),
             "python": sys.version.split()[0],
         },
         "results": results,

@@ -14,7 +14,8 @@ Subpackages
     Backend-dispatched compute kernels behind the coloring hot paths:
     ``reference`` runs the Python oracles, any other backend a compiled C
     loop when the library loads, else the same oracle, with bit-identical
-    results.
+    results.  No kernel takes a backend argument; a job's tier is chosen
+    once, by ``RunConfig.backend`` or a ``kernels.use_backend`` scope.
 ``repro.parallel``
     Tick-synchronous simulated shared-memory engine and the parallel
     variants of every strategy (Algorithms 2–5), plus real
@@ -33,7 +34,7 @@ Subpackages
 ``repro.run``
     Unified execution layer: ``execute(graph, RunConfig(...))`` runs any
     Table-I strategy in any supported mode (sequential / superstep / mp)
-    through one pipeline — seeding, backend resolution, balance stats,
+    through one pipeline — seeding, the job's kernel tier, balance stats,
     and machine-time pricing included.
 ``repro.serve``
     Coloring-as-a-service on top of ``repro.run``: bounded job queue

@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--machine", choices=sorted(MACHINES), default=None,
                      help="price the execution trace on this machine model")
     run.add_argument("--backend", choices=["reference", "vectorized"], default=None,
-                     help="kernel backend for the kernel-backed sweeps")
+                     help="kernel tier for every kernel of the run (same coloring either way)")
     run.add_argument("--ordering", default="natural",
                      help="vertex order for the (initial) greedy coloring")
     run.add_argument("--rounds", type=int, default=1,
@@ -265,7 +265,8 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
                 mutated_graph, dirty = apply_delta(graph, batch)
                 mutated = execute(mutated_graph, mutation_config(
                     mode=args.mode if args.mode != "mp" else "sequential",
-                    threads=args.threads), initial=result.coloring, recorder=recorder)
+                    threads=args.threads).replace(backend=args.backend),
+                    initial=result.coloring, recorder=recorder)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

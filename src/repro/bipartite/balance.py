@@ -47,7 +47,6 @@ def d2_shuffle_drain(
     g: float,
     *,
     choice: str = "ff",
-    backend: str | None = None,
     recorder=None,
 ) -> tuple[int, int]:
     """Drain over-full D2 classes toward γ in place.
@@ -56,9 +55,9 @@ def d2_shuffle_drain(
     rows (``-1``) are left alone.  *recorder* gets one ``drain_round``
     event per pass (moves committed and the live class-size RSD, source
     bin ``-1`` for the interleaved traversal); it never alters the drain.
-    Each pass runs :func:`repro.kernels.d2_drain_pass`; *backend* picks
-    its path (``reference``: the Python loop; otherwise C when it loaded),
-    and every path gives the same result.
+    Each pass runs :func:`repro.kernels.d2_drain_pass` (the Python loop
+    under a ``reference`` scope, otherwise C when it loaded), and every
+    path gives the same result.
     """
     if choice not in _CHOICES:
         raise ValueError(f"choice must be one of {_CHOICES}, got {choice!r}")
@@ -78,7 +77,7 @@ def d2_shuffle_drain(
         candidates = np.nonzero(np.isin(colors, overfull))[0]
         round_moves = kernels.d2_drain_pass(
             bip.incidence, bip.num_rows, colors, sizes, under, g, candidates,
-            choice=choice, cache=cache, backend=backend)
+            choice=choice, cache=cache)
         total_moves += round_moves
         if rec.enabled:
             mean = sizes.mean() if sizes.size else 0.0
@@ -95,7 +94,6 @@ def balance_partial_d2(
     initial: PartialD2Coloring,
     *,
     choice: str = "ff",
-    backend: str | None = None,
     recorder=None,
 ) -> PartialD2Coloring:
     """Balance *initial* by draining over-full D2 color classes.
@@ -122,7 +120,7 @@ def balance_partial_d2(
 
     with rec.phase("d2-drain"):
         moves, rounds = d2_shuffle_drain(bip, colors, sizes, g, choice=choice,
-                                         backend=backend, recorder=rec)
+                                         recorder=rec)
 
     result = PartialD2Coloring(
         colors, C, strategy="d2-balanced",

@@ -74,7 +74,6 @@ def partial_d2_sequential(
     bip: BipartiteGraph,
     *,
     order: np.ndarray | None = None,
-    backend: str | None = None,
     recorder=None,
 ) -> PartialD2Coloring:
     """One-sided greedy distance-2 First-Fit over all rows, sequentially.
@@ -89,8 +88,7 @@ def partial_d2_sequential(
     rec = as_recorder(recorder)
     work = _row_order(bip, order)
     with rec.phase("d2-sequential"):
-        colors = kernels.d2_sweep(bip.incidence, bip.num_rows, work,
-                                  backend=backend)
+        colors = kernels.d2_sweep(bip.incidence, bip.num_rows, work)
     num_colors = int(colors.max(initial=-1)) + 1
     if rec.enabled:
         rec.event("partial_coloring", strategy="d2-sequential",
@@ -100,7 +98,7 @@ def partial_d2_sequential(
     return PartialD2Coloring(
         colors, num_colors, strategy="d2-sequential",
         meta={"rounds": 1, "conflicts": 0,
-              "backend": kernels.resolve_backend(backend)},
+              "backend": kernels.resolve_backend()},
     )
 
 
@@ -110,7 +108,6 @@ def optimistic_partial_d2(
     num_threads: int = 1,
     order: np.ndarray | None = None,
     max_rounds: int = 200,
-    backend: str | None = None,
     recorder=None,
     fault_plan=None,
     watchdog_patience: int = DEFAULT_PATIENCE,
@@ -133,7 +130,7 @@ def optimistic_partial_d2(
     :class:`~repro.resilience.ConvergenceWatchdog` degrades the loop to
     one thread if the retry list stops shrinking, and ``fault_plan``
     ``stick`` faults can deterministically waste rounds to exercise it.
-    ``backend`` selects the detection kernel; the speculative tick loop is
+    Only the detection runs a kernel; the speculative tick loop is
     per-row by construction (it simulates the races).
 
     *capture*, if a list, receives one dict per round — ``{"work": the
@@ -143,7 +140,6 @@ def optimistic_partial_d2(
     for both the sweep and the detection scan).
     """
     rec = as_recorder(recorder)
-    resolved = kernels.resolve_backend(backend)
     nr = bip.num_rows
     machine = TickMachine(num_threads, algorithm="d2-optimistic")
     indptr, indices = bip.incidence.indptr, bip.incidence.indices
@@ -183,8 +179,7 @@ def optimistic_partial_d2(
     def detect(work, record):
         # the model charges each work row its two-hop slots; the kernel
         # itself decides one column at a time
-        retry = kernels.d2_conflicts(bip.incidence, nr, colors, work,
-                                     backend=resolved)
+        retry = kernels.d2_conflicts(bip.incidence, nr, colors, work)
         return retry, units[work]
 
     with rec.phase("d2-optimistic"):
@@ -195,7 +190,7 @@ def optimistic_partial_d2(
             name="d2-optimistic", begin=begin)
 
     num_colors = int(colors.max(initial=-1)) + 1
-    meta = machine.finish(rec, rounds=rounds, backend=resolved)
+    meta = machine.finish(rec, rounds=rounds, backend=kernels.resolve_backend())
     if rec.enabled:
         rec.event("partial_coloring", strategy="d2-optimistic",
                   num_rows=nr, num_cols=bip.num_cols, num_colors=num_colors,
@@ -211,7 +206,6 @@ def mp_partial_d2(
     *,
     num_workers: int = 2,
     max_rounds: int = 100,
-    backend: str | None = None,
     recorder=None,
     fault_plan: FaultPlan | str | None = None,
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
@@ -235,13 +229,13 @@ def mp_partial_d2(
     :func:`repro.parallel.mp.mp_greedy_ff`.
     """
     rec = as_recorder(recorder)
-    resolved = kernels.resolve_backend(backend)
+    resolved = kernels.resolve_backend()
     with rec.phase("d2-mp"):
         colors, meta = run_rounds(
             Neighbourhood("d2", bip.incidence, bip.num_rows), num_workers,
-            transport="threads", max_rounds=max_rounds, backend=resolved,
-            plan=resolve_fault_plan(fault_plan), round_timeout=round_timeout, max_retries=max_retries,
-            backoff=backoff, rec=rec)
+            transport="threads", max_rounds=max_rounds,
+            plan=resolve_fault_plan(fault_plan), round_timeout=round_timeout,
+            max_retries=max_retries, backoff=backoff, rec=rec)
     num_colors = int(colors.max(initial=-1)) + 1
     if rec.enabled:
         rec.event("partial_coloring", strategy="d2-mp", num_rows=bip.num_rows,
@@ -259,7 +253,6 @@ def replay_partial_rounds(
     num_workers: int,
     *,
     max_rounds: int = 100,
-    backend: str | None = None,
 ) -> tuple[PartialD2Coloring, list[dict]]:
     """Run the mp protocol in-process, exposing each round's inputs.
 
@@ -272,16 +265,14 @@ def replay_partial_rounds(
     each block's sweep in isolation against its snapshot to model the
     per-round critical path on a machine with real cores.
     """
-    resolved = kernels.resolve_backend(backend)
     captured: list[dict] = []
     colors, meta = run_rounds(
         Neighbourhood("d2", bip.incidence, bip.num_rows), num_workers,
-        transport="inline", max_rounds=max_rounds, backend=resolved,
-        capture=captured)
+        transport="inline", max_rounds=max_rounds, capture=captured)
     num_colors = int(colors.max(initial=-1)) + 1
     return (PartialD2Coloring(colors, num_colors, strategy="d2-mp-replay",
                               meta={"workers": num_workers,
                                     "rounds": meta["rounds"],
-                                    "backend": resolved}),
+                                    "backend": kernels.resolve_backend()}),
             [{k: r[k] for k in ("blocks", "snapshot", "work")}
              for r in captured])

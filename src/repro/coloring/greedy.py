@@ -42,7 +42,6 @@ def greedy_coloring(
     ordering: str | np.ndarray = "natural",
     seed=None,
     palette_bound: int | None = None,
-    backend: str | None = None,
     recorder=None,
 ) -> Coloring:
     """Color *graph* with Algorithm 1 and the given color-choice rule.
@@ -65,13 +64,6 @@ def greedy_coloring(
         reported Greedy-Random color counts — and when a vertex finds no
         permissible color within B it falls back to the smallest
         permissible color beyond B (so the coloring always completes).
-    backend:
-        Kernel backend (``"reference"`` or ``"vectorized"``; see
-        :mod:`repro.kernels`).  First-Fit dispatches to the selected
-        backend — both produce bit-identical colorings.  ``"lu"`` and
-        ``"random"`` always run the sequential Python loop: their choice
-        rules thread per-vertex state (live bin sizes, the RNG stream)
-        through the sweep, and no kernel implements them.
     recorder:
         Optional :class:`repro.obs.Recorder`.  Emits ``order``/``sweep``
         phase timers and a final ``coloring`` event (colors, RSD, backend).
@@ -81,6 +73,12 @@ def greedy_coloring(
     -------
     Coloring
         A proper coloring; ``strategy`` is ``greedy-<choice>``.
+
+    First-Fit runs :func:`repro.kernels.ff_sweep` on the tier in scope
+    (see :mod:`repro.kernels`), and ``meta["backend"]`` names it.
+    ``"lu"`` and ``"random"`` always run the sequential Python loop: their
+    choice rules thread per-vertex state (live bin sizes, the RNG stream)
+    through the sweep, and no kernel implements them.
     """
     if choice not in _CHOICES:
         raise ValueError(f"choice must be one of {_CHOICES}, got {choice!r}")
@@ -93,10 +91,10 @@ def greedy_coloring(
             order = check_permutation("ordering", ordering, n)
 
     ordering_meta = ordering if isinstance(ordering, str) else "explicit"
-    resolved = kernels.resolve_backend(backend)
     if choice == "ff":
+        resolved = kernels.resolve_backend()
         with rec.phase("greedy-ff/sweep"):
-            colors = kernels.ff_sweep(graph, order, backend=resolved)
+            colors = kernels.ff_sweep(graph, order)
         num_colors = int(colors.max(initial=-1)) + 1
         result = Coloring(
             colors,

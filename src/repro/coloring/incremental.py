@@ -31,8 +31,7 @@ from .types import Coloring
 __all__ = ["carry_forward", "incremental_recolor"]
 
 
-def carry_forward(graph: CSRGraph, base: Coloring, *,
-                  backend: str | None = None) -> Coloring:
+def carry_forward(graph: CSRGraph, base: Coloring) -> Coloring:
     """Extend *base* to *graph*: old vertices keep colors, new ones FF-seed.
 
     *graph* must have at least as many vertices as *base* colored (vertex
@@ -51,8 +50,7 @@ def carry_forward(graph: CSRGraph, base: Coloring, *,
         )
     carried = np.full(n, -1, dtype=np.int64)
     carried[:n_old] = base.colors
-    colors = kernels.ff_sweep(graph, np.arange(n_old, n, dtype=np.int64), carried,
-                              backend=backend)
+    colors = kernels.ff_sweep(graph, np.arange(n_old, n, dtype=np.int64), carried)
     num_colors = max(base.num_colors, int(colors[n_old:].max(initial=-1)) + 1)
     return Coloring(colors, num_colors, strategy="carry-forward",
                     meta={"base_strategy": base.strategy,
@@ -63,20 +61,18 @@ def incremental_recolor(
     graph: CSRGraph,
     base: Coloring,
     *,
-    backend: str | None = None,
     recorder=None,
 ) -> Coloring:
     """Re-color the mutated *graph* starting from *base*.
 
     Returns ``balanced_recoloring(graph, carry_forward(graph, base))``
     with strategy ``incremental``; its ``meta`` adds ``seeded`` (the
-    appended vertices).  ``backend`` selects the kernels of both steps.
+    appended vertices).
     """
     rec = as_recorder(recorder)
     with rec.phase("incremental"):
-        seeded = carry_forward(graph, base, backend=backend)
-        result = balanced_recoloring(graph, seeded, backend=backend,
-                                     recorder=recorder)
+        seeded = carry_forward(graph, base)
+        result = balanced_recoloring(graph, seeded, recorder=recorder)
     return Coloring(result.colors, result.num_colors, strategy="incremental",
                     meta={**result.meta, "base_strategy": base.strategy,
                           "seeded": seeded.meta["seeded_vertices"]})

@@ -44,15 +44,14 @@ def iterated_greedy(
     initial: Coloring,
     *,
     iterations: int = 1,
-    backend: str | None = None,
     recorder=None,
 ) -> Coloring:
     """Culberson's Iterated Greedy: reverse-class FF sweeps.
 
     Each sweep is guaranteed to use no more colors than the previous
     coloring; iterating drives the count toward (but not provably to) the
-    optimum.  ``backend`` selects the FF-sweep kernel (see
-    :mod:`repro.kernels`); both backends are bit-identical.  ``recorder``
+    optimum.  Each sweep is :func:`repro.kernels.ff_sweep` on the tier in
+    scope (see :mod:`repro.kernels`).  ``recorder``
     (optional :class:`repro.obs.Recorder`) gets one ``iteration`` event
     per sweep — color count before/after — inside an ``iterated-greedy``
     phase timer; attaching one never changes the result.
@@ -60,13 +59,13 @@ def iterated_greedy(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     rec = as_recorder(recorder)
-    resolved = kernels.resolve_backend(backend)
+    resolved = kernels.resolve_backend()
     current = initial
     with rec.phase("iterated-greedy"):
         for i in range(iterations):
             before = current.num_colors
             order = reverse_class_order(current)
-            colors = kernels.ff_sweep(graph, order, backend=resolved)
+            colors = kernels.ff_sweep(graph, order)
             num_colors = int(colors.max(initial=-1)) + 1
             current = Coloring(colors, num_colors, strategy="iterated-greedy")
             if rec.enabled:
@@ -84,27 +83,23 @@ def iterated_greedy(
     )
 
 
-def balanced_recoloring(
-    graph: CSRGraph, initial: Coloring, *, backend: str | None = None,
-    recorder=None,
-) -> Coloring:
+def balanced_recoloring(graph: CSRGraph, initial: Coloring, *,
+                        recorder=None) -> Coloring:
     """Balanced Recoloring (sequential Algorithm 5).
 
     Re-colors every vertex in reverse-class order under the capacity
     γ = |V| / C_initial; may open colors beyond C_initial when necessary.
-    ``backend`` selects the capacity-sweep kernel (see
-    :mod:`repro.kernels`); both tiers are bit-identical, and the resolved
-    name is recorded in ``meta["backend"]``.
+    The sweep is :func:`repro.kernels.capacity_sweep` on the tier in
+    scope (see :mod:`repro.kernels`), named in ``meta["backend"]``.
     """
-    resolved = kernels.resolve_backend(backend)
+    resolved = kernels.resolve_backend()
     if initial.num_vertices != graph.num_vertices:
         raise ValueError("coloring does not match graph")
     rec = as_recorder(recorder)
     g = _gamma(initial.num_vertices, initial.num_colors) if initial.num_colors else 0.0
     with rec.phase("recoloring/sweep"):
         order = reverse_class_order(initial)
-        colors, num_colors = kernels.capacity_sweep(graph, order, g,
-                                                    backend=resolved)
+        colors, num_colors = kernels.capacity_sweep(graph, order, g)
     result = Coloring(
         colors,
         num_colors,

@@ -51,7 +51,6 @@ def shuffle_balance(
     choice: str = "ff",
     traversal: str = "vertex",
     weight: str = "unit",
-    backend: str | None = None,
     recorder=None,
 ) -> Coloring:
     """Balance *initial* by moving vertices out of over-full bins.
@@ -64,8 +63,8 @@ def shuffle_balance(
     work, plus one unit per vertex so isolated vertices still count).
 
     The drain is the paper's sequential single pass
-    (:func:`repro.kernels.shuffle_drain`); ``backend`` selects its tier
-    (see :mod:`repro.kernels`), never its result.
+    (:func:`repro.kernels.shuffle_drain`), on the tier in scope (see
+    :mod:`repro.kernels`), which never changes its result.
 
     ``recorder`` (optional :class:`repro.obs.Recorder`) receives a
     ``drain`` phase timer, per-round ``drain_round`` events from the
@@ -92,7 +91,7 @@ def shuffle_balance(
     np.add.at(sizes, colors, vertex_w)
 
     rec = as_recorder(recorder)
-    resolved = kernels.resolve_backend(backend)
+    resolved = kernels.resolve_backend()
     strategy = f"{'v' if traversal == 'vertex' else 'c'}{choice}"
     with rec.phase(f"{strategy}/drain"):
         moves = kernels.shuffle_drain(
@@ -103,7 +102,6 @@ def shuffle_balance(
             choice=choice,
             traversal=traversal,
             vertex_w=vertex_w,
-            backend=resolved,
             recorder=rec,
         )
 

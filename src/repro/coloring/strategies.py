@@ -12,7 +12,7 @@ Every mode implementation has the same normalized signature::
     impl(graph, initial=None, *, threads=1, seed=None, recorder=None, **kwargs)
 
 and carries an ``accepts`` frozenset naming the extra keyword options it
-understands (``backend``, ``rounds``, ``weight``, ...).  Unknown options
+understands (``rounds``, ``weight``, ``ordering``, ...).  Unknown options
 are rejected up front with an error naming the strategy, instead of
 surfacing as a ``TypeError`` from some inner function.
 
@@ -20,7 +20,7 @@ surfacing as a ``TypeError`` from some inner function.
 initial coloring; :func:`color_and_balance` is the one-call front door that
 also produces the initial coloring (Greedy-FF by default, as in the paper)
 or runs an ab initio strategy directly.  The full pipeline front door —
-mode dispatch, seeding, backend resolution, balance stats, machine-time
+mode dispatch, seeding, the job's kernel tier, balance stats, machine-time
 pricing — is :func:`repro.run.execute`.
 """
 
@@ -144,7 +144,7 @@ def _seq_greedy(choice: str, accepts: tuple[str, ...]):
 
 
 def _seq_shuffled(choice: str, traversal: str):
-    @_accepts("weight", "backend")
+    @_accepts("weight")
     def run(graph: CSRGraph, initial: Coloring | None = None, *,
             threads: int = 1, seed=None, recorder=None, **kwargs) -> Coloring:
         return shuffle_balance(graph, initial, choice=choice,
@@ -162,14 +162,14 @@ def _seq_scheduled(reverse: bool):
     return run
 
 
-@_accepts("backend")
+@_accepts()
 def _seq_recoloring(graph: CSRGraph, initial: Coloring | None = None, *,
                     threads: int = 1, seed=None, recorder=None, **kwargs) -> Coloring:
     # deterministic algorithm: `seed` is accepted for API uniformity only
     return balanced_recoloring(graph, initial, recorder=recorder, **kwargs)
 
 
-@_accepts("backend")
+@_accepts()
 def _seq_incremental(graph: CSRGraph, initial: Coloring | None = None, *,
                      threads: int = 1, seed=None, recorder=None,
                      **kwargs) -> Coloring:
@@ -261,8 +261,7 @@ def _superstep_incremental(graph: CSRGraph, initial: Coloring | None = None, *,
 # --------------------------------------------------------------------------
 
 
-@_accepts("max_rounds", "partition", "backend", "fault_plan", "round_timeout",
-          "max_retries")
+@_accepts("max_rounds", "partition", "fault_plan", "round_timeout", "max_retries")
 def _mp_greedy_ff(graph: CSRGraph, initial: Coloring | None = None, *,
                   threads: int = 1, seed=None, recorder=None, **kwargs) -> Coloring:
     from ..parallel.mp import mp_greedy_ff
@@ -325,7 +324,7 @@ def _square_cover(graph: CSRGraph, cover):
 # The d2-optimistic impls take the square *cover* when d2-balanced already
 # built it; it is not an option (not in ``accepts``), so no caller of the
 # registry can pass it.
-@_accepts("ordering", "backend")
+@_accepts("ordering")
 def _seq_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *,
                        threads: int = 1, seed=None, recorder=None, cover=None,
                        **kwargs) -> Coloring:
@@ -337,7 +336,7 @@ def _seq_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *,
     return _cover_coloring(pc, "d2-optimistic")
 
 
-@_accepts("ordering", "max_rounds", "fault_plan", "backend")
+@_accepts("ordering", "max_rounds", "fault_plan")
 def _superstep_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *,
                              threads: int = 1, seed=None, recorder=None,
                              cover=None, **kwargs) -> Coloring:
@@ -350,8 +349,7 @@ def _superstep_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *
     return _cover_coloring(pc, "d2-optimistic")
 
 
-@_accepts("max_rounds", "backend", "fault_plan", "round_timeout",
-          "max_retries")
+@_accepts("max_rounds", "fault_plan", "round_timeout", "max_retries")
 def _mp_d2_optimistic(graph: CSRGraph, initial: Coloring | None = None, *,
                       threads: int = 1, seed=None, recorder=None, cover=None,
                       **kwargs) -> Coloring:
@@ -367,9 +365,8 @@ def _d2_balanced(base_impl, accepts: frozenset):
 
     The drain runs in-process after the engine (it is a cheap sequential
     tail, like the residual pass), preserves the color count, and keeps
-    distance-2 properness move by move.  The ``backend`` option reaches
-    the drain too; every backend gives the same drained coloring.  The
-    square cover is built once, for the engine and the drain alike.
+    distance-2 properness move by move.  The square cover is built once,
+    for the engine and the drain alike.
     """
 
     @_accepts(*(accepts | {"choice"}))
@@ -383,9 +380,7 @@ def _d2_balanced(base_impl, accepts: frozenset):
                             recorder=recorder, cover=cover, **kwargs)
         pc = PartialD2Coloring(colored.colors, colored.num_colors,
                                strategy=colored.strategy, meta=colored.meta)
-        balanced = balance_partial_d2(cover, pc, choice=choice,
-                                      backend=kwargs.get("backend"),
-                                      recorder=recorder)
+        balanced = balance_partial_d2(cover, pc, choice=choice, recorder=recorder)
         return _cover_coloring(balanced, "d2-balanced")
 
     return run
@@ -395,7 +390,7 @@ STRATEGIES: dict[str, StrategySpec] = {
     "greedy-ff": StrategySpec(
         "greedy-ff", "ab_initio", False,
         "Algorithm 1 with First-Fit color choice (the paper's initial coloring)",
-        sequential=_seq_greedy("ff", ("ordering", "backend")),
+        sequential=_seq_greedy("ff", ("ordering",)),
         superstep=_superstep_greedy_ff,
         mp=_mp_greedy_ff,
     ),

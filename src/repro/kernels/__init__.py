@@ -25,31 +25,36 @@ The two tiers are bit-identical, so ``vectorized`` names the fast tier,
 not one implementation: a backend chooses how fast a result is computed,
 never which result.  Every input is checked before either tier runs.
 
-Backend selection, strongest first:
+No kernel takes a backend argument.  Each resolves the tier when it is
+called, by :func:`resolve_backend`, strongest first:
 
-1. an explicit ``backend=`` argument on the public API
-   (:func:`repro.coloring.greedy_coloring`,
-   :func:`repro.coloring.shuffle_balance`,
-   :func:`repro.coloring.iterated_greedy`,
-   :func:`repro.parallel.mp.mp_greedy_ff`, ...);
-2. a process-wide override installed with :func:`set_default_backend`;
+1. a name passed to :func:`resolve_backend` itself (how
+   :func:`repro.run.execute` reads ``RunConfig.backend``);
+2. the innermost :func:`use_backend` scope around the call (a
+   :class:`~contextvars.ContextVar`, so concurrent threads keep their
+   own; :func:`repro.run.execute` runs each job inside one);
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
 4. the default, ``vectorized``.
+
+Thread-team tasks do not inherit the submitting thread's context, so
+the round driver of :mod:`repro.parallel.mp` hands each task the tier
+it resolved and the task opens its own scope.
 
 Every properness verifier (:mod:`repro.coloring.verify`,
 :func:`repro.resilience.check_invariants`, the partial D2 verifiers of
 :mod:`repro.bipartite`) validates its colors with :func:`check_colors`
 and then calls :func:`count_monochromatic_edges` (distance 1) or
-:func:`d2_violating_column` (one-sided distance 2).  The verifiers take
-no ``backend=``; they follow the process-wide selection, so the override
-or the environment variable still selects the oracle.  So do the CSR
-assembly and validation behind :func:`repro.graph.from_edge_arrays` and
+:func:`d2_violating_column` (one-sided distance 2), under the same
+selection.  So do the CSR assembly and validation behind
+:func:`repro.graph.from_edge_arrays` and
 :meth:`repro.graph.CSRGraph.check`.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -62,7 +67,6 @@ from .conflicts import bin_sizes, monochromatic_edges
 
 __all__ = [
     "BACKENDS",
-    "available_backends",
     "bin_sizes",
     "capacity_sweep",
     "check_colors",
@@ -76,22 +80,16 @@ __all__ = [
     "detect_conflicts",
     "detect_cross_conflicts",
     "ff_sweep",
-    "get_default_backend",
     "monochromatic_edges",
     "resolve_backend",
     "sched_commit",
-    "set_default_backend",
     "shuffle_drain",
+    "use_backend",
 ]
 
 BACKENDS = ("reference", "vectorized")
 _ENV_VAR = "REPRO_KERNEL_BACKEND"
-_override: str | None = None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the selectable kernel backends."""
-    return BACKENDS
+_scope: ContextVar[str | None] = ContextVar("repro_kernel_backend", default=None)
 
 
 def _check_name(name: str) -> str:
@@ -100,31 +98,36 @@ def _check_name(name: str) -> str:
     return name
 
 
-def set_default_backend(name: str | None) -> None:
-    """Install a process-wide backend override (``None`` removes it)."""
-    global _override
-    _override = None if name is None else _check_name(name)
+@contextmanager
+def use_backend(name: str | None):
+    """Run every kernel called in the block on tier *name* (``None``: no change).
 
-
-def get_default_backend() -> str | None:
-    """The override or environment selection, or ``None`` if neither is set."""
-    if _override is not None:
-        return _override
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env:
-        if env not in BACKENDS:
-            raise ValueError(
-                f"{_ENV_VAR} must be one of {BACKENDS}, got {env!r}"
-            )
-        return env
-    return None
+    Scopes nest, and each thread and task sees only its own.  An unknown
+    name raises :class:`ValueError`.
+    """
+    if name is None:
+        yield
+        return
+    token = _scope.set(_check_name(name))
+    try:
+        yield
+    finally:
+        _scope.reset(token)
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a backend name: explicit arg > override > env var > ``vectorized``."""
+    """Resolve a backend name: explicit arg > scope > env var > ``vectorized``."""
     if backend is not None:
         return _check_name(backend)
-    return get_default_backend() or "vectorized"
+    scoped = _scope.get()
+    if scoped is not None:
+        return scoped
+    env = os.environ.get(_ENV_VAR, "").strip().lower()
+    if env:
+        if env not in BACKENDS:
+            raise ValueError(f"{_ENV_VAR} must be one of {BACKENDS}, got {env!r}")
+        return env
+    return "vectorized"
 
 
 # ----------------------------------------------------------------------
@@ -169,8 +172,6 @@ def ff_sweep(
     graph: CSRGraph,
     work: np.ndarray | None = None,
     base_colors: np.ndarray | None = None,
-    *,
-    backend: str | None = None,
 ) -> np.ndarray:
     """First-Fit sweep over *work* (default: all vertices in id order).
 
@@ -180,10 +181,9 @@ def ff_sweep(
     must lie in ``[0, n)`` and *base_colors* must have length n, else
     :class:`ValueError`.  Both tiers produce bit-identical output.
     """
-    name = resolve_backend(backend)
     n = graph.num_vertices
     work, base = _item_inputs(work, base_colors, n)
-    lib = _compiled(name)
+    lib = _compiled()
     if lib is None:
         return reference.ff_sweep(graph, work, base)
     indptr, indices = _graph_arrays(graph)
@@ -202,8 +202,6 @@ def capacity_sweep(
     graph: CSRGraph,
     order: np.ndarray,
     capacity: float,
-    *,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, int]:
     """First-Fit sweep over *order* under the per-bin capacity γ = *capacity*.
 
@@ -215,7 +213,6 @@ def capacity_sweep(
     *capacity* must be positive when *order* is not empty, else
     :class:`ValueError`.  Both tiers produce bit-identical output.
     """
-    name = resolve_backend(backend)
     n = graph.num_vertices
     order = _check_ids("order", order, n)
     capacity = float(capacity)
@@ -224,7 +221,7 @@ def capacity_sweep(
             raise ValueError(f"capacity must be > 0, got {capacity}")
         if np.bincount(order, minlength=n).max() > 1:
             raise ValueError("order must list each vertex at most once")
-    lib = _compiled(name)
+    lib = _compiled()
     if lib is None:
         return reference.capacity_sweep(graph, order, capacity)
     indptr, indices = _graph_arrays(graph)
@@ -253,8 +250,6 @@ def d2_sweep(
     num_rows: int,
     work: np.ndarray | None = None,
     base_colors: np.ndarray | None = None,
-    *,
-    backend: str | None = None,
 ) -> np.ndarray:
     """One-sided distance-2 First-Fit sweep over a bipartite incidence graph.
 
@@ -267,10 +262,9 @@ def d2_sweep(
     not held by any other row within two hops (i.e. sharing a column) at
     its processing time.  Both tiers produce bit-identical output.
     """
-    name = resolve_backend(backend)
     nr = _check_num_rows(graph, num_rows)
     work, base = _item_inputs(work, base_colors, nr)
-    lib = _compiled(name)
+    lib = _compiled()
     if lib is None:
         return reference.d2_sweep(graph, nr, work, base)
     indptr, indices = _graph_arrays(graph)
@@ -292,7 +286,6 @@ def d2_conflicts(
     work: np.ndarray | None = None,
     *,
     cols: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Distance-2 conflict detection over a bipartite incidence graph.
 
@@ -320,14 +313,13 @@ def d2_conflicts(
     disjoint *cols* subsets can be scanned in parallel and unioned; the
     benchmark's modeled detection threads rely on exactly that.
     """
-    name = resolve_backend(backend)
     nr = _check_num_rows(graph, num_rows)
     work, colors = _item_inputs(work, colors, nr)
     if cols is not None:
         cols = _check_ids("cols", cols, graph.num_vertices, low=nr)
     if work.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    lib = _compiled(name)
+    lib = _compiled()
     if lib is None:
         return reference.d2_conflicts(graph, nr, colors, work, cols)
     indptr, indices = _graph_arrays(graph)
@@ -352,8 +344,6 @@ def detect_conflicts(
     graph: CSRGraph,
     colors: np.ndarray,
     work_list: np.ndarray,
-    *,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Higher-id endpoints of monochromatic edges incident on *work_list*.
 
@@ -365,15 +355,13 @@ def detect_conflicts(
     identical on every path.  *colors* must be an integer array of length
     n and *work_list* ids must lie in ``[0, n)``, else :class:`ValueError`.
     """
-    return _d1_conflicts(graph, colors, work_list, backend, cross=False)
+    return _d1_conflicts(graph, colors, work_list, cross=False)
 
 
 def detect_cross_conflicts(
     graph: CSRGraph,
     colors: np.ndarray,
     work_list: np.ndarray,
-    *,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Conflict detection that survives stale-snapshot proposals.
 
@@ -394,14 +382,13 @@ def detect_cross_conflicts(
     work is.  Returns a sorted, deduplicated vertex array, identical on
     every path; inputs are checked like :func:`detect_conflicts`.
     """
-    return _d1_conflicts(graph, colors, work_list, backend, cross=True)
+    return _d1_conflicts(graph, colors, work_list, cross=True)
 
 
-def _d1_conflicts(graph, colors, work_list, backend, *, cross: bool) -> np.ndarray:
-    name = resolve_backend(backend)
+def _d1_conflicts(graph, colors, work_list, *, cross: bool) -> np.ndarray:
     n = graph.num_vertices
     work, colors = _item_inputs(work_list, colors, n)
-    lib = _compiled(name)
+    lib = _compiled()
     if lib is None:
         scan = conflicts.detect_cross_conflicts if cross else conflicts.detect_conflicts
         return scan(graph, colors, work)
@@ -417,9 +404,7 @@ def _d1_conflicts(graph, colors, work_list, backend, *, cross: bool) -> np.ndarr
     return np.sort(out[:count])
 
 
-def count_monochromatic_edges(
-    graph: CSRGraph, colors: np.ndarray, *, backend: str | None = None
-) -> int:
+def count_monochromatic_edges(graph: CSRGraph, colors: np.ndarray) -> int:
     """Number of edges whose endpoints hold the same color ``>= 0``.
 
     An uncolored (negative) vertex never conflicts.  *colors* must pass
@@ -430,7 +415,7 @@ def count_monochromatic_edges(
     """
     n = graph.num_vertices
     colors = check_colors(colors, n)
-    lib = _compiled(backend)
+    lib = _compiled()
     if lib is None:
         return conflicts.count_monochromatic_edges(graph, colors)
     count = _c_verify(lib, graph, n, colors, hops=1)
@@ -439,10 +424,7 @@ def count_monochromatic_edges(
     return count
 
 
-def d2_violating_column(
-    graph: CSRGraph, num_rows: int, colors: np.ndarray, *,
-    backend: str | None = None,
-) -> int:
+def d2_violating_column(graph: CSRGraph, num_rows: int, colors: np.ndarray) -> int:
     """First column holding two colored rows of the same color, or ``-1``.
 
     *graph* is a bipartite incidence graph with rows on ``[0, num_rows)``
@@ -456,7 +438,7 @@ def d2_violating_column(
     """
     nr = _check_num_rows(graph, num_rows)
     colors = check_colors(colors, nr, unit="rows", floor=-1)
-    lib = _compiled(backend)
+    lib = _compiled()
     if lib is None:
         return reference.d2_violating_column(graph, nr, colors)
     col = _c_verify(lib, graph, nr, colors, hops=2)
@@ -474,7 +456,6 @@ def shuffle_drain(
     choice: str,
     traversal: str,
     vertex_w: np.ndarray,
-    backend: str | None = None,
     recorder=None,
 ) -> int:
     """The paper's unscheduled-shuffling pass toward γ = *g*, in place;
@@ -521,7 +502,7 @@ def shuffle_drain(
     from ..obs import as_recorder
 
     recorder = as_recorder(recorder)
-    lib = _compiled(backend)
+    lib = _compiled()
     stamp = np.zeros(C, dtype=np.int64)
     moves = seen = 0
     for source, group in reference.shuffle_groups(colors, sizes, g, traversal):
@@ -548,13 +529,13 @@ def shuffle_drain(
 # ----------------------------------------------------------------------
 # the two tiers: C when it loads, else the oracle
 # ----------------------------------------------------------------------
-def _compiled(backend: str | None):
+def _compiled():
     """The compiled library, or ``None`` when the oracle must run.
 
     A resolved ``reference`` backend always runs the oracle; any other
     resolution runs C if it loaded.
     """
-    if resolve_backend(backend) == "reference":
+    if resolve_backend() == "reference":
         return None
     return compiled.load()
 
@@ -625,7 +606,6 @@ def d2_drain_pass(
     *,
     choice: str,
     cache: dict | None = None,
-    backend: str | None = None,
 ) -> int:
     """One pass of the one-sided D2 balance drain, in place; returns the moves.
 
@@ -657,7 +637,7 @@ def d2_drain_pass(
     if colors[candidates].min() < 0:
         raise ValueError("every candidate must be a colored row")
     g = float(g)
-    lib = _compiled(backend)
+    lib = _compiled()
     if lib is None:
         cache = {} if cache is None else cache
         if "two_hop" not in cache:
@@ -682,8 +662,6 @@ def sched_commit(
     colors: np.ndarray,
     vertices: np.ndarray,
     targets: np.ndarray,
-    *,
-    backend: str | None = None,
 ) -> int:
     """Sched-Rev's move phase, in place; returns the number of commits.
 
@@ -701,7 +679,7 @@ def sched_commit(
     if targets.shape[0] != vertices.shape[0]:
         raise ValueError(f"{vertices.shape[0]} vertices but "
                          f"{targets.shape[0]} targets")
-    lib = _compiled(backend)
+    lib = _compiled()
     if lib is None:
         return reference.sched_commit(graph, colors, vertices, targets)
     committed = lib.sched_commit(
@@ -720,8 +698,7 @@ def csr_assemble(u, v, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
 
     The CSR of a simple graph is canonical, so both tiers give the same
     arrays.  *u* and *v* must be 1-D integer arrays of one length with ids
-    in ``[0, num_vertices)``, else :class:`ValueError`.  Follows the
-    process-wide backend selection, like the verifiers.
+    in ``[0, num_vertices)``, else :class:`ValueError`.
     """
     u, v = np.asarray(u), np.asarray(v)
     for arr in (u, v):
@@ -738,7 +715,7 @@ def csr_assemble(u, v, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"num_vertices must be >= 0, got {n}")
     if u.size and max(u.max(), v.max()) >= n:
         raise ValueError("vertex id exceeds num_vertices")
-    lib = _compiled(None)
+    lib = _compiled()
     if lib is None:
         return reference.csr_assemble(u, v, n)
     m = u.shape[0]
@@ -758,12 +735,11 @@ def csr_check(graph: CSRGraph) -> None:
     self-loops, strictly increasing rows, symmetry), and the first one
     violated names the error on both tiers.  The C loop reads the arrays in
     place, so a memory-mapped graph is checked without copying it.
-    Follows the process-wide backend selection, like the verifiers.
     """
     indptr, indices = _graph_arrays(graph)
     if indptr.shape[0] == 0:
         raise ValueError("indptr must have at least one entry")
-    lib = _compiled(None)
+    lib = _compiled()
     if lib is None:
         return reference.csr_check(graph)
     n = graph.num_vertices

@@ -65,7 +65,7 @@ class Neighbourhood:
     rows of a bipartite incidence graph.  *position* ranks every item in
     the partition order each round's work list is re-split along
     (``None``: id order).  Kernels are looked up on :mod:`repro.kernels`
-    at call time.
+    at call time and run on the caller's tier (:func:`repro.kernels.use_backend`).
     """
 
     kind: str
@@ -73,24 +73,19 @@ class Neighbourhood:
     size: int
     position: np.ndarray | None = None
 
-    def sweep(self, block: np.ndarray, base: np.ndarray,
-              backend: str) -> np.ndarray:
+    def sweep(self, block: np.ndarray, base: np.ndarray) -> np.ndarray:
         """First-Fit proposals for *block*: each item sees the new colors
         of earlier block members and *base* for everyone else."""
         if self.kind == "d1":
-            local = kernels.ff_sweep(self.graph, block, base, backend=backend)
+            local = kernels.ff_sweep(self.graph, block, base)
         else:
-            local = kernels.d2_sweep(self.graph, self.size, block, base,
-                                     backend=backend)
+            local = kernels.d2_sweep(self.graph, self.size, block, base)
         return np.ascontiguousarray(local[block])
 
-    def detect(self, colors: np.ndarray, work: np.ndarray,
-               backend: str) -> np.ndarray:
+    def detect(self, colors: np.ndarray, work: np.ndarray) -> np.ndarray:
         if self.kind == "d1":
-            return kernels.detect_cross_conflicts(self.graph, colors, work,
-                                                  backend=backend)
-        return kernels.d2_conflicts(self.graph, self.size, colors, work,
-                                    backend=backend)
+            return kernels.detect_cross_conflicts(self.graph, colors, work)
+        return kernels.d2_conflicts(self.graph, self.size, colors, work)
 
 
 def _valid_proposals(res, block: np.ndarray, bound: int) -> bool:
@@ -101,18 +96,19 @@ def _valid_proposals(res, block: np.ndarray, bound: int) -> bool:
 
 
 class _Inline:
-    """No team and no faults: blocks sweep in turn, timed for ``capture``."""
+    """No team and no faults: blocks sweep in turn, on the caller's tier,
+    timed for ``capture``."""
 
     name, reused = "in-process", False
 
-    def __init__(self, nb, num_workers, backend, **guard):
-        self.nb, self.backend = nb, backend
+    def __init__(self, nb, num_workers, **guard):
+        self.nb = nb
 
     def propose(self, round_idx, blocks, colors):
         self.snapshot, self.sweep_s, out = colors.copy(), [], []
         for block in blocks:
             t0 = perf_counter()
-            out.append(self.nb.sweep(block, self.snapshot, self.backend))
+            out.append(self.nb.sweep(block, self.snapshot))
             self.sweep_s.append(perf_counter() - t0)
         return out
 
@@ -120,12 +116,14 @@ class _Inline:
         pass
 
 
-def _block_task(nb, block, base, backend, stall, released):
-    """One block on the team.  A ``stall`` fault sleeps first; a block
-    whose run ended mid-stall returns without sweeping."""
+def _block_task(nb, block, base, tier, stall, released):
+    """One block on the team, swept on kernel *tier* (a team thread does
+    not see the submitter's scope).  A ``stall`` fault sleeps first; a
+    block whose run ended mid-stall returns without sweeping."""
     if stall and released.wait(stall):
         return None
-    return nb.sweep(block, base, backend)
+    with kernels.use_backend(tier):
+        return nb.sweep(block, base)
 
 
 class _Threads:
@@ -141,10 +139,10 @@ class _Threads:
 
     name = "threads"
 
-    def __init__(self, nb, num_workers, backend, **guard):
+    def __init__(self, nb, num_workers, **guard):
         from ..shm import warm_pool
 
-        self.nb, self.backend = nb, backend
+        self.nb, self.tier = nb, kernels.resolve_backend()
         # plan, timeout, max_retries, backoff, rec, stats
         vars(self).update(guard)
         self.team = warm_pool()
@@ -168,7 +166,7 @@ class _Threads:
                               worker=w, attempt=attempt)
             handle = self.team.submit(
                 _block_task, self.nb, blocks[w],
-                stale if kind == "stale" else snapshot, self.backend,
+                stale if kind == "stale" else snapshot, self.tier,
                 spec.duration if kind == "stall" else 0.0, self.released)
             return handle, kind == "corrupt"
 
@@ -219,7 +217,6 @@ def run_rounds(
     *,
     transport: str,
     max_rounds: int = 100,
-    backend: str | None = None,
     plan: FaultPlan = NO_FAULTS,
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
     max_retries: int = DEFAULT_MAX_RETRIES,
@@ -259,17 +256,16 @@ def run_rounds(
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     if capture is not None and transport != "inline":
         raise ValueError("capture needs the inline transport")
-    backend = kernels.resolve_backend(backend)
     colors = np.full(nb.size, -1, dtype=np.int64)
     work = np.arange(nb.size, dtype=np.int64)
     stats = {"injected": 0, "detected": 0, "recovered": 0, "salvaged": 0}
     meta = {"rounds": 1, "conflicts": 0, "faults": stats, "degraded": False,
             "residual": 0, "transport": "in-process", "pool_reused": False}
     if num_workers == 1 and transport != "inline":
-        return nb.sweep(work, colors, backend), meta
+        return nb.sweep(work, colors), meta
 
     port = _TRANSPORTS[transport](
-        nb, num_workers, backend, plan=plan, timeout=round_timeout,
+        nb, num_workers, plan=plan, timeout=round_timeout,
         max_retries=max_retries, backoff=backoff, rec=rec, stats=stats)
     if rec.enabled and transport != "inline":
         rec.event("mp_pool", transport=port.name, reused=port.reused,
@@ -290,9 +286,9 @@ def run_rounds(
                     if rec.enabled:
                         rec.event("mp_salvage", round=rounds,
                                   vertices=int(block.shape[0]))
-                    colors[block] = nb.sweep(block, colors, backend)
+                    colors[block] = nb.sweep(block, colors)
             t0 = perf_counter()
-            retry = nb.detect(colors, work, backend)
+            retry = nb.detect(colors, work)
             detect_s = perf_counter() - t0
             conflicts += retry.shape[0]
             if capture is not None:
@@ -313,7 +309,7 @@ def run_rounds(
     if residual:  # round cap hit: finish sequentially
         if rec.enabled:
             rec.event("mp_degraded", reason="max_rounds", residual=residual)
-        colors[work] = nb.sweep(work, colors, backend)
+        colors[work] = nb.sweep(work, colors)
     meta.update(rounds=rounds, conflicts=int(conflicts),
                 degraded=bool(residual or stats["salvaged"]),
                 residual=residual, transport=port.name,
@@ -328,7 +324,6 @@ def mp_greedy_ff(
     max_rounds: int = 100,
     partition: str = "block",
     seed=None,
-    backend: str | None = None,
     recorder=None,
     fault_plan: FaultPlan | str | None = None,
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
@@ -348,10 +343,6 @@ def mp_greedy_ff(
     :mod:`repro.parallel.partition`): ``"block"``, ``"random"``, or
     ``"bfs"`` — fewer cross-partition edges mean fewer speculative
     conflicts and fewer retry rounds.
-
-    ``backend`` selects the FF-sweep kernel (see :mod:`repro.kernels`).
-    Every backend produces bit-identical block colorings, so the overall
-    result is backend-independent.
 
     Every round is guarded: each block's future is collected with
     ``round_timeout`` seconds, failed blocks (stalled, raised, corrupted
@@ -385,7 +376,7 @@ def mp_greedy_ff(
         raise ValueError(
             f"partition must be one of {sorted(PARTITIONS)}, got {partition!r}")
     rec = as_recorder(recorder)
-    resolved = kernels.resolve_backend(backend)
+    resolved = kernels.resolve_backend()
     position = None
     if num_workers > 1:
         # the partition fixes a global order; each round splits the
@@ -397,7 +388,7 @@ def mp_greedy_ff(
         colors, meta = run_rounds(
             Neighbourhood("d1", graph, graph.num_vertices, position),
             num_workers, transport="threads", max_rounds=max_rounds,
-            backend=resolved, plan=resolve_fault_plan(fault_plan),
+            plan=resolve_fault_plan(fault_plan),
             round_timeout=round_timeout, max_retries=max_retries,
             backoff=backoff, rec=rec)
     num_colors = int(colors.max(initial=-1)) + 1

@@ -128,7 +128,6 @@ def repair_coloring(
     graph: CSRGraph,
     colors: np.ndarray,
     *,
-    backend: str | None = None,
     recorder=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sequentially re-color exactly the invariant-violating vertices.
@@ -150,7 +149,7 @@ def repair_coloring(
     base = colors.copy()
     base[bad] = -1
     with rec.phase("repair"):
-        fixed = kernels.ff_sweep(graph, bad, base, backend=backend)
+        fixed = kernels.ff_sweep(graph, bad, base)
     if rec.enabled:
         rec.event("repair", vertices=int(bad.size),
                   num_colors=int(fixed.max(initial=-1)) + 1)
@@ -163,7 +162,6 @@ def heal(
     policy: str,
     *,
     fallback=None,
-    backend: str | None = None,
     recorder=None,
 ) -> tuple[Coloring, dict]:
     """Verify *coloring* and apply the ``on_failure`` *policy* if it fails.
@@ -203,8 +201,7 @@ def heal(
         report["fallback"] = True
         healed = fallback()
         return healed.with_meta(fallback_from=coloring.strategy), report
-    fixed, repaired = repair_coloring(graph, coloring.colors,
-                                      backend=backend, recorder=rec)
+    fixed, repaired = repair_coloring(graph, coloring.colors, recorder=rec)
     report["repaired"] = int(repaired.size)
     healed = Coloring(
         fixed, int(fixed.max(initial=-1)) + 1, coloring.strategy,

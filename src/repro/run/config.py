@@ -62,8 +62,10 @@ class RunConfig:
       must stay 1 in sequential mode.
     - ``machine``: optional machine model (or its registry name,
       ``"tilegx36"`` / ``"x7560"``) used to price the execution trace.
-    - ``backend``: kernel backend (``"reference"`` / ``"vectorized"``);
-      resolved once and applied wherever a kernel-backed sweep runs.
+    - ``backend``: kernel tier (``"reference"`` / ``"vectorized"``);
+      :func:`repro.run.execute` resolves it once and runs every kernel of
+      the job on it.  Both tiers give the same result, so a served job's
+      key leaves it out.
     - ``ordering``: vertex order for the (initial) greedy coloring.
     - ``seed``: root seed; guided runs derive independent child seeds for
       the initial coloring and the strategy (never the same stream twice).

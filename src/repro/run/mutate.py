@@ -22,7 +22,6 @@ def mutation_config(
     *,
     mode: str = "sequential",
     threads: int = 1,
-    backend: str | None = None,
     machine: str | None = None,
     on_failure: str = "raise",
 ) -> RunConfig:
@@ -31,7 +30,6 @@ def mutation_config(
         "incremental",
         mode=mode,
         threads=threads,
-        backend=backend,
         machine=machine,
         on_failure=on_failure,
     )

@@ -6,7 +6,9 @@ now happens exactly once:
 
 1. look the strategy up in the Table-I registry and pick its
    implementation for the requested execution mode;
-2. resolve the kernel backend (one ``kernels.resolve_backend`` call);
+2. resolve the kernel tier once (``kernels.resolve_backend``) and run
+   every later step inside ``kernels.use_backend`` of it, so no function
+   below takes a backend argument;
 3. split the root seed into independent children for the initial
    coloring and the strategy (``SeedSequence`` spawning, never a shared
    stream);
@@ -67,8 +69,6 @@ def _strategy_options(config: RunConfig, spec, impl) -> dict:
                 f"strategy {config.strategy!r} ({config.mode} mode) does not "
                 f"take {name}; accepted options: {sorted(impl.accepts)}"
             )
-    if config.backend is not None and "backend" in impl.accepts:
-        kwargs.setdefault("backend", config.backend)
     if config.fault_plan is not None:
         if "fault_plan" in impl.accepts:
             kwargs.setdefault("fault_plan", config.fault_plan)
@@ -100,7 +100,7 @@ def execute(
     """Run one (strategy, mode) pipeline end to end on *graph*.
 
     For guided strategies the Greedy-FF initial coloring is produced here
-    (honoring ``config.ordering``/``config.backend`` and the initial child
+    (honoring ``config.ordering`` and the initial child
     seed) unless a precomputed *initial* is passed — experiments that
     compare many strategies on one initial coloring pass it explicitly so
     it is computed once.  Ab initio strategies reject an *initial*.
@@ -108,6 +108,11 @@ def execute(
     ``recorder`` resolves like everywhere else (explicit argument, then
     the process-installed recorder, then the no-op null sink) and is
     threaded through both phases; attaching one never changes results.
+
+    The kernel tier is resolved once from ``config.backend`` (explicit
+    name, else the caller's scope, the environment or ``vectorized``), and
+    the initial coloring, the strategy, the heal and any fallback all run
+    inside :func:`repro.kernels.use_backend` of it.
 
     Sequential-mode results are bit-identical to the legacy direct calls
     (``color_and_balance`` and the concrete functions) — the parity
@@ -120,8 +125,7 @@ def execute(
         )
     impl = spec.implementation(config.mode)
     rec = as_recorder(recorder)
-    if config.backend is not None:
-        kernels.resolve_backend(config.backend)  # fail fast on typos
+    tier = kernels.resolve_backend(config.backend)
     machine = resolve_machine(config.machine)
     if machine is not None and config.threads > machine.num_cores:
         raise ValueError(
@@ -140,27 +144,27 @@ def execute(
     else:
         init_seed, strategy_seed = split_seed(config.seed)
 
-    t0 = perf_counter()
-    if spec.category == "guided" and initial is None:
-        initial = greedy_coloring(graph, choice="ff", ordering=config.ordering,
-                                  seed=init_seed, backend=config.backend,
-                                  recorder=rec)
-    t1 = perf_counter()
-    coloring = impl(graph, initial, threads=config.threads, seed=strategy_seed,
-                    recorder=rec, **kwargs)
-    t2 = perf_counter()
+    with kernels.use_backend(tier):
+        t0 = perf_counter()
+        if spec.category == "guided" and initial is None:
+            initial = greedy_coloring(graph, choice="ff", ordering=config.ordering,
+                                      seed=init_seed, recorder=rec)
+        t1 = perf_counter()
+        coloring = impl(graph, initial, threads=config.threads, seed=strategy_seed,
+                        recorder=rec, **kwargs)
+        t2 = perf_counter()
 
-    # self-healing verification: audit the invariants every mode promises
-    # (properness, full coverage, palette range) and apply the on_failure
-    # policy; a clean check returns the coloring unchanged, so healthy
-    # runs stay bit-identical to the legacy direct calls.
-    strategy_meta = coloring.meta
-    coloring, report = heal(
-        graph, coloring, config.on_failure,
-        fallback=lambda: _sequential_fallback(graph, config, spec, initial,
-                                              strategy_seed, rec),
-        backend=config.backend, recorder=rec,
-    )
+        # self-healing verification: audit the invariants every mode
+        # promises (properness, full coverage, palette range) and apply the
+        # on_failure policy; a clean check returns the coloring unchanged,
+        # so healthy runs stay bit-identical to the legacy direct calls.
+        strategy_meta = coloring.meta
+        coloring, report = heal(
+            graph, coloring, config.on_failure,
+            fallback=lambda: _sequential_fallback(graph, config, spec, initial,
+                                                  strategy_seed, rec),
+            recorder=rec,
+        )
     t3 = perf_counter()
 
     trace = coloring.meta.get("trace")
@@ -203,8 +207,6 @@ def _sequential_fallback(graph, config, spec, initial, strategy_seed, rec):
     """
     impl = spec.implementation("sequential")
     kwargs: dict = {}
-    if config.backend is not None and "backend" in impl.accepts:
-        kwargs["backend"] = config.backend
     if "rounds" in impl.accepts:
         kwargs["rounds"] = config.rounds
     if "weight" in impl.accepts:

@@ -10,7 +10,14 @@ colorings.  This module turns that observation into stable keys:
   (complete ``indptr`` and ``indices``, never a prefix);
 - :func:`config_fingerprint` — the config half, a SHA-256 of the
   canonical JSON serialization of :meth:`RunConfig.to_dict` (sorted keys,
-  fixed separators), so dict ordering and whitespace never matter;
+  fixed separators), so dict ordering and whitespace never matter.  The
+  kernel tier (``backend``) is hashed as ``null`` whatever it names: both
+  tiers compute the same coloring, so configs that differ only in it are
+  one job.  A ``backend="reference"`` submit may therefore be answered
+  from a cached result the C tier computed, whose ``meta["backend"]``
+  says ``vectorized``; the colors are the same.  Keys of configs without
+  a backend are unchanged by this rule, and an entry stored under an
+  explicit backend re-keys and misses, never returns a wrong result;
 - :func:`job_key` — the combined cache key used by the result cache and
   the in-flight deduplication of the scheduler.
 
@@ -57,7 +64,9 @@ def config_fingerprint(config: RunConfig | dict) -> str:
         raise TypeError(
             f"config_fingerprint needs a RunConfig, got {type(config).__name__}"
         )
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    # the kernel tier never changes a result, so it is not part of a job
+    canonical = json.dumps({**config, "backend": None}, sort_keys=True,
+                           separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -72,7 +81,8 @@ def job_key(graph: CSRGraph, config: RunConfig | dict) -> str:
     return h.hexdigest()
 
 
-def mutation_job_key(base_key: str, delta_digest: str, config: RunConfig) -> str:
+def mutation_job_key(base_key: str, delta_digest: str,
+                     config: RunConfig | dict) -> str:
     """Cache key for an incremental re-color of a mutated graph.
 
     The identity is ``(base job, delta, config)`` rather than the mutated

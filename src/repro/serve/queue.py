@@ -36,6 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..coloring.strategies import STRATEGIES
@@ -203,7 +204,8 @@ class SubmissionQueue:
 
     # ------------------------------------------------------------------
     def submit(self, graph: CSRGraph, config: RunConfig, *,
-               key: str | None = None, initial: Coloring | None = None,
+               key: Callable[[dict], str] | None = None,
+               initial: Coloring | None = None,
                tenant: str | None = None, priority: str = "normal",
                meta: dict | None = None,
                deadline_ms: float | None = None) -> Job:
@@ -213,11 +215,13 @@ class SubmissionQueue:
         requests are cheap to refuse; the backlog and quota checks are
         last, so an invalid request never occupies a queue slot.
 
-        *key* overrides the default content key — mutation jobs are keyed
-        on (base job, delta, config) rather than the mutated graph's own
-        fingerprint (see :func:`repro.serve.fingerprint.mutation_job_key`)
-        — and *initial* is a precomputed coloring forwarded to
-        ``execute`` (the carried-forward base for mutation jobs).  *meta*
+        *key*, a function of the config's ``to_dict()`` mapping (so the
+        config serializes once), overrides the default content key —
+        mutation jobs are keyed on (base job, delta, config) rather than
+        the mutated graph's own fingerprint (see
+        :func:`repro.serve.fingerprint.mutation_job_key`) — and *initial*
+        is a precomputed coloring forwarded to ``execute`` (the
+        carried-forward base for mutation jobs).  *meta*
         seeds the job's bookkeeping dict and is persisted with the store
         row, so recovery sees it too.  *deadline_ms* is a wall-clock
         budget from submission: once it elapses, the job is failed fast
@@ -245,8 +249,7 @@ class SubmissionQueue:
                 self._rejected_invalid += 1
             self._rec.count("serve.queue.rejected_invalid")
             raise AdmissionError(reason)
-        if key is None:
-            key = job_key(graph, config_dict)
+        key = job_key(graph, config_dict) if key is None else key(config_dict)
         with self._lock:
             if self._in_flight >= self.max_pending:
                 self._rejected += 1

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
+from functools import partial
 
 from ..graph import datasets
 from ..graph.csr import CSRGraph
@@ -343,11 +344,11 @@ class ColoringService:
             raise MutationError(f"invalid delta: {exc}", status=400) from None
         config = mutation_config(mode=mode, threads=threads,
                                  on_failure=base.config.on_failure)
-        key = mutation_job_key(base.key, batch.digest(), config)
         meta = {"base_job_id": base_job_id, "delta_digest": batch.digest(),
                 "dirty_vertices": int(dirty.size),
                 "initial_from_key": base.key}
-        job = self.queue.submit(mutated, config, key=key,
+        job = self.queue.submit(mutated, config,
+                                key=partial(mutation_job_key, base.key, batch.digest()),
                                 initial=base.result.coloring, meta=meta,
                                 tenant=tenant, priority=priority,
                                 deadline_ms=deadline_ms)

@@ -180,11 +180,9 @@ class TestD2Kernels:
         work = rng.permutation(120).astype(np.int64)[:80]
         base = np.full(120, -1, dtype=np.int64)
         base[rng.integers(0, 120, 40)] = rng.integers(0, 10, 40)
-        ref = kernels.d2_sweep(bip.incidence, 120, work, base,
-                               backend="reference")
-        vec = kernels.d2_sweep(bip.incidence, 120, work, base,
-                               backend="vectorized")
-        assert np.array_equal(ref, vec)
+        with kernels.use_backend("reference"):
+            ref = kernels.d2_sweep(bip.incidence, 120, work, base)
+        assert np.array_equal(ref, kernels.d2_sweep(bip.incidence, 120, work, base))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_conflicts_backend_parity(self, seed):
@@ -192,11 +190,9 @@ class TestD2Kernels:
         rng = np.random.default_rng(seed + 200)
         colors = rng.integers(-1, 8, 120).astype(np.int64)
         work = np.unique(rng.integers(0, 120, 60)).astype(np.int64)
-        ref = kernels.d2_conflicts(bip.incidence, 120, colors, work,
-                                   backend="reference")
-        vec = kernels.d2_conflicts(bip.incidence, 120, colors, work,
-                                   backend="vectorized")
-        assert np.array_equal(ref, vec)
+        with kernels.use_backend("reference"):
+            ref = kernels.d2_conflicts(bip.incidence, 120, colors, work)
+        assert np.array_equal(ref, kernels.d2_conflicts(bip.incidence, 120, colors, work))
 
     def test_sweep_defaults_color_all_rows(self):
         bip = random_pattern(60, 15, 200, seed=7)

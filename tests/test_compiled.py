@@ -30,6 +30,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -48,6 +49,7 @@ from repro.bipartite import (
     mp_partial_d2,
     optimistic_partial_d2,
 )
+from repro.coloring import STRATEGIES, assert_distance2_proper
 from repro.coloring.verify import (
     assert_proper,
     conflicting_vertices,
@@ -92,20 +94,22 @@ PATHS = ("reference", "numpy", "compiled")
 def on_path(path: str):
     """Send every kernel call in the block down *path* (``default``: as is).
 
-    Sets and restores module state directly, so it is safe inside
-    hypothesis examples and in a process where the library failed to load.
+    ``reference`` opens a :func:`repro.kernels.use_backend` scope; the
+    other two set and restore the library state directly, so they are
+    safe inside hypothesis examples and in a process where the library
+    failed to load.
     """
-    saved = compiled._state, kernels._override
-    if path == "reference":
-        kernels._override = "reference"
-    elif path == "numpy":
-        compiled._state = (None, "disabled by the test")
-    elif path == "compiled":
-        compiled._state = (_Tripwire(), None)
+    if path not in ("numpy", "compiled"):
+        with kernels.use_backend("reference" if path == "reference" else None):
+            yield
+        return
+    saved = compiled._state
+    compiled._state = ((None, "disabled by the test") if path == "numpy"
+                       else (_Tripwire(), None))
     try:
         yield
     finally:
-        compiled._state, kernels._override = saved
+        compiled._state = saved
 
 
 def assert_same(want, got):
@@ -589,7 +593,8 @@ CHECK_CASES = {
 class Kernel:
     """One public kernel: how to call it, what it must match, what it rejects."""
 
-    #: ``(args, backend) -> result``; results compare with :func:`assert_same`
+    #: ``(*args) -> result`` on the tier in scope; results compare with
+    #: :func:`assert_same`
     call: Callable
     #: the module attribute the oracle tier runs
     oracle: tuple[object, str]
@@ -603,55 +608,35 @@ class Kernel:
     check: Callable | None = None
 
 
-def plain(fn):
-    return lambda args, backend: fn(*args, backend=backend)
-
-
-def call_d2_conflicts(args, backend):
+def call_d2_conflicts(*args):
     """*args* may end with the ``cols`` subset to scan."""
-    return kernels.d2_conflicts(*args[:4], cols=args[4] if len(args) > 4 else None,
-                                backend=backend)
+    return kernels.d2_conflicts(*args[:4], cols=args[4] if len(args) > 4 else None)
 
 
-def call_drain(args, backend):
+def call_drain(*args):
     *rest, choice = args
-    moves = kernels.d2_drain_pass(*rest, choice=choice, backend=backend)
+    moves = kernels.d2_drain_pass(*rest, choice=choice)
     return (*rest[2:5], moves)  # colors, sizes, under: mutated in place
 
 
-def call_shuffle(args, backend):
+def call_shuffle(graph, colors, sizes, g, choice, traversal, vertex_w):
     """Colors, sizes, moves and the ``drain_round`` events of one drain."""
-    graph, colors, sizes, g, choice, traversal, vertex_w = args
     rec = Recorder()
     moves = kernels.shuffle_drain(graph, colors, sizes, g, choice=choice,
                                   traversal=traversal, vertex_w=vertex_w,
-                                  backend=backend, recorder=rec)
+                                  recorder=rec)
     return colors, sizes, moves, [(e["source_bin"], e["moves"], e["rsd_percent"])
                                   for e in rec.events_of("drain_round")]
 
 
-def call_commit(args, backend):
-    return args[1], kernels.sched_commit(*args, backend=backend)  # colors: in place
+def call_commit(*args):
+    return args[1], kernels.sched_commit(*args)  # colors: in place
 
 
-def selected(fn):
-    """For kernels without ``backend=``: they follow the process-wide
-    selection, which a non-``None`` *backend* overrides for the call."""
-    def call(args, backend):
-        saved = kernels._override
-        if backend is not None:
-            kernels._override = backend
-        try:
-            return fn(*args)
-        finally:
-            kernels._override = saved
-    return call
-
-
-def call_check(args, backend):
+def call_check(graph):
     """``None`` for a valid CSR, else the message of the invariant it fails."""
     try:
-        selected(kernels.csr_check)(args, backend)
+        kernels.csr_check(graph)
     except ValueError as exc:
         if str(exc) not in reference.CSR_ERRORS:
             raise
@@ -813,7 +798,7 @@ def _detect_row(fn_name: str, rule: str) -> Kernel:
     makes = ([lambda make=make: BipartiteGraph.square_cover(make()) for make in DETECT_GRAPHS]
              if d2 else DETECT_GRAPHS)
     return Kernel(
-        call=call_d2_conflicts if d2 else plain(getattr(kernels, fn_name)),
+        call=call_d2_conflicts if d2 else getattr(kernels, fn_name),
         oracle=(reference, "d2_conflicts") if d2 else (conflicts, fn_name),
         draw=st.builds(detect_case, incidences() if d2 else simple_graphs(),
                        st.sampled_from(DETECT_KINDS), SEEDS),
@@ -828,7 +813,7 @@ def _detect_row(fn_name: str, rule: str) -> Kernel:
 
 KERNELS: dict[str, Kernel] = {
     "ff_sweep": Kernel(
-        call=plain(kernels.ff_sweep),
+        call=kernels.ff_sweep,
         oracle=(reference, "ff_sweep"),
         draw=st.builds(sweep_case, simple_graphs(), st.sampled_from(SWEEP_KINDS), SEEDS),
         fixed={f"{gid}-{kind}": partial(_cases, [make], sweep_case, kind)
@@ -838,7 +823,7 @@ KERNELS: dict[str, Kernel] = {
         check=_sweep_ok,
     ),
     "d2_sweep": Kernel(
-        call=plain(kernels.d2_sweep),
+        call=kernels.d2_sweep,
         oracle=(reference, "d2_sweep"),
         draw=st.builds(sweep_case, incidences(), st.sampled_from(SWEEP_KINDS), SEEDS),
         fixed={f"{gid}-{kind}": partial(_cases, [make], sweep_case, kind)
@@ -852,7 +837,7 @@ KERNELS: dict[str, Kernel] = {
         check=_sweep_ok,
     ),
     "capacity_sweep": Kernel(
-        call=plain(kernels.capacity_sweep),
+        call=kernels.capacity_sweep,
         oracle=(reference, "capacity_sweep"),
         draw=st.builds(capacity_case, simple_graphs(), st.sampled_from(CAPACITY_KINDS),
                        SEEDS),
@@ -866,7 +851,7 @@ KERNELS: dict[str, Kernel] = {
     "detect_cross_conflicts": _detect_row("detect_cross_conflicts", "cross"),
     "d2_conflicts": _detect_row("d2_conflicts", "d2"),
     "count_monochromatic_edges": Kernel(
-        call=plain(kernels.count_monochromatic_edges),
+        call=kernels.count_monochromatic_edges,
         oracle=(conflicts, "count_monochromatic_edges"),
         draw=st.builds(verify_case, simple_graphs(), st.sampled_from(VERIFY_KINDS), SEEDS),
         fixed={kind: partial(_cases, VERIFY_GRAPHS, verify_case, kind, seeds=range(2))
@@ -876,7 +861,7 @@ KERNELS: dict[str, Kernel] = {
         check=lambda args, got: type(got) is int and got == d1_truth(*args),
     ),
     "d2_violating_column": Kernel(
-        call=plain(kernels.d2_violating_column),
+        call=kernels.d2_violating_column,
         oracle=(reference, "d2_violating_column"),
         draw=st.builds(verify_case, incidences(), st.sampled_from(VERIFY_KINDS), SEEDS),
         fixed={kind: partial(_cases, VERIFY_INCIDENCES, verify_case, kind, seeds=range(2))
@@ -962,7 +947,7 @@ KERNELS: dict[str, Kernel] = {
         },
     ),
     "csr_assemble": Kernel(
-        call=selected(kernels.csr_assemble),
+        call=kernels.csr_assemble,
         oracle=(reference, "csr_assemble"),
         draw=edge_arrays(),
         fixed=ASSEMBLE_CASES,
@@ -994,17 +979,19 @@ KERNELS: dict[str, Kernel] = {
 }
 
 #: every malformed-input call
-MALFORMED = {case: partial(row.call, args, None)
+MALFORMED = {case: partial(row.call, *args)
              for row in KERNELS.values() for case, args in row.malformed.items()}
 
 
 # ----------------------------------------------------------------------
 # the three generic checks
 # ----------------------------------------------------------------------
-def run(name: str, args: tuple, backend):
-    """Row *name* on private copies of the arrays in *args*."""
-    return KERNELS[name].call(
-        tuple(a.copy() if isinstance(a, np.ndarray) else a for a in args), backend)
+def run(name: str, args: tuple, path: str = "default"):
+    """Row *name* down *path* (see :func:`on_path`), on private copies of
+    the arrays in *args*."""
+    with on_path(path):
+        return KERNELS[name].call(
+            *(a.copy() if isinstance(a, np.ndarray) else a for a in args))
 
 
 def assert_c_matches_oracle(name: str, args: tuple):
@@ -1012,8 +999,7 @@ def assert_c_matches_oracle(name: str, args: tuple):
     when the library loaded) agree bit for bit; returns the result."""
     outs = []
     for path in ("reference", "numpy", "default"):
-        with on_path(path):
-            outs.append(run(name, args, None))
+        outs.append(run(name, args, path))
     for got in outs[1:]:
         assert_same(outs[0], got)
     check = KERNELS[name].check
@@ -1039,7 +1025,7 @@ def assert_dispatch_runs_c(monkeypatch, *names: str) -> None:
         with monkeypatch.context() as m:
             m.setattr(*row.oracle, lambda *a, **k: pytest.fail(f"{name}: the oracle ran"))
             for args, expected in zip(cases, want):
-                assert_same(expected, run(name, args, None))
+                assert_same(expected, run(name, args))
 
 
 # bindings of the checks to test names, one kernel family at a time
@@ -1299,7 +1285,7 @@ class TestVerifyDifferential:
             monkeypatch.setattr(CSRGraph, attr,
                                 lambda *a, **k: pytest.fail("edge list built"))
         for name, args in runs:
-            run(name, args, None)
+            run(name, args)
 
     def test_c_guards_graph_indices(self):
         """Unvalidated graphs with out-of-range indices fail cleanly in C."""
@@ -1467,9 +1453,9 @@ class TestKernelDifferential:
     def test_empty_candidates_and_plan_are_noops(self):
         empty = np.empty(0, dtype=np.int64)
         drain = KERNELS["d2_drain_pass"].fixed["band-cover-ff"]()[0]
-        assert run("d2_drain_pass", (*drain[:6], empty, "ff"), None)[-1] == 0
+        assert run("d2_drain_pass", (*drain[:6], empty, "ff"))[-1] == 0
         graph, colors, _, _ = KERNELS["sched_commit"].fixed["band"]()[0]
-        assert run("sched_commit", (graph, colors, empty, empty), None)[-1] == 0
+        assert run("sched_commit", (graph, colors, empty, empty))[-1] == 0
 
 
 @pytest.mark.parametrize("case", [c for c in MALFORMED
@@ -1507,25 +1493,28 @@ _RUN_STATE_KEYS = {"backend", "pool_reused"}
 
 
 def _meta(coloring, skip=_RUN_STATE_KEYS) -> dict:
-    return {k: v for k, v in coloring.meta.items() if k not in skip}
+    return {k: v.to_dict() if k == "trace" else v
+            for k, v in coloring.meta.items() if k not in skip}
 
 
-def assert_run_matches(graph, config, path: str, skip=_RUN_STATE_KEYS):
-    """*config* gives the same coloring, meta and ``drain_round`` events by
-    default and on *path*; returns the default coloring and its events."""
+def assert_run_matches(graph, config, path: str, skip=_RUN_STATE_KEYS, oracle=None):
+    """*config* by default and *oracle* (default: *config*) on *path* give
+    the same coloring, meta and ``drain_round`` events; returns the default
+    result and its events."""
     runs = []
-    for where in ("default", path):
+    for where, cfg in (("default", config), (path, oracle or config)):
         rec = Recorder()
         with on_path(where):
-            coloring = execute(graph, config, recorder=rec).coloring
-        runs.append((coloring, [(e["source_bin"], e["moves"], e["rsd_percent"])
-                                for e in rec.events if e["kind"] == "drain_round"]))
-    (default, drains), (other, other_drains) = runs
+            result = execute(graph, cfg, recorder=rec)
+        runs.append((result, [(e["source_bin"], e["moves"], e["rsd_percent"])
+                              for e in rec.events if e["kind"] == "drain_round"]))
+    (result, drains), (other, other_drains) = runs
+    default, other = result.coloring, other.coloring
     assert np.array_equal(default.colors, other.colors)
     assert (default.num_colors, default.strategy) == (other.num_colors, other.strategy)
     assert _meta(default, skip) == _meta(other, skip)
     assert drains == other_drains
-    return default, drains
+    return result, drains
 
 
 E2E_CASES = [
@@ -1547,42 +1536,63 @@ def test_execute_matches_python_loops(strategy, mode, extra, how):
     graph = (load_dataset("cnr", scale=0.05, seed=0) if strategy.startswith("sched")
              else erdos_renyi_graph(250, 0.03, seed=7))
     skip = _RUN_STATE_KEYS if how == "reference-backend" else {"pool_reused"}
-    default, default_drains = assert_run_matches(
+    result, default_drains = assert_run_matches(
         graph, RunConfig(strategy, mode=mode, **extra),
         "reference" if how == "reference-backend" else "numpy", skip)
     if strategy == "d2-balanced":
-        assert default_drains and default.meta["moves"] > 0
+        assert default_drains and result.coloring.meta["moves"] > 0
     else:
-        assert default.meta["committed"] > 0
+        assert result.coloring.meta["committed"] > 0
 
 
-SWEEP_E2E_CASES = [
-    ("greedy-ff", "sequential", {}),
-    ("vff", "sequential", {}),
-    ("sched-rev", "sequential", {}),
-    ("recoloring", "sequential", {}),
-    ("d2-optimistic", "sequential", {}),
-    ("d2-balanced", "sequential", {}),
-    ("greedy-ff", "mp", {"threads": 2}),
-    ("d2-optimistic", "mp", {"threads": 2}),
-    ("d2-balanced", "mp", {"threads": 2}),
+#: every (strategy, mode) of the registry, the parallel modes on two
+#: threads; then a corrupt block repaired after the run, and stale-snapshot
+#: workers, whose collisions with finalized higher-id neighbors only the
+#: cross and d2 detection rules catch
+TIER_CASES = [(s, m, {} if m == "sequential" else {"threads": 2})
+              for s, spec in STRATEGIES.items() for m in spec.modes] + [
     ("greedy-ff", "mp", {"threads": 2, "on_failure": "repair",
                          "fault_plan": "corrupt@r0.w1"}),
-    # a stale-snapshot worker: only the cross and d2 detection rules catch
-    # its collisions with finalized higher-id neighbors
-    ("greedy-ff", "mp", {"threads": 2, "fault_plan": "stale@r1.w0"}),
-    ("d2-optimistic", "mp", {"threads": 2, "fault_plan": "stale@r1.w0"}),
-    ("d2-balanced", "mp", {"threads": 2, "fault_plan": "stale@r1.w0"}),
+    *((s, "mp", {"threads": 2, "fault_plan": "stale@r1.w0"})
+      for s in ("greedy-ff", "d2-optimistic", "d2-balanced")),
 ]
 
 
-@pytest.mark.parametrize("strategy,mode,extra", SWEEP_E2E_CASES,
+@pytest.mark.parametrize("strategy,mode,extra", TIER_CASES,
                          ids=["-".join([s, m, *(f"{k}={v}" for k, v in sorted(e.items()))])
-                              for s, m, e in SWEEP_E2E_CASES])
+                              for s, m, e in TIER_CASES])
 def test_sweeps_end_to_end_match_reference(strategy, mode, extra):
-    graph = (erdos_renyi_graph(300, 0.03, seed=7) if strategy.startswith("d2")
+    """The default run and a ``backend="reference"`` run agree, and the
+    reference run calls no C kernel: the tripwire stands in for the
+    library, on the team threads too."""
+    d2 = strategy.startswith("d2")
+    graph = (erdos_renyi_graph(300, 0.03, seed=7) if d2
              else load_dataset("cnr", scale=0.05, seed=0))
-    assert_run_matches(graph, RunConfig(strategy, mode=mode, **extra), "reference")
+    config = RunConfig(strategy, mode=mode, seed=0, **extra)
+    result, _ = assert_run_matches(graph, config, "compiled",
+                                   oracle=config.replace(backend="reference"))
+    (assert_distance2_proper if d2 else assert_proper)(graph, result.coloring)
+    if STRATEGIES[strategy].same_color_count:
+        assert result.coloring.num_colors == result.initial.num_colors
+
+
+def test_concurrent_jobs_keep_their_own_tier(monkeypatch):
+    """Two threads execute at once, one per tier: each result names its
+    own tier, and the ``reference`` thread never asks for the library."""
+    graph = load_dataset("cnr", scale=0.05, seed=0)
+    callers, real, barrier = set(), compiled.load, threading.Barrier(2)
+    monkeypatch.setattr(compiled, "load", lambda: callers.add(threading.get_ident()) or real())
+
+    def job(tier):
+        barrier.wait()
+        return threading.get_ident(), [
+            execute(graph, RunConfig(s, backend=tier)).coloring.meta["backend"]
+            for s in ("recoloring", "vff", "greedy-ff")]
+
+    with ThreadPoolExecutor(2) as team:
+        (ref_thread, ref), (_, vec) = team.map(job, kernels.BACKENDS)
+    assert (ref, vec) == (["reference"] * 3, ["vectorized"] * 3)
+    assert ref_thread not in callers
 
 
 def test_inline_transport_matches_reference():
@@ -1592,9 +1602,9 @@ def test_inline_transport_matches_reference():
     bip = BipartiteGraph.square_cover(erdos_renyi_graph(300, 0.03, seed=7))
     for hood in (Neighbourhood("d1", graph, graph.num_vertices, position),
                  Neighbourhood("d2", bip.incidence, bip.num_rows)):
-        (colors, meta), (oracle_colors, oracle_meta) = [
-            run_rounds(hood, 2, transport="inline", backend=backend)
-            for backend in ("vectorized", "reference")]
+        colors, meta = run_rounds(hood, 2, transport="inline")
+        with on_path("reference"):
+            oracle_colors, oracle_meta = run_rounds(hood, 2, transport="inline")
         assert np.array_equal(colors, oracle_colors)
         assert meta == oracle_meta and meta["rounds"] > 1
 
@@ -1606,7 +1616,8 @@ def test_repair_matches_reference():
     broken = colors.copy()
     broken[u[::7]] = colors[v[::7]]  # monochromatic edges to repair
     fixed, repaired = repair_coloring(graph, broken)
-    oracle, oracle_repaired = repair_coloring(graph, broken, backend="reference")
+    with on_path("reference"):
+        oracle, oracle_repaired = repair_coloring(graph, broken)
     assert repaired.size > 0 and np.array_equal(repaired, oracle_repaired)
     assert np.array_equal(fixed, oracle)
 
@@ -1632,7 +1643,7 @@ def assert_fallback_matches_reference(reason_part: str) -> None:
     for name, row in KERNELS.items():
         for make in row.fixed.values():
             args = make()[0]
-            assert_same(run(name, args, "reference"), run(name, args, None))
+            assert_same(run(name, args, "reference"), run(name, args))
 
 
 class TestFallback:
@@ -1697,7 +1708,7 @@ class TestFallback:
 
         def worker(i):
             barrier.wait()
-            out[i] = (compiled.load(), run("d2_drain_pass", args, None))
+            out[i] = (compiled.load(), run("d2_drain_pass", args))
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()

@@ -212,18 +212,19 @@ class TestIncrementalRecolor:
         assert is_proper(mutated, carried)  # no added edges => stays proper
 
     def test_reference_backend_runs_every_kernel(self, graph, base, monkeypatch):
-        """``backend="reference"`` reaches the seed sweep and the capacity
+        """A ``reference`` scope reaches the seed sweep and the capacity
         sweep: with C forced to fail, the result still matches."""
-        from repro.kernels import compiled
+        from repro.kernels import compiled, use_backend
 
         def no_c():
-            raise AssertionError("C kernel ran under backend='reference'")
+            raise AssertionError("C kernel ran under the reference tier")
 
         mutated, _ = apply_delta(
             graph, random_churn(graph, 0.02, seed=5, add_vertices=3))
         want = incremental_recolor(mutated, base)
         monkeypatch.setattr(compiled, "load", no_c)
-        got = incremental_recolor(mutated, base, backend="reference")
+        with use_backend("reference"):
+            got = incremental_recolor(mutated, base)
         assert np.array_equal(got.colors, want.colors)
         assert got.meta["backend"] == "reference"
 

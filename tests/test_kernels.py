@@ -7,8 +7,8 @@ under every backend (any work list, any base snapshot), and
 and ``drain_round`` events under every backend for every shuffle variant
 (the drain's own properties are checked on its row of
 ``tests/test_compiled.py``).
-The dispatch machinery (argument > override > environment > default) is
-tested separately from the kernels themselves.
+The tier selection (argument > ``use_backend`` scope > environment >
+default) is tested separately from the kernels themselves.
 """
 
 import numpy as np
@@ -66,10 +66,13 @@ def fixed_graphs():
     ]
 
 
-@pytest.fixture(autouse=True)
-def _reset_backend_override():
-    yield
-    kernels.set_default_backend(None)
+def on_both_tiers(fn, *args, **kwargs):
+    """*fn* under each tier, in ``BACKENDS`` order."""
+    runs = []
+    for tier in kernels.BACKENDS:
+        with kernels.use_backend(tier):
+            runs.append(fn(*args, **kwargs))
+    return runs
 
 
 # ----------------------------------------------------------------------
@@ -81,16 +84,14 @@ class TestFFSweepEquivalence:
     )
     @pytest.mark.parametrize("ordering", ["natural", "random", "largest_first", "smallest_last"])
     def test_bit_identical_full_sweep(self, g, ordering):
-        a = greedy_coloring(g, ordering=ordering, seed=3, backend="reference")
-        b = greedy_coloring(g, ordering=ordering, seed=3, backend="vectorized")
+        a, b = on_both_tiers(greedy_coloring, g, ordering=ordering, seed=3)
         assert np.array_equal(a.colors, b.colors)
         assert a.num_colors == b.num_colors
 
     @settings(max_examples=60, deadline=None)
     @given(graphs(), st.sampled_from(["natural", "random", "largest_first"]))
     def test_bit_identical_property(self, g, ordering):
-        a = greedy_coloring(g, ordering=ordering, seed=1, backend="reference")
-        b = greedy_coloring(g, ordering=ordering, seed=1, backend="vectorized")
+        a, b = on_both_tiers(greedy_coloring, g, ordering=ordering, seed=1)
         assert np.array_equal(a.colors, b.colors)
 
     @settings(max_examples=60, deadline=None)
@@ -102,47 +103,36 @@ class TestFFSweepEquivalence:
         base = rng.integers(-1, 4, size=n).astype(np.int64)
         k = int(rng.integers(0, n + 1))
         work = rng.permutation(n)[:k].astype(np.int64)
-        a = kernels.ff_sweep(g, work, base, backend="reference")
-        b = kernels.ff_sweep(g, work, base, backend="vectorized")
+        a, b = on_both_tiers(kernels.ff_sweep, g, work, base)
         assert np.array_equal(a, b)
         untouched = np.setdiff1d(np.arange(n), work)
         assert np.array_equal(a[untouched], base[untouched])
 
     def test_empty_work_list_returns_base_copy(self, random_graph):
         base = np.full(random_graph.num_vertices, -1, dtype=np.int64)
-        out = kernels.ff_sweep(random_graph, np.empty(0, dtype=np.int64), base,
-                               backend="vectorized")
+        out = kernels.ff_sweep(random_graph, np.empty(0, dtype=np.int64), base)
         assert np.array_equal(out, base)
         assert out is not base
 
     def test_lu_and_random_delegate_to_reference_loop(self, random_graph):
         """Non-FF choice rules are sequential under every backend."""
         for choice in ("lu", "random"):
-            a = greedy_coloring(random_graph, choice=choice, seed=9,
-                                backend="reference")
-            b = greedy_coloring(random_graph, choice=choice, seed=9,
-                                backend="vectorized")
+            a, b = on_both_tiers(greedy_coloring, random_graph, choice=choice, seed=9)
             assert np.array_equal(a.colors, b.colors)
 
 
 # ----------------------------------------------------------------------
 # Shuffle drain: one result under every backend
 # ----------------------------------------------------------------------
-def shuffle_runs(g, init, **kwargs):
-    """``shuffle_balance`` under both backends: ``(coloring, drain_round
-    events)`` per backend name."""
-    runs = {}
-    for backend in kernels.available_backends():
-        rec = Recorder()
-        out = shuffle_balance(g, init, backend=backend, recorder=rec, **kwargs)
-        runs[backend] = out, [(e["source_bin"], e["moves"], e["rsd_percent"])
-                              for e in rec.events_of("drain_round")]
-    return runs
-
-
 def assert_backends_identical(g, init, **kwargs):
-    """Same colors, meta but the backend name, and drain events."""
-    (ref, ref_events), (vec, vec_events) = shuffle_runs(g, init, **kwargs).values()
+    """Same colors, meta but the backend name, and drain events on both tiers."""
+    def drain():
+        rec = Recorder()
+        return shuffle_balance(g, init, recorder=rec, **kwargs), [
+            (e["source_bin"], e["moves"], e["rsd_percent"])
+            for e in rec.events_of("drain_round")]
+
+    (ref, ref_events), (vec, vec_events) = on_both_tiers(drain)
     assert np.array_equal(ref.colors, vec.colors)
     assert ref.num_colors == vec.num_colors == init.num_colors
     assert ({**ref.meta, "backend": None} == {**vec.meta, "backend": None})
@@ -164,7 +154,7 @@ class TestShuffleEquivalence:
     def test_moves_metadata_counts_actual_moves(self):
         g = erdos_renyi_graph(400, 0.03, seed=13)
         init = greedy_coloring(g)
-        vec = shuffle_balance(g, init, backend="vectorized")
+        vec = shuffle_balance(g, init)
         assert vec.meta["moves"] == int((vec.colors != init.colors).sum())
         assert vec.meta["backend"] == "vectorized"
 
@@ -201,15 +191,13 @@ class TestConflictKernels:
 # ----------------------------------------------------------------------
 class TestBackendDispatch:
     def test_available_backends(self):
-        assert kernels.available_backends() == ("reference", "vectorized")
+        assert kernels.BACKENDS == ("reference", "vectorized")
 
-    def test_invalid_backend_rejected(self, random_graph):
-        with pytest.raises(ValueError, match="backend"):
-            greedy_coloring(random_graph, backend="numba")
+    def test_invalid_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             kernels.resolve_backend("gpu")
-        with pytest.raises(ValueError, match="backend"):
-            kernels.set_default_backend("cuda")
+        with pytest.raises(ValueError, match="backend"), kernels.use_backend("cuda"):
+            pass
 
     def test_default_and_explicit_resolution(self):
         assert kernels.resolve_backend(None) == "vectorized"
@@ -217,59 +205,50 @@ class TestBackendDispatch:
 
     def test_env_var_selects_backend(self, monkeypatch, random_graph):
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-        assert kernels.get_default_backend() == "reference"
+        assert kernels.resolve_backend() == "reference"
         c = greedy_coloring(random_graph)
         assert c.meta["backend"] == "reference"
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "turbo")
         with pytest.raises(ValueError, match="REPRO_KERNEL_BACKEND"):
-            kernels.get_default_backend()
+            kernels.resolve_backend()
 
     def test_override_beats_env_var(self, monkeypatch):
+        """Argument > innermost scope > environment; ``None`` opens no scope."""
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-        kernels.set_default_backend("vectorized")
-        assert kernels.resolve_backend(None) == "vectorized"
-        kernels.set_default_backend(None)
-        assert kernels.resolve_backend(None) == "reference"
+        with kernels.use_backend("vectorized"), kernels.use_backend(None):
+            assert kernels.resolve_backend() == "vectorized"
+            assert kernels.resolve_backend("reference") == "reference"
+        assert kernels.resolve_backend() == "reference"
 
     def test_meta_records_backend(self, random_graph):
         assert greedy_coloring(random_graph).meta["backend"] == "vectorized"
         assert greedy_coloring(random_graph, choice="lu").meta["backend"] == "reference"
         init = greedy_coloring(random_graph)
         assert shuffle_balance(random_graph, init).meta["backend"] == "vectorized"
-        assert shuffle_balance(random_graph, init, backend="reference").meta[
-            "backend"] == "reference"
+        with kernels.use_backend("reference"):
+            assert shuffle_balance(random_graph, init).meta["backend"] == "reference"
 
 
 # ----------------------------------------------------------------------
-# Backend threading through the higher layers
+# The tier in scope reaches the higher layers
 # ----------------------------------------------------------------------
 class TestBackendThreading:
     def test_iterated_greedy_backends_identical(self, random_graph):
         init = greedy_coloring(random_graph)
-        a = iterated_greedy(random_graph, init, iterations=2, backend="reference")
-        b = iterated_greedy(random_graph, init, iterations=2, backend="vectorized")
+        a, b = on_both_tiers(iterated_greedy, random_graph, init, iterations=2)
         assert np.array_equal(a.colors, b.colors)
-        assert b.meta["backend"] == "vectorized"
+        assert (a.meta["backend"], b.meta["backend"]) == kernels.BACKENDS
 
-    def test_balanced_recoloring_accepts_backend(self, random_graph):
+    def test_balanced_recoloring_follows_scope(self, random_graph):
         init = greedy_coloring(random_graph)
-        out = balanced_recoloring(random_graph, init, backend="vectorized")
-        assert is_proper(random_graph, out)
-        with pytest.raises(ValueError, match="backend"):
-            balanced_recoloring(random_graph, init, backend="bogus")
+        a, b = on_both_tiers(balanced_recoloring, random_graph, init)
+        assert is_proper(random_graph, b) and np.array_equal(a.colors, b.colors)
+        assert (a.meta["backend"], b.meta["backend"]) == kernels.BACKENDS
 
     def test_mp_single_worker_backends_identical(self, random_graph):
-        a = mp_greedy_ff(random_graph, num_workers=1, backend="reference")
-        b = mp_greedy_ff(random_graph, num_workers=1, backend="vectorized")
+        a, b = on_both_tiers(mp_greedy_ff, random_graph, num_workers=1)
         assert np.array_equal(a.colors, b.colors)
-        assert b.meta["backend"] == "vectorized"
-
-    def test_mp_two_workers_backends_identical(self):
-        g = erdos_renyi_graph(300, 0.03, seed=21)
-        a = mp_greedy_ff(g, num_workers=2, backend="reference")
-        b = mp_greedy_ff(g, num_workers=2, backend="vectorized")
-        assert np.array_equal(a.colors, b.colors)
-        assert is_proper(g, b)
+        assert (a.meta["backend"], b.meta["backend"]) == kernels.BACKENDS
 
     def test_parallel_greedy_rejects_bad_ordering(self, random_graph):
         n = random_graph.num_vertices
@@ -291,8 +270,7 @@ class TestBackendThreading:
 @pytest.mark.slow
 def test_large_graph_full_equivalence():
     g = rmat_graph(14, 8, seed=17)
-    a = greedy_coloring(g, backend="reference")
-    b = greedy_coloring(g, backend="vectorized")
+    a, b = on_both_tiers(greedy_coloring, g)
     assert np.array_equal(a.colors, b.colors)
     for traversal in ("vertex", "color"):
         assert is_proper(g, assert_backends_identical(g, a, traversal=traversal))

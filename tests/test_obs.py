@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.coloring import (
     balanced_recoloring,
     greedy_coloring,
@@ -225,10 +226,9 @@ class TestParity:
     @pytest.mark.parametrize("traversal", ["vertex", "color"])
     def test_shuffle_balance(self, obs_graph, backend, traversal):
         init = greedy_coloring(obs_graph)
-        rec = self._assert_parity(
-            lambda r: shuffle_balance(obs_graph, init, traversal=traversal,
-                                      backend=backend, recorder=r)
-        )
+        with kernels.use_backend(backend):
+            rec = self._assert_parity(lambda r: shuffle_balance(
+                obs_graph, init, traversal=traversal, recorder=r))
         rounds = rec.events_of("drain_round")
         assert rounds
         assert all("rsd_percent" in e and "moves" in e for e in rounds)

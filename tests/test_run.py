@@ -257,13 +257,6 @@ class TestExecuteFeatures:
 class TestLegacyFrontDoors:
     """The registry wrappers must forward kwargs (PR-3 bugfix)."""
 
-    def test_balance_coloring_forwards_backend(self, small_cnr):
-        init = greedy_coloring(small_cnr)
-        out = balance_coloring(small_cnr, init, "vff", backend="vectorized")
-        assert_proper(small_cnr, out)
-        assert out.meta["backend"] == "vectorized"
-        assert out.num_colors == init.num_colors
-
     def test_balance_coloring_forwards_rounds(self, small_cnr):
         init = greedy_coloring(small_cnr)
         out = balance_coloring(small_cnr, init, "sched-rev", rounds=2)

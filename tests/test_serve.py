@@ -304,6 +304,16 @@ class TestService:
         assert np.array_equal(second.result.coloring.colors,
                               direct.coloring.colors)
 
+    def test_backend_is_not_part_of_the_job(self, graph, counted_execute):
+        """Configs that differ only in the kernel tier are one job."""
+        configs = [RunConfig("vff", seed=1, backend=b)
+                   for b in ("vectorized", "reference", None)]
+        assert len({job_key(graph, c) for c in configs}) == 1
+        svc = ColoringService()
+        jobs = [svc.submit_and_wait(graph, c) for c in configs]
+        assert [j.source for j in jobs] == ["computed", "cache", "cache"]
+        assert len(counted_execute) == 1
+
     def test_disk_cache_hit_bit_parity(self, graph, tmp_path, counted_execute):
         cfg = RunConfig("greedy-ff", seed=2)
         svc = ColoringService(max_bytes=1, spill_dir=tmp_path)
@@ -702,6 +712,15 @@ class TestMutate:
         assert job.result.config.strategy == "incremental"
         assert job.meta["base_job_id"] == base.id
         assert job.meta["delta_digest"] == batch.digest()
+
+    def test_config_serializes_once_per_job(self, graph, monkeypatch):
+        """The key and the store row share one ``to_dict``, on submit and
+        on mutate alike."""
+        calls, real = [], RunConfig.to_dict
+        monkeypatch.setattr(RunConfig, "to_dict", lambda c: calls.append(c.strategy) or real(c))
+        svc = ColoringService()
+        svc.mutate_and_wait(self._submit_base(svc, graph).id, self._delta(graph))
+        assert calls == ["vff", "incremental"]
 
     def test_same_delta_hits_cache_different_delta_misses(self, graph,
                                                           counted_execute):

@@ -358,7 +358,7 @@ class TestPoisonedDurableState:
         config = RunConfig("incremental", strategy_kwargs={
             "dirty": dirty.tolist(), "staleness_budget": 0.05})
         old = svc.queue.submit(
-            mutated, config, key=mutation_job_key(base.key, batch.digest(), config),
+            mutated, config, key=lambda c: mutation_job_key(base.key, batch.digest(), c),
             initial=base.result.coloring,
             meta={"base_job_id": base.id, "initial_from_key": base.key})
         svc.store.close()  # crash before the pump took it
@@ -393,7 +393,7 @@ class TestPoisonedDurableState:
         mutated, dirty = apply_delta(graph, batch)
         config = RunConfig("incremental", strategy_kwargs={"dirty": dirty.tolist()})
         old = svc.queue.submit(
-            mutated, config, key=mutation_job_key(base.key, batch.digest(), config),
+            mutated, config, key=lambda c: mutation_job_key(base.key, batch.digest(), c),
             initial=base.result.coloring,
             meta={"base_job_id": base.id, "initial_from_key": base.key})
         svc.store.close()  # crash before the pump took it

@@ -11,12 +11,16 @@ root::
     PYTHONPATH=src python benchmarks/bench_serve.py            # full trace
     PYTHONPATH=src python benchmarks/bench_serve.py --quick    # CI smoke
 
+Both sides are timed ``REPEATS`` times and report their median; every
+served repetition runs on a fresh service, so each one starts with an
+empty cache.
+
 ``--check BASELINE.json`` gates regressions the way
 ``bench_kernels.py`` does: the served/direct *speedup ratio* (robust
 across machines, unlike wall times) must stay above half its recorded
-value, the hit rate must not drop below the recorded one, and the
-number of real ``execute`` calls must still equal the number of
-distinct pairs — more means the content-addressed cache broke.
+value, the number of real ``execute`` calls must equal the number of
+distinct pairs, and every other job must be a cache or dedup hit —
+any other count means the content-addressed cache broke.
 
 This file is a CLI script, not a pytest benchmark — the pytest smoke
 coverage lives in ``tests/test_bench_smoke.py``.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -63,6 +68,9 @@ WORKLOADS = [
 #: Jobs submitted per scheduling round — the batch shape the dedup sees.
 CHUNK = 10
 
+#: Timed repetitions of each side; the row reports their medians.
+REPEATS = 3
+
 
 def build_trace(pairs, repeats: int):
     """Shuffle `repeats` copies of every pair into one deterministic trace."""
@@ -75,25 +83,24 @@ def bench_workload(name, pairs, repeats: int) -> dict:
     """Serve one trace; return the result row (timings, ratios, counters)."""
     trace = build_trace(pairs, repeats)
 
-    # direct cost: one timed execute per distinct pair, summed over the
-    # trace — what the same traffic costs with no serving layer
-    per_pair = []
-    for graph, config in pairs:
+    direct, served = [], []
+    for _ in range(REPEATS):
+        # direct cost: one execute per distinct pair, scaled to the trace —
+        # what the same traffic costs with no serving layer
         t0 = time.perf_counter()
-        execute(graph, config)
-        per_pair.append(time.perf_counter() - t0)
-    direct_s = sum(per_pair) * (len(trace) / len(pairs))
-
-    service = ColoringService()
-    t0 = time.perf_counter()
-    for start in range(0, len(trace), CHUNK):
-        for graph, config in trace[start:start + CHUNK]:
-            service.submit(graph, config)
-        service.process()
-    served_s = time.perf_counter() - t0
-
-    sched = service.stats()["scheduler"]
-    assert sched["resolved"] == len(trace), "service lost jobs"
+        for graph, config in pairs:
+            execute(graph, config)
+        direct.append((time.perf_counter() - t0) * (len(trace) / len(pairs)))
+        service = ColoringService()
+        t0 = time.perf_counter()
+        for start in range(0, len(trace), CHUNK):
+            for graph, config in trace[start:start + CHUNK]:
+                service.submit(graph, config)
+            service.process()
+        served.append(time.perf_counter() - t0)
+        sched = service.stats()["scheduler"]
+        assert sched["resolved"] == len(trace), "service lost jobs"
+    direct_s, served_s = statistics.median(direct), statistics.median(served)
     row = {
         "workload": name,
         "jobs": len(trace),
@@ -116,7 +123,7 @@ def bench_workload(name, pairs, repeats: int) -> dict:
 
 
 def check_against_baseline(results, baseline_path: Path) -> int:
-    """Return 1 on regression: speedup halved, hit rate down, or cache broken."""
+    """Return 1 on regression: speedup halved, or cache/dedup counts off."""
     baseline = json.loads(baseline_path.read_text())
     recorded = {r["workload"]: r for r in baseline["results"]}
     failures = []
@@ -124,10 +131,17 @@ def check_against_baseline(results, baseline_path: Path) -> int:
         base = recorded.get(row["workload"])
         if base is None:
             continue
-        if row["executed"] > row["distinct"]:
+        if row["executed"] != row["distinct"]:
             failures.append(
                 f"{row['workload']}: {row['executed']} execute calls for "
                 f"{row['distinct']} distinct pairs — cache/dedup broken"
+            )
+        # every job beyond the first sight of a pair must hit cache or dedup
+        hits = row["cache_hits"] + row["dedup_hits"]
+        if hits != row["jobs"] - row["distinct"]:
+            failures.append(
+                f"{row['workload']}: {hits} cache/dedup hits for "
+                f"{row['jobs']} jobs over {row['distinct']} pairs"
             )
         # normalize by the trace's speedup cap (jobs/distinct) so quick and
         # full traces compare on the same scale: efficiency ≈ 1.0 means the
@@ -141,15 +155,6 @@ def check_against_baseline(results, baseline_path: Path) -> int:
                 f"{floor:.2f} (baseline {base_eff:.2f}; speedup "
                 f"{row['speedup']:.2f}x over {row['jobs']} jobs / "
                 f"{row['distinct']} pairs)"
-            )
-        # the trace's ideal hit rate is fixed by its shape, not the machine:
-        # every job beyond the first sight of a pair must hit cache or dedup
-        ideal = (row["jobs"] - row["distinct"]) / row["jobs"]
-        if row["hit_rate"] < ideal - 1e-4:
-            failures.append(
-                f"{row['workload']}: hit rate {row['hit_rate']:.2%} < ideal "
-                f"{ideal:.2%} for {row['jobs']} jobs over "
-                f"{row['distinct']} pairs"
             )
     if failures:
         print("BASELINE CHECK FAILED:", file=sys.stderr)
@@ -169,8 +174,8 @@ def main(argv=None) -> int:
                         help="output JSON path")
     parser.add_argument("--check", type=Path, metavar="BASELINE",
                         help="compare against a recorded baseline; exit 1 on "
-                        ">2x speedup regression, hit-rate drop, or extra "
-                        "execute calls")
+                        ">2x speedup regression, or execute and hit counts "
+                        "that differ from the trace's")
     args = parser.parse_args(argv)
 
     results = []

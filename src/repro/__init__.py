@@ -39,8 +39,9 @@ Subpackages
 ``repro.serve``
     Coloring-as-a-service on top of ``repro.run``: bounded job queue
     with admission control, batching scheduler with in-flight dedup, a
-    content-addressed result cache (LRU + disk spill), and a stdlib
-    HTTP front (``python -m repro serve`` / ``submit``).
+    content-addressed in-memory result cache, a durable job store whose
+    rows hold the results, and a stdlib HTTP front
+    (``python -m repro serve`` / ``submit``).
 """
 
 from .graph import CSRGraph, load_dataset

@@ -174,10 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-mb", type=float, default=None, dest="cache_mb",
                        metavar="MB",
                        help="in-memory result-cache budget in MiB (default 64)")
-    serve.add_argument("--spill-dir", type=Path, default=None, dest="spill_dir",
-                       metavar="DIR",
-                       help="spill evicted colorings as .npz under DIR and "
-                       "restore them on later hits")
     serve.add_argument("--store", type=Path, default=None, dest="job_store",
                        metavar="DIR",
                        help="durable job store directory (sqlite): job ids "
@@ -320,7 +316,7 @@ def _serve_command(args) -> int:
         service = ColoringService(
             max_pending=args.max_pending if args.max_pending is not None
             else DEFAULT_MAX_PENDING,
-            max_bytes=max_bytes, spill_dir=args.spill_dir,
+            max_bytes=max_bytes,
             workers=args.workers,
             store=args.job_store,
             tenant_quota=args.tenant_quota,
@@ -341,7 +337,6 @@ def _serve_command(args) -> int:
     service.start()
     print(f"repro serve: listening on http://{host}:{port} "
           f"(workers={args.workers}, cache={max_bytes // (1024 * 1024)}MiB, "
-          f"spill={args.spill_dir or 'off'}, "
           f"store={args.job_store or 'memory'}, "
           f"supervise={'on' if args.supervise else 'off'})",
           flush=True)

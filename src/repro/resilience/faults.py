@@ -23,14 +23,10 @@ injection points:
   loops.
 
 Beyond the algorithm-level faults above, the same plan grammar drives
-**IO-level chaos** against the serving stack (the sites consult
+**IO-level chaos** against the serving stack (the site consults
 :meth:`FaultPlan.for_op` with a 0-based *occurrence index* in place of a
 round):
 
-- ``spill`` — the N-th result-cache spill write raises ``ENOSPC``,
-  exercising the cache's degrade-to-memory-only path;
-- ``spillrot`` — the N-th spill write lands *truncated* on disk (a torn
-  write), exercising read-side quarantine of corrupt ``.npz`` files;
 - ``storeerr`` — the N-th job-store transition raises ``StoreError``,
   exercising best-effort durability (memory stays the source of truth).
 
@@ -42,7 +38,6 @@ Plans parse from a compact spec string (CLI ``--fault-plan``, env
     stale@r2.w0             serve block 0 a stale snapshot in round 2
     stick@r0:4              rounds 0..3 commit nothing (superstep loops)
     stall@r0.w0x3           fire on the first 3 attempts (retries included)
-    spill@r0x3              spill writes 0..2 fail with ENOSPC
     storeerr@r1x2           store transitions 1..2 raise StoreError
 
 Multiple faults join with ``;``.  Rounds, workers, and occurrence
@@ -71,8 +66,8 @@ __all__ = [
 WORKER_FAULT_KINDS = ("stall", "corrupt", "stale")
 
 #: IO chaos faults, matched by occurrence index via
-#: :meth:`FaultPlan.for_op` at their respective serving-stack sites.
-PROCESS_FAULT_KINDS = ("spill", "spillrot", "storeerr")
+#: :meth:`FaultPlan.for_op` at the job store's transitions.
+PROCESS_FAULT_KINDS = ("storeerr",)
 
 #: Recognized fault kinds, by injection point.
 FAULT_KINDS = WORKER_FAULT_KINDS + ("stick",) + PROCESS_FAULT_KINDS
@@ -87,7 +82,7 @@ class FaultSpec:
 
     ``round`` is the 0-based speculation/superstep round — or, for the
     IO chaos kinds, the 0-based *occurrence index* at the injection
-    site (spill write, store transition).  ``worker`` is the 0-based
+    site (the store transition).  ``worker`` is the 0-based
     block/worker index (ignored for ``stick`` and the IO kinds).
     ``duration`` is the stall sleep in seconds, or the number of wasted
     rounds for ``stick``.  ``attempts`` makes the fault fire on the
@@ -205,8 +200,8 @@ class FaultPlan:
     def for_op(self, kind: str, index: int) -> FaultSpec | None:
         """The IO fault to inject at occurrence *index*, if any.
 
-        Chaos sites (spill writes, store transitions)
-        keep their own 0-based occurrence counter and consult the plan
+        A chaos site (the store transitions)
+        keeps its own 0-based occurrence counter and consult the plan
         with it; a spec fires when ``round <= index < round + attempts``
         (``xK`` widens the window to K consecutive occurrences).  First
         match wins.

@@ -6,20 +6,21 @@ every request.  It is layered bottom-up:
 
 - :mod:`repro.serve.store` — the durable state layer: a narrow
   :class:`JobStore` interface (monotonic ids, atomic status
-  transitions) with an in-memory implementation and a sqlite-backed
-  :class:`SqliteStore` that survives restarts;
+  transitions, results read back by key) with an in-memory
+  implementation and a sqlite-backed :class:`SqliteStore` that survives
+  restarts — a computed job's ``done`` row holds its coloring, the one
+  durable copy of the result;
 - :mod:`repro.serve.fingerprint` — content-addressed job identity
   (full-graph digest × canonical config serialization);
-- :mod:`repro.serve.cache` — :class:`ResultCache`, an in-memory LRU
-  under a byte budget with ``.npz`` disk spill (write-through on
-  durable services, so published results survive a crash);
+- :mod:`repro.serve.cache` — :class:`ResultCache`, a memory-only LRU
+  under a byte budget;
 - :mod:`repro.serve.backends` — :class:`InlineBackend`, the one
   execution path: a job is one ``execute`` call under its own config;
 - :mod:`repro.serve.queue` — :class:`SubmissionQueue` with admission
   control, two-class priorities, per-tenant quotas, and
   reject-with-reason backpressure;
 - :mod:`repro.serve.scheduler` — :class:`BatchScheduler`: per-round
-  cache lookup, in-flight dedup, compatible grouping, worker-pool
+  lookup (cache, then store), in-flight dedup, compatible grouping, worker-pool
   dispatch under the job's resilience policy;
 - :mod:`repro.serve.supervisor` — :class:`Supervisor`, a background
   deadline sweep;

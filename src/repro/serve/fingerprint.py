@@ -23,8 +23,9 @@ colorings.  This module turns that observation into stable keys:
 
 All digests are pure content hashes — independent of process, platform,
 object identity, and ``PYTHONHASHSEED`` — so a key computed by a client
-in one process addresses the same cache entry in the server, and an
-on-disk spill written by one service run is readable by the next.
+in one process addresses the same cache entry in the server, and a
+result a durable store row holds under its key is found by the next
+service run.
 """
 
 from __future__ import annotations

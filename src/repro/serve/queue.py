@@ -15,10 +15,11 @@ Lifecycle state lives in two places on purpose: the in-memory
 endpoint touch, and every id allocation and status transition is written
 through the :class:`~repro.serve.store.JobStore` — in-memory by default
 (bit-for-bit the old behavior), sqlite-backed when the service is
-durable.  Ids always come from the store's monotonic sequence, so a
-restarted durable service never reissues an id that an earlier life
-handed to a client (spilled results and chained ``/mutate`` base ids
-stay unambiguous forever).
+durable.  The ``done`` write of a computed job carries its coloring, so
+on a durable service the store row is the result's one durable copy.
+Ids always come from the store's monotonic sequence, so a restarted
+durable service never reissues an id that an earlier life handed to a
+client (chained ``/mutate`` base ids stay unambiguous forever).
 
 Jobs carry an optional ``tenant`` and a ``priority`` class (``"high"``
 drains strictly before ``"normal"``; FIFO within a class).  Completion
@@ -74,7 +75,8 @@ class Job:
 
     ``source`` records how the job was ultimately served: ``"computed"``
     (a real ``execute`` call), ``"dedup"`` (attached to an identical
-    in-flight job's computation), ``"cache"`` (memory or disk hit), or
+    in-flight job's computation), ``"cache"`` (a result-cache or job-store
+    hit by key), or
     ``"store"`` (a terminal job restored from a persistent store after a
     restart).  Exactly one of ``result`` / ``error`` is set once
     ``status`` reaches a terminal state (``done`` / ``failed``).
@@ -141,6 +143,8 @@ class Job:
             info["deadline_ms"] = self.deadline_ms
         if self.meta.get("reason") is not None:
             info["reason"] = self.meta["reason"]
+        if self.meta.get("corrupt"):
+            info["corrupt"] = True
         if self.error is not None:
             info["error"] = self.error
         if self.result is not None:
@@ -389,7 +393,8 @@ class SubmissionQueue:
 
         Writes the terminal transition through the store (with the
         result summary a restarted service can serve without the
-        payload), records end-to-end latency, and sets the job's
+        payload, and — for the job that computed it — the result
+        itself), records end-to-end latency, and sets the job's
         completion event — waiters wake here, never by polling.
         """
         if not job.finished:
@@ -411,7 +416,9 @@ class SubmissionQueue:
             }
         self._safe_transition(job.id, job.status, source=job.source,
                               error=job.error, meta=finish_meta,
-                              finished_at=job.finished_at)
+                              finished_at=job.finished_at,
+                              result=job.result if job.source == "computed"
+                              else None)
         with self._lock:
             self._in_flight -= 1
             if job.tenant is not None:

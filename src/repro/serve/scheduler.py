@@ -3,8 +3,9 @@
 Each scheduling *round* drains a batch from the submission queue and
 resolves every job in it through a fixed funnel:
 
-1. **cache** — jobs whose content key hits the :class:`ResultCache`
-   (memory or disk) finish immediately without touching a worker;
+1. **cache** — jobs whose content key hits the :class:`ResultCache`,
+   or else the job store (:meth:`BatchScheduler.lookup`), finish
+   immediately without touching a worker;
 2. **dedup** — remaining jobs are grouped by key: the first job of each
    key becomes the *primary*, identical jobs become *followers* that
    share the primary's computation (two identical submissions in one
@@ -17,7 +18,8 @@ resolves every job in it through a fixed funnel:
    policy, so a degraded-but-healed run is a normal ``done`` job while
    an unhealable one fails with the error recorded;
 5. **publish** — successes enter the cache; primaries and followers are
-   marked terminal and their queue slots released.
+   marked terminal (the primary's ``done`` store write carries the
+   result) and their queue slots released.
 
 Determinism: ``execute`` is deterministic for a fixed seed, jobs are
 independent, and batch order is preserved everywhere, so the same
@@ -72,6 +74,7 @@ class BatchScheduler:
         self._rounds = 0
         self._executed = 0
         self._cache_hits = 0
+        self._store_hits = 0
         self._dedup_hits = 0
         self._failures = 0
         self._resolved = 0
@@ -98,10 +101,10 @@ class BatchScheduler:
             else:
                 live.append(job)
 
-        # 1. cache lookup (memory, then disk spill)
+        # 1. result lookup (memory, then the job store)
         misses: list[Job] = []
         for job in live:
-            cached = self.cache.get(job.key)
+            cached = self.lookup(job.key)
             if cached is not None:
                 self._finish(job, source="cache", result=cached)
             else:
@@ -151,6 +154,20 @@ class BatchScheduler:
             rounds += 1
             if max_rounds is not None and rounds >= max_rounds:
                 return total
+
+    def lookup(self, key: str):
+        """The result stored under *key*: the cache first, then the job
+        store, whose hit is put into the cache; ``None`` when neither has
+        it."""
+        result = self.cache.get(key)
+        if result is None:
+            result = self.queue.store.result(key)
+            if result is not None:
+                with self._lock:
+                    self._store_hits += 1
+                self._rec.count("serve.scheduler.store_hits")
+                self.cache.put(key, result)
+        return result
 
     # ------------------------------------------------------------------
     def _dispatch(self, group: list[Job], width: int) -> list[tuple]:
@@ -203,6 +220,7 @@ class BatchScheduler:
                 "resolved": self._resolved,
                 "executed": self._executed,
                 "cache_hits": self._cache_hits,
+                "store_hits": self._store_hits,
                 "dedup_hits": self._dedup_hits,
                 "failures": self._failures,
                 "readmitted": 0,  # perfbench reads it; goes when perfbench next changes

@@ -18,10 +18,10 @@ Three layers meet here:
   ``store="path"`` (or a :class:`~repro.serve.store.SqliteStore`) and
   the service becomes restartable: on construction it *recovers* —
   jobs that died ``pending``/``running`` are re-admitted and re-run,
-  terminal jobs are served straight from the store + the cache's spill
-  files, and a job whose result already persisted is **never**
-  re-executed (the scheduler's cache check finds the write-through
-  spill first).
+  terminal jobs are served straight from the store, and a job whose
+  key already has a ``done`` row with its result is **never**
+  re-executed (the scheduler's lookup finds that row first).  The
+  store row is a result's one durable copy; the cache is memory-only.
 - **execution** — every primary job is one :func:`repro.run.execute`
   call under its own config (:class:`~repro.serve.backends.InlineBackend`);
   an ``mp`` job sweeps its blocks on the mp thread team inside that
@@ -62,7 +62,7 @@ from .cache import DEFAULT_MAX_BYTES, ResultCache
 from .fingerprint import mutation_job_key
 from .queue import DEFAULT_MAX_PENDING, Job, SubmissionQueue
 from .scheduler import BatchScheduler
-from .store import ChaosStore, JobStore, SqliteStore, StoreError, open_store
+from .store import ChaosStore, JobStore, StoreError, open_store
 from .supervisor import Supervisor
 
 __all__ = ["ColoringService", "MutationError", "dataset_params"]
@@ -117,27 +117,24 @@ class ColoringService:
     """Submission, scheduling, caching, and introspection in one place.
 
     Parameters mirror the components': *max_pending* / *tenant_quota*
-    bound admission (see :class:`SubmissionQueue`), *max_bytes* /
-    *spill_dir* shape the :class:`ResultCache`, *workers* / *batch_size*
-    the :class:`BatchScheduler`.  *store* selects the durability layer
-    (``None`` = in-memory, a path opens a sqlite store there — whose
-    ``spill/`` directory becomes the default *spill_dir*, with
-    write-through spilling so results persist at publish time).
-    *recover* (default on) re-admits a persistent store's interrupted
-    jobs at construction.  *recorder* is shared by every component, so
-    one observability sink sees the whole ``serve.*`` counter family.
+    bound admission (see :class:`SubmissionQueue`), *max_bytes* sizes
+    the :class:`ResultCache`, *workers* / *batch_size* the
+    :class:`BatchScheduler`.  *store* selects the durability layer
+    (``None`` = in-memory, a path opens a sqlite store there, whose rows
+    keep every computed result).  *recover* (default on) re-admits a
+    persistent store's interrupted jobs at construction.  *recorder* is
+    shared by every component, so one observability sink sees the whole
+    ``serve.*`` counter family.
 
     Robustness knobs: *supervise* attaches a background
     :class:`~repro.serve.supervisor.Supervisor` that sweeps expired
     deadlines (started with the pump).  *fault_plan* is the chaos
     schedule (a :class:`~repro.resilience.FaultPlan` or spec string)
-    whose IO kinds are injected into the cache's spill writes and the
-    store's transitions.
+    whose ``storeerr`` kind fails chosen store transitions.
     """
 
     def __init__(self, *, max_pending: int = DEFAULT_MAX_PENDING,
-                 max_bytes: int = DEFAULT_MAX_BYTES,
-                 spill_dir=None, workers: int = 1,
+                 max_bytes: int = DEFAULT_MAX_BYTES, workers: int = 1,
                  batch_size: int | None = None, recorder=None,
                  store=None, tenant_quota: int | None = None,
                  recover: bool = True, supervise: bool = False,
@@ -146,16 +143,9 @@ class ColoringService:
         self.fault_plan = resolve_fault_plan(fault_plan)
         self._owns_store = not isinstance(store, JobStore)
         self.store = open_store(store)
-        if spill_dir is None and isinstance(self.store, SqliteStore):
-            spill_dir = self.store.spill_dir
         if any(f.kind == "storeerr" for f in self.fault_plan.faults):
-            # wrap after the spill_dir probe above: chaos must not hide
-            # the concrete store's layout, only fail its transitions
             self.store = ChaosStore(self.store, self.fault_plan)
-        self.cache = ResultCache(
-            max_bytes=max_bytes, spill_dir=spill_dir,
-            write_through=self.store.persistent and spill_dir is not None,
-            recorder=self.recorder, fault_plan=self.fault_plan)
+        self.cache = ResultCache(max_bytes=max_bytes, recorder=self.recorder)
         self.queue = SubmissionQueue(max_pending=max_pending,
                                      store=self.store,
                                      tenant_quota=tenant_quota,
@@ -183,9 +173,9 @@ class ColoringService:
         Terminal rows stay where they are (``result()`` restores them
         lazily).  ``pending``/``running`` rows are jobs a previous life
         admitted but never resolved: each is rebuilt from its persisted
-        graph and re-admitted — and if its result actually made it to
-        the write-through spill before the crash, the scheduler's cache
-        check serves it without re-executing.  A row whose inputs cannot
+        graph and re-admitted — and if its key already has a ``done``
+        row with a result, the scheduler's lookup serves it without
+        re-executing.  A row whose inputs cannot
         be rebuilt (graph never persisted, base coloring gone) is failed
         with the reason recorded rather than silently dropped.
         """
@@ -229,10 +219,10 @@ class ColoringService:
         initial = None
         base_key = row["meta"].get("initial_from_key")
         if base_key:
-            base_result = self.cache.get(base_key)
+            base_result = self.scheduler.lookup(base_key)
             if base_result is None:
                 return None, (f"initial coloring (key {base_key[:12]}…) "
-                              "is no longer in the cache or spill")
+                              "is in neither the cache nor the store")
             initial = base_result.coloring
         return Job(id=row["id"], key=row["key"], graph=graph, config=config,
                    initial=initial, tenant=row["tenant"],
@@ -244,13 +234,18 @@ class ColoringService:
     def _restore_terminal(self, row: dict) -> Job:
         """Rebuild a terminal Job for ``/result`` from its store row.
 
-        The result payload comes from the cache (memory or write-through
-        spill); when the spill is gone the job still describes itself
-        from the summary persisted at finish time.  ``source`` becomes
-        ``"store"`` — the original source survives in the meta.
+        The result payload comes from the cache or the store (by key);
+        when neither has it — a row made before results lived in the
+        store, or a poisoned one, flagged ``corrupt`` — the job still
+        describes itself from the summary persisted at finish time.
+        ``source`` becomes ``"store"`` — the original source survives in
+        the meta.
         """
-        result = self.cache.get(row["key"]) if row["status"] == "done" else None
+        result = (self.scheduler.lookup(row["key"]) if row["status"] == "done"
+                  else None)
         meta = dict(row["meta"])
+        if row.get("corrupt"):
+            meta["corrupt"] = True
         if row["source"]:
             meta["original_source"] = row["source"]
         try:
@@ -287,7 +282,7 @@ class ColoringService:
         ``(name, scale, seed)`` (see :func:`dataset_params`).
 
         Built graphs live in the result cache's LRU under its byte budget
-        and are never spilled; concurrent requests for one unbuilt graph
+        and are never persisted; concurrent requests for one unbuilt graph
         build it once, and a build that fails is not memoized.
         """
         scale, seed = dataset_params(scale, seed)
@@ -363,9 +358,9 @@ class ColoringService:
         """The job (with ``result``/``error`` once terminal), or ``None``.
 
         On a durable service a terminal job from a previous life is
-        restored from the store (result payload from the write-through
-        spill) and remembered, so repeated polls — and ``/mutate``
-        chains onto old base ids — keep working across restarts.
+        restored from the store (its result read back by key) and
+        remembered, so repeated polls — and ``/mutate`` chains onto old
+        base ids — keep working across restarts.
         """
         job = self.queue.job(job_id)
         if job is not None:
@@ -407,17 +402,13 @@ class ColoringService:
 
         ``status`` is ``"live"`` (process up, pump not running — e.g.
         a synchronously-driven service), ``"ready"`` (pump running,
-        nothing degraded), or ``"degraded"`` (serving, but something is
-        limping: the cache fell back to memory-only, or store writes have
-        been failing).
+        nothing degraded), or ``"degraded"`` (serving, but store writes
+        have been failing).
         ``degraded_reasons`` names each cause; ``live`` is always True
         when this answered at all.
         """
         q = self.queue.stats()
         reasons: list[str] = []
-        if self.cache.degraded:
-            reasons.append("cache: spill disabled after repeated "
-                           "write failures (memory-only)")
         if q["store_errors"]:
             reasons.append(f"store: {q['store_errors']} failed transitions "
                            "(durability is best-effort)")
@@ -505,12 +496,10 @@ class ColoringService:
         re-admits exactly what this shutdown interrupted.  Returns
         ``{"interrupted": n, "pump_joined": bool}``.
 
-        ``purge_spill=True`` additionally clears the cache *including*
-        its on-disk spill files — shutdown-means-gone for ephemeral
-        services (tests, one-shot CLI serves) whose spill directory must
-        not resurrect results into a later run.  A store the service
-        opened itself (from a path) is closed here; an injected store
-        instance stays open, its owner decides.
+        ``purge_spill=True`` clears the cached results too (the cache is
+        memory-only, so there is nothing on disk to purge).  A store the
+        service opened itself (from a path) is closed here; an injected
+        store instance stays open, its owner decides.
         """
         if self.supervisor is not None:
             self.supervisor.stop(timeout)
@@ -536,8 +525,8 @@ class ColoringService:
                                 count=len(interrupted),
                                 jobs=[j.id for j in interrupted],
                                 pump_joined=joined)
-        if purge_spill:
-            self.cache.clear(purge_spill=True)
+        if purge_spill:  # perfbench passes it; goes when perfbench next changes
+            self.cache.clear()
         else:
             self.cache.drop_graphs()
         if self._owns_store:

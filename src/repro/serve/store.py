@@ -2,13 +2,14 @@
 
 The serving pipeline (queue → scheduler → cache) keeps hot state in
 memory; what survives a process death is whatever the *job store* wrote.
-A store is deliberately narrow — it records **job lifecycle**, not
-results: one row per admitted job (monotonic id, content key, canonical
-config JSON, tenant/priority, status, error, bookkeeping metadata), plus
-a handle to the submitted graph so an interrupted job can be re-run
-after a restart.  Result payloads stay on the existing ``.npz`` spill
-path of :class:`~repro.serve.cache.ResultCache` — the store only needs
-the job's *key* to find them again.
+A store records **job lifecycle** and the one durable copy of each
+result: one row per admitted job (monotonic id, content key, canonical
+config JSON, tenant/priority, status, error, bookkeeping metadata), a
+handle to the submitted graph so an interrupted job can be re-run after
+a restart, and — on the row of the job that computed it — the coloring.
+The ``done`` transition of that job writes the coloring in the same
+statement that sets the status, so a row is ``done`` with its result or
+it is not ``done``; :meth:`JobStore.result` finds it again by key.
 
 Status moves through ``pending → running → done/failed`` and every
 transition is atomic and checked: a compare-and-set against the legal
@@ -22,14 +23,14 @@ Two implementations:
 
 - :class:`MemoryStore` — dict + counter, nothing on disk.  The default;
   a service built on it behaves bit-for-bit like the pre-store service
-  (same ids from 1, same lifecycle), it just forgets on exit.
+  (same ids from 1, same lifecycle), it just forgets on exit, results
+  included.
 - :class:`SqliteStore` — one directory holding ``jobs.sqlite`` (WAL
   mode, ``AUTOINCREMENT`` so ids survive restarts and are never
-  reissued), ``graphs/`` (submitted graphs as
-  :mod:`repro.graph.store` directories, deduplicated by content
-  fingerprint; an already-on-disk mmap store is referenced in place,
-  never copied), and ``spill/`` (the result cache's spill directory, so
-  one ``--store PATH`` keeps jobs and results together).
+  reissued; results as raw little-endian ``int64`` color bytes in the
+  row) and ``graphs/`` (submitted graphs as :mod:`repro.graph.store`
+  directories, deduplicated by content fingerprint; an already-on-disk
+  mmap store is referenced in place, never copied).
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from abc import ABC, abstractmethod
 from itertools import count
 from pathlib import Path
 
+import numpy as np
+
+from ..coloring.balance import balance_report
+from ..coloring.types import Coloring
 from ..graph.csr import CSRGraph
+from ..obs import NULL
+from ..run.config import RunConfig, RunResult
 
 __all__ = ["JOB_STATES", "ChaosStore", "JobStore", "MemoryStore",
            "SqliteStore", "StoreError", "open_store"]
@@ -64,13 +71,59 @@ class StoreError(RuntimeError):
     """An illegal store operation (bad transition, unknown job, no data)."""
 
 
+def _encode(result: RunResult) -> tuple[bytes, dict]:
+    """A result's row payload: the color bytes (the coloring, then the
+    initial coloring if any) and the meta that reads them back."""
+    colorings = [result.coloring]
+    if result.initial is not None:
+        colorings.append(result.initial)
+    blob = b"".join(c.colors.astype("<i8", copy=False).tobytes()
+                    for c in colorings)
+    return blob, {"num_vertices": int(result.coloring.num_vertices),
+                  "colorings": [[c.strategy, int(c.num_colors)]
+                                for c in colorings]}
+
+
+def _payload_bytes(meta: dict) -> int:
+    """How long a row's color bytes must be, by its meta; raises on bad meta."""
+    return 8 * int(meta["num_vertices"]) * len(meta["colorings"])
+
+
+def _decode(config_json, meta_json, blob: bytes) -> RunResult | None:
+    """The result a row's payload holds, or ``None`` for a poisoned row.
+
+    The bytes come from disk: a length that does not match the row's
+    vertex count, unparseable JSON or colors outside the palette make
+    the row unreadable, never the reader crash.
+    """
+    try:
+        meta = json.loads(meta_json)
+        if len(blob) != _payload_bytes(meta):
+            return None
+        arrays = np.frombuffer(blob, dtype="<i8").reshape(
+            len(meta["colorings"]), int(meta["num_vertices"]))
+        coloring, *initial = [
+            Coloring(colors.astype(np.int64), int(num_colors), str(strategy),
+                     meta={"served_from": "store"})
+            for colors, (strategy, num_colors) in zip(arrays, meta["colorings"])]
+        config = RunConfig.from_dict(json.loads(config_json))
+    except (KeyError, TypeError, ValueError):
+        return None
+    return RunResult(
+        config=config, coloring=coloring, initial=initial[0] if initial else None,
+        balance=balance_report(coloring), trace=None, machine_time=None,
+        wall_s={"initial": 0.0, "strategy": 0.0, "verify": 0.0, "total": 0.0},
+        recorder=NULL, resilience={})
+
+
 class JobStore(ABC):
     """Narrow persistence interface the serving layers read/write through.
 
     A *record* is a plain dict with the keys ``id``, ``key``, ``status``,
     ``config`` (the :meth:`~repro.run.RunConfig.to_dict` mapping),
     ``graph_ref``, ``tenant``, ``priority``, ``source``, ``error``,
-    ``meta`` (dict), ``submitted_at``, ``finished_at``.
+    ``meta`` (dict), ``submitted_at``, ``finished_at``.  Result payloads
+    are not part of a record; :meth:`result` reads them by key.
     """
 
     #: Whether state written here survives process death.
@@ -87,12 +140,16 @@ class JobStore(ABC):
     @abstractmethod
     def transition(self, job_id: int, status: str, *, source: str | None = None,
                    error: str | None = None, meta: dict | None = None,
-                   finished_at: float | None = None) -> None:
+                   finished_at: float | None = None,
+                   result: RunResult | None = None) -> None:
         """Atomically move *job_id* to *status*, or raise :class:`StoreError`.
 
         The move succeeds only from a legal predecessor state (see
         ``pending → running → done/failed`` plus the recovery edge
         ``running → pending``); *meta* is merged into the stored dict.
+        *result*, passed on the ``done`` move of the job that computed
+        it, is written in the same atomic step (a store that keeps no
+        results ignores it).
         """
 
     # -- queries --------------------------------------------------------
@@ -107,6 +164,13 @@ class JobStore(ABC):
     @abstractmethod
     def counts(self) -> dict:
         """Job depth by status: ``{status: count}`` for every known state."""
+
+    def result(self, key: str) -> RunResult | None:
+        """The result stored under content *key*, or ``None``.
+
+        ``None`` also means "results are not kept" (the memory store).
+        """
+        return None
 
     # -- graph payloads -------------------------------------------------
     def persist_graph(self, graph: CSRGraph) -> str | None:
@@ -175,7 +239,7 @@ class MemoryStore(JobStore):
             return job_id
 
     def transition(self, job_id, status, *, source=None, error=None,
-                   meta=None, finished_at=None) -> None:
+                   meta=None, finished_at=None, result=None) -> None:
         with self._lock:
             row = self._rows.get(job_id)
             _check_transition(job_id, row["status"] if row else None, status)
@@ -221,14 +285,20 @@ CREATE TABLE IF NOT EXISTS jobs (
     error TEXT,
     meta TEXT NOT NULL DEFAULT '{}',
     submitted_at REAL,
-    finished_at REAL
+    finished_at REAL,
+    result BLOB
 );
 CREATE INDEX IF NOT EXISTS jobs_by_status ON jobs (status);
+CREATE INDEX IF NOT EXISTS jobs_by_key ON jobs (key);
 """
 
 _COLUMNS = ("id", "key", "status", "config", "graph_ref", "tenant",
             "priority", "source", "error", "meta", "submitted_at",
             "finished_at")
+
+#: Every record column, plus the payload length that ``_record`` checks.
+_SELECT = (f"SELECT {', '.join(_COLUMNS)}, length(result) AS result_bytes "
+           "FROM jobs")
 
 
 class SqliteStore(JobStore):
@@ -236,13 +306,15 @@ class SqliteStore(JobStore):
 
     Layout: ``<root>/jobs.sqlite`` (WAL journal — readers never block the
     writer, and a mid-transaction crash rolls back to a consistent
-    state), ``<root>/graphs/<fingerprint>/`` (submitted graphs as
-    :mod:`repro.graph.store` directories, content-deduplicated),
-    ``<root>/spill/`` (handed to the result cache as its spill
-    directory).  ``AUTOINCREMENT`` makes job ids monotonic across
-    restarts *and* deletes — an id observed by any client is never
-    reissued, so chained ``/mutate`` base ids and spilled results can
-    never collide with a later job.
+    state) and ``<root>/graphs/<fingerprint>/`` (submitted graphs as
+    :mod:`repro.graph.store` directories, content-deduplicated).  A
+    computed job's ``done`` row carries its colors in the ``result``
+    column, found by key through an index.  A store directory made
+    before that column existed opens too: the column is added, and its
+    old rows serve their summary without a payload.  ``AUTOINCREMENT``
+    makes job ids monotonic across restarts *and* deletes — an id
+    observed by any client is never reissued, so chained ``/mutate``
+    base ids can never collide with a later job.
 
     The connection is shared across threads behind one lock (the HTTP
     front submits from handler threads while the scheduler transitions
@@ -256,7 +328,6 @@ class SqliteStore(JobStore):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.graphs_dir = self.root / "graphs"
-        self.spill_dir = self.root / "spill"
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(self.root / "jobs.sqlite",
                                      check_same_thread=False)
@@ -265,6 +336,10 @@ class SqliteStore(JobStore):
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
+            columns = {row["name"] for row in
+                       self._conn.execute("PRAGMA table_info(jobs)")}
+            if "result" not in columns:  # made before results lived in rows
+                self._conn.execute("ALTER TABLE jobs ADD COLUMN result BLOB")
             self._conn.commit()
 
     # -- lifecycle ------------------------------------------------------
@@ -282,7 +357,10 @@ class SqliteStore(JobStore):
             return int(cur.lastrowid)
 
     def transition(self, job_id, status, *, source=None, error=None,
-                   meta=None, finished_at=None) -> None:
+                   meta=None, finished_at=None, result=None) -> None:
+        if result is not None:
+            blob, payload_meta = _encode(result)
+            meta = {**(meta or {}), **payload_meta}
         with self._lock:
             row = self._conn.execute(
                 "SELECT status, meta FROM jobs WHERE id = ?",
@@ -307,6 +385,9 @@ class SqliteStore(JobStore):
             if finished_at is not None:
                 sets.append("finished_at = ?")
                 args.append(finished_at)
+            if result is not None:
+                sets.append("result = ?")
+                args.append(blob)
             # compare-and-set: the WHERE re-checks the predecessor state
             # inside the write, so a racing transition loses loudly
             allowed = _ALLOWED_FROM[status]
@@ -329,7 +410,8 @@ class SqliteStore(JobStore):
         # A poisoned row (bit rot, external tampering, partial write from
         # a pre-WAL copy) must not crash readers — recovery in particular
         # walks every pending/running row.  Unparseable JSON degrades to
-        # config=None + corrupt=True so callers can quarantine the job.
+        # config=None + corrupt=True so callers can quarantine the job,
+        # and so does a payload whose length the meta does not explain.
         try:
             rec["config"] = json.loads(rec["config"])
         except (json.JSONDecodeError, TypeError):
@@ -340,21 +422,41 @@ class SqliteStore(JobStore):
         except (json.JSONDecodeError, TypeError):
             rec["meta"] = {}
             rec["corrupt"] = True
+        if row["result_bytes"] is not None:
+            try:
+                intact = row["result_bytes"] == _payload_bytes(rec["meta"])
+            except (KeyError, TypeError, ValueError):
+                intact = False
+            if not intact:
+                rec["corrupt"] = True
         return rec
 
     def get(self, job_id):
         with self._lock:
             row = self._conn.execute(
-                "SELECT * FROM jobs WHERE id = ?", (int(job_id),)).fetchone()
+                f"{_SELECT} WHERE id = ?", (int(job_id),)).fetchone()
         return self._record(row) if row else None
 
     def by_status(self, *statuses):
         marks = ",".join("?" * len(statuses))
         with self._lock:
             rows = self._conn.execute(
-                f"SELECT * FROM jobs WHERE status IN ({marks}) ORDER BY id",
+                f"{_SELECT} WHERE status IN ({marks}) ORDER BY id",
                 statuses).fetchall()
         return [self._record(row) for row in rows]
+
+    def result(self, key):
+        """The first ``done`` row of *key* whose payload reads back whole."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT config, meta, result FROM jobs WHERE key = ? AND "
+                "status = 'done' AND result IS NOT NULL ORDER BY id",
+                (key,)).fetchall()
+        for row in rows:
+            found = _decode(row["config"], row["meta"], row["result"])
+            if found is not None:
+                return found
+        return None
 
     def counts(self):
         with self._lock:
@@ -456,6 +558,9 @@ class ChaosStore(JobStore):
 
     def by_status(self, *statuses):
         return self.inner.by_status(*statuses)
+
+    def result(self, key):
+        return self.inner.result(key)
 
     def counts(self):
         return self.inner.counts()

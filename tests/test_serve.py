@@ -140,31 +140,6 @@ class TestResultCache:
         assert cache.get(pairs[0][0]) is not None
         assert cache.get(pairs[1][0]) is None
 
-    def test_disk_spill_roundtrip(self, tmp_path):
-        pairs = self._results(3)
-        one_entry = 100 * 8 + 512
-        cache = ResultCache(max_bytes=2 * one_entry, spill_dir=tmp_path)
-        for key, result in pairs:
-            cache.put(key, result)
-        assert cache.stats()["spills"] == 1
-        restored = cache.get(pairs[0][0])
-        assert restored is not None
-        assert np.array_equal(restored.coloring.colors,
-                              pairs[0][1].coloring.colors)
-        assert restored.coloring.meta["served_from"] == "disk"
-        assert restored.config == pairs[0][1].config
-        assert restored.balance.rsd_percent == pairs[0][1].balance.rsd_percent
-        assert cache.stats()["disk_hits"] == 1
-
-    def test_spill_survives_new_cache_instance(self, tmp_path):
-        (key, result), = self._results(1)
-        cache = ResultCache(max_bytes=1, spill_dir=tmp_path)
-        cache.put(key, result)  # over budget: spilled and evicted immediately
-        fresh = ResultCache(spill_dir=tmp_path)
-        restored = fresh.get(key)
-        assert restored is not None
-        assert np.array_equal(restored.coloring.colors, result.coloring.colors)
-
     def test_miss_counts(self):
         cache = ResultCache()
         assert cache.get("0" * 64) is None
@@ -315,15 +290,19 @@ class TestService:
         assert len(counted_execute) == 1
 
     def test_disk_cache_hit_bit_parity(self, graph, tmp_path, counted_execute):
+        # a one-byte cache evicts every result at once: the repeat is
+        # read back from the job store by key, never re-executed
         cfg = RunConfig("greedy-ff", seed=2)
-        svc = ColoringService(max_bytes=1, spill_dir=tmp_path)
+        svc = ColoringService(max_bytes=1, store=tmp_path)
         svc.submit_and_wait(graph, cfg)
         job = svc.submit_and_wait(graph, cfg)
         assert job.source == "cache"
-        assert job.result.coloring.meta["served_from"] == "disk"
+        assert job.result.coloring.meta["served_from"] == "store"
+        assert svc.stats()["scheduler"]["store_hits"] == 1
         assert len(counted_execute) == 1
         assert np.array_equal(job.result.coloring.colors,
                               execute(graph, cfg).coloring.colors)
+        svc.stop()
 
     def test_failed_job_reports_error_and_frees_slot(self, graph, monkeypatch):
         def boom(graph, config, *, initial=None):
@@ -578,111 +557,6 @@ class TestBatching:
 
 
 # ----------------------------------------------------------------------
-# cache spill lifecycle fixes: purge-on-clear and the restore race
-# ----------------------------------------------------------------------
-class TestSpillLifecycle:
-    @staticmethod
-    def _spilled_cache(tmp_path, n=1):
-        """A roomy cache whose *n* entries all live on disk only.
-
-        A throwaway 1-byte cache forces the spill; the returned cache has
-        the default budget, so a disk-restored entry actually stays
-        resident instead of being re-evicted on admit.
-        """
-        g = path_graph(100)
-        pairs = [(job_key(g, RunConfig("greedy-ff", seed=i)),
-                  execute(g, RunConfig("greedy-ff", seed=i)))
-                 for i in range(n)]
-        writer = ResultCache(max_bytes=1, spill_dir=tmp_path)
-        for key, result in pairs:
-            writer.put(key, result)  # over budget: spilled, evicted at once
-        return ResultCache(spill_dir=tmp_path), pairs
-
-    def test_clear_alone_lets_spilled_results_resurrect(self, tmp_path):
-        # Regression baseline for the bug: clear() empties memory but the
-        # .npz spill survives, so a "cleared" result comes back from disk.
-        cache, pairs = self._spilled_cache(tmp_path)
-        cache.clear()
-        assert cache.get(pairs[0][0]) is not None
-
-    def test_clear_purge_spill_kills_resurrection(self, tmp_path):
-        cache, pairs = self._spilled_cache(tmp_path, n=2)
-        assert list(tmp_path.glob("*.npz"))
-        cache.clear(purge_spill=True)
-        assert not list(tmp_path.glob("*.npz"))
-        assert cache.get(pairs[0][0]) is None
-        assert cache.get(pairs[1][0]) is None
-
-    def test_purge_also_removes_stale_tmp_files(self, tmp_path):
-        cache, _ = self._spilled_cache(tmp_path)
-        (tmp_path / "deadbeef.npz.tmp").write_bytes(b"partial write")
-        cache.clear(purge_spill=True)
-        assert not list(tmp_path.glob("*.npz*"))
-
-    def test_service_stop_can_purge_spill(self, graph, tmp_path):
-        svc = ColoringService(max_bytes=1, spill_dir=tmp_path)
-        svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=0))
-        assert list(tmp_path.glob("*.npz"))
-        svc.stop(purge_spill=True)
-        assert not list(tmp_path.glob("*.npz"))
-
-    def test_memory_miss_disk_hit_counts_as_miss(self, tmp_path):
-        # Regression: the disk-rescued path used to skip the miss counter,
-        # so gets != hits + misses and hit-rate lied upward.
-        cache, pairs = self._spilled_cache(tmp_path)
-        restored = cache.get(pairs[0][0])
-        assert restored is not None
-        stats = cache.stats()
-        assert stats["hits"] == 0
-        assert stats["misses"] == 1
-        assert stats["disk_hits"] == 1
-
-    def test_stats_identity_holds_across_mixed_traffic(self, tmp_path):
-        cache, pairs = self._spilled_cache(tmp_path)
-        cache.get(pairs[0][0])      # memory miss, disk hit (admits)
-        cache.get(pairs[0][0])      # memory hit
-        cache.get("f" * 64)         # clean miss
-        stats = cache.stats()
-        assert stats["hits"] + stats["misses"] == 3
-        assert stats["disk_hits"] <= stats["misses"]
-
-    def test_concurrent_restore_hammer_single_admit(self, tmp_path):
-        # Regression for the get() race: _load_spilled ran outside the
-        # lock, so two threads could both restore and both admit.  With
-        # the under-lock re-check exactly one loads from disk, everyone
-        # else adopts that entry, and the counters are deterministic.
-        import threading
-
-        cache, pairs = self._spilled_cache(tmp_path)
-        key, original = pairs[0]
-        n_threads = 16
-        barrier = threading.Barrier(n_threads)
-        results = [None] * n_threads
-
-        def worker(i):
-            barrier.wait()
-            results[i] = cache.get(key)
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert all(r is not None for r in results)
-        first = results[0]
-        assert all(r is first for r in results)  # single admitted object
-        assert np.array_equal(first.coloring.colors,
-                              original.coloring.colors)
-        stats = cache.stats()
-        assert stats["misses"] == 1
-        assert stats["disk_hits"] == 1
-        assert stats["hits"] == n_threads - 1
-        assert stats["entries"] == 1
-
-
-# ----------------------------------------------------------------------
 # POST /mutate: re-color a finished job's mutated graph
 # ----------------------------------------------------------------------
 class TestMutate:
@@ -933,14 +807,6 @@ class TestGraphMemo:
         assert stats["graph_builds"] == 2 and stats["evictions"] == 1
         assert stats["entries"] == 1 and stats["bytes"] <= cache.max_bytes
         assert cache.get(results[0][0]) is None
-
-    def test_graphs_are_never_spilled(self, tmp_path):
-        cache = ResultCache(max_bytes=600, spill_dir=tmp_path)
-        cache.graph(("a",), lambda: path_graph(4))
-        cache.graph(("b",), lambda: path_graph(4))
-        assert cache.stats()["graph_evictions"] == 1
-        assert cache.stats()["spills"] == 0
-        assert not list(tmp_path.iterdir())
 
     def test_over_budget_graph_is_not_pinned(self):
         g = path_graph(100)

@@ -2,7 +2,7 @@
 the service's chaos tolerance).
 
 Covers the chaos fault-plan grammar, per-job deadlines, store-error
-tolerance, spill-failure degradation, the HTTP 500 boundary, and the
+tolerance, the HTTP 500 boundary, and the
 supervisor's deadline-sweep loop — all in-process and deterministic
 (chaos comes from seeded FaultPlans or explicit calls, never from
 timing luck).
@@ -36,32 +36,31 @@ def graph():
 # ----------------------------------------------------------------------
 class TestChaosPlan:
     def test_chaos_kinds_round_trip(self):
-        spec = "spill@r0x3;spillrot@r4;storeerr@r1x2"
+        spec = "storeerr@r0x3;storeerr@r4"
         plan = FaultPlan.from_spec(spec)
         assert plan.to_spec() == spec
-        assert [f.kind for f in plan.faults] == [
-            "spill", "spillrot", "storeerr"]
+        assert [f.kind for f in plan.faults] == ["storeerr", "storeerr"]
 
     def test_for_op_occurrence_window(self):
-        plan = FaultPlan.from_spec("spill@r1x2")
-        assert plan.for_op("spill", 0) is None
-        assert plan.for_op("spill", 1) is not None
-        assert plan.for_op("spill", 2) is not None
-        assert plan.for_op("spill", 3) is None
+        plan = FaultPlan.from_spec("storeerr@r1x2")
+        assert plan.for_op("storeerr", 0) is None
+        assert plan.for_op("storeerr", 1) is not None
+        assert plan.for_op("storeerr", 2) is not None
+        assert plan.for_op("storeerr", 3) is None
 
     def test_for_op_rejects_worker_kinds(self):
         with pytest.raises(ValueError, match="for_op kind"):
             FaultPlan().for_op("stall", 0)
 
     def test_chaos_kinds_never_match_worker_tasks(self):
-        plan = FaultPlan.from_spec("spill@r0;spillrot@r0;storeerr@r0")
+        plan = FaultPlan.from_spec("storeerr@r0")
         assert plan.for_task(0, 0) is None
         assert set(PROCESS_FAULT_KINDS).isdisjoint(WORKER_FAULT_KINDS)
 
     def test_worker_kinds_still_require_worker(self):
         with pytest.raises(ValueError, match="needs a worker"):
             FaultPlan.from_spec("stall@r0")
-        FaultPlan.from_spec("spill@r0")  # IO kinds do not
+        FaultPlan.from_spec("storeerr@r0")  # IO kinds do not
 
 
 # ----------------------------------------------------------------------
@@ -156,50 +155,6 @@ class TestStoreErrorTolerance:
         # the row never left pending, but the client still gets a result
         assert svc.store.get(job.id)["status"] == "pending"
         assert svc.result(job.id).result is job.result
-
-
-# ----------------------------------------------------------------------
-# spill-failure degradation (spill / spillrot chaos)
-# ----------------------------------------------------------------------
-class TestSpillDegradation:
-    def test_enospc_degrades_to_memory_only(self, graph, tmp_path):
-        svc = ColoringService(spill_dir=tmp_path / "spill",
-                              fault_plan="spill@r0x2")
-        jobs = [svc.submit_and_wait(
-            graph, RunConfig("greedy-ff", seed=s), ) for s in range(3)]
-        assert all(j.status == "done" for j in jobs)
-        # force eviction-driven spills by clearing memory only
-        stats = svc.cache.stats()
-        assert stats["spill_errors"] == 0  # no eviction yet: no writes
-        svc.cache.max_bytes = 1
-        svc.cache.put(jobs[0].key, jobs[0].result)  # evict+spill → ENOSPC
-        svc.cache.put(jobs[1].key, jobs[1].result)
-        stats = svc.cache.stats()
-        assert stats["spill_errors"] == 2
-        assert stats["degraded"] is True
-        svc.cache.put(jobs[2].key, jobs[2].result)  # degraded: no attempt
-        assert svc.cache.stats()["spill_errors"] == 2
-        health = svc.healthz()
-        assert health["status"] == "degraded"
-        assert any("cache" in r for r in health["degraded_reasons"])
-        assert not list((tmp_path / "spill").glob("*.npz"))
-
-    def test_torn_spill_write_quarantined_on_read(self, graph, tmp_path):
-        spill = tmp_path / "spill"
-        svc = ColoringService(spill_dir=spill, fault_plan="spillrot@r0")
-        svc.cache.max_bytes = 1  # every put evicts+spills immediately
-        job = svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=0))
-        assert job.status == "done"
-        assert len(list(spill.glob("*.npz"))) == 1  # truncated on disk
-        # the read path must quarantine, miss, and recompute — not crash
-        assert svc.cache.get(job.key) is None
-        assert svc.cache.stats()["spill_corrupt"] == 1
-        assert list(spill.glob("*.npz.corrupt"))
-        assert not list(spill.glob("*.npz"))
-        again = svc.submit_and_wait(graph, RunConfig("greedy-ff", seed=0))
-        assert again.status == "done" and again.source == "computed"
-        assert (again.result.coloring.colors
-                == job.result.coloring.colors).all()
 
 
 # ----------------------------------------------------------------------

@@ -21,12 +21,15 @@ def traced_run(trace_path: str | Path | None = None):
     picks it up without explicit plumbing) and yields it; on exit the
     event stream is archived as JSON lines to *trace_path* (if given) —
     the natural place is next to the experiment's tables/CSV output.
+    The trace is archived even when the block raises.
     """
     rec = Recorder()
-    with recording(rec):
-        yield rec
-    if trace_path is not None:
-        write_jsonl(rec, trace_path)
+    try:
+        with recording(rec):
+            yield rec
+    finally:
+        if trace_path is not None:
+            write_jsonl(rec, trace_path)
 
 
 def _fmt(value) -> str:

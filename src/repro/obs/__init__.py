@@ -22,6 +22,7 @@ from .bridge import record_trace
 from .export import json_ready, read_jsonl, write_jsonl
 from .recorder import (
     NULL,
+    Counters,
     NullRecorder,
     Recorder,
     as_recorder,
@@ -32,6 +33,7 @@ from .recorder import (
 
 __all__ = [
     "NULL",
+    "Counters",
     "NullRecorder",
     "Recorder",
     "as_recorder",

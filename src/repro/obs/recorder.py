@@ -15,7 +15,11 @@ writes to.  It collects three kinds of data:
 :meth:`Recorder.phase` is a re-entrant context manager that times a named
 section; phases nest, events emitted inside a phase carry the full
 ``outer/inner`` path, and per-path wall-time totals accumulate in
-``phase_seconds``.
+``phase_seconds``.  Each thread nests on its own phase stack.
+
+A component that reports its own counts (the serving layer's ``stats()``)
+keeps them in one :class:`Counters` map that mirrors every add into a
+recorder, so each event is counted once.
 
 The default sink everywhere is the module-level :data:`NULL`
 :class:`NullRecorder`, whose methods are empty — instrumented hot paths
@@ -37,6 +41,7 @@ from contextlib import contextmanager
 
 __all__ = [
     "NULL",
+    "Counters",
     "NullRecorder",
     "Recorder",
     "as_recorder",
@@ -77,11 +82,11 @@ class Recorder:
     of the instrumented computation (the test-suite checks colorings are
     identical with and without one).
 
-    Events, counters, and gauges are thread-safe — the serving layer's
-    worker pool counts cache hits and job completions from several
-    threads into one recorder.  :meth:`phase` keeps a single shared stack,
-    so *nesting* phases from concurrent threads interleaves their paths;
-    time concurrent sections from one thread (or one recorder) each.
+    Everything is thread-safe — the serving layer's worker pool counts
+    cache hits and job completions from several threads into one
+    recorder.  :meth:`phase` nests on a per-thread stack, so concurrent
+    threads each record their own paths, and an event carries the path
+    of the thread that emitted it.
     """
 
     enabled = True
@@ -91,7 +96,7 @@ class Recorder:
         self._t0 = clock()
         self._seq = 0
         self._lock = threading.RLock()
-        self._phase_stack: list[str] = []
+        self._local = threading.local()  # .stack: this thread's phase names
         self.events: list[dict] = []
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, object] = {}
@@ -108,8 +113,9 @@ class Recorder:
         with self._lock:
             self._seq += 1
             ev: dict = {"seq": self._seq, "t": self._clock() - self._t0, "kind": kind}
-            if self._phase_stack:
-                ev["phase"] = "/".join(self._phase_stack)
+            stack = getattr(self._local, "stack", None)
+            if stack:
+                ev["phase"] = "/".join(stack)
             ev.update(fields)
             self.events.append(ev)
         return ev
@@ -132,10 +138,12 @@ class Recorder:
     # -- phases ---------------------------------------------------------
     @contextmanager
     def phase(self, name: str):
-        """Time a named section; nests, and events inside carry the path."""
-        with self._lock:
-            self._phase_stack.append(name)
-            path = "/".join(self._phase_stack)
+        """Time a named section; nests per thread, events inside carry the path."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        stack.append(name)
+        path = "/".join(stack)
         self.event("phase_start", name=path)
         start = self._clock()
         try:
@@ -143,8 +151,8 @@ class Recorder:
         finally:
             elapsed = self._clock() - start
             self.event("phase_end", name=path, seconds=elapsed)
+            stack.pop()
             with self._lock:
-                self._phase_stack.pop()
                 self.phase_seconds[path] = self.phase_seconds.get(path, 0.0) + elapsed
 
     # -- reporting ------------------------------------------------------
@@ -174,6 +182,34 @@ class Recorder:
             for name, value in sorted(self.gauges.items()):
                 lines.append(f"  {name:<40} {value}")
         return "\n".join(lines)
+
+
+class Counters:
+    """A component's named monotone counts, mirrored into a recorder.
+
+    The declared *names* start at 0; :meth:`add` of any other name raises
+    ``KeyError``.  Every add also counts into the recorder resolved from
+    *recorder* (see :func:`as_recorder`) as ``f"{prefix}.{name}"``, so
+    the component's ``stats()`` and a trace read the same count.
+    """
+
+    def __init__(self, prefix: str, names, recorder=None):
+        self._rec = as_recorder(recorder)
+        self._lock = threading.Lock()
+        self._values = dict.fromkeys(names, 0)
+        self._names = {name: f"{prefix}.{name}" for name in self._values}
+
+    def add(self, name: str, value: int = 1) -> int:
+        """Add *value* to *name* (thread-safe); returns the new total."""
+        with self._lock:
+            total = self._values[name] = self._values[name] + value
+        self._rec.count(self._names[name], value)
+        return total
+
+    def snapshot(self) -> dict[str, int]:
+        """Every count, as a plain dict."""
+        with self._lock:
+            return dict(self._values)
 
 
 # ----------------------------------------------------------------------

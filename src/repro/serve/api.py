@@ -63,14 +63,15 @@ def dispatch(service: ColoringService, method: str, path: str,
     threads — so tests drive the full protocol deterministically.
 
     An unexpected handler exception never leaks a raw traceback to the
-    client: it is recorded on the service's recorder and answered as a
-    structured ``500 {"error": reason}``.
+    client: it is counted (``http_errors`` in ``/stats``), recorded on
+    the service's recorder, and answered as a structured
+    ``500 {"error": reason}``.
     """
     try:
         return _route(service, method, path, body)
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         reason = f"internal error: {type(exc).__name__}: {exc}"
-        service.recorder.count("serve.http.errors")
+        service.counts.add("http_errors")
         service.recorder.event("serve_http_error", method=method,
                                path=path, error=reason)
         return 500, {"error": reason}

@@ -15,11 +15,11 @@ entry is keyed by a tuple, which no hex digest can equal, is charged its
 CSR array bytes plus the fixed overhead, and is dropped on eviction.
 Concurrent requests for one unbuilt graph build it once.
 
-Hit/miss/eviction counters are exported through :mod:`repro.obs`:
-every operation counts into the recorder passed at construction (resolved
-via :func:`repro.obs.as_recorder`, so the process-installed recorder is
-honored) under ``serve.cache.*`` names, and :meth:`ResultCache.stats`
-returns the same numbers as a plain dict.
+Hit/miss/eviction counts live in one :class:`repro.obs.Counters` map:
+:meth:`ResultCache.stats` reads it, and every add is mirrored into the
+recorder passed at construction (resolved via
+:func:`repro.obs.as_recorder`, so the process-installed recorder is
+honored) as ``serve.cache.<stats key>``.
 
 All operations are thread-safe — the batching scheduler's worker pool
 publishes results concurrently.
@@ -33,7 +33,7 @@ from concurrent.futures import Future
 from typing import Callable
 
 from ..graph.csr import CSRGraph
-from ..obs import as_recorder
+from ..obs import Counters, as_recorder
 from ..run.config import RunResult
 
 __all__ = ["DEFAULT_MAX_BYTES", "ResultCache"]
@@ -63,8 +63,10 @@ class ResultCache:
         payload exceeds it.  An entry larger than the whole budget is
         admitted and immediately evicted, never pinned.
     recorder:
-        Observability sink for the ``serve.cache.*`` counters; resolves
-        like every other ``recorder=`` argument in the codebase.
+        Observability sink that mirrors each count as
+        ``serve.cache.<stats key>`` (plus the ``serve.cache.graph_bytes``
+        gauge); resolves like every other ``recorder=`` argument in the
+        codebase.
     """
 
     def __init__(self, *, max_bytes: int = DEFAULT_MAX_BYTES, recorder=None):
@@ -78,13 +80,10 @@ class ResultCache:
         self._bytes = 0
         self._graphs = 0
         self._graph_bytes = 0
-        self._graph_hits = 0
-        self._graph_builds = 0
-        self._graph_evictions = 0
         self._building: dict[tuple, Future] = {}
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
+        self._counts = Counters("serve.cache", (
+            "hits", "misses", "evictions",
+            "graph_hits", "graph_builds", "graph_evictions"), self._rec)
 
     # ------------------------------------------------------------------
     # core operations
@@ -95,12 +94,10 @@ class ResultCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._misses += 1
-                self._rec.count("serve.cache.misses")
+                self._counts.add("misses")
                 return None
             self._entries.move_to_end(key)
-            self._hits += 1
-            self._rec.count("serve.cache.hits")
+            self._counts.add("hits")
             return entry[0]
 
     def put(self, key: str, result: RunResult) -> None:
@@ -125,7 +122,7 @@ class ResultCache:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self._graph_hit_locked()
+                self._counts.add("graph_hits")
                 return entry[0]
             flight = self._building.get(key)
             builder = flight is None
@@ -133,8 +130,7 @@ class ResultCache:
                 flight = self._building[key] = Future()
         if not builder:
             graph = flight.result()
-            with self._lock:
-                self._graph_hit_locked()
+            self._counts.add("graph_hits")
             return graph
         try:
             graph = build()
@@ -146,8 +142,7 @@ class ResultCache:
         cost = _ENTRY_OVERHEAD + graph.indptr.nbytes + graph.indices.nbytes
         with self._lock:
             del self._building[key]
-            self._graph_builds += 1
-            self._rec.count("serve.cache.graph_builds")
+            self._counts.add("graph_builds")
             if cost <= self.max_bytes:
                 self._admit(key, graph, cost)
         flight.set_result(graph)
@@ -184,14 +179,9 @@ class ResultCache:
         """
         with self._lock:
             return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
+                **self._counts.snapshot(),
                 "entries": len(self._entries) - self._graphs,
                 "bytes": self._bytes,
-                "graph_hits": self._graph_hits,
-                "graph_builds": self._graph_builds,
-                "graph_evictions": self._graph_evictions,
                 "graph_entries": self._graphs,
                 "graph_bytes": self._graph_bytes,
                 "max_bytes": self.max_bytes,
@@ -200,10 +190,6 @@ class ResultCache:
     # ------------------------------------------------------------------
     # internals (callers hold the lock unless noted)
     # ------------------------------------------------------------------
-    def _graph_hit_locked(self) -> None:
-        self._graph_hits += 1
-        self._rec.count("serve.cache.graph_hits")
-
     def _charge(self, key: str | tuple, cost: int) -> None:
         """Add an entry's *cost* to the resident totals (negative: remove)."""
         self._bytes += cost
@@ -220,9 +206,5 @@ class ResultCache:
         while self._bytes > self.max_bytes and self._entries:
             old_key, (_, old_cost) = self._entries.popitem(last=False)
             self._charge(old_key, -old_cost)
-            if isinstance(old_key, str):
-                self._evictions += 1
-                self._rec.count("serve.cache.evictions")
-            else:
-                self._graph_evictions += 1
-                self._rec.count("serve.cache.graph_evictions")
+            self._counts.add("evictions" if isinstance(old_key, str)
+                             else "graph_evictions")

@@ -29,7 +29,9 @@ is observable two ways: poll ``job.finished``, or block on
 sleep-poll loop.
 
 The queue is thread-safe: the HTTP front end submits from handler
-threads while the scheduler drains from its own.
+threads while the scheduler drains from its own.  Its admission counts
+live in one :class:`repro.obs.Counters` map that :meth:`SubmissionQueue.stats`
+reads and the recorder mirrors as ``serve.queue.<stats key>``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from ..coloring.strategies import STRATEGIES
 from ..coloring.types import Coloring
 from ..graph.csr import CSRGraph
-from ..obs import as_recorder
+from ..obs import Counters, as_recorder
 from ..run.config import RunConfig, RunResult
 from .fingerprint import job_key
 from .store import JOB_STATES, JobStore, MemoryStore, StoreError
@@ -177,7 +179,8 @@ class SubmissionQueue:
         Per-tenant cap on jobs in flight, enforced at admission; only
         jobs that carry a ``tenant`` count.  ``None`` disables the quota.
     recorder:
-        Observability sink for the ``serve.queue.*`` counters.
+        Observability sink that mirrors each count as
+        ``serve.queue.<stats key>`` and receives the job events.
     """
 
     def __init__(self, *, max_pending: int = DEFAULT_MAX_PENDING,
@@ -198,13 +201,10 @@ class SubmissionQueue:
         self._tenant_active: dict[str, int] = {}
         self._latency: deque[float] = deque(maxlen=_LATENCY_WINDOW)
         self._in_flight = 0  # admitted, not yet terminal
-        self._submitted = 0
-        self._rejected = 0
-        self._rejected_full = 0
-        self._rejected_invalid = 0
-        self._rejected_quota = 0
-        self._deadline_expired = 0
-        self._store_errors = 0
+        self._counts = Counters("serve.queue", (
+            "submitted", "rejections_full", "rejections_invalid",
+            "rejections_quota", "deadline_expired", "store_errors"),
+            self._rec)
 
     # ------------------------------------------------------------------
     def submit(self, graph: CSRGraph, config: RunConfig, *,
@@ -248,26 +248,19 @@ class SubmissionQueue:
                 if deadline_ms <= 0:
                     reason = f"deadline_ms must be > 0, got {deadline_ms}"
         if reason is not None:
-            with self._lock:
-                self._rejected += 1
-                self._rejected_invalid += 1
-            self._rec.count("serve.queue.rejected_invalid")
+            self._counts.add("rejections_invalid")
             raise AdmissionError(reason)
         key = job_key(graph, config_dict) if key is None else key(config_dict)
         with self._lock:
             if self._in_flight >= self.max_pending:
-                self._rejected += 1
-                self._rejected_full += 1
-                self._rec.count("serve.queue.rejected_full")
+                self._counts.add("rejections_full")
                 raise AdmissionError(
                     f"queue full: {self._in_flight} jobs in flight "
                     f"(limit {self.max_pending}); retry later"
                 )
             if (self.tenant_quota is not None and tenant is not None
                     and self._tenant_active.get(tenant, 0) >= self.tenant_quota):
-                self._rejected += 1
-                self._rejected_quota += 1
-                self._rec.count("serve.queue.rejected_quota")
+                self._counts.add("rejections_quota")
                 raise AdmissionError(
                     f"tenant {tenant!r} quota exhausted: "
                     f"{self._tenant_active[tenant]} jobs in flight "
@@ -288,7 +281,7 @@ class SubmissionQueue:
                       submitted_at=now, deadline_ms=deadline_ms,
                       meta=stored_meta)
             self._enqueue_locked(job)
-            self._submitted += 1
+            self._counts.add("submitted")
             return job
 
     def _enqueue_locked(self, job: Job) -> None:
@@ -376,9 +369,7 @@ class SubmissionQueue:
             self.store.transition(job_id, status, **kwargs)
             return True
         except (StoreError, OSError) as exc:
-            with self._lock:
-                self._store_errors += 1
-            self._rec.count("serve.queue.store_errors")
+            self._counts.add("store_errors")
             self._rec.event("serve_store_error", job=job_id,
                             status=status, error=str(exc))
             return False
@@ -446,9 +437,7 @@ class SubmissionQueue:
         job.error = (f"deadline: exceeded {job.deadline_ms:g}ms budget"
                      if job.deadline_ms is not None else "deadline: expired")
         job.meta["reason"] = "deadline"
-        with self._lock:
-            self._deadline_expired += 1
-        self._rec.count("serve.queue.deadline_expired")
+        self._counts.add("deadline_expired")
         self._rec.event("serve_job_deadline", job=job.id,
                         deadline_ms=job.deadline_ms)
         self.mark_terminal(job)
@@ -510,8 +499,9 @@ class SubmissionQueue:
             if sample:
                 latency["p50_ms"] = self._percentile(sample, 0.50) * 1e3
                 latency["p95_ms"] = self._percentile(sample, 0.95) * 1e3
+            counts = self._counts.snapshot()
             return {
-                "submitted": self._submitted,
+                **counts,
                 "pending": sum(len(q) for q in self._pending.values()),
                 "pending_by_priority": {p: len(self._pending[p])
                                         for p in PRIORITIES},
@@ -519,11 +509,8 @@ class SubmissionQueue:
                 "max_pending": self.max_pending,
                 "tenant_quota": self.tenant_quota,
                 "tenants_active": len(self._tenant_active),
-                "rejections": self._rejected,
-                "rejections_full": self._rejected_full,
-                "rejections_invalid": self._rejected_invalid,
-                "rejections_quota": self._rejected_quota,
-                "deadline_expired": self._deadline_expired,
-                "store_errors": self._store_errors,
+                "rejections": (counts["rejections_full"]
+                               + counts["rejections_invalid"]
+                               + counts["rejections_quota"]),
                 "latency": latency,
             }

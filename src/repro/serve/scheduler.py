@@ -25,14 +25,17 @@ Determinism: ``execute`` is deterministic for a fixed seed, jobs are
 independent, and batch order is preserved everywhere, so the same
 submissions yield bit-identical colorings whether a job was computed,
 deduplicated, or served from cache — the test-suite asserts this.
+
+The round counts live in one :class:`repro.obs.Counters` map that
+:meth:`BatchScheduler.stats` reads and the recorder mirrors as
+``serve.scheduler.<stats key>``.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from ..obs import as_recorder
+from ..obs import Counters
 from .backends import InlineBackend
 from .cache import ResultCache
 from .queue import Job, SubmissionQueue
@@ -54,7 +57,8 @@ class BatchScheduler:
     batch_size:
         Max jobs drained per round (``None`` = everything queued).
     recorder:
-        Observability sink for the ``serve.scheduler.*`` counters.
+        Observability sink that mirrors each count as
+        ``serve.scheduler.<stats key>``.
     """
 
     def __init__(self, queue: SubmissionQueue, cache: ResultCache, *,
@@ -69,16 +73,9 @@ class BatchScheduler:
         self.backend = InlineBackend()
         self.workers = int(workers)
         self.batch_size = batch_size
-        self._rec = as_recorder(recorder)
-        self._lock = threading.RLock()
-        self._rounds = 0
-        self._executed = 0
-        self._cache_hits = 0
-        self._store_hits = 0
-        self._dedup_hits = 0
-        self._failures = 0
-        self._resolved = 0
-        self._deadline_failed = 0
+        self._counts = Counters("serve.scheduler", (
+            "rounds", "resolved", "executed", "cache_hits", "store_hits",
+            "dedup_hits", "failures", "deadline_failed"), recorder)
 
     # ------------------------------------------------------------------
     def run_round(self) -> int:
@@ -86,17 +83,14 @@ class BatchScheduler:
         batch = self.queue.take_batch(self.batch_size)
         if not batch:
             return 0
-        with self._lock:
-            self._rounds += 1
-        self._rec.count("serve.scheduler.rounds")
+        self._counts.add("rounds")
 
         # 0. deadlines: a job whose budget elapsed while queued fails
         # fast here, before it can occupy a cache probe or a worker
         live: list[Job] = []
         for job in batch:
             if job.expired():
-                with self._lock:
-                    self._deadline_failed += 1
+                self._counts.add("deadline_failed")
                 self.queue.fail_deadline(job)
             else:
                 live.append(job)
@@ -163,9 +157,7 @@ class BatchScheduler:
         if result is None:
             result = self.queue.store.result(key)
             if result is not None:
-                with self._lock:
-                    self._store_hits += 1
-                self._rec.count("serve.scheduler.store_hits")
+                self._counts.add("store_hits")
                 self.cache.put(key, result)
         return result
 
@@ -180,9 +172,7 @@ class BatchScheduler:
     def _run_one(self, job: Job) -> tuple:
         """Execute one primary: ``(result, None)`` or ``(None, error)``."""
         self.queue.mark_running(job)
-        with self._lock:
-            self._executed += 1
-        self._rec.count("serve.scheduler.executed")
+        self._counts.add("executed")
         try:
             return self.backend.run(job), None
         except Exception as exc:  # noqa: BLE001 - a bad job must not kill the service
@@ -193,37 +183,22 @@ class BatchScheduler:
         if error is not None:
             job.status = "failed"
             job.error = error
-            with self._lock:
-                self._failures += 1
-            self._rec.count("serve.scheduler.failures")
+            self._counts.add("failures")
         else:
             job.status = "done"
             job.result = result
             if source == "cache":
-                with self._lock:
-                    self._cache_hits += 1
-                self._rec.count("serve.scheduler.cache_hits")
+                self._counts.add("cache_hits")
             elif source == "dedup":
-                with self._lock:
-                    self._dedup_hits += 1
-                self._rec.count("serve.scheduler.dedup_hits")
-        with self._lock:
-            self._resolved += 1
+                self._counts.add("dedup_hits")
+        self._counts.add("resolved")
         self.queue.mark_terminal(job)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Scheduler counters: rounds, executions, hit/dedup/failure mix."""
-        with self._lock:
-            return {
-                "rounds": self._rounds,
-                "resolved": self._resolved,
-                "executed": self._executed,
-                "cache_hits": self._cache_hits,
-                "store_hits": self._store_hits,
-                "dedup_hits": self._dedup_hits,
-                "failures": self._failures,
-                "readmitted": 0,  # perfbench reads it; goes when perfbench next changes
-                "deadline_failed": self._deadline_failed,
-                "workers": self.workers,
-            }
+        return {
+            **self._counts.snapshot(),
+            "readmitted": 0,  # perfbench reads it; goes when perfbench next changes
+            "workers": self.workers,
+        }

@@ -54,7 +54,7 @@ from functools import partial
 from ..graph import datasets
 from ..graph.csr import CSRGraph
 from ..graph.delta import MutationBatch, apply_delta
-from ..obs import as_recorder
+from ..obs import Counters, as_recorder
 from ..resilience import resolve_fault_plan
 from ..run.config import RunConfig
 from ..run.mutate import mutation_config
@@ -123,8 +123,10 @@ class ColoringService:
     (``None`` = in-memory, a path opens a sqlite store there, whose rows
     keep every computed result).  *recover* (default on) re-admits a
     persistent store's interrupted jobs at construction.  *recorder* is
-    shared by every component, so one observability sink sees the whole
-    ``serve.*`` counter family.
+    shared by every component, so one observability sink mirrors the
+    whole ``serve.*`` counter family (see :class:`~repro.obs.Counters`);
+    the service's own ``counts`` are ``stats()``'s top-level
+    ``pump_errors`` and ``http_errors``.
 
     Robustness knobs: *supervise* attaches a background
     :class:`~repro.serve.supervisor.Supervisor` that sweeps expired
@@ -157,7 +159,8 @@ class ColoringService:
                                       recorder=self.recorder)
                            if supervise else None)
         self._pump: threading.Thread | None = None
-        self._pump_errors = 0
+        self.counts = Counters("serve", ("pump_errors", "http_errors"),
+                               self.recorder)
         self._wake = threading.Event()
         self._stopping = threading.Event()
         self.recovered = {"requeued": 0, "failed": 0, "terminal": 0}
@@ -391,7 +394,7 @@ class ColoringService:
             "cache": self.cache.stats(),
             "store": store_info,
             "pool": warm_pool().stats(),
-            "pump_errors": self._pump_errors,
+            **self.counts.snapshot(),
         }
         if self.supervisor is not None:
             out["supervisor"] = self.supervisor.stats()
@@ -541,7 +544,7 @@ class ColoringService:
                 # a round that blows up (chaos, an execute bug) costs that
                 # batch's jobs nothing durable — they are still in the
                 # store — but the pump itself must keep draining
-                self._pump_errors += 1
+                self.counts.add("pump_errors")
                 self.recorder.event(
                     "serve_pump_error",
                     error=f"{type(exc).__name__}: {exc}")

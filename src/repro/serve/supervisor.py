@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 
-from ..obs import as_recorder
+from ..obs import Counters, as_recorder
 
 __all__ = ["Supervisor"]
 
@@ -28,6 +28,8 @@ class Supervisor:
 
     A tick that raises is counted (``supervisor_errors``) and the loop
     keeps running — the supervisor must outlive everything it watches.
+    The counts are mirrored into the recorder as
+    ``serve.supervisor.<stats key>``.
     """
 
     def __init__(self, service, *, interval: float = 0.5, recorder=None):
@@ -39,8 +41,8 @@ class Supervisor:
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
-        self._stats = {"ticks": 0, "deadline_expired": 0,
-                       "supervisor_errors": 0}
+        self._counts = Counters("serve.supervisor", (
+            "ticks", "deadline_expired", "supervisor_errors"), self._rec)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -71,25 +73,20 @@ class Supervisor:
             try:
                 self.tick()
             except Exception as exc:  # noqa: BLE001 - the loop must survive
-                with self._lock:
-                    self._stats["supervisor_errors"] += 1
+                self._counts.add("supervisor_errors")
                 self._rec.event("serve_supervisor_error",
                                 error=f"{type(exc).__name__}: {exc}")
 
     # ------------------------------------------------------------------
     def tick(self) -> dict:
         """One supervision pass; returns what it observed/did (tests)."""
-        with self._lock:
-            idx = self._stats["ticks"]
-            self._stats["ticks"] += 1
+        idx = self._counts.add("ticks") - 1
         expired = self.service.queue.expire_deadlines()
         if expired:
-            with self._lock:
-                self._stats["deadline_expired"] += expired
+            self._counts.add("deadline_expired", expired)
         return {"tick": idx, "expired": expired}
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        with self._lock:
-            return {**self._stats, "interval_s": self.interval,
-                    "running": self.running}
+        return {**self._counts.snapshot(), "interval_s": self.interval,
+                "running": self.running}

@@ -15,6 +15,7 @@ from repro.coloring import (
 from repro.graph import erdos_renyi_graph
 from repro.obs import (
     NULL,
+    Counters,
     Recorder,
     as_recorder,
     install,
@@ -135,6 +136,74 @@ class TestRecorder:
             assert installed() is outer
         finally:
             install(None)
+
+
+    def test_phase_stacks_are_per_thread(self):
+        # two threads nest phases at once; each keeps its own path, and
+        # each exit pops its own frame
+        import threading
+
+        rec = Recorder()
+        both_in = threading.Barrier(2, timeout=10)
+
+        def nest(outer):
+            with rec.phase(outer):
+                both_in.wait()
+                with rec.phase("inner"):
+                    both_in.wait()
+                    rec.event("mark", by=outer)
+                both_in.wait()
+
+        threads = [threading.Thread(target=nest, args=(n,)) for n in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert set(rec.phase_seconds) == {"a", "a/inner", "b", "b/inner"}
+        assert {(e["by"], e["phase"]) for e in rec.events_of("mark")} == {
+            ("a", "a/inner"), ("b", "b/inner")}
+
+
+class TestCounters:
+    def test_declared_names_start_at_zero_and_mirror(self):
+        rec = Recorder()
+        counts = Counters("serve.x", ("hits", "misses"), rec)
+        assert counts.snapshot() == {"hits": 0, "misses": 0}
+        assert counts.add("hits") == 1
+        assert counts.add("hits", 3) == 4
+        assert counts.snapshot() == {"hits": 4, "misses": 0}
+        assert rec.counters == {"serve.x.hits": 4}
+
+    def test_undeclared_name_raises(self):
+        rec = Recorder()
+        counts = Counters("serve.x", ("hits",), rec)
+        with pytest.raises(KeyError):
+            counts.add("hist")
+        assert counts.snapshot() == {"hits": 0} and rec.counters == {}
+
+    def test_resolves_the_installed_recorder(self):
+        with recording() as rec:
+            counts = Counters("serve.x", ("hits",))
+        counts.add("hits")
+        assert rec.counters == {"serve.x.hits": 1}
+
+    def test_adds_from_threads_are_not_lost(self):
+        import threading
+
+        rec = Recorder()
+        counts = Counters("serve.x", ("hits",), rec)
+
+        def work():
+            for _ in range(1000):
+                counts.add("hits")
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert counts.snapshot() == {"hits": 4000}
+        assert rec.counters["serve.x.hits"] == 4000
 
 
 class TestJsonl:
@@ -307,3 +376,15 @@ class TestTracedRun:
             greedy_coloring(obs_graph)
         assert rec.events
         assert list(tmp_path.iterdir()) == []
+
+    def test_archives_when_the_block_raises(self, obs_graph, tmp_path):
+        from repro.experiments import traced_run
+
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(RuntimeError, match="crashed"):
+            with traced_run(path):
+                greedy_coloring(obs_graph)
+                raise RuntimeError("crashed")
+        events = read_jsonl(path)
+        assert events[-1]["kind"] == "run_summary"
+        assert any(e["kind"] == "coloring" for e in events)

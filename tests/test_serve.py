@@ -941,3 +941,100 @@ class TestGraphMemo:
         status, reply = dispatch(svc, "POST", "/submit", _memo_body(**fields))
         assert status == 400 and message in reply["error"]
         assert counted_build == []
+
+
+# ----------------------------------------------------------------------
+# one count per serving event: /stats and the recorder read the same count
+# ----------------------------------------------------------------------
+#: every count ``stats()`` reports, by component (``""`` = the service)
+COUNTED = {
+    "cache": ("hits", "misses", "evictions", "graph_hits", "graph_builds",
+              "graph_evictions"),
+    "queue": ("submitted", "rejections_full", "rejections_invalid",
+              "rejections_quota", "deadline_expired", "store_errors"),
+    "scheduler": ("rounds", "resolved", "executed", "cache_hits",
+                  "store_hits", "dedup_hits", "failures", "deadline_failed"),
+    "supervisor": ("ticks", "deadline_expired", "supervisor_errors"),
+    "": ("pump_errors", "http_errors"),
+}
+
+
+class TestCounterContract:
+    def test_recorder_mirrors_every_stats_count(self, tmp_path, monkeypatch):
+        import time
+
+        from repro.obs import Recorder
+
+        config = RunConfig("greedy-ff", seed=0)
+        g1, g2, g3, g4, g5, g6 = (erdos_renyi_graph(200, 0.03, seed=s)
+                                  for s in range(6))
+        probe = ColoringService()
+        probe.submit_and_wait(g1, config)
+        one_result = probe.cache.stats()["bytes"]  # the budget holds one
+
+        rec = Recorder()
+        svc = ColoringService(recorder=rec, store=tmp_path / "st",
+                              max_bytes=one_result, max_pending=2,
+                              tenant_quota=1, supervise=True,
+                              fault_plan="storeerr@r0")
+        # a store error on the first transition (g6's running write)
+        svc.submit_and_wait(g6, config)
+        # a graph build and a hit; the build evicts g6's result
+        tiny = path_graph(4)
+        for _ in range(2):
+            svc.cache.graph(("tiny",), lambda: tiny)
+        # two misses, one execute and one dedup; the result evicts the graph
+        first = svc.submit(g1, config)
+        svc.submit(g1, config)
+        svc.process()
+        # a hit
+        assert svc.submit_and_wait(g1, config).source == "cache"
+        # g2's result evicts g1's; g1 is then read back from its store row
+        svc.submit_and_wait(g2, config)
+        assert svc.submit_and_wait(g1, config).source == "cache"
+        # each rejection cause
+        held = [svc.submit(g3, config, tenant="t")]
+        with pytest.raises(AdmissionError, match="quota"):
+            svc.submit(g3, config, tenant="t")
+        held.append(svc.submit(g4, config))
+        with pytest.raises(AdmissionError, match="queue full"):
+            svc.submit(g4, config)
+        with pytest.raises(AdmissionError, match="priority"):
+            svc.submit(g4, config, priority="urgent")
+        svc.process()
+        # a deadline failed by the scheduler, another swept by a tick
+        svc.submit(g5, config, deadline_ms=0.01)
+        time.sleep(0.002)
+        svc.process()
+        svc.submit(g5, config, deadline_ms=0.01)
+        time.sleep(0.002)
+        assert svc.supervisor.tick()["expired"] == 1
+        # a failed execute
+        with monkeypatch.context() as m:
+            m.setattr(svc.scheduler.backend, "run", lambda job: 1 / 0)
+            assert svc.submit_and_wait(g5, config).status == "failed"
+        # an HTTP 500
+        with monkeypatch.context() as m:
+            m.setattr(svc, "healthz", lambda: 1 / 0)
+            assert dispatch(svc, "GET", "/healthz")[0] == 500
+
+        stats = svc.stats()
+        svc.stop()
+        assert first.status == "done"
+        mirrored = {}
+        for component, names in COUNTED.items():
+            section = stats[component] if component else stats
+            prefix = f"serve.{component}." if component else "serve."
+            for name in names:
+                mirrored[prefix + name] = section[name]
+        assert {name: rec.counters.get(name, 0) for name in mirrored} \
+            == mirrored
+        served = {n for n in rec.counters if n.startswith("serve.")}
+        assert served <= set(mirrored)
+        # every event above was counted; only the loop-thread errors stay 0
+        assert {n for n, v in mirrored.items() if v == 0} == {
+            "serve.pump_errors", "serve.supervisor.supervisor_errors"}
+        queue = stats["queue"]
+        assert queue["rejections"] == (queue["rejections_full"]
+                                       + queue["rejections_invalid"]
+                                       + queue["rejections_quota"])

@@ -16,6 +16,11 @@ drain as compiled C when the library of :mod:`repro.kernels.compiled`
 loads (``compiled``), and as the reference Python loops otherwise
 (``reference``).  Both tiers give the same coloring.
 
+The report starts with the layout of the loaded library: each exported
+C loop's offset and that offset mod 64 (from ``nm -D``, or
+"unavailable" when ``nm`` is not on ``PATH``), so a timing that moves
+with the code layout shows which loops moved.
+
 ``--check BASELINE.json`` compares the measured vectorized/reference
 speedup ratios against a previously recorded baseline and exits non-zero
 if any kernel regressed to less than half its recorded speedup.  Ratios,
@@ -29,6 +34,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -114,6 +121,25 @@ def bench_graph(name, graph, repeats: int, recorder=NULL):
             yield row
 
 
+def print_layout() -> None:
+    """Print each exported C loop's offset in the loaded library, and the
+    offset mod 64 (every loop is built aligned to 64 bytes)."""
+    lib, nm = compiled.load(), shutil.which("nm")
+    if lib is None or nm is None:
+        why = "no nm on PATH" if lib is not None else compiled.failure_reason()
+        print(f"kernel layout: unavailable ({why})")
+        return
+    proc = subprocess.run([nm, "-D", "--defined-only", lib._name],
+                          capture_output=True, text=True)
+    offsets = {f[2]: int(f[0], 16) for f in map(str.split, proc.stdout.splitlines())
+               if len(f) == 3}
+    print(f"kernel layout ({Path(lib._name).name}):")
+    for name in sorted(compiled.signatures(), key=lambda k: offsets.get(k, -1)):
+        at = offsets.get(name)
+        print(f"  {name:<16} unavailable" if at is None
+              else f"  {name:<16} {at:#08x}  mod 64 = {at % 64}")
+
+
 def check_against_baseline(results, baseline_path: Path) -> int:
     """Return 1 if any kernel fell below half its recorded speedup."""
     baseline = json.loads(baseline_path.read_text())
@@ -161,6 +187,7 @@ def main(argv=None) -> int:
     repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
     recorder = Recorder() if args.trace else NULL
 
+    print_layout()
     results = []
     for name, factory in suite:
         graph = factory()

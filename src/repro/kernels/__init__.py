@@ -14,12 +14,19 @@ assembled and validated by kernels too (:func:`csr_assemble`,
 
 Every kernel has exactly two tiers, with one rule:
 
-* a resolved ``reference`` backend runs the **oracle**, the Python loop
-  of :mod:`repro.kernels.reference` (for the D1 detectors and the D1
-  count, the NumPy edge scans of :mod:`repro.kernels.conflicts`);
+* a resolved ``reference`` backend runs the **oracle**, the function of
+  the same name in :mod:`repro.kernels.reference`, the one oracle module
+  (a Python loop, or a NumPy scan for the D1 detectors, the D1 count and
+  the CSR assembly and check);
 * any other backend runs the **C loop** of :mod:`repro.kernels.compiled`
   if the library loaded (it is built once with the system C compiler),
   else that same oracle.
+
+Every dispatcher checks its inputs, allocates its scratch and then makes
+one call through :func:`_call`, which passes the checked graph arrays and
+each array as its pointer, and raises :class:`ValueError` when the C
+loop reports an out-of-range graph index.  The argument types of each C
+loop are read from its prototype in :data:`repro.kernels.compiled.SOURCE`.
 
 The two tiers are bit-identical, so ``vectorized`` names the fast tier,
 not one implementation: a backend chooses how fast a result is computed,
@@ -59,15 +66,13 @@ from contextvars import ContextVar
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from . import conflicts, reference
+from . import reference
 # imported with the package, not on the first kernel call: its stdlib
 # imports (subprocess, tempfile) cost milliseconds
 from . import compiled
-from .conflicts import bin_sizes, monochromatic_edges
 
 __all__ = [
     "BACKENDS",
-    "bin_sizes",
     "capacity_sweep",
     "check_colors",
     "count_monochromatic_edges",
@@ -80,7 +85,6 @@ __all__ = [
     "detect_conflicts",
     "detect_cross_conflicts",
     "ff_sweep",
-    "monochromatic_edges",
     "resolve_backend",
     "sched_commit",
     "shuffle_drain",
@@ -186,15 +190,9 @@ def ff_sweep(
     lib = _compiled()
     if lib is None:
         return reference.ff_sweep(graph, work, base)
-    indptr, indices = _graph_arrays(graph)
     out = np.array(base, dtype=np.int64)
-    if work.shape[0] == 0:
-        return out
-    stamp = np.zeros(int(graph.degrees[work].max()) + 1, dtype=np.int64)
-    if lib.ff_sweep(indptr.ctypes.data, indices.ctypes.data, n, indices.shape[0],
-                    out.ctypes.data, work.ctypes.data, work.shape[0],
-                    stamp.ctypes.data, stamp.shape[0]) < 0:
-        raise ValueError("graph is not a valid CSR")
+    stamp = np.zeros(int(graph.degrees[work].max(initial=0)) + 1, dtype=np.int64)
+    _call(lib.ff_sweep, out, work, work.shape[0], stamp, stamp.shape[0], graph=graph)
     return out
 
 
@@ -224,16 +222,11 @@ def capacity_sweep(
     lib = _compiled()
     if lib is None:
         return reference.capacity_sweep(graph, order, capacity)
-    indptr, indices = _graph_arrays(graph)
     colors = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(n + 1, dtype=np.int64)
     forbidden = np.full(n + 1, -1, dtype=np.int64)
-    num_colors = lib.capacity_sweep(
-        indptr.ctypes.data, indices.ctypes.data, n, indices.shape[0],
-        colors.ctypes.data, order.ctypes.data, order.shape[0], capacity,
-        sizes.ctypes.data, forbidden.ctypes.data, n + 1)
-    if num_colors < 0:
-        raise ValueError("graph is not a valid CSR")
+    num_colors = _call(lib.capacity_sweep, colors, order, order.shape[0], capacity,
+                       sizes, forbidden, n + 1, graph=graph)
     return colors, num_colors
 
 
@@ -267,15 +260,10 @@ def d2_sweep(
     lib = _compiled()
     if lib is None:
         return reference.d2_sweep(graph, nr, work, base)
-    indptr, indices = _graph_arrays(graph)
     out = np.array(base, dtype=np.int64)
-    if work.shape[0] == 0:
-        return out
     stamp = np.zeros(nr + 1, dtype=np.int64)
-    if lib.d2_sweep(indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
-                    indices.shape[0], nr, out.ctypes.data, work.ctypes.data,
-                    work.shape[0], stamp.ctypes.data) < 0:
-        raise ValueError(f"graph is not a valid incidence CSR with rows [0, {nr})")
+    _call(lib.d2_sweep, nr, out, work, work.shape[0], stamp, graph=graph,
+          message=_not_incidence(nr))
     return out
 
 
@@ -322,21 +310,15 @@ def d2_conflicts(
     lib = _compiled()
     if lib is None:
         return reference.d2_conflicts(graph, nr, colors, work, cols)
-    indptr, indices = _graph_arrays(graph)
     colors = _ranked_colors(colors, nr)
     top = int(colors.max(initial=-1)) + 1
     at, first = np.full(top, -1, dtype=np.int64), np.empty(top, dtype=np.int64)
     seen = np.zeros(graph.num_vertices - nr, dtype=np.uint8) if cols is None else None
     mark = np.zeros(nr, dtype=np.uint8)
     out = np.empty(work.shape[0], dtype=np.int64)
-    count = lib.d2_conflicts(
-        indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
-        indices.shape[0], nr, colors.ctypes.data, work.ctypes.data, work.shape[0],
-        None if cols is None else cols.ctypes.data, 0 if cols is None else cols.shape[0],
-        None if seen is None else seen.ctypes.data, at.ctypes.data, first.ctypes.data,
-        mark.ctypes.data, out.ctypes.data)
-    if count < 0:
-        raise ValueError(f"graph is not a valid incidence CSR with rows [0, {nr})")
+    count = _call(lib.d2_conflicts, nr, colors, work, work.shape[0], cols,
+                  0 if cols is None else cols.shape[0], seen, at, first, mark, out,
+                  graph=graph, message=_not_incidence(nr))
     return np.sort(out[:count])
 
 
@@ -390,17 +372,12 @@ def _d1_conflicts(graph, colors, work_list, *, cross: bool) -> np.ndarray:
     work, colors = _item_inputs(work_list, colors, n)
     lib = _compiled()
     if lib is None:
-        scan = conflicts.detect_cross_conflicts if cross else conflicts.detect_conflicts
+        scan = reference.detect_cross_conflicts if cross else reference.detect_conflicts
         return scan(graph, colors, work)
-    indptr, indices = _graph_arrays(graph)
     mark = np.zeros(n, dtype=np.uint8)
     out = np.empty(work.shape[0], dtype=np.int64)
-    count = lib.conflicts(indptr.ctypes.data, indices.ctypes.data, n,
-                          indices.shape[0], colors.ctypes.data, work.ctypes.data,
-                          work.shape[0], int(cross), mark.ctypes.data,
-                          out.ctypes.data)
-    if count < 0:
-        raise ValueError("graph is not a valid CSR")
+    count = _call(lib.conflicts, colors, work, work.shape[0], int(cross), mark, out,
+                  graph=graph)
     return np.sort(out[:count])
 
 
@@ -417,11 +394,8 @@ def count_monochromatic_edges(graph: CSRGraph, colors: np.ndarray) -> int:
     colors = check_colors(colors, n)
     lib = _compiled()
     if lib is None:
-        return conflicts.count_monochromatic_edges(graph, colors)
-    count = _c_verify(lib, graph, n, colors, hops=1)
-    if count < 0:
-        raise ValueError("graph is not a valid CSR")
-    return count
+        return reference.count_monochromatic_edges(graph, colors)
+    return _call(lib.verify, n, colors, 1, None, graph=graph)
 
 
 def d2_violating_column(graph: CSRGraph, num_rows: int, colors: np.ndarray) -> int:
@@ -441,10 +415,11 @@ def d2_violating_column(graph: CSRGraph, num_rows: int, colors: np.ndarray) -> i
     lib = _compiled()
     if lib is None:
         return reference.d2_violating_column(graph, nr, colors)
-    col = _c_verify(lib, graph, nr, colors, hops=2)
-    if col < -1:
-        raise ValueError(f"graph is not a valid incidence CSR with rows [0, {nr})")
-    return col
+    colors = _ranked_colors(colors, nr)
+    stamp = np.full(int(colors.max(initial=-1)) + 1, -1, dtype=np.int64)
+    # -1 is a result here ("no violating column"), so an error is -2
+    return _call(lib.verify, nr, colors, 2, stamp, graph=graph, floor=-1,
+                 message=_not_incidence(nr))
 
 
 def shuffle_drain(
@@ -487,7 +462,7 @@ def shuffle_drain(
     if traversal not in ("vertex", "color"):
         raise ValueError(f"traversal must be 'vertex' or 'color', got {traversal!r}")
     n = graph.num_vertices
-    indptr, indices = _graph_arrays(graph)
+    _graph_arrays(graph)  # checked on both tiers
     C = _check_inout("sizes", sizes, np.float64, None).shape[0]
     _check_inout("colors", colors, np.int64, n)
     if n and (colors.min() < 0 or colors.max() >= C):
@@ -510,13 +485,9 @@ def shuffle_drain(
             group_moves = reference.shuffle_drain(graph, colors, sizes, g, group,
                                                   choice, vertex_w)
         else:
-            group_moves = lib.shuffle_drain(
-                indptr.ctypes.data, indices.ctypes.data, n, indices.shape[0],
-                colors.ctypes.data, sizes.ctypes.data, C, g, vertex_w.ctypes.data,
-                group.ctypes.data, group.shape[0], int(choice == "lu"),
-                stamp.ctypes.data, seen)
-            if group_moves < 0:
-                raise ValueError("graph is not a valid CSR")
+            group_moves = _call(lib.shuffle_drain, colors, sizes, C, g, vertex_w, group,
+                                group.shape[0], int(choice == "lu"), stamp, seen,
+                                graph=graph)
         seen += group.shape[0]
         moves += group_moves
         if recorder.enabled:
@@ -538,6 +509,29 @@ def _compiled():
     if resolve_backend() == "reference":
         return None
     return compiled.load()
+
+
+def _call(kernel, *args, graph: CSRGraph | None = None, floor: int = 0,
+          message: str = "graph is not a valid CSR") -> int:
+    """Run the C loop *kernel* on *args*; returns what it returns.
+
+    With *graph*, the checked ``(indptr, indices, n, nnz)`` of *graph* go
+    first.  Each array is passed as its data pointer (*args* holds it for
+    the length of the call) and ``None`` as a NULL pointer.  A return
+    below *floor* (how the loops report an out-of-range graph index)
+    raises ``ValueError(message)``.
+    """
+    if graph is not None:
+        indptr, indices = _graph_arrays(graph)
+        args = (indptr, indices, graph.num_vertices, indices.shape[0], *args)
+    result = kernel(*[a.ctypes.data if isinstance(a, np.ndarray) else a for a in args])
+    if result < floor:
+        raise ValueError(message)
+    return result
+
+
+def _not_incidence(num_rows: int) -> str:
+    return f"graph is not a valid incidence CSR with rows [0, {num_rows})"
 
 
 def _graph_arrays(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -582,19 +576,6 @@ def _ranked_colors(colors: np.ndarray, size: int) -> np.ndarray:
     return np.ascontiguousarray(np.maximum(ranks, -1), dtype=np.int64)
 
 
-def _c_verify(lib, graph: CSRGraph, size: int, colors: np.ndarray, *,
-              hops: int) -> int:
-    """The C verification loop over checked *colors* of length *size*."""
-    indptr, indices = _graph_arrays(graph)
-    stamp = None
-    if hops == 2:
-        colors = _ranked_colors(colors, size)
-        stamp = np.full(int(colors.max(initial=-1)) + 1, -1, dtype=np.int64)
-    return lib.verify(indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
-                      indices.shape[0], size, colors.ctypes.data, hops,
-                      None if stamp is None else stamp.ctypes.data)
-
-
 def d2_drain_pass(
     graph: CSRGraph,
     num_rows: int,
@@ -625,7 +606,7 @@ def d2_drain_pass(
     nr = _check_num_rows(graph, num_rows)
     if choice not in ("ff", "lu"):
         raise ValueError(f"choice must be 'ff' or 'lu', got {choice!r}")
-    indptr, indices = _graph_arrays(graph)
+    _graph_arrays(graph)  # checked on both tiers
     C = _check_inout("sizes", sizes, np.float64, None).shape[0]
     _check_inout("colors", colors, np.int64, nr)
     _check_inout("under", under, np.bool_, C + 1)
@@ -646,15 +627,9 @@ def d2_drain_pass(
         return reference.d2_drain_pass(ptr, nbr, colors, sizes, under, g,
                                        candidates, choice)
     stamp = np.zeros(C, dtype=np.int64)
-    moves = lib.d2_drain_pass(
-        indptr.ctypes.data, indices.ctypes.data, graph.num_vertices,
-        indices.shape[0], nr, colors.ctypes.data, sizes.ctypes.data,
-        under.ctypes.data, C, g, candidates.ctypes.data, candidates.shape[0],
-        int(choice == "lu"), stamp.ctypes.data)
-    if moves < 0:
-        raise ValueError("graph is not a valid incidence CSR with rows "
-                         f"[0, {nr})")
-    return moves
+    return _call(lib.d2_drain_pass, nr, colors, sizes, under, C, g, candidates,
+                 candidates.shape[0], int(choice == "lu"), stamp, graph=graph,
+                 message=_not_incidence(nr))
 
 
 def sched_commit(
@@ -672,7 +647,7 @@ def sched_commit(
     bit-identical results.
     """
     n = graph.num_vertices
-    indptr, indices = _graph_arrays(graph)
+    _graph_arrays(graph)  # checked on both tiers
     _check_inout("colors", colors, np.int64, n)
     vertices = _check_ids("vertices", vertices, n)
     targets = _check_ids("targets", targets, None)
@@ -682,13 +657,8 @@ def sched_commit(
     lib = _compiled()
     if lib is None:
         return reference.sched_commit(graph, colors, vertices, targets)
-    committed = lib.sched_commit(
-        indptr.ctypes.data, indices.ctypes.data, n, indices.shape[0],
-        colors.ctypes.data, vertices.ctypes.data, targets.ctypes.data,
-        vertices.shape[0])
-    if committed < 0:
-        raise ValueError("graph is not a valid CSR")
-    return committed
+    return _call(lib.sched_commit, colors, vertices, targets, vertices.shape[0],
+                 graph=graph)
 
 
 def csr_assemble(u, v, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
@@ -721,8 +691,8 @@ def csr_assemble(u, v, num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
     m = u.shape[0]
     indptr, pos = np.zeros(n + 1, dtype=np.int64), np.empty(n, dtype=np.int64)
     tmp, indices = np.empty(2 * m, dtype=np.int64), np.empty(2 * m, dtype=np.int64)
-    kept = lib.csr_assemble(u.ctypes.data, v.ctypes.data, m, n, indptr.ctypes.data,
-                            pos.ctypes.data, tmp.ctypes.data, indices.ctypes.data)
+    kept = _call(lib.csr_assemble, u, v, m, n, indptr, pos, tmp, indices,
+                 message="vertex id exceeds num_vertices")
     # self-loops and duplicates leave slack: copy so the graph does not pin it
     return indptr, indices if kept == 2 * m else indices[:kept].copy()
 
@@ -736,15 +706,14 @@ def csr_check(graph: CSRGraph) -> None:
     violated names the error on both tiers.  The C loop reads the arrays in
     place, so a memory-mapped graph is checked without copying it.
     """
-    indptr, indices = _graph_arrays(graph)
+    indptr, _ = _graph_arrays(graph)
     if indptr.shape[0] == 0:
         raise ValueError("indptr must have at least one entry")
     lib = _compiled()
     if lib is None:
         return reference.csr_check(graph)
-    n = graph.num_vertices
-    cursor = np.empty(n, dtype=np.int64)
-    failed = lib.csr_check(indptr.ctypes.data, indices.ctypes.data, n,
-                           indices.shape[0], cursor.ctypes.data)
+    # returns 0, or the number of the first invariant violated
+    failed = _call(lib.csr_check, np.empty(graph.num_vertices, dtype=np.int64),
+                   graph=graph)
     if failed:
         raise ValueError(reference.CSR_ERRORS[failed - 1])

@@ -71,8 +71,16 @@ Two more build and check every graph (:class:`repro.graph.CSRGraph`):
     comes up.
 
 This module holds one short C source for all eleven, compiled once with the
-system C compiler (``$CC``, else ``cc``; ``-O2 -shared -fPIC``, no
-host-specific tuning) and loaded with :mod:`ctypes`.  The sequential
+system C compiler (``$CC``, else ``cc``; :data:`FLAGS`, no host-specific
+tuning) and loaded with :mod:`ctypes`.  The prototypes in that source are
+the only list of the kernels and their signatures: :func:`signatures`
+reads every non-``static`` ``int64_t name(...)`` function out of
+:data:`SOURCE` and maps each parameter to its :mod:`ctypes` type, and the
+loader declares exactly those.  ``-falign-functions=64`` starts every
+function on a 64-byte boundary, so a loop that grows or a new one
+inserted earlier in the source does not shift the alignment of the loops
+after it (an unaligned shift of 16 bytes once made ``conflicts`` and
+``verify`` measurably slower).  The sequential
 loops are transcriptions of the Python ones in
 :mod:`repro.kernels.reference`: the same visit order, the same live
 reads, the same color windows, the same float64 size arithmetic and the
@@ -109,6 +117,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import re
 import shlex
 import shutil
 import subprocess
@@ -117,11 +126,8 @@ import tempfile
 import threading
 from pathlib import Path
 
-__all__ = ["cache_dir", "failure_reason", "load"]
+__all__ = ["cache_dir", "failure_reason", "load", "signatures"]
 
-# A new loop goes at the end of SOURCE: inserting one earlier moves the
-# machine code of the loops after it, which slowed the conflicts loop by
-# about 20% on a 2-core x86-64 host (gcc -O2).
 SOURCE = r"""
 #include <stdint.h>
 
@@ -564,26 +570,39 @@ int64_t d2_conflicts(const int64_t *indptr, const int64_t *indices,
 }
 """
 
-FLAGS = ("-O2", "-shared", "-fPIC")
+FLAGS = ("-O2", "-shared", "-fPIC", "-falign-functions=64")
 
-_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-_SIGNATURES = {
-    "ff_sweep": (_P, _P, _I, _I, _P, _P, _I, _P, _I),
-    "d2_sweep": (_P, _P, _I, _I, _I, _P, _P, _I, _P),
-    "capacity_sweep": (_P, _P, _I, _I, _P, _P, _I, _D, _P, _P, _I),
-    "d2_drain_pass": (_P, _P, _I, _I, _I, _P, _P, _P, _I, _D, _P, _I, _I, _P),
-    "shuffle_drain": (_P, _P, _I, _I, _P, _P, _I, _D, _P, _P, _I, _I, _P, _I),
-    "sched_commit": (_P, _P, _I, _I, _P, _P, _P, _I),
-    "conflicts": (_P, _P, _I, _I, _P, _P, _I, _I, _P, _P),
-    "verify": (_P, _P, _I, _I, _I, _P, _I, _P),
-    "csr_assemble": (_P, _P, _I, _I, _P, _P, _P, _P),
-    "csr_check": (_P, _P, _I, _I, _P),
-    "d2_conflicts": (_P, _P, _I, _I, _I, _P, _P, _I, _P, _I, _P, _P, _P, _P, _P),
-}
+#: the exported functions of SOURCE: ``int64_t`` at the start of a line
+#: (a ``static`` helper starts with ``static``)
+_PROTOTYPE = re.compile(r"^int64_t\s+(\w+)\s*\(([^)]*)\)", re.MULTILINE)
+#: parameter type (``*``: any pointer) -> ctypes type
+_CTYPES = {"*": ctypes.c_void_p, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+
+
+def signatures() -> dict[str, tuple]:
+    """Every exported kernel of :data:`SOURCE` with its :mod:`ctypes` argtypes.
+
+    A pointer parameter maps to ``c_void_p``, ``int64_t`` to ``c_int64``
+    and ``double`` to ``c_double``; any other parameter type raises
+    :class:`ValueError`.  Every kernel returns ``int64_t``.
+    """
+    out = {}
+    for name, params in _PROTOTYPE.findall(SOURCE):
+        argtypes = []
+        for param in params.split(","):
+            ctype = "*" if "*" in param else " ".join(param.split()[:-1])
+            if ctype not in _CTYPES:
+                raise ValueError(f"kernel {name}: no ctypes type for parameter "
+                                 f"{' '.join(param.split())!r}")
+            argtypes.append(_CTYPES[ctype])
+        out[name] = tuple(argtypes)
+    return out
+
 
 # what a failed build or load raises: OSError (cache directory, dlopen),
 # RuntimeError (compiler missing or failing), SubprocessError (compiler
-# timeout), ValueError (an unparsable $CC), AttributeError (missing symbol)
+# timeout), ValueError (an unparsable $CC, a kernel parameter type with no
+# ctypes type), AttributeError (missing symbol)
 _LOAD_ERRORS = (OSError, RuntimeError, subprocess.SubprocessError, ValueError,
                 AttributeError)
 
@@ -649,13 +668,14 @@ def _build(cc: list[str], path: Path) -> None:
 
 
 def _open() -> ctypes.CDLL:
+    kernels = signatures()
     cc = _compiler()
     path = _library_path(cc)
     _private_dir(path.parent)
     if not path.exists():
         _build(cc, path)
     lib = ctypes.CDLL(str(path))
-    for name, argtypes in _SIGNATURES.items():
+    for name, argtypes in kernels.items():
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, ctypes.c_int64
     return lib

@@ -1,7 +1,8 @@
-"""Reference (per-vertex loop) kernel implementations.
+"""The oracles: one reference implementation per dispatched kernel.
 
-These are the original interpreted hot loops of the library, moved here so
-the backend dispatcher can select them explicitly.  They are the semantic
+This is the one oracle module of :mod:`repro.kernels`.  Most entries are
+the original interpreted hot loops of the library, moved here so the
+backend dispatcher can select them explicitly.  They are the semantic
 ground truth: the compiled C loops of :mod:`repro.kernels.compiled` are
 tested for equivalence against the functions in this module, and a host
 where the C library does not load runs them in its place.
@@ -10,9 +11,13 @@ The First-Fit sweep uses the classic O(n + m) "stamping" scheme: a scratch
 array ``forbidden`` records, per color, the stamp of the last vertex that
 saw that color on a neighbor, so clearing between vertices is free.
 
-The CSR assembly and check at the end (:func:`csr_assemble`,
-:func:`csr_check`) are sort-based NumPy code, not loops: they are the
-oracles of the linear C loops that build and validate every graph.
+The distance-1 detectors and edge count (:func:`detect_conflicts`,
+:func:`detect_cross_conflicts`, :func:`count_monochromatic_edges`) are
+NumPy scans over :meth:`~repro.graph.csr.CSRGraph.edge_chunks`, so an
+out-of-core graph is read in bounded memory.  The CSR assembly and check
+at the end (:func:`csr_assemble`, :func:`csr_check`) are sort-based NumPy
+code, not loops: they are the oracles of the linear C loops that build
+and validate every graph.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 
-__all__ = ["CSR_ERRORS", "capacity_sweep", "csr_assemble", "csr_check", "d2_conflicts",
-           "d2_drain_pass", "d2_sweep", "d2_violating_column", "ff_sweep",
-           "pick_shuffle_target", "sched_commit", "shuffle_drain", "shuffle_groups",
-           "two_hop_rows"]
+__all__ = ["CSR_ERRORS", "capacity_sweep", "count_monochromatic_edges", "csr_assemble",
+           "csr_check", "d2_conflicts", "d2_drain_pass", "d2_sweep", "d2_violating_column",
+           "detect_conflicts", "detect_cross_conflicts", "ff_sweep", "pick_shuffle_target",
+           "sched_commit", "shuffle_drain", "shuffle_groups", "two_hop_rows"]
 
 # two-hop entries gathered per block of rows: keeps the int64 staging
 # arrays at ~0.5 MB each, cache-resident (larger blocks measured slower)
@@ -154,6 +159,64 @@ def d2_sweep(
         window = forbidden[: min(budget, num_rows) + 1]
         local[r] = int(np.argmax(window != stamp))
     return local
+
+
+def detect_conflicts(
+    graph: CSRGraph, colors: np.ndarray, work_list: np.ndarray
+) -> np.ndarray:
+    """Higher-id endpoints of monochromatic edges incident on *work_list*.
+
+    This is the resolution rule of the speculation protocol (Çatalyürek et
+    al.): of every monochromatic edge whose higher endpoint speculated this
+    round, the higher-id endpoint loses and is retried.  Returns a sorted,
+    deduplicated vertex array.  Streams :meth:`edge_chunks` like the
+    other edge scans here.
+    """
+    in_work = np.zeros(graph.num_vertices, dtype=bool)
+    in_work[work_list] = True
+    parts = []
+    for u, v in graph.edge_chunks():  # u < v
+        mask = (colors[u] == colors[v]) & (colors[u] >= 0) & in_work[v]
+        parts.append(v[mask])
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(np.concatenate(parts))
+
+
+def detect_cross_conflicts(
+    graph: CSRGraph, colors: np.ndarray, work_list: np.ndarray
+) -> np.ndarray:
+    """The stale-snapshot resolution rule as one edge scan.
+
+    Of every monochromatic edge, the higher-id endpoint is retried when it
+    is in *work_list*, and the lower one when it is in *work_list* and the
+    higher one is not (see :func:`repro.kernels.detect_cross_conflicts`).
+    Returns a sorted, deduplicated vertex array.  Streams
+    :meth:`edge_chunks` like the other edge scans here.
+    """
+    in_work = np.zeros(graph.num_vertices, dtype=bool)
+    in_work[work_list] = True
+    parts: list[np.ndarray] = []
+    for u, v in graph.edge_chunks():  # u < v
+        mono = (colors[u] == colors[v]) & (colors[u] >= 0)
+        retry_hi = mono & in_work[v]
+        retry_lo = mono & in_work[u] & ~in_work[v]
+        parts.append(v[retry_hi])
+        parts.append(u[retry_lo])
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(np.concatenate(parts))
+
+
+def count_monochromatic_edges(graph: CSRGraph, colors: np.ndarray) -> int:
+    """Number of monochromatic edges under *colors* (streamed).
+
+    Uncolored (``-1``) vertices never conflict.
+    """
+    return sum(
+        int(np.count_nonzero((colors[u] == colors[v]) & (colors[u] >= 0)))
+        for u, v in graph.edge_chunks()
+    )
 
 
 def d2_conflicts(

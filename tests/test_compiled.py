@@ -1,11 +1,12 @@
 """Every dispatched kernel against its oracle, from one table.
 
 Each kernel of :mod:`repro.kernels` has two tiers: a resolved
-``reference`` backend runs the oracle (the Python loop of
-:mod:`repro.kernels.reference`, or the NumPy edge scan of
-:mod:`repro.kernels.conflicts`), and any other backend runs the C loop of
-:mod:`repro.kernels.compiled` if the library loaded, else that same
-oracle.
+``reference`` backend runs the oracle (a Python loop or NumPy scan of
+:mod:`repro.kernels.reference`, the one oracle module), and any other
+backend runs the C loop of :mod:`repro.kernels.compiled` if the library
+loaded, else that same oracle.  The C loops are the exported functions
+of ``compiled.SOURCE``, whose prototypes are the only signature list
+(:func:`repro.kernels.compiled.signatures`).
 
 ``KERNELS`` has one row per public kernel: the dispatch call, the oracle
 it must match, an input generator (hypothesis, plus fixed graphs) and its
@@ -19,8 +20,10 @@ malformed-input cases.  Three generic checks run over it:
    library loaded, never the oracle.
 
 The test classes bind the checks to the rows of one kernel family each.
-A few end-to-end runs and the loader's build, cache and fork behaviour
-are tested at the end.
+:func:`test_every_c_loop_has_a_row` runs the fixed cases of every row and
+requires them to call every exported C loop, so a loop cannot land
+without a row.  A few end-to-end runs and the loader's build, cache and
+fork behaviour are tested at the end.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from repro.graph import (
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DATASETS
 from repro.graph.store import INDICES, load_graph, save_graph
-from repro.kernels import compiled, conflicts, reference
+from repro.kernels import compiled, reference
 from repro.obs import Recorder
 from repro.parallel.mp import Neighbourhood, partition_positions, run_rounds
 from repro.parallel.partition import block_partition
@@ -799,7 +802,7 @@ def _detect_row(fn_name: str, rule: str) -> Kernel:
              if d2 else DETECT_GRAPHS)
     return Kernel(
         call=call_d2_conflicts if d2 else getattr(kernels, fn_name),
-        oracle=(reference, "d2_conflicts") if d2 else (conflicts, fn_name),
+        oracle=(reference, "d2_conflicts") if d2 else (reference, fn_name),
         draw=st.builds(detect_case, incidences() if d2 else simple_graphs(),
                        st.sampled_from(DETECT_KINDS), SEEDS),
         fixed={**{f"{kind}-{rule}": partial(_cases, makes, detect_case, kind)
@@ -852,7 +855,7 @@ KERNELS: dict[str, Kernel] = {
     "d2_conflicts": _detect_row("d2_conflicts", "d2"),
     "count_monochromatic_edges": Kernel(
         call=kernels.count_monochromatic_edges,
-        oracle=(conflicts, "count_monochromatic_edges"),
+        oracle=(reference, "count_monochromatic_edges"),
         draw=st.builds(verify_case, simple_graphs(), st.sampled_from(VERIFY_KINDS), SEEDS),
         fixed={kind: partial(_cases, VERIFY_GRAPHS, verify_case, kind, seeds=range(2))
                for kind in VERIFY_KINDS},
@@ -1485,6 +1488,35 @@ def test_c_guards_graph_indices():
 
 
 # ----------------------------------------------------------------------
+# every C loop has a row
+# ----------------------------------------------------------------------
+def test_every_c_loop_has_a_row(monkeypatch):
+    """The fixed cases of every row, run on the default path, call each
+    exported C loop of ``SOURCE``, so a new loop with no dispatcher or no
+    row fails here."""
+    lib = compiled.load()
+    if lib is None:
+        pytest.skip(f"no compiled library: {compiled.failure_reason()}")
+    cases = [(name, args) for name, row in KERNELS.items()
+             for make in row.fixed.values() for args in make()]
+    called = set()
+
+    class Recording:
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+
+            def record(*args):
+                called.add(name)
+                return fn(*args)
+            return record
+
+    monkeypatch.setattr(compiled, "_state", (Recording(), None))
+    for name, args in cases:
+        run(name, args)
+    assert called == set(compiled.signatures())
+
+
+# ----------------------------------------------------------------------
 # end to end: the default dispatch == the oracles
 # ----------------------------------------------------------------------
 # meta keys that name the resolved backend or record the thread team's
@@ -1682,6 +1714,15 @@ class TestFallback:
             assert_fallback_matches_reference("Error")
         finally:
             parent.chmod(0o700)
+
+    def test_parameter_type_without_a_ctypes_type(self, fresh, monkeypatch):
+        """The argtypes come from the prototypes in SOURCE; a parameter type
+        the loader cannot declare fails the load before anything is built."""
+        monkeypatch.setattr(compiled, "SOURCE", compiled.SOURCE
+                            + "int64_t halve(float x) { return (int64_t)(x / 2); }\n")
+        monkeypatch.setattr(compiled, "_build",
+                            lambda cc, path: pytest.fail("built a library"))
+        assert_fallback_matches_reference("halve: no ctypes type for parameter 'float x'")
 
     def test_library_is_built_once_and_cached(self, fresh, monkeypatch):
         builds = []

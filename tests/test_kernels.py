@@ -160,30 +160,14 @@ class TestShuffleEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Conflict/bin accounting kernels
+# Conflict kernels
 # ----------------------------------------------------------------------
 class TestConflictKernels:
     def test_monochromatic_edges_and_count(self, path10):
         colors = np.zeros(10, dtype=np.int64)  # every edge monochromatic
-        u, v = kernels.monochromatic_edges(path10, colors)
-        assert u.shape[0] == 9
         assert kernels.count_monochromatic_edges(path10, colors) == 9
         proper = np.arange(10, dtype=np.int64) % 2
         assert kernels.count_monochromatic_edges(path10, proper) == 0
-
-    def test_uncolored_vertices_never_conflict(self, path10):
-        colors = np.full(10, -1, dtype=np.int64)
-        assert kernels.count_monochromatic_edges(path10, colors) == 0
-
-    def test_detect_conflicts_returns_higher_id_losers_in_work(self, path10):
-        colors = np.zeros(10, dtype=np.int64)
-        work = np.array([0, 1, 2], dtype=np.int64)
-        losers = kernels.detect_conflicts(path10, colors, work)
-        assert np.array_equal(losers, [1, 2])  # 3..9 not in the work list
-
-    def test_bin_sizes_ignores_uncolored(self):
-        colors = np.array([0, 2, 2, -1, 1], dtype=np.int64)
-        assert np.array_equal(kernels.bin_sizes(colors, 4), [1, 1, 2, 0])
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,10 @@ The protocol is deliberately small and JSON-only:
   :mod:`repro.graph.store` directory (stores open memory-mapped, so a
   graph bigger than the cache budget serves out-of-core); it is read on
   every submit, never memoized, since the file can change on disk.  Replies
-  ``202`` with ``{"job_id", "key", "status"}``, ``400`` for malformed
-  requests, or ``429`` with the admission reason under backpressure.
+  ``202`` with ``{"job_id", "key", "status"}`` (``status`` is already
+  ``"done"`` for a repeat answered from the memory cache at admission),
+  ``400`` for malformed requests, or ``429`` with the admission reason
+  under backpressure.
 - ``GET /result/<id>[?colors=1]`` — job lifecycle summary (``404`` for
   unknown ids); once done, balance/color counts, and the full coloring
   array when ``colors=1`` is asked for.

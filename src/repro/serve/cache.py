@@ -7,7 +7,9 @@ a byte-size budget (the coloring arrays dominate, so accounting follows
 entries are evicted.  The cache is memory-only: the durable copy of a
 result is the job store row of the job that computed it (see
 :meth:`repro.serve.store.JobStore.result`), which the scheduler reads
-on a memory miss and puts back here.
+on a memory miss and puts back here.  Admission asks first, with
+:meth:`ResultCache.probe`, so a repeat in memory is answered without a
+scheduler round.
 
 The same LRU also memoizes built dataset graphs (:meth:`ResultCache.graph`)
 under the same byte budget, so a repeated request skips the build.  A graph
@@ -91,14 +93,14 @@ class ResultCache:
     def get(self, key: str) -> RunResult | None:
         """Return the cached result for *key* (refreshing its recency), or
         ``None`` on a miss; ``gets == hits + misses`` always holds."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._counts.add("misses")
-                return None
-            self._entries.move_to_end(key)
-            self._counts.add("hits")
-            return entry[0]
+        return self._lookup(key, count_miss=True)
+
+    def probe(self, key: str) -> RunResult | None:
+        """:meth:`get` for the admission check: a hit counts and refreshes
+        recency exactly as ``get`` does, a miss counts nothing.  A job the
+        probe misses is looked up again by its round, whose ``get`` is the
+        one counted probe for it."""
+        return self._lookup(key, count_miss=False)
 
     def put(self, key: str, result: RunResult) -> None:
         """Insert (or refresh) *key* → *result* and enforce the budget."""
@@ -190,6 +192,19 @@ class ResultCache:
     # ------------------------------------------------------------------
     # internals (callers hold the lock unless noted)
     # ------------------------------------------------------------------
+    def _lookup(self, key: str, *, count_miss: bool) -> RunResult | None:
+        """The result under *key*, refreshed and counted as a hit; takes
+        the lock itself."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                if count_miss:
+                    self._counts.add("misses")
+                return None
+            self._entries.move_to_end(key)
+            self._counts.add("hits")
+            return entry[0]
+
     def _charge(self, key: str | tuple, cost: int) -> None:
         """Add an entry's *cost* to the resident totals (negative: remove)."""
         self._bytes += cost

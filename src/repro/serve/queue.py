@@ -8,7 +8,11 @@ control*: structurally invalid requests (unknown strategy, unsupported
 per-tenant quota exhaustion are rejected **at submit time** with a
 human-readable reason carried by :class:`AdmissionError` — backpressure
 is an explicit, countable signal, never a silent drop or an unbounded
-backlog.
+backlog.  A request that passes admission may still skip the line:
+:meth:`SubmissionQueue.submit` asks an optional *probe* (the result
+cache, in memory) for its key, and a job the probe answers is counted
+in flight but never queued; the submitting thread finishes it (see
+:meth:`repro.serve.scheduler.BatchScheduler.admit`).
 
 Lifecycle state lives in two places on purpose: the in-memory
 :class:`Job` object is the hot copy the scheduler and the ``/result``
@@ -212,7 +216,8 @@ class SubmissionQueue:
                initial: Coloring | None = None,
                tenant: str | None = None, priority: str = "normal",
                meta: dict | None = None,
-               deadline_ms: float | None = None) -> Job:
+               deadline_ms: float | None = None,
+               probe: Callable[[str], RunResult | None] | None = None) -> Job:
         """Admit one job or raise :class:`AdmissionError` with a reason.
 
         Validation happens before the key is computed so malformed
@@ -230,6 +235,13 @@ class SubmissionQueue:
         row, so recovery sees it too.  *deadline_ms* is a wall-clock
         budget from submission: once it elapses, the job is failed fast
         with ``reason="deadline"`` instead of occupying a worker.
+
+        *probe* maps the job's key to an already-known result (the result
+        cache's in-memory :meth:`~repro.serve.cache.ResultCache.probe`).
+        It is asked once the request passed every admission check and its
+        row is written.  On a hit the job is in flight but never queued:
+        it comes back ``pending`` with ``result`` set, and the caller
+        finishes it (:meth:`~repro.serve.scheduler.BatchScheduler.admit`).
         """
         reason, config_dict = self._validate(graph, config)
         if reason is None and initial is not None:
@@ -280,12 +292,15 @@ class SubmissionQueue:
                       initial=initial, tenant=tenant, priority=priority,
                       submitted_at=now, deadline_ms=deadline_ms,
                       meta=stored_meta)
-            self._enqueue_locked(job)
+            job.result = probe(key) if probe is not None else None
+            self._enqueue_locked(job, queued=job.result is None)
             self._counts.add("submitted")
             return job
 
-    def _enqueue_locked(self, job: Job) -> None:
-        self._pending[job.priority].append(job)
+    def _enqueue_locked(self, job: Job, *, queued: bool = True) -> None:
+        """Count *job* in flight; *queued* also puts it in line for a round."""
+        if queued:
+            self._pending[job.priority].append(job)
         self._jobs[job.id] = job
         self._in_flight += 1
         if job.tenant is not None:

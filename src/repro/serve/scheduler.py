@@ -1,11 +1,19 @@
 """Batching scheduler: cache lookup, in-flight dedup, grouped dispatch.
 
+A repeat whose result is in the memory cache never reaches a round:
+:meth:`BatchScheduler.admit` hands the queue a probe of the
+:class:`ResultCache`, and a hit is finished on the submitting thread
+through the same finish path a round uses (same row, same counts).
+
 Each scheduling *round* drains a batch from the submission queue and
 resolves every job in it through a fixed funnel:
 
 1. **cache** — jobs whose content key hits the :class:`ResultCache`,
    or else the job store (:meth:`BatchScheduler.lookup`), finish
-   immediately without touching a worker;
+   immediately without touching a worker.  These are the misses of the
+   admission probe: jobs whose key was published while they waited
+   (a twin computed in an earlier round), and results only the store
+   holds (after a restart or an eviction);
 2. **dedup** — remaining jobs are grouped by key: the first job of each
    key becomes the *primary*, identical jobs become *followers* that
    share the primary's computation (two identical submissions in one
@@ -148,6 +156,23 @@ class BatchScheduler:
             rounds += 1
             if max_rounds is not None and rounds >= max_rounds:
                 return total
+
+    def admit(self, graph, config, **kwargs) -> Job:
+        """Admit one job through the queue; answer a memory hit right here.
+
+        The queue probes the result cache, in memory only, once the
+        request passed validation, the backlog bound and the quota (see
+        :meth:`SubmissionQueue.submit`).  A hit is finished on the calling
+        thread through the round's own path, so its row, its counts and
+        its ``source="cache"`` are a round-time hit's; it is never queued
+        and needs no round.  A miss is queued, and its round looks the key
+        up again (cache, then the job store).  *kwargs* go to the queue.
+        """
+        job = self.queue.submit(graph, config, probe=self.cache.probe,
+                                **kwargs)
+        if job.result is not None:
+            self._finish(job, source="cache", result=job.result)
+        return job
 
     def lookup(self, key: str):
         """The result stored under *key*: the cache first, then the job

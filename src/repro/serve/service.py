@@ -26,7 +26,8 @@ Three layers meet here:
   call under its own config (:class:`~repro.serve.backends.InlineBackend`);
   an ``mp`` job sweeps its blocks on the mp thread team inside that
   call, so a job key has one execution path and one coloring.
-- **job lifecycle** — submit returns immediately with a durable id;
+- **job lifecycle** — submit returns immediately with a durable id
+  (already ``done`` for a repeat the memory cache answers at admission);
   jobs carry ``tenant``/``priority``; completion is event-based
   (:meth:`Job.wait`), never a sleep-poll.
 
@@ -274,10 +275,16 @@ class ColoringService:
                deadline_ms: float | None = None) -> Job:
         """Admit one job (raises :class:`~repro.serve.queue.AdmissionError`
         with a reason on rejection) and wake the pump if one is running.
-        *deadline_ms* bounds the job's wall-clock life from submission."""
-        job = self.queue.submit(graph, config, tenant=tenant,
-                                priority=priority, deadline_ms=deadline_ms)
-        self._wake.set()
+        *deadline_ms* bounds the job's wall-clock life from submission.
+
+        A repeat whose result is in the memory cache comes back already
+        ``done`` (``source="cache"``): the calling thread writes its row
+        and finishes it, with no round and no pump wake-up (see
+        :meth:`~repro.serve.scheduler.BatchScheduler.admit`)."""
+        job = self.scheduler.admit(graph, config, tenant=tenant,
+                                   priority=priority, deadline_ms=deadline_ms)
+        if not job.finished:
+            self._wake.set()
         return job
 
     def dataset(self, name: str, *, scale=1.0, seed=0) -> CSRGraph:
@@ -304,9 +311,10 @@ class ColoringService:
         strategy's starting point.  The new job's key is
         ``(base key, delta digest, config)`` — see
         :func:`~repro.serve.fingerprint.mutation_job_key` — so repeating
-        the same mutation of the same base is a cache hit, while a
-        different delta (a different dirty region) keys separately:
-        cached results invalidate per-region, never per-graph.
+        the same mutation of the same base is a cache hit (answered at
+        admission, like a repeated :meth:`submit`, while the result is in
+        memory), while a different delta (a different dirty region) keys
+        separately: cached results invalidate per-region, never per-graph.
 
         Mutation jobs are ordinary jobs downstream (scheduler, cache,
         ``/result``), and chain naturally: the returned job's id can be
@@ -345,16 +353,17 @@ class ColoringService:
         meta = {"base_job_id": base_job_id, "delta_digest": batch.digest(),
                 "dirty_vertices": int(dirty.size),
                 "initial_from_key": base.key}
-        job = self.queue.submit(mutated, config,
-                                key=partial(mutation_job_key, base.key, batch.digest()),
-                                initial=base.result.coloring, meta=meta,
-                                tenant=tenant, priority=priority,
-                                deadline_ms=deadline_ms)
+        job = self.scheduler.admit(
+            mutated, config,
+            key=partial(mutation_job_key, base.key, batch.digest()),
+            initial=base.result.coloring, meta=meta, tenant=tenant,
+            priority=priority, deadline_ms=deadline_ms)
         if self.recorder.enabled:
             self.recorder.event("serve_mutate", base_job=base_job_id,
                                 job=job.id, dirty=int(dirty.size),
                                 changes=batch.num_changes)
-        self._wake.set()
+        if not job.finished:
+            self._wake.set()
         return job
 
     def result(self, job_id: int) -> Job | None:

@@ -328,6 +328,8 @@ class SqliteStore(JobStore):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.graphs_dir = self.root / "graphs"
+        #: fingerprint -> ref of every graph this instance has persisted
+        self._persisted: dict[str, str] = {}
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(self.root / "jobs.sqlite",
                                      check_same_thread=False)
@@ -474,7 +476,10 @@ class SqliteStore(JobStore):
 
         A graph already memory-mapped from a :mod:`repro.graph.store`
         directory is referenced in place — re-running the job reopens
-        the same store, no copy ever happens.
+        the same store, no copy ever happens.  A fingerprint this
+        instance has persisted before returns its ref without touching
+        the disk: graph directories are content-addressed and never
+        deleted, so the first check still holds.
         """
         from ..graph.store import is_graph_store, save_graph
 
@@ -483,10 +488,14 @@ class SqliteStore(JobStore):
             origin = Path(mmap_paths[0]).parent
             if is_graph_store(origin):
                 return str(origin)
-        dest = self.graphs_dir / graph.fingerprint()
-        if not is_graph_store(dest):
-            save_graph(graph, dest)
-        return str(dest)
+        fingerprint = graph.fingerprint()
+        ref = self._persisted.get(fingerprint)
+        if ref is None:
+            dest = self.graphs_dir / fingerprint
+            if not is_graph_store(dest):
+                save_graph(graph, dest)
+            ref = self._persisted[fingerprint] = str(dest)
+        return ref
 
     def load_graph(self, ref: str) -> CSRGraph:
         from ..graph.store import load_graph

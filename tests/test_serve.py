@@ -557,6 +557,145 @@ class TestBatching:
 
 
 # ----------------------------------------------------------------------
+# a memory-cache hit is answered at admission, on the submitting thread
+# ----------------------------------------------------------------------
+class TestAdmissionHits:
+    CFG = RunConfig("vff", seed=4)
+
+    @staticmethod
+    def _round_path(svc, monkeypatch):
+        """Make *svc* probe nothing at admission: every hit waits for a
+        round, as a job queued behind its twin does."""
+        monkeypatch.setattr(svc.cache, "probe", lambda key: None)
+        return svc
+
+    @staticmethod
+    def _rounds(svc):
+        return svc.stats()["scheduler"]["rounds"]
+
+    def test_repeat_is_done_when_submit_returns(self, graph, counted_execute):
+        svc = ColoringService()
+        first = svc.submit_and_wait(graph, self.CFG)
+        rounds = self._rounds(svc)
+        again = svc.submit(graph, self.CFG)  # no pump, no process()
+        assert again.finished and again.wait(0)
+        assert again.status == "done" and again.source == "cache"
+        assert again.finished_at is not None
+        assert self._rounds(svc) == rounds  # no round ran
+        assert svc.queue.pending_count == 0 and svc.queue.in_flight == 0
+        assert len(counted_execute) == 1
+        assert np.array_equal(again.result.coloring.colors,
+                              first.result.coloring.colors)
+        assert svc.process() == 0
+
+    def test_store_row_equals_a_round_hit(self, graph, tmp_path,
+                                          monkeypatch):
+        rows = []
+        for name, via_round in (("admit", False), ("round", True)):
+            svc = ColoringService(store=tmp_path / name)
+            if via_round:
+                self._round_path(svc, monkeypatch)
+            svc.submit_and_wait(graph, self.CFG)
+            hit = svc.submit_and_wait(graph, self.CFG)
+            assert hit.source == "cache"
+            row = svc.store.get(hit.id)
+            assert row["finished_at"] >= row["submitted_at"]
+            rows.append({k: v for k, v in row.items()
+                         if k not in ("submitted_at", "finished_at",
+                                      "graph_ref")})
+            svc.stop()
+        assert rows[0] == rows[1]
+        assert rows[0]["status"] == "done" and rows[0]["source"] == "cache"
+        assert set(rows[0]["meta"]) == {"num_colors", "num_vertices",
+                                        "rsd_percent"}
+
+    def test_stats_equal_a_round_hit_but_rounds(self, graph, monkeypatch):
+        stats = []
+        for via_round in (False, True):
+            svc = ColoringService()
+            if via_round:
+                self._round_path(svc, monkeypatch)
+            svc.submit_and_wait(graph, self.CFG)
+            svc.submit_and_wait(graph, self.CFG)
+            svc.mutate_and_wait(1, TestMutate._delta(graph))
+            svc.mutate_and_wait(1, TestMutate._delta(graph))
+            stats.append(svc.stats())
+        admit, rounds = stats
+        assert (admit["scheduler"]["rounds"], rounds["scheduler"]["rounds"]) \
+            == (2, 4)
+        for section in (admit, rounds):
+            section["scheduler"].pop("rounds")
+            section["queue"].pop("latency")
+        assert admit == rounds
+        assert admit["cache"]["hits"] == admit["scheduler"]["cache_hits"] == 2
+        assert admit["cache"]["misses"] == admit["scheduler"]["executed"] == 2
+
+    def test_refusals_come_before_the_probe(self, graph):
+        svc = ColoringService(max_pending=1, tenant_quota=1)
+        svc.submit_and_wait(graph, self.CFG)
+        held = svc.submit(graph, RunConfig("vff", seed=5), tenant="t")
+        with pytest.raises(AdmissionError, match="queue full"):
+            svc.submit(graph, self.CFG)
+        svc.queue.max_pending = 2
+        with pytest.raises(AdmissionError, match="quota"):
+            svc.submit(graph, self.CFG, tenant="t")
+        with pytest.raises(AdmissionError, match="priority"):
+            svc.submit(graph, self.CFG, priority="urgent")
+        assert svc.stats()["cache"]["hits"] == 0  # no refusal probed
+        svc.process()
+        assert held.status == "done"
+        assert svc.submit(graph, self.CFG, tenant="t").source == "cache"
+
+    def test_repeat_behind_its_twin_resolves_in_a_round(self, graph,
+                                                        counted_execute):
+        # in one round: the twin's follower
+        svc = ColoringService()
+        first, twin = svc.submit(graph, self.CFG), svc.submit(graph, self.CFG)
+        assert not twin.finished
+        svc.process()
+        assert (first.source, twin.source) == ("computed", "dedup")
+        # a round apart: the lookup finds what the first round published
+        svc = ColoringService(batch_size=1)
+        first, twin = svc.submit(graph, self.CFG), svc.submit(graph, self.CFG)
+        svc.process()
+        assert (first.source, twin.source) == ("computed", "cache")
+        assert self._rounds(svc) == 2
+        assert svc.stats()["cache"]["misses"] == 1
+        assert len(counted_execute) == 2
+
+    def test_repeated_mutate_resolves_at_admission(self, graph,
+                                                   counted_execute):
+        svc = ColoringService()
+        base = svc.submit_and_wait(graph, self.CFG)
+        first = svc.mutate_and_wait(base.id, TestMutate._delta(graph))
+        rounds = self._rounds(svc)
+        again = svc.mutate(base.id, TestMutate._delta(graph))
+        assert again.status == "done" and again.source == "cache"
+        assert again.key == first.key
+        assert self._rounds(svc) == rounds
+        assert len(counted_execute) == 2
+        assert np.array_equal(again.result.coloring.colors,
+                              first.result.coloring.colors)
+
+    def test_pump_not_woken_for_a_hit(self, graph):
+        svc = ColoringService()
+        svc.submit_and_wait(graph, self.CFG)
+        svc._wake.clear()
+        status, reply = dispatch(svc, "POST", "/submit", {
+            "input": "cnr", "scale": 0.05, "seed": 0,
+            "config": {"strategy": "greedy-ff", "seed": 0}})
+        assert status == 202 and reply["status"] == "pending"
+        assert svc._wake.is_set()
+        svc.process()
+        svc._wake.clear()
+        status, reply = dispatch(svc, "POST", "/submit", {
+            "input": "cnr", "scale": 0.05, "seed": 0,
+            "config": {"strategy": "greedy-ff", "seed": 0}})
+        assert status == 202 and reply["status"] == "done"
+        assert not svc._wake.is_set()
+
+
+# ----------------------------------------------------------------------
 # POST /mutate: re-color a finished job's mutated graph
 # ----------------------------------------------------------------------
 class TestMutate:

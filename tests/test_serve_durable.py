@@ -123,6 +123,33 @@ class TestSqliteStorePersistence:
             st.load_graph(str(tmp_path / "nowhere"))
         st.close()
 
+    def test_persisted_graph_ref_remembered(self, tmp_path, graph,
+                                            monkeypatch):
+        import repro.graph.store as graph_store
+
+        st = SqliteStore(tmp_path / "st")
+        ref = st.persist_graph(graph)
+        checks = []
+        real_check = graph_store.is_graph_store
+
+        def disk_touched(*args, **kwargs):
+            raise AssertionError("persist_graph touched the disk")
+
+        with monkeypatch.context() as m:
+            m.setattr(graph_store, "is_graph_store", disk_touched)
+            m.setattr(graph_store, "save_graph", disk_touched)
+            assert st.persist_graph(graph) == ref
+        st.close()
+        # a fresh instance knows nothing yet: it checks the disk, finds
+        # the directory and saves nothing
+        monkeypatch.setattr(graph_store, "is_graph_store",
+                            lambda path: checks.append(path) or real_check(path))
+        monkeypatch.setattr(graph_store, "save_graph", disk_touched)
+        fresh = SqliteStore(tmp_path / "st")
+        assert fresh.persist_graph(graph) == ref
+        assert [str(path) for path in checks] == [ref]
+        fresh.close()
+
 
 # ----------------------------------------------------------------------
 # queue layer: priorities, quotas, completion events
@@ -238,6 +265,7 @@ class TestDurableService:
         root = tmp_path / "st"
         svc = ColoringService(store=root)
         first = svc.submit_and_wait(graph, RunConfig("vff", seed=0))
+        svc.cache.clear()  # a warm cache would finish the repeat at admission
         job = svc.submit(graph, RunConfig("vff", seed=0))
         assert job.key == first.key
         svc.store.close()
@@ -252,6 +280,31 @@ class TestDurableService:
         assert svc2.stats()["scheduler"]["store_hits"] == 1
         assert np.array_equal(done.result.coloring.colors,
                               first.result.coloring.colors)
+        svc2.stop()
+
+    def test_cold_cache_after_restart_reads_the_store(self, tmp_path, graph,
+                                                       counted_execute):
+        # the admission probe is memory-only: after a restart the repeat
+        # is queued, and its round finds the done row by key
+        root = tmp_path / "st"
+        svc = ColoringService(store=root)
+        first = svc.submit_and_wait(graph, RunConfig("vff", seed=0))
+        svc.stop()
+
+        svc2 = ColoringService(store=root)
+        again = svc2.submit(graph, RunConfig("vff", seed=0))
+        assert again.status == "pending"
+        svc2.process()
+        assert again.status == "done" and again.source == "cache"
+        sched = svc2.stats()["scheduler"]
+        assert (sched["store_hits"], sched["cache_hits"], sched["rounds"]) \
+            == (1, 1, 1)
+        assert len(counted_execute) == 1
+        assert np.array_equal(again.result.coloring.colors,
+                              first.result.coloring.colors)
+        # the store hit is in memory now: the next repeat needs no round
+        assert svc2.submit(graph, RunConfig("vff", seed=0)).source == "cache"
+        assert svc2.stats()["scheduler"]["rounds"] == 1
         svc2.stop()
 
     def test_failed_done_write_reruns_once(self, tmp_path, graph,
@@ -437,6 +490,7 @@ class TestPoisonedDurableState:
         root = tmp_path / "st"
         svc = ColoringService(store=root)
         torn = svc.submit_and_wait(graph, RunConfig("vff", seed=2))
+        svc.cache.clear()  # a warm cache would finish the repeat at admission
         again = svc.submit(graph, RunConfig("vff", seed=2))  # torn's key
         svc.store.close()
         con = sqlite3.connect(root / "jobs.sqlite")

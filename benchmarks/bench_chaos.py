@@ -15,65 +15,32 @@ layer exists for — not throughput:
 
 Writes ``BENCH_chaos.json`` at the repository root::
 
-    PYTHONPATH=src python benchmarks/bench_chaos.py            # full soak
-    PYTHONPATH=src python benchmarks/bench_chaos.py --quick    # CI smoke
+    python benchmarks/bench_chaos.py            # full soak
+    python benchmarks/bench_chaos.py --quick    # CI smoke
 
-``--check BASELINE.json`` gates on machine-robust invariants only:
-zero acknowledged-job loss, zero improper colorings, at least as many
-injected faults as the baseline's floor (and never fewer than 5), zero
-re-executions of persisted results, and recovery-round counts within
-the recorded bound.  Wall times are reported but never gated.
-
-This file is a CLI script, not a pytest benchmark — the pytest smoke
-coverage lives in ``tests/test_bench_smoke.py``.
+``--check BASELINE.json`` gates on invariants and exact counts only:
+zero acknowledged-job loss, zero improper colorings, zero re-executions
+of persisted results (read from the scheduler's ``executed`` count), at
+least one injected fault and no fewer than the campaign's recorded
+count, exactly the interrupted jobs re-admitted, and recovery within
+``RECOVERY_ROUND_CAP`` rounds.  Wall times are reported but never gated.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-import repro.serve.backends as backends_mod  # noqa: E402
-from repro.coloring.verify import is_proper  # noqa: E402
-from repro.graph import erdos_renyi_graph  # noqa: E402
-from repro.run import RunConfig  # noqa: E402
-from repro.serve import ColoringService  # noqa: E402
+import gates
+from repro.coloring.verify import is_proper
+from repro.graph import erdos_renyi_graph
+from repro.run import RunConfig
+from repro.serve import ColoringService
 
 #: Hard ceiling on post-fault drain rounds before a campaign is declared
 #: stuck.  Generous: a healthy drain takes a handful of rounds.
 RECOVERY_ROUND_CAP = 50
-
-#: Minimum faults a soak must have actually injected to count as a soak.
-MIN_FAULTS = 5
-
-
-class _CountingExecute:
-    """Temporarily wrap ``backends.execute`` to count real executions."""
-
-    def __init__(self):
-        self.calls = 0
-        self._real = None
-
-    def __enter__(self):
-        self._real = backends_mod.execute
-
-        def counting(graph, config, *, initial=None):
-            self.calls += 1
-            return self._real(graph, config, initial=initial)
-
-        backends_mod.execute = counting
-        return self
-
-    def __exit__(self, *exc):
-        backends_mod.execute = self._real
-        return False
 
 
 def _audit(jobs, graphs) -> tuple[int, int, float]:
@@ -127,13 +94,12 @@ def run_io_chaos(quick: bool) -> dict:
 
         # restart with no faults: persisted verdicts must come back
         # without a single re-execution
-        with _CountingExecute() as counter:
-            svc2 = ColoringService(store=root)
-            restored = [svc2.result(job_id) for job_id in done_ids]
-            missing = sum(1 for j in restored if j is None
-                          or j.status != "done" or j.result is None)
-            reexecuted = counter.calls
-            svc2.stop()
+        svc2 = ColoringService(store=root)
+        restored = [svc2.result(job_id) for job_id in done_ids]
+        missing = sum(1 for j in restored if j is None
+                      or j.status != "done" or j.result is None)
+        reexecuted = svc2.stats()["scheduler"]["executed"]
+        svc2.stop()
         wall_s = time.perf_counter() - t0
 
     return {
@@ -170,20 +136,19 @@ def run_crash_restart(quick: bool) -> dict:
             svc.queue.mark_running(job)  # dispatched, never finished
         svc.store.close()  # hard crash: no stop(), no draining
 
-        with _CountingExecute() as counter:
-            svc2 = ColoringService(store=root)
-            requeued = svc2.recovered["requeued"]
-            recovery_rounds = _process_rounds(svc2)
-            redone = [svc2.result(j.id) for j in victims]
-            kept = [svc2.result(j.id) for j in done_jobs]
-            reexecuted = counter.calls - len(victims)
-            lost = sum(1 for j in redone + kept
-                       if j is None or j.status != "done")
-            improper = sum(
-                1 for j in redone
-                if j.result is not None
-                and not is_proper(graph, j.result.coloring))
-            svc2.stop()
+        svc2 = ColoringService(store=root)
+        requeued = svc2.recovered["requeued"]
+        recovery_rounds = _process_rounds(svc2)
+        redone = [svc2.result(j.id) for j in victims]
+        kept = [svc2.result(j.id) for j in done_jobs]
+        reexecuted = svc2.stats()["scheduler"]["executed"] - len(victims)
+        lost = sum(1 for j in redone + kept
+                   if j is None or j.status != "done")
+        improper = sum(
+            1 for j in redone
+            if j.result is not None
+            and not is_proper(graph, j.result.coloring))
+        svc2.stop()
         wall_s = time.perf_counter() - t0
 
     return {
@@ -200,96 +165,44 @@ def run_crash_restart(quick: bool) -> dict:
     }
 
 
-CAMPAIGNS = [run_io_chaos, run_crash_restart]
-
-
-def check_against_baseline(results, baseline_path: Path) -> int:
-    """Return 1 when a robustness invariant broke.
-
-    Everything gated here is deterministic or machine-independent:
-    job-loss and improper-coloring counts must be exactly zero, fault
-    injection must meet the recorded floor, persisted results must never
-    re-execute, and recovery must stay within the recorded round bound.
-    """
-    baseline = json.loads(baseline_path.read_text())
-    recorded = {r["campaign"] for r in baseline["results"]}
-    failures = []
-    total_faults = 0
-    for row in results:
-        name = row["campaign"]
-        if name not in recorded:
-            failures.append(f"{name}: campaign missing from baseline")
-        total_faults += row["faults_injected"]
-        if row["lost"]:
-            failures.append(f"{name}: {row['lost']} acknowledged jobs lost")
-        if row["improper"]:
-            failures.append(f"{name}: {row['improper']} improper colorings")
-        if row["reexecuted"]:
-            failures.append(f"{name}: {row['reexecuted']} persisted results "
-                            "re-executed after restart")
-        if row["recovery_rounds"] >= RECOVERY_ROUND_CAP:
-            failures.append(f"{name}: recovery hit the {RECOVERY_ROUND_CAP}-"
-                            "round cap — queue never drained")
-        # quick and full runs inject different absolute counts, so the
-        # per-campaign floor is existential; the total is gated below
-        if row["faults_injected"] < 1:
-            failures.append(f"{name}: no faults injected — the soak "
-                            "stopped soaking")
-        if "expected_requeued" in row and \
-                row.get("requeued") != row["expected_requeued"]:
-            failures.append(
-                f"{name}: {row.get('requeued')} jobs requeued, expected "
-                f"{row['expected_requeued']} — recovery edge broken")
-    if total_faults < MIN_FAULTS:
-        failures.append(f"total faults {total_faults} < {MIN_FAULTS}")
-    if failures:
-        print("BASELINE CHECK FAILED:", file=sys.stderr)
-        for line in failures:
-            print("  " + line, file=sys.stderr)
-        return 1
-    print(f"baseline check OK ({len(results)} campaigns, "
-          f"{total_faults} faults, zero loss)")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller graphs and job counts (CI smoke)")
-    parser.add_argument("--out", type=Path,
-                        default=REPO_ROOT / "BENCH_chaos.json",
-                        help="output JSON path")
-    parser.add_argument("--check", type=Path, metavar="BASELINE",
-                        help="compare against a recorded baseline; exit 1 "
-                        "on any job loss, improper coloring, re-execution, "
-                        "missing fault injection, or unbounded recovery")
-    args = parser.parse_args(argv)
-
-    results = []
-    for campaign in CAMPAIGNS:
+def run(args) -> list[dict]:
+    rows = []
+    for campaign in (run_io_chaos, run_crash_restart):
         row = campaign(args.quick)
-        results.append(row)
+        rows.append(row)
         print(f"{row['campaign']:>15}  {row['jobs']:3d} jobs  "
               f"{row['faults_injected']:2d} faults  lost {row['lost']}  "
               f"improper {row['improper']}  reexec {row['reexecuted']}  "
               f"{row['wall_s']:7.2f}s", flush=True)
+    return rows
 
-    payload = {
-        "meta": {
-            "mode": "quick" if args.quick else "full",
-            "recovery_round_cap": RECOVERY_ROUND_CAP,
-            "min_faults": MIN_FAULTS,
-            "python": sys.version.split()[0],
-        },
-        "results": results,
-    }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
 
-    if args.check:
-        return check_against_baseline(results, args.check)
-    return 0
+def key(row) -> str:
+    return row["campaign"]
+
+
+def gate(row, base) -> list[str]:
+    failures = []
+    if row["lost"]:
+        failures.append(f"{row['lost']} acknowledged jobs lost")
+    if row["improper"]:
+        failures.append(f"{row['improper']} improper colorings")
+    if row["reexecuted"]:
+        failures.append(f"{row['reexecuted']} persisted results re-executed "
+                        "after restart")
+    if row["recovery_rounds"] >= RECOVERY_ROUND_CAP:
+        failures.append(f"recovery hit the {RECOVERY_ROUND_CAP}-round cap — "
+                        "queue never drained")
+    if row["faults_injected"] < max(1, base["faults_injected"]):
+        failures.append(f"{row['faults_injected']} faults injected, recorded "
+                        f"{base['faults_injected']} — the soak stopped soaking")
+    if row.get("requeued") != row.get("expected_requeued"):
+        failures.append(f"{row['requeued']} jobs requeued, expected "
+                        f"{row['expected_requeued']} — recovery edge broken")
+    return failures
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(gates.main(
+        "chaos", __doc__, run, key, gate,
+        meta={"recovery_round_cap": RECOVERY_ROUND_CAP}))

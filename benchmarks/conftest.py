@@ -26,7 +26,7 @@ def bench_scale(default: float = 0.25) -> float:
 
 @pytest.fixture
 def emit(capsys):
-    """Print a Table through captured stdout and persist it as CSV."""
+    """Print a Table past pytest's output capturing and persist it as CSV."""
 
     def _emit(table, csv_name: str):
         RESULTS_DIR.mkdir(exist_ok=True)

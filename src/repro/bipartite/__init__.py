@@ -35,7 +35,6 @@ from .optimistic import (
     mp_partial_d2,
     optimistic_partial_d2,
     partial_d2_sequential,
-    replay_partial_rounds,
 )
 from .types import (
     PartialD2Coloring,
@@ -54,5 +53,4 @@ __all__ = [
     "mp_partial_d2",
     "optimistic_partial_d2",
     "partial_d2_sequential",
-    "replay_partial_rounds",
 ]

@@ -18,8 +18,8 @@ round.  Three engines share the protocol:
 - :func:`mp_partial_d2` — real concurrent blocks on a thread team: the ``d2``
   neighbourhood of the round driver :func:`repro.parallel.mp.run_rounds`
   (rows split in id order into contiguous blocks, the locality the
-  tall-skinny patterns want), with :func:`replay_partial_rounds` as its
-  inline transport.
+  tall-skinny patterns want); its ``inline`` transport is the reference
+  the thread team is tested against.
 
 Work units charged to the tick machine are *two-hop touches*: processing
 row ``r`` costs ``Σ_{c ∈ cols(r)} deg(c)`` slot reads plus the usual
@@ -45,7 +45,7 @@ from .graph import BipartiteGraph
 from .types import PartialD2Coloring
 
 __all__ = ["d2_work_units", "mp_partial_d2", "optimistic_partial_d2",
-           "partial_d2_sequential", "replay_partial_rounds"]
+           "partial_d2_sequential"]
 
 
 def d2_work_units(bip: BipartiteGraph) -> np.ndarray:
@@ -111,7 +111,6 @@ def optimistic_partial_d2(
     recorder=None,
     fault_plan=None,
     watchdog_patience: int = DEFAULT_PATIENCE,
-    capture: list | None = None,
 ) -> PartialD2Coloring:
     """Optimistic partial D2 coloring under *num_threads* simulated threads.
 
@@ -132,12 +131,6 @@ def optimistic_partial_d2(
     ``stick`` faults can deterministically waste rounds to exercise it.
     Only the detection runs a kernel; the speculative tick loop is
     per-row by construction (it simulates the races).
-
-    *capture*, if a list, receives one dict per round — ``{"work": the
-    round's work list, "snapshot": row colors at round start}`` — the
-    hook ``benchmarks/bench_bipartite.py`` uses to re-time each thread's
-    row share in isolation (thread *t* owns positions ``work[t::p]``,
-    for both the sweep and the detection scan).
     """
     rec = as_recorder(recorder)
     nr = bip.num_rows
@@ -150,10 +143,6 @@ def optimistic_partial_d2(
     forbidden = np.full(limit, -1, dtype=np.int64)
     stamp = 0
     work_list = _row_order(bip, order)
-
-    def begin(work, record):
-        if capture is not None:
-            capture.append({"work": work, "snapshot": colors.copy()})
 
     def tick(batch, record):
         nonlocal stamp
@@ -187,7 +176,7 @@ def optimistic_partial_d2(
             work_list, tick, detect, rec=rec,
             max_rounds=max_rounds, state=(colors,),
             plan=resolve_fault_plan(fault_plan), patience=watchdog_patience,
-            name="d2-optimistic", begin=begin)
+            name="d2-optimistic")
 
     num_colors = int(colors.max(initial=-1)) + 1
     meta = machine.finish(rec, rounds=rounds, backend=kernels.resolve_backend())
@@ -214,8 +203,8 @@ def mp_partial_d2(
 ) -> PartialD2Coloring:
     """Partial D2 coloring computed by *num_workers* threads of the team.
 
-    Deterministic for a fixed ``num_workers``, and bit-identical to the
-    inline replay (:func:`replay_partial_rounds`).  With
+    Deterministic for a fixed ``num_workers``, and bit-identical to
+    :func:`~repro.parallel.mp.run_rounds` on its inline transport.  With
     ``num_workers=1`` the sweep runs in-process and the result is
     bit-identical to
     :func:`~repro.bipartite.optimistic.partial_d2_sequential`.
@@ -246,33 +235,3 @@ def mp_partial_d2(
     return PartialD2Coloring(
         colors, num_colors, strategy="d2-mp",
         meta={"workers": num_workers, "backend": resolved, **meta})
-
-
-def replay_partial_rounds(
-    bip: BipartiteGraph,
-    num_workers: int,
-    *,
-    max_rounds: int = 100,
-) -> tuple[PartialD2Coloring, list[dict]]:
-    """Run the mp protocol in-process, exposing each round's inputs.
-
-    Executes exactly the rounds :func:`mp_partial_d2` would run (same
-    id-order blocks, same snapshots, same merge and conflict rule) on the
-    driver's inline transport, and returns the final coloring plus one
-    dict per round: ``{"blocks": [row arrays], "snapshot": colors at
-    round start, "work": the round's work list}``.  The blocks here are
-    byte-for-byte the mp engine's worker inputs, so a benchmark can time
-    each block's sweep in isolation against its snapshot to model the
-    per-round critical path on a machine with real cores.
-    """
-    captured: list[dict] = []
-    colors, meta = run_rounds(
-        Neighbourhood("d2", bip.incidence, bip.num_rows), num_workers,
-        transport="inline", max_rounds=max_rounds, capture=captured)
-    num_colors = int(colors.max(initial=-1)) + 1
-    return (PartialD2Coloring(colors, num_colors, strategy="d2-mp-replay",
-                              meta={"workers": num_workers,
-                                    "rounds": meta["rounds"],
-                                    "backend": kernels.resolve_backend()}),
-            [{k: r[k] for k in ("blocks", "snapshot", "work")}
-             for r in captured])

@@ -11,8 +11,9 @@ proposals merge in block order, and the conflict rule picks the items to
 retry next round.  It takes a :class:`Neighbourhood` (``d1``: a graph's
 vertices; ``d2``: a bipartite graph's rows) and a transport: ``threads``
 (the blocks sweep concurrently; each sweep is one compiled call that
-releases the GIL) or ``inline`` (the blocks sweep in turn, for the
-in-process replays).  :func:`mp_greedy_ff` and
+releases the GIL) or ``inline`` (the blocks sweep in turn on the
+caller's thread: the reference the threads transport is tested
+against).  :func:`mp_greedy_ff` and
 :func:`repro.bipartite.mp_partial_d2` are thin adapters over it.
 
 Determinism for fixed ``(num_workers, partition, seed)``: one worker ≡
@@ -30,7 +31,6 @@ import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -96,8 +96,7 @@ def _valid_proposals(res, block: np.ndarray, bound: int) -> bool:
 
 
 class _Inline:
-    """No team and no faults: blocks sweep in turn, on the caller's tier,
-    timed for ``capture``."""
+    """No team and no faults: blocks sweep in turn, on the caller's tier."""
 
     name, reused = "in-process", False
 
@@ -105,12 +104,8 @@ class _Inline:
         self.nb = nb
 
     def propose(self, round_idx, blocks, colors):
-        self.snapshot, self.sweep_s, out = colors.copy(), [], []
-        for block in blocks:
-            t0 = perf_counter()
-            out.append(self.nb.sweep(block, self.snapshot))
-            self.sweep_s.append(perf_counter() - t0)
-        return out
+        snapshot = colors.copy()
+        return [self.nb.sweep(block, snapshot) for block in blocks]
 
     def close(self) -> None:
         pass
@@ -222,7 +217,6 @@ def run_rounds(
     max_retries: int = DEFAULT_MAX_RETRIES,
     backoff: float = DEFAULT_BACKOFF,
     rec=NULL,
-    capture: list | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Color every item of *nb* in optimistic rounds: ``(colors, meta)``.
 
@@ -240,9 +234,7 @@ def run_rounds(
     salvage or residual work), ``residual``, ``transport`` and
     ``pool_reused`` (the thread team was already wide enough).  *rec*
     gets the ``mp_pool``/``mp_round``/``mp_salvage``/``mp_degraded`` and
-    ``fault_*`` events.  *capture* (inline transport only) receives one
-    dict per round: ``blocks``, ``snapshot``, ``work``, ``sweep_s`` (per
-    block), ``detect_s`` and ``conflicts``.
+    ``fault_*`` events.
     """
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -254,8 +246,6 @@ def run_rounds(
         raise ValueError(f"round_timeout must be > 0, got {round_timeout}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-    if capture is not None and transport != "inline":
-        raise ValueError("capture needs the inline transport")
     colors = np.full(nb.size, -1, dtype=np.int64)
     work = np.arange(nb.size, dtype=np.int64)
     stats = {"injected": 0, "detected": 0, "recovered": 0, "salvaged": 0}
@@ -287,15 +277,8 @@ def run_rounds(
                         rec.event("mp_salvage", round=rounds,
                                   vertices=int(block.shape[0]))
                     colors[block] = nb.sweep(block, colors)
-            t0 = perf_counter()
             retry = nb.detect(colors, work)
-            detect_s = perf_counter() - t0
             conflicts += retry.shape[0]
-            if capture is not None:
-                capture.append({"blocks": blocks, "snapshot": port.snapshot,
-                                "work": work, "sweep_s": port.sweep_s,
-                                "detect_s": detect_s,
-                                "conflicts": int(retry.shape[0])})
             if rec.enabled:
                 rec.event("mp_round", index=rounds, workers=num_workers,
                           attempted=int(ordered.shape[0]),

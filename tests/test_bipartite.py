@@ -20,7 +20,6 @@ from repro.bipartite import (
     mp_partial_d2,
     optimistic_partial_d2,
     partial_d2_sequential,
-    replay_partial_rounds,
 )
 from repro.coloring import color_and_balance
 from repro.coloring.balance import relative_std_dev
@@ -38,6 +37,7 @@ from repro.graph import (
 from repro.graph.datasets import DATASETS
 from repro.kernels.reference import pick_shuffle_target
 from repro.obs import Recorder, as_recorder
+from repro.parallel.mp import Neighbourhood, run_rounds
 from repro.run import execute
 from repro.run.config import RunConfig
 
@@ -292,9 +292,10 @@ class TestMpPartialD2:
         bip = random_pattern(250, 50, 1400, seed=15)
         pc = mp_partial_d2(bip, num_workers=3)
         assert_partial_d2_proper(bip, pc, require_total=True)
-        replay, rounds = replay_partial_rounds(bip, 3)
-        assert np.array_equal(replay.colors, pc.colors)
-        assert len(rounds) == pc.meta["rounds"]
+        colors, meta = run_rounds(Neighbourhood("d2", bip.incidence, bip.num_rows),
+                                  3, transport="inline")
+        assert np.array_equal(colors, pc.colors)
+        assert meta["rounds"] == pc.meta["rounds"]
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ medians of ``REPEATS``, one sequential :func:`repro.kernels.d2_sweep` of
 all rows and :func:`repro.bipartite.mp_partial_d2` on ``WORKERS`` threads
 of the team, and reports their ratio ``mp_vs_seq`` (above 1: the team is
 slower).  Both run on the default kernel tier.  It also records the exact
-rounds, conflicts and colors of the team run and of the superstep engine
+rounds, conflicts and colors of the team run (and the size of its
+sequential First-Fit tail, ``mp_tail``) and of the superstep engine
 (:func:`repro.bipartite.optimistic_partial_d2` at ``THREADS`` simulated
 threads), and the moves, colors and class-size RSD of the one-sided
 shuffle drain (:func:`repro.bipartite.balance_partial_d2`).
@@ -49,7 +50,7 @@ SEED = 7
 REPEATS = 9
 #: Row fields that must equal the recorded ones exactly.
 EXACT = ("superstep_rounds", "superstep_conflicts", "superstep_colors",
-         "mp_rounds", "mp_conflicts", "mp_colors", "drain_moves",
+         "mp_rounds", "mp_conflicts", "mp_tail", "mp_colors", "drain_moves",
          "drain_rounds", "colors_before", "colors_after", "rsd_before",
          "rsd_after")
 
@@ -83,6 +84,7 @@ def bench_pattern(name: str, bip: BipartiteGraph) -> dict:
         "mp_vs_seq": round(mp_s / seq_s, 3),
         "mp_rounds": mp.meta["rounds"],
         "mp_conflicts": mp.meta["conflicts"],
+        "mp_tail": mp.meta["tail"],
         "mp_colors": mp.num_colors,
         "superstep_rounds": superstep.meta["rounds"],
         "superstep_conflicts": superstep.meta["conflicts"],
@@ -102,7 +104,8 @@ def bench_pattern(name: str, bip: BipartiteGraph) -> dict:
           f"seq {seq_s * 1e3:7.2f} ms  mp {mp_s * 1e3:7.2f} ms  "
           f"mp_vs_seq {row['mp_vs_seq']:.2f}\n"
           f"  {'':8s} mp {row['mp_rounds']} rounds/{row['mp_conflicts']} "
-          f"conflicts  superstep {row['superstep_rounds']} rounds/"
+          f"conflicts/tail {row['mp_tail']}  "
+          f"superstep {row['superstep_rounds']} rounds/"
           f"{row['superstep_conflicts']} conflicts  drain C={row['colors_after']} "
           f"rsd {row['rsd_before']:.1f}% -> {row['rsd_after']:.1f}% "
           f"({row['drain_moves']} moves)", flush=True)

@@ -194,7 +194,7 @@ def mp_partial_d2(
     bip: BipartiteGraph,
     *,
     num_workers: int = 2,
-    max_rounds: int = 100,
+    max_rounds: int = 1,
     recorder=None,
     fault_plan: FaultPlan | str | None = None,
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
@@ -209,11 +209,15 @@ def mp_partial_d2(
     bit-identical to
     :func:`~repro.bipartite.optimistic.partial_d2_sequential`.
 
-    Guarding, fault injection (``fault_plan``), salvage, the residual
-    sequential pass, the meta keys (``workers``/``rounds``/``conflicts``/
-    ``faults``/``degraded``/``residual``/``transport``/``pool_reused``)
-    and the recorder events
-    (``mp_pool``/``mp_round``/``mp_salvage``/``mp_degraded``/``fault_*``
+    ``max_rounds`` speculative rounds (one by default) run on the team,
+    then the rows still in conflict are colored by one sequential
+    First-Fit pass against the merged colors: the planned tail of
+    Gebremedhin & Manne (2000), Phase 3.  Guarding, fault injection
+    (``fault_plan``; a worker fault at a round never speculated raises
+    ``ValueError``), salvage, the meta keys (``workers``/``rounds``/
+    ``conflicts``/``tail``/``faults``/``degraded``/``transport``/
+    ``pool_reused``) and the recorder events
+    (``mp_pool``/``mp_round``/``mp_salvage``/``mp_tail``/``fault_*``
     inside a ``d2-mp`` phase) all match
     :func:`repro.parallel.mp.mp_greedy_ff`.
     """

@@ -364,9 +364,9 @@ def _d2_balanced(base_impl, accepts: frozenset):
     """Wrap a d2-optimistic mode impl with the one-sided shuffle drain.
 
     The drain runs in-process after the engine (it is a cheap sequential
-    tail, like the residual pass), preserves the color count, and keeps
-    distance-2 properness move by move.  The square cover is built once,
-    for the engine and the drain alike.
+    tail, like the mp driver's First-Fit tail), preserves the color
+    count, and keeps distance-2 properness move by move.  The square
+    cover is built once, for the engine and the drain alike.
     """
 
     @_accepts(*(accepts | {"choice"}))

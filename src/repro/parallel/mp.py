@@ -3,14 +3,21 @@
 The tick machine simulates shared-memory parallelism; this module runs
 the speculation-and-iteration framework for real, on the process-wide
 thread team of :mod:`repro.shm.pool`.  :func:`run_rounds` is its one
-driver: each round the pending items are split into blocks along a
-fixed partition order, every block is First-Fit-colored against the
-round-start snapshot into its own output array (blocks cannot see each
-other's in-round proposals, exactly like same-tick peers), the
-proposals merge in block order, and the conflict rule picks the items to
-retry next round.  It takes a :class:`Neighbourhood` (``d1``: a graph's
-vertices; ``d2``: a bipartite graph's rows) and a transport: ``threads``
-(the blocks sweep concurrently; each sweep is one compiled call that
+driver: each speculative round the pending items are split into blocks
+along a fixed partition order, every block is First-Fit-colored against
+the round-start snapshot into its own output array (blocks cannot see
+each other's in-round proposals, exactly like same-tick peers), the
+proposals merge in block order, and the conflict rule picks the items
+to retry.  After ``max_rounds`` speculative rounds (one by default) the
+retry set is colored by one sequential First-Fit pass against the
+merged colors: the planned tail, Phase 3 of Gebremedhin & Manne (2000),
+the scheme the paper's speculate-and-iterate loop grew out of.  Every
+further round pays n-length passes and a team dispatch for a shrinking
+retry set, so one round and the tail is the fastest cutover measured.
+
+The driver takes a :class:`Neighbourhood` (``d1``: a graph's vertices;
+``d2``: a bipartite graph's rows) and a transport: ``threads`` (the
+blocks sweep concurrently; each sweep is one compiled call that
 releases the GIL) or ``inline`` (the blocks sweep in turn on the
 caller's thread: the reference the threads transport is tested
 against).  :func:`mp_greedy_ff` and
@@ -18,11 +25,11 @@ against).  :func:`mp_greedy_ff` and
 
 Determinism for fixed ``(num_workers, partition, seed)``: one worker ≡
 the sequential sweep; threads ≡ inline, since both feed the same blocks
-the same snapshot and merge in the same order; and stall/corrupt/stale
-recovery is bit-identical to the fault-free run, since a retried block
-re-colors the same items against the same snapshot.  A stalled block's
-late result is thrown away, and it cannot touch shared state because it
-sweeps into its own array.
+the same snapshot, merge in the same order and run the same tail; and
+stall/corrupt/stale recovery is bit-identical to the fault-free run,
+since a retried block re-colors the same items against the same
+snapshot.  A stalled block's late result is thrown away, and it cannot
+touch shared state because it sweeps into its own array.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ from ..coloring.types import Coloring
 from ..kernels import detect_cross_conflicts  # re-exported
 from ..graph.csr import CSRGraph
 from ..obs import NULL, as_recorder
-from ..resilience import NO_FAULTS, FaultPlan, resolve_fault_plan
+from ..resilience import (NO_FAULTS, WORKER_FAULT_KINDS, FaultPlan,
+                          resolve_fault_plan)
 
 __all__ = ["Neighbourhood", "detect_cross_conflicts", "mp_greedy_ff",
            "partition_positions", "run_rounds", "split_blocks"]
@@ -206,12 +214,30 @@ class _Threads:
 _TRANSPORTS = {"inline": _Inline, "threads": _Threads}
 
 
+def _check_plan(plan: FaultPlan, max_rounds: int) -> None:
+    """Reject a worker fault the run can never fire: one planned at a
+    round the run does not speculate, or a stale read of round 0 (its
+    previous snapshot is the all-uncolored start, the fresh one)."""
+    for f in plan.faults:
+        if f.kind not in WORKER_FAULT_KINDS:
+            continue
+        if f.round >= max_rounds:
+            raise ValueError(
+                f"fault {f.to_spec()!r} can never fire: the run speculates "
+                f"for {max_rounds} round(s) (rounds 0..{max_rounds - 1}) "
+                "before its sequential tail; raise max_rounds")
+        if f.kind == "stale" and f.round == 0:
+            raise ValueError(
+                f"fault {f.to_spec()!r} can never fire: round 0's previous "
+                "snapshot is the all-uncolored start, identical to its fresh one")
+
+
 def run_rounds(
     nb: Neighbourhood,
     num_workers: int,
     *,
     transport: str,
-    max_rounds: int = 100,
+    max_rounds: int = 1,
     plan: FaultPlan = NO_FAULTS,
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
     max_retries: int = DEFAULT_MAX_RETRIES,
@@ -220,21 +246,25 @@ def run_rounds(
 ) -> tuple[np.ndarray, dict]:
     """Color every item of *nb* in optimistic rounds: ``(colors, meta)``.
 
-    Each round re-splits the work list into *num_workers* blocks along
-    ``nb.position``, has *transport* (``"threads"`` or ``"inline"``)
-    propose colors for every block against the round-start snapshot,
-    merges the proposals in block order (a block whose retries are
-    exhausted is salvaged in-process against the merged survivors) and
-    retries what ``nb.detect`` flags.  Work left after *max_rounds* is
-    finished by one sequential residual pass.  With one worker on the
-    thread team the whole job is one in-process sweep.
+    Each speculative round re-splits the work list into *num_workers*
+    blocks along ``nb.position``, has *transport* (``"threads"`` or
+    ``"inline"``) propose colors for every block against the round-start
+    snapshot, merges the proposals in block order (a block whose retries
+    are exhausted is salvaged in-process against the merged survivors)
+    and retries what ``nb.detect`` flags.  After *max_rounds* speculative
+    rounds (fewer if no conflict is left) the retry set is colored by one
+    sequential First-Fit pass against the merged colors: the planned
+    tail, Phase 3 of Gebremedhin & Manne (2000).  With one worker on the
+    thread team the whole job is one in-process sweep.  A worker fault
+    in *plan* that can never fire (planned at a round >= *max_rounds*,
+    or ``stale`` at round 0) raises ``ValueError``.
 
     ``meta`` holds ``rounds``, ``conflicts`` (total retried items),
-    ``faults`` (injected/detected/recovered/salvaged), ``degraded`` (any
-    salvage or residual work), ``residual``, ``transport`` and
-    ``pool_reused`` (the thread team was already wide enough).  *rec*
-    gets the ``mp_pool``/``mp_round``/``mp_salvage``/``mp_degraded`` and
-    ``fault_*`` events.
+    ``tail`` (the items the tail colored), ``faults``
+    (injected/detected/recovered/salvaged), ``degraded`` (a block was
+    salvaged), ``transport`` and ``pool_reused`` (the thread team was
+    already wide enough).  *rec* gets the ``mp_pool``/``mp_round``/
+    ``mp_salvage``/``mp_tail`` and ``fault_*`` events.
     """
     if num_workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -246,11 +276,12 @@ def run_rounds(
         raise ValueError(f"round_timeout must be > 0, got {round_timeout}")
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    _check_plan(plan, max_rounds)
     colors = np.full(nb.size, -1, dtype=np.int64)
     work = np.arange(nb.size, dtype=np.int64)
     stats = {"injected": 0, "detected": 0, "recovered": 0, "salvaged": 0}
-    meta = {"rounds": 1, "conflicts": 0, "faults": stats, "degraded": False,
-            "residual": 0, "transport": "in-process", "pool_reused": False}
+    meta = {"rounds": 1, "conflicts": 0, "tail": 0, "faults": stats,
+            "degraded": False, "transport": "in-process", "pool_reused": False}
     if num_workers == 1 and transport != "inline":
         return nb.sweep(work, colors), meta
 
@@ -288,14 +319,13 @@ def run_rounds(
     finally:
         port.close()
 
-    residual = int(work.shape[0])
-    if residual:  # round cap hit: finish sequentially
+    tail = int(work.shape[0])
+    if tail:  # the planned tail: one sequential First-Fit pass
         if rec.enabled:
-            rec.event("mp_degraded", reason="max_rounds", residual=residual)
+            rec.event("mp_tail", vertices=tail)
         colors[work] = nb.sweep(work, colors)
-    meta.update(rounds=rounds, conflicts=int(conflicts),
-                degraded=bool(residual or stats["salvaged"]),
-                residual=residual, transport=port.name,
+    meta.update(rounds=rounds, conflicts=int(conflicts), tail=tail,
+                degraded=bool(stats["salvaged"]), transport=port.name,
                 pool_reused=port.reused)
     return colors, meta
 
@@ -304,7 +334,7 @@ def mp_greedy_ff(
     graph: CSRGraph,
     *,
     num_workers: int = 2,
-    max_rounds: int = 100,
+    max_rounds: int = 1,
     partition: str = "block",
     seed=None,
     recorder=None,
@@ -325,7 +355,12 @@ def mp_greedy_ff(
     ``partition`` selects how vertices are split across workers (see
     :mod:`repro.parallel.partition`): ``"block"``, ``"random"``, or
     ``"bfs"`` — fewer cross-partition edges mean fewer speculative
-    conflicts and fewer retry rounds.
+    conflicts and a shorter sequential tail.
+
+    ``max_rounds`` speculative rounds (one by default) run on the team;
+    the vertices still in conflict after them are colored by one
+    sequential First-Fit pass against the merged colors, the planned
+    tail of Gebremedhin & Manne (2000), Phase 3.
 
     Every round is guarded: each block's future is collected with
     ``round_timeout`` seconds, failed blocks (stalled, raised, corrupted
@@ -334,22 +369,22 @@ def mp_greedy_ff(
     in-process so the run *always* terminates with a proper coloring.
     ``fault_plan`` (a :class:`repro.resilience.FaultPlan`, a spec string,
     or the ``REPRO_FAULT_PLAN`` environment variable) injects such
-    failures deterministically for testing.
+    failures deterministically for testing; a worker fault planned at a
+    round the run never speculates raises ``ValueError``.
 
     Returns a proper :class:`Coloring`; ``meta["rounds"]`` records how many
-    speculation rounds were needed and ``meta["conflicts"]`` the total
-    number of retried vertices.  ``meta["faults"]`` counts injected /
-    detected / recovered faults and in-process-salvaged blocks;
-    ``meta["residual"]`` is the number of vertices finished by the
-    sequential residual pass after the round cap, and ``meta["degraded"]``
-    is True whenever any work bypassed the team (salvage or residual) —
-    truncation is never silent.  ``meta["transport"]`` names what ran and
+    speculation rounds ran and ``meta["conflicts"]`` the total number of
+    retried vertices.  ``meta["tail"]`` is the number of vertices the
+    sequential tail colored.  ``meta["faults"]`` counts injected /
+    detected / recovered faults and in-process-salvaged blocks, and
+    ``meta["degraded"]`` is True whenever a block was salvaged —
+    salvage is never silent.  ``meta["transport"]`` names what ran and
     ``meta["pool_reused"]`` says whether the team was already wide enough.
 
     ``recorder`` (optional :class:`repro.obs.Recorder`) gets one
     ``mp_round`` event per speculation round (workers, vertices colored,
     conflicts) plus ``mp_pool`` / ``fault_injected`` / ``fault_detected``
-    / ``fault_recovered`` / ``mp_salvage`` / ``mp_degraded`` events
+    / ``fault_recovered`` / ``mp_salvage`` / ``mp_tail`` events
     inside a ``greedy-ff-mp`` phase timer; attaching one never changes
     the result.
     """

@@ -285,10 +285,13 @@ class RunResult:
     invariant ``violations`` found (per kind) and how the ``on_failure``
     policy resolved them (``repaired`` vertex count / ``fallback`` flag),
     plus whatever the execution layer itself reported — injected /
-    detected / recovered ``faults``, the ``degraded`` flag and sequential
-    ``residual`` of the mp backend, and the superstep watchdog's
-    ``watchdog_round``.  A clean run reports empty violations and all-zero
-    counts, so the field is always present and comparable.
+    detected / recovered ``faults`` and the ``degraded`` flag (a block
+    was salvaged in-process) of the mp backend, and the superstep
+    watchdog's ``watchdog_round``.  The mp backend's planned sequential
+    tail (``coloring.meta["tail"]``, Gebremedhin & Manne's Phase 3) is
+    part of the algorithm, not a fault, so it is not reported here.  A
+    clean run reports empty violations and all-zero counts, so the field
+    is always present and comparable.
     """
 
     config: RunConfig

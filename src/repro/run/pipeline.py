@@ -190,7 +190,6 @@ def execute(
             "fallback": report["fallback"],
             "faults": strategy_meta.get("faults"),
             "degraded": bool(strategy_meta.get("degraded", False)),
-            "residual": int(strategy_meta.get("residual", 0)),
             "watchdog_round": strategy_meta.get("watchdog_round"),
         },
     )

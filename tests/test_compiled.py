@@ -1162,9 +1162,12 @@ class TestDetectDifferential:
             bip = BipartiteGraph.from_incidence(graph, _incidence_rows(graph))
             for mode, threads in (("mp", 2), ("superstep", 4)):
                 before = len(calls)
-                execute(graph, RunConfig("d2-optimistic", mode=mode, threads=threads))
+                # mp: every round to convergence, not one and the tail
+                rounds = {"max_rounds": 100} if mode == "mp" else {}
+                execute(graph, RunConfig("d2-optimistic", mode=mode, threads=threads,
+                                         strategy_kwargs=rounds))
                 if mode == "mp":
-                    mp_partial_d2(bip, num_workers=2)
+                    mp_partial_d2(bip, num_workers=2, **rounds)
                 else:
                     optimistic_partial_d2(bip, num_threads=4)
                 assert len(calls) > before + 2, (name, mode)
@@ -1580,18 +1583,21 @@ def test_execute_matches_python_loops(strategy, mode, extra, how):
 #: every (strategy, mode) of the registry, the parallel modes on two
 #: threads; then a corrupt block repaired after the run, and stale-snapshot
 #: workers, whose collisions with finalized higher-id neighbors only the
-#: cross and d2 detection rules catch
+#: cross and d2 detection rules catch (round 1 is speculated only under
+#: an explicit ``max_rounds``; the ids leave ``strategy_kwargs`` out)
 TIER_CASES = [(s, m, {} if m == "sequential" else {"threads": 2})
               for s, spec in STRATEGIES.items() for m in spec.modes] + [
     ("greedy-ff", "mp", {"threads": 2, "on_failure": "repair",
                          "fault_plan": "corrupt@r0.w1"}),
-    *((s, "mp", {"threads": 2, "fault_plan": "stale@r1.w0"})
+    *((s, "mp", {"threads": 2, "fault_plan": "stale@r1.w0",
+                 "strategy_kwargs": {"max_rounds": 100}})
       for s in ("greedy-ff", "d2-optimistic", "d2-balanced")),
 ]
 
 
 @pytest.mark.parametrize("strategy,mode,extra", TIER_CASES,
-                         ids=["-".join([s, m, *(f"{k}={v}" for k, v in sorted(e.items()))])
+                         ids=["-".join([s, m, *(f"{k}={v}" for k, v in sorted(e.items())
+                                                if k != "strategy_kwargs")])
                               for s, m, e in TIER_CASES])
 def test_sweeps_end_to_end_match_reference(strategy, mode, extra):
     """The default run and a ``backend="reference"`` run agree, and the
@@ -1603,6 +1609,8 @@ def test_sweeps_end_to_end_match_reference(strategy, mode, extra):
     config = RunConfig(strategy, mode=mode, seed=0, **extra)
     result, _ = assert_run_matches(graph, config, "compiled",
                                    oracle=config.replace(backend="reference"))
+    if "fault_plan" in extra:
+        assert result.coloring.meta["faults"]["injected"] == 1
     (assert_distance2_proper if d2 else assert_proper)(graph, result.coloring)
     if STRATEGIES[strategy].same_color_count:
         assert result.coloring.num_colors == result.initial.num_colors
@@ -1634,9 +1642,10 @@ def test_inline_transport_matches_reference():
     bip = BipartiteGraph.square_cover(erdos_renyi_graph(300, 0.03, seed=7))
     for hood in (Neighbourhood("d1", graph, graph.num_vertices, position),
                  Neighbourhood("d2", bip.incidence, bip.num_rows)):
-        colors, meta = run_rounds(hood, 2, transport="inline")
+        colors, meta = run_rounds(hood, 2, transport="inline", max_rounds=100)
         with on_path("reference"):
-            oracle_colors, oracle_meta = run_rounds(hood, 2, transport="inline")
+            oracle_colors, oracle_meta = run_rounds(hood, 2, transport="inline",
+                                                    max_rounds=100)
         assert np.array_equal(colors, oracle_colors)
         assert meta == oracle_meta and meta["rounds"] > 1
 

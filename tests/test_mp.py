@@ -4,7 +4,9 @@
 every row with an ``mp`` implementation runs through ``execute()`` on
 the thread team and again with the driver forced onto the inline
 transport, on a D1 input and a distance-2 pattern, for 1–3 workers,
-with and without injected block faults.
+with and without injected block faults, on the default run (one
+speculative round, then the sequential tail) and on runs that speculate
+until no conflict is left.
 """
 
 import glob
@@ -70,8 +72,9 @@ def inputs():
             "jacrand": load_dataset("jacrand", scale=0.05, seed=0)}
 
 
-def _run(monkeypatch, graph, row, workers, transport, plan=None):
-    """One registry run with every mp adapter's driver on *transport*."""
+def _run(monkeypatch, graph, row, workers, transport, plan=None, **kwargs):
+    """One registry run with every mp adapter's driver on *transport*;
+    *kwargs* are the row's strategy options."""
     real = mp_mod.run_rounds
 
     def forced(nb, num_workers, **kwargs):
@@ -82,7 +85,7 @@ def _run(monkeypatch, graph, row, workers, transport, plan=None):
             m.setattr(module, "run_rounds", forced)
         result = execute(graph, RunConfig(
             row, mode="mp", threads=workers, seed=3, fault_plan=plan,
-            strategy_kwargs={"round_timeout": 0.2} if plan else {}))
+            strategy_kwargs={"round_timeout": 0.2, **kwargs} if plan else kwargs))
     coloring = result.coloring
     if row.startswith("d2"):
         assert_distance2_proper(graph, coloring)
@@ -93,8 +96,19 @@ def _run(monkeypatch, graph, row, workers, transport, plan=None):
     return coloring
 
 
+#: the one (row, input) whose first speculative round has no conflict:
+#: jacrand read as a D1 graph is a bipartite incidence, 2-colored at once
+CONFLICT_FREE = {("greedy-ff", "jacrand")}
+
+
+def _races(row, graph_name, workers):
+    """True when the first speculative round leaves a retry set."""
+    return workers > 1 and (row, graph_name) not in CONFLICT_FREE
+
+
 def _rounds(coloring):
-    return coloring.meta["rounds"], coloring.meta["conflicts"]
+    meta = coloring.meta
+    return meta["rounds"], meta["conflicts"], meta["tail"]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -108,6 +122,12 @@ class TestTransportDifferential:
         inline = _run(monkeypatch, graph, row, workers, "inline")
         assert np.array_equal(threads.colors, inline.colors)
         assert _rounds(threads) == _rounds(inline)
+        # by default: one speculative round, its retry set is the tail,
+        # and a planned tail is not a degradation
+        meta = threads.meta
+        assert meta["rounds"] == 1 and meta["tail"] == meta["conflicts"]
+        assert (meta["tail"] > 0) == _races(row, graph_name, workers)
+        assert meta["degraded"] is False and inline.meta["degraded"] is False
 
     @pytest.mark.parametrize("plan", RECOVERED_PLANS)
     def test_faults_recover_bit_identically(self, monkeypatch, inputs, row,
@@ -125,13 +145,42 @@ class TestTransportDifferential:
     def test_stale_snapshot_replays_bit_identically(self, monkeypatch, inputs,
                                                     row, graph_name, workers):
         # a stale read changes the proposals, so the run is not the
-        # fault-free one; it is proper, and a replay is bit-identical
+        # fault-free one; it is proper, and a replay is bit-identical.
+        # Round 1 is speculated only when max_rounds allows it.
         graph = inputs[graph_name]
         plan = "stale@r1.w0"
-        first = _run(monkeypatch, graph, row, workers, "threads", plan)
-        again = _run(monkeypatch, graph, row, workers, "threads", plan)
+        first = _run(monkeypatch, graph, row, workers, "threads", plan,
+                     max_rounds=100)
+        again = _run(monkeypatch, graph, row, workers, "threads", plan,
+                     max_rounds=100)
         assert np.array_equal(first.colors, again.colors)
         assert _rounds(first) == _rounds(again)
+        # round 1 runs, and its block 0 reads stale, iff round 0 left work
+        assert first.meta["faults"]["injected"] == int(_races(row, graph_name, workers))
+
+    def test_run_to_convergence_has_no_tail(self, monkeypatch, inputs, row,
+                                            graph_name, workers):
+        graph = inputs[graph_name]
+        threads = _run(monkeypatch, graph, row, workers, "threads", max_rounds=100)
+        inline = _run(monkeypatch, graph, row, workers, "inline", max_rounds=100)
+        assert np.array_equal(threads.colors, inline.colors)
+        assert _rounds(threads) == _rounds(inline)
+        assert threads.meta["tail"] == 0
+        assert (threads.meta["rounds"] > 1) == _races(row, graph_name, workers)
+
+    def test_salvaged_block_sets_degraded(self, monkeypatch, inputs, row,
+                                          graph_name, workers):
+        # block 0's proposals are corrupt on every attempt, so it is
+        # colored in-process: a degradation, unlike the planned tail
+        graph = inputs[graph_name]
+        faulty = _run(monkeypatch, graph, row, workers, "threads",
+                      "corrupt@r0.w0x3")
+        faults = faulty.meta["faults"]
+        if workers > 1:
+            assert faults["injected"] == 3 and faults["salvaged"] == 1
+            assert faulty.meta["degraded"] is True
+        else:  # one worker: one in-process sweep, no block to fault
+            assert faults["injected"] == 0 and faulty.meta["degraded"] is False
 
 
 def test_mp_runs_leave_no_segments_or_processes(inputs):

@@ -10,6 +10,8 @@ must reproduce the identical event sequence and coloring.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ from repro.run import RunConfig, execute
 def _fault_events(rec: Recorder) -> list[tuple]:
     """Stable (timing-free) projection of the resilience event stream."""
     kinds = ("fault_injected", "fault_detected", "fault_recovered",
-             "mp_salvage", "mp_degraded", "watchdog_fallback",
+             "mp_salvage", "watchdog_fallback",
              "invariant_violation", "repair", "sequential_fallback")
     return [
         (e["kind"], e.get("fault"), e.get("round"), e.get("worker"),
@@ -305,11 +307,29 @@ class TestGuardedMp:
         assert mp_clean.meta["faults"] == {
             "injected": 0, "detected": 0, "recovered": 0, "salvaged": 0}
         assert mp_clean.meta["degraded"] is False
-        assert mp_clean.meta["residual"] == 0
+        # one speculative round, then its retry set is the planned tail
+        assert mp_clean.meta["rounds"] == 1
+        assert mp_clean.meta["tail"] == mp_clean.meta["conflicts"] > 0
 
     def test_max_rounds_zero_rejected(self, mp_graph):
         with pytest.raises(ValueError, match="max_rounds"):
             mp_greedy_ff(mp_graph, num_workers=2, max_rounds=0)
+
+    @pytest.mark.parametrize("plan,max_rounds", [
+        ("stall@r1.w0:1.5", 1),   # the default run never speculates round 1
+        ("corrupt@r3.w1", 3),
+        ("stale@r0.w0", 100),     # round 0's previous snapshot is the fresh one
+    ])
+    def test_fault_that_can_never_fire_rejected(self, mp_graph, plan, max_rounds):
+        with pytest.raises(ValueError, match=re.escape(repr(plan))):
+            mp_greedy_ff(mp_graph, num_workers=2, fault_plan=plan,
+                         max_rounds=max_rounds)
+
+    def test_last_speculated_round_accepts_faults(self, mp_graph):
+        c = mp_greedy_ff(mp_graph, num_workers=2, max_rounds=2,
+                         fault_plan="stale@r1.w0;corrupt@r1.w1")
+        assert_proper(mp_graph, c)
+        assert c.meta["faults"]["injected"] == 2
 
     def test_bad_timeouts_rejected(self, mp_graph):
         with pytest.raises(ValueError, match="round_timeout"):
@@ -339,17 +359,20 @@ class TestGuardedMp:
 
         g = erdos_renyi_graph(2000, 0.01, seed=3)
         plan = "stall@r0.w3:1.0;corrupt@r1.w0;stale@r1.w2"
-        a = mp_greedy_ff(g, num_workers=4, fault_plan=plan, round_timeout=0.5)
+        a = mp_greedy_ff(g, num_workers=4, fault_plan=plan, round_timeout=0.5,
+                         max_rounds=100)
         assert_proper(g, a)
         assert a.meta["faults"]["injected"] == 3
         # every detected fault was recovered, none leaked into the result
         assert a.meta["faults"]["recovered"] == a.meta["faults"]["detected"] >= 2
         assert a.meta["degraded"] is False
-        b = mp_greedy_ff(g, num_workers=4, fault_plan=plan, round_timeout=0.5)
+        b = mp_greedy_ff(g, num_workers=4, fault_plan=plan, round_timeout=0.5,
+                         max_rounds=100)
         assert np.array_equal(a.colors, b.colors)  # deterministic replay
 
     def test_stale_snapshot_still_proper(self, mp_graph, mp_clean):
-        c = mp_greedy_ff(mp_graph, num_workers=2, fault_plan="stale@r1.w0")
+        c = mp_greedy_ff(mp_graph, num_workers=2, fault_plan="stale@r1.w0",
+                         max_rounds=100)
         assert_proper(mp_graph, c)
         assert c.num_colors <= mp_graph.max_degree + 1
         assert c.meta["faults"]["injected"] == 1

@@ -34,7 +34,6 @@ from .. import kernels
 from ..obs import as_recorder
 from ..parallel.engine import TickMachine
 from ..parallel.mp import (
-    DEFAULT_BACKOFF,
     DEFAULT_MAX_RETRIES,
     DEFAULT_ROUND_TIMEOUT,
     Neighbourhood,
@@ -199,7 +198,6 @@ def mp_partial_d2(
     fault_plan: FaultPlan | str | None = None,
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    backoff: float = DEFAULT_BACKOFF,
 ) -> PartialD2Coloring:
     """Partial D2 coloring computed by *num_workers* threads of the team.
 
@@ -228,7 +226,7 @@ def mp_partial_d2(
             Neighbourhood("d2", bip.incidence, bip.num_rows), num_workers,
             transport="threads", max_rounds=max_rounds,
             plan=resolve_fault_plan(fault_plan), round_timeout=round_timeout,
-            max_retries=max_retries, backoff=backoff, rec=rec)
+            max_retries=max_retries, rec=rec)
     num_colors = int(colors.max(initial=-1)) + 1
     if rec.enabled:
         rec.event("partial_coloring", strategy="d2-mp", num_rows=bip.num_rows,

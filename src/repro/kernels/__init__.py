@@ -40,8 +40,10 @@ called, by :func:`resolve_backend`, strongest first:
 2. the innermost :func:`use_backend` scope around the call (a
    :class:`~contextvars.ContextVar`, so concurrent threads keep their
    own; :func:`repro.run.execute` runs each job inside one);
-3. the ``REPRO_KERNEL_BACKEND`` environment variable;
-4. the default, ``vectorized``.
+3. the default, ``vectorized``.
+
+``CC=false`` (no C compiler) makes every tier run its oracle
+process-wide.
 
 Thread-team tasks do not inherit the submitting thread's context, so
 the round driver of :mod:`repro.parallel.mp` hands each task the tier
@@ -59,7 +61,6 @@ selection.  So do the CSR assembly and validation behind
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -92,7 +93,6 @@ __all__ = [
 ]
 
 BACKENDS = ("reference", "vectorized")
-_ENV_VAR = "REPRO_KERNEL_BACKEND"
 _scope: ContextVar[str | None] = ContextVar("repro_kernel_backend", default=None)
 
 
@@ -120,18 +120,10 @@ def use_backend(name: str | None):
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a backend name: explicit arg > scope > env var > ``vectorized``."""
+    """Resolve a backend name: explicit arg > scope > ``vectorized``."""
     if backend is not None:
         return _check_name(backend)
-    scoped = _scope.get()
-    if scoped is not None:
-        return scoped
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env:
-        if env not in BACKENDS:
-            raise ValueError(f"{_ENV_VAR} must be one of {BACKENDS}, got {env!r}")
-        return env
-    return "vectorized"
+    return _scope.get() or "vectorized"
 
 
 # ----------------------------------------------------------------------

@@ -60,7 +60,7 @@ DEFAULT_ROUND_TIMEOUT = 60.0
 #: Retries per failed block before degrading to in-process coloring.
 DEFAULT_MAX_RETRIES = 2
 
-#: Backoff base of the exponential backoff between retry attempts (seconds).
+#: Base of the exponential backoff between a block's retry attempts (seconds).
 DEFAULT_BACKOFF = 0.05
 
 
@@ -146,8 +146,9 @@ class _Threads:
         from ..shm import warm_pool
 
         self.nb, self.tier = nb, kernels.resolve_backend()
-        # plan, timeout, max_retries, backoff, rec, stats
+        # plan, timeout, max_retries, rec, stats
         vars(self).update(guard)
+        self.fired: set[int] = set()  # ids of the plan's specs that matched
         self.team = warm_pool()
         self.reused = self.team.ensure(num_workers)
         self.released = threading.Event()
@@ -164,6 +165,9 @@ class _Threads:
             kind = None if spec is None else spec.kind
             if spec is not None:
                 stats["injected"] += 1
+                if id(spec) not in self.fired:
+                    self.fired.add(id(spec))
+                    stats["unfired"] -= 1
                 if rec.enabled:
                     rec.event("fault_injected", fault=kind, round=round_idx,
                               worker=w, attempt=attempt)
@@ -180,7 +184,7 @@ class _Threads:
             proposals: np.ndarray | None = None
             for attempt in range(self.max_retries + 1):
                 if attempt:  # back off, then resubmit the failed block
-                    time.sleep(self.backoff * (2 ** (attempt - 1)))
+                    time.sleep(DEFAULT_BACKOFF * (2 ** (attempt - 1)))
                     handle, corrupt = submit(w, attempt)
                 try:
                     res = handle.result(timeout=self.timeout)
@@ -241,7 +245,6 @@ def run_rounds(
     plan: FaultPlan = NO_FAULTS,
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    backoff: float = DEFAULT_BACKOFF,
     rec=NULL,
 ) -> tuple[np.ndarray, dict]:
     """Color every item of *nb* in optimistic rounds: ``(colors, meta)``.
@@ -261,7 +264,8 @@ def run_rounds(
 
     ``meta`` holds ``rounds``, ``conflicts`` (total retried items),
     ``tail`` (the items the tail colored), ``faults``
-    (injected/detected/recovered/salvaged), ``degraded`` (a block was
+    (injected/detected/recovered/salvaged, and ``unfired``: worker
+    faults of *plan* that matched no task), ``degraded`` (a block was
     salvaged), ``transport`` and ``pool_reused`` (the thread team was
     already wide enough).  *rec* gets the ``mp_pool``/``mp_round``/
     ``mp_salvage``/``mp_tail`` and ``fault_*`` events.
@@ -279,7 +283,8 @@ def run_rounds(
     _check_plan(plan, max_rounds)
     colors = np.full(nb.size, -1, dtype=np.int64)
     work = np.arange(nb.size, dtype=np.int64)
-    stats = {"injected": 0, "detected": 0, "recovered": 0, "salvaged": 0}
+    stats = {"injected": 0, "detected": 0, "recovered": 0, "salvaged": 0,
+             "unfired": sum(f.kind in WORKER_FAULT_KINDS for f in plan.faults)}
     meta = {"rounds": 1, "conflicts": 0, "tail": 0, "faults": stats,
             "degraded": False, "transport": "in-process", "pool_reused": False}
     if num_workers == 1 and transport != "inline":
@@ -287,7 +292,7 @@ def run_rounds(
 
     port = _TRANSPORTS[transport](
         nb, num_workers, plan=plan, timeout=round_timeout,
-        max_retries=max_retries, backoff=backoff, rec=rec, stats=stats)
+        max_retries=max_retries, rec=rec, stats=stats)
     if rec.enabled and transport != "inline":
         rec.event("mp_pool", transport=port.name, reused=port.reused,
                   threads=num_workers)
@@ -341,7 +346,6 @@ def mp_greedy_ff(
     fault_plan: FaultPlan | str | None = None,
     round_timeout: float = DEFAULT_ROUND_TIMEOUT,
     max_retries: int = DEFAULT_MAX_RETRIES,
-    backoff: float = DEFAULT_BACKOFF,
 ) -> Coloring:
     """Greedy-FF coloring computed by *num_workers* threads of the team.
 
@@ -365,8 +369,9 @@ def mp_greedy_ff(
     Every round is guarded: each block's future is collected with
     ``round_timeout`` seconds, failed blocks (stalled, raised, corrupted
     proposals) are retried up to ``max_retries`` times with exponential
-    ``backoff``, and a block whose retries are exhausted is colored
-    in-process so the run *always* terminates with a proper coloring.
+    backoff (:data:`DEFAULT_BACKOFF`), and a block whose retries are
+    exhausted is colored in-process so the run *always* terminates with
+    a proper coloring.
     ``fault_plan`` (a :class:`repro.resilience.FaultPlan`, a spec string,
     or the ``REPRO_FAULT_PLAN`` environment variable) injects such
     failures deterministically for testing; a worker fault planned at a
@@ -376,7 +381,8 @@ def mp_greedy_ff(
     speculation rounds ran and ``meta["conflicts"]`` the total number of
     retried vertices.  ``meta["tail"]`` is the number of vertices the
     sequential tail colored.  ``meta["faults"]`` counts injected /
-    detected / recovered faults and in-process-salvaged blocks, and
+    detected / recovered faults, in-process-salvaged blocks and
+    ``unfired`` worker faults that matched no task, and
     ``meta["degraded"]`` is True whenever a block was salvaged —
     salvage is never silent.  ``meta["transport"]`` names what ran and
     ``meta["pool_reused"]`` says whether the team was already wide enough.
@@ -407,8 +413,7 @@ def mp_greedy_ff(
             Neighbourhood("d1", graph, graph.num_vertices, position),
             num_workers, transport="threads", max_rounds=max_rounds,
             plan=resolve_fault_plan(fault_plan),
-            round_timeout=round_timeout, max_retries=max_retries,
-            backoff=backoff, rec=rec)
+            round_timeout=round_timeout, max_retries=max_retries, rec=rec)
     num_colors = int(colors.max(initial=-1)) + 1
     if rec.enabled:
         rec.event("coloring", strategy="greedy-ff-mp",

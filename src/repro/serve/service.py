@@ -1,8 +1,8 @@
 """The coloring service façade: store + queue + scheduler + cache as one object.
 
 :class:`ColoringService` wires the serving pipeline together and is the
-single surface both fronts use — the in-process API the tests and the
-CI smoke drive directly (no sockets anywhere), and the stdlib HTTP front
+single surface both fronts use — the in-process API the tests drive
+directly (no sockets anywhere), and the stdlib HTTP front
 in :mod:`repro.serve.api`:
 
     service = ColoringService()
@@ -444,7 +444,7 @@ class ColoringService:
         }
 
     # ------------------------------------------------------------------
-    # in-process driving (tests, CI smoke, benchmarks)
+    # in-process driving (tests, benchmarks)
     # ------------------------------------------------------------------
     def process(self, max_rounds: int | None = None) -> int:
         """Drain the queue on the calling thread; return jobs resolved."""

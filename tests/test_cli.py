@@ -1,17 +1,17 @@
 """Tests for the command-line interface."""
 
-import json
 import os
 import re
 import subprocess
 import sys
 import threading
-import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.serve.api import fetch_json
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -106,7 +106,8 @@ class TestRunCommand:
 
 
 class TestServeCommand:
-    """``python -m repro serve`` as a child process (it blocks to serve)."""
+    """``python -m repro serve`` as a child process (it blocks to serve),
+    driven by the in-process ``submit`` client."""
 
     @staticmethod
     def _serve(*args):
@@ -115,6 +116,32 @@ class TestServeCommand:
             [sys.executable, "-m", "repro", "serve", *args],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             cwd=REPO_ROOT, env=env)
+
+    @classmethod
+    @contextmanager
+    def _serving(cls, *args):
+        """A ``serve --port 0 ARGS`` child: yields its URL and its
+        listening line, and kills it on exit."""
+        proc = cls._serve("--port", "0", *args)
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            for line in proc.stdout:
+                match = re.search(r"listening on (http://\S+)", line)
+                if match:
+                    break
+            else:
+                pytest.fail(proc.stderr.read())
+            yield match.group(1), line
+        finally:
+            watchdog.cancel()
+            proc.kill()
+            proc.communicate()
+
+    @staticmethod
+    def _submit(url, *args):
+        return main(["submit", "--url", url, "--strategy", "greedy-ff",
+                     "--scale", "0.05", *args])
 
     def test_shards_flag_is_rejected(self):
         proc = self._serve("--shards", "2")
@@ -125,26 +152,37 @@ class TestServeCommand:
         assert proc.returncode == 2
         assert "--shards" in err
 
-    def test_supervised_service_answers_healthz(self):
-        proc = self._serve("--port", "0", "--supervise")
-        watchdog = threading.Timer(60, proc.kill)
-        watchdog.start()
-        try:
-            url = None
-            for line in proc.stdout:
-                match = re.search(r"listening on (http://\S+)", line)
-                if match:
-                    url = match.group(1)
-                    break
-            assert url is not None, proc.stderr.read()
+    def test_supervised_service_answers_healthz(self, capsys):
+        with self._serving("--supervise") as (url, line):
             assert "supervise=on" in line
-            with urllib.request.urlopen(url + "/healthz", timeout=30) as reply:
-                health = json.load(reply)
+            health = fetch_json(url, "/healthz")
             assert health["live"] is True
             assert health["status"] in ("ready", "degraded"), health
-            with urllib.request.urlopen(url + "/stats", timeout=30) as reply:
-                assert json.load(reply)["supervisor"]["running"] is True
-        finally:
-            watchdog.cancel()
-            proc.kill()
-            proc.communicate()
+            assert fetch_json(url, "/stats")["supervisor"]["running"] is True
+            assert self._submit(url, "--deadline", "60000") == 0
+            assert "done via computed" in capsys.readouterr().out
+
+    def test_store_survives_a_restart(self, tmp_path, capsys):
+        """A result persisted in ``--store`` outlives the server: after a
+        kill and a restart it is served from the store by key, without
+        an execute, and job ids keep counting up."""
+        store = str(tmp_path / "serve-store")
+        with self._serving("--store", store) as (url, _):
+            assert self._submit(url, "--tenant", "ci", "--priority", "high") == 0
+        with self._serving("--store", store) as (url, _):
+            stats = fetch_json(url, "/stats")
+            assert stats["scheduler"]["executed"] == 0, stats
+            assert stats["store"]["persistent"] is True, stats
+            assert self._submit(url) == 0
+            scheduler = fetch_json(url, "/stats")["scheduler"]
+            assert scheduler["executed"] == 0, scheduler
+            assert scheduler["store_hits"] == 1, scheduler
+            assert scheduler["cache_hits"] == 1, scheduler
+            first = fetch_json(url, "/result/1")
+            assert first["status"] == "done" and first["source"] == "store", first
+            assert fetch_json(url, "/stats")["scheduler"]["executed"] == 0
+            capsys.readouterr()
+            assert main(["submit", "--url", url, "--strategy", "greedy-ff",
+                         "--scale", "0.04", "--no-wait"]) == 0
+            assert "job 3 submitted" in capsys.readouterr().out
+            assert fetch_json(url, "/result/3")["id"] == 3

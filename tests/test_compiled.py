@@ -1666,6 +1666,27 @@ def test_repair_matches_reference():
 # ----------------------------------------------------------------------
 # build, cache and fallback
 # ----------------------------------------------------------------------
+#: when this module was imported: a library built in this session is newer
+_SESSION_START = time.time()
+
+
+def test_library_loads_unless_cc_is_false():
+    """With a C compiler every exported loop of ``SOURCE`` resolves.  Under
+    ``CC=false`` the load fails, the kernels run their oracles, and this
+    session built no library into the cache."""
+    lib = compiled.load()
+    if os.environ.get("CC") == "false":
+        assert lib is None
+        assert "exited with status" in compiled.failure_reason()
+        built = [path for path in compiled.cache_dir().glob("*.so")
+                 if path.stat().st_mtime >= _SESSION_START]
+        assert built == []
+        return
+    assert lib is not None, compiled.failure_reason()
+    names = compiled.signatures()
+    assert names and all(getattr(lib, name) for name in names)
+
+
 @pytest.fixture
 def fresh(monkeypatch, tmp_path):
     """A first load in this process, with an empty private cache."""

@@ -4,12 +4,9 @@ Covers the mutation batch API (canonicalization, validation, digests,
 CLI spec parsing), the CSRGraph immutability guarantees the serving
 layer's cached fingerprints rely on, and the ``incremental`` strategy:
 bit-parity with a full re-color of the carried-forward coloring,
-1-thread superstep parity, and the run-layer / CLI wiring.
+1-thread superstep parity, and the run-layer wiring (the CLI's
+``--mutate`` runs in ``tests/test_cli_runs.py``).
 """
-
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +29,6 @@ from repro.graph import (
 )
 from repro.parallel import parallel_incremental_recolor
 from repro.run import RunConfig, execute, mutation_config
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -301,15 +296,3 @@ class TestRunLayer:
             parse_mutation_spec("churn=0.01;vertices=1", graph)
         with pytest.raises(ValueError, match="unknown mutation clause"):
             parse_mutation_spec("drop=1-2", graph)
-
-    @pytest.mark.slow
-    def test_cli_mutate_smoke(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "--strategy", "vff",
-             "--scale", "0.05", "--mutate", "churn=0.01"],
-            capture_output=True, text=True, timeout=300, cwd=REPO_ROOT,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "incremental [sequential" in proc.stdout
-        assert "seeded=0" in proc.stdout

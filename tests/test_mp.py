@@ -128,6 +128,7 @@ class TestTransportDifferential:
         assert meta["rounds"] == 1 and meta["tail"] == meta["conflicts"]
         assert (meta["tail"] > 0) == _races(row, graph_name, workers)
         assert meta["degraded"] is False and inline.meta["degraded"] is False
+        assert meta["faults"]["unfired"] == 0
 
     @pytest.mark.parametrize("plan", RECOVERED_PLANS)
     def test_faults_recover_bit_identically(self, monkeypatch, inputs, row,
@@ -140,6 +141,7 @@ class TestTransportDifferential:
         if workers > 1:
             faults = faulty.meta["faults"]
             assert faults["injected"] == faults["recovered"] == 1
+            assert faults["unfired"] == 0
             assert not faulty.meta["degraded"]
 
     def test_stale_snapshot_replays_bit_identically(self, monkeypatch, inputs,
@@ -155,8 +157,11 @@ class TestTransportDifferential:
                      max_rounds=100)
         assert np.array_equal(first.colors, again.colors)
         assert _rounds(first) == _rounds(again)
-        # round 1 runs, and its block 0 reads stale, iff round 0 left work
-        assert first.meta["faults"]["injected"] == int(_races(row, graph_name, workers))
+        # round 1 runs, and its block 0 reads stale, iff round 0 left
+        # work; otherwise the fault is reported as unfired
+        fired = int(_races(row, graph_name, workers))
+        assert first.meta["faults"]["injected"] == fired
+        assert first.meta["faults"]["unfired"] == 1 - fired
 
     def test_run_to_convergence_has_no_tail(self, monkeypatch, inputs, row,
                                             graph_name, workers):

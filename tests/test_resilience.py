@@ -305,7 +305,8 @@ def mp_clean(mp_graph):
 class TestGuardedMp:
     def test_clean_meta_shape(self, mp_clean):
         assert mp_clean.meta["faults"] == {
-            "injected": 0, "detected": 0, "recovered": 0, "salvaged": 0}
+            "injected": 0, "detected": 0, "recovered": 0, "salvaged": 0,
+            "unfired": 0}
         assert mp_clean.meta["degraded"] is False
         # one speculative round, then its retry set is the planned tail
         assert mp_clean.meta["rounds"] == 1
@@ -330,6 +331,15 @@ class TestGuardedMp:
                          fault_plan="stale@r1.w0;corrupt@r1.w1")
         assert_proper(mp_graph, c)
         assert c.meta["faults"]["injected"] == 2
+        assert c.meta["faults"]["unfired"] == 0
+
+    def test_fault_on_a_worker_with_no_block_is_reported_unfired(
+            self, mp_graph, mp_clean):
+        c = mp_greedy_ff(mp_graph, num_workers=2,
+                         fault_plan="stall@r0.w5:1.0;corrupt@r0.w1")
+        assert np.array_equal(c.colors, mp_clean.colors)
+        assert c.meta["faults"]["injected"] == 1
+        assert c.meta["faults"]["unfired"] == 1
 
     def test_bad_timeouts_rejected(self, mp_graph):
         with pytest.raises(ValueError, match="round_timeout"):

@@ -1,7 +1,8 @@
 """Tests for the serving subsystem (repro.serve).
 
-Everything here drives the service in-process — no sockets — so results
-are deterministic: the same jobs at the same seeds must produce
+Everything but ``TestHTTPServer`` (a server on a free port, and the
+CLI's ``submit`` client) drives the service in-process, with no sockets,
+so results are deterministic: the same jobs at the same seeds must produce
 bit-identical colorings whether computed, deduplicated against an
 identical in-flight job, or served from the cache (memory or disk).
 """
@@ -279,6 +280,30 @@ class TestService:
         assert np.array_equal(second.result.coloring.colors,
                               direct.coloring.colors)
 
+    def test_dataset_repeat_is_a_cache_hit_the_recorder_counts(self):
+        """A repeated dataset job is answered at admission from the
+        cache, and the recorder reads the counts ``/stats`` reports."""
+        from repro.obs import Recorder
+
+        data = load_dataset("cnr", scale=0.05, seed=0)
+        config = RunConfig("vff", mode="superstep", threads=4, seed=0)
+        rec = Recorder()
+        service = ColoringService(recorder=rec)
+        first = service.submit_and_wait(data, config)
+        second = service.submit(data, config)  # no process(): a memory hit
+        assert second.finished, second.status
+        assert first.source == "computed" and second.source == "cache"
+        direct = execute(data, config)
+        for job in (first, second):
+            assert np.array_equal(job.result.coloring.colors,
+                                  direct.coloring.colors)
+        stats = service.stats()
+        assert stats["scheduler"]["executed"] == 1, stats
+        assert stats["scheduler"]["rounds"] == 1, stats
+        assert stats["cache"]["hits"] == 1, stats
+        assert rec.counters["serve.scheduler.executed"] == 1, rec.counters
+        assert rec.counters["serve.cache.hits"] == 1, rec.counters
+
     def test_backend_is_not_part_of_the_job(self, graph, counted_execute):
         """Configs that differ only in the kernel tier are one job."""
         configs = [RunConfig("vff", seed=1, backend=b)
@@ -490,39 +515,68 @@ class TestDispatch:
 
 
 # ----------------------------------------------------------------------
-# real HTTP server (one end-to-end socket round-trip)
+# real HTTP server on a free port, and the CLI's submit client
 # ----------------------------------------------------------------------
+@pytest.fixture
+def http_url():
+    """A started service behind ``make_server(port=0)``: its base URL."""
+    import threading
+
+    from repro.serve.api import make_server
+
+    svc = ColoringService()
+    svc.start()
+    server = make_server(svc, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True,
+                              kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        svc.stop()
+
+
+def submit_cli(url: str, *args: str) -> int:
+    """``python -m repro submit --url URL ARGS`` in process: its exit code."""
+    from repro.__main__ import main
+
+    return main(["submit", "--url", url, *args])
+
+
 class TestHTTPServer:
-    def test_end_to_end_roundtrip(self):
-        import threading
+    def test_end_to_end_roundtrip(self, http_url):
+        from repro.serve.api import fetch_json, submit_job, wait_for_result
 
-        from repro.serve.api import (
-            fetch_json,
-            make_server,
-            submit_job,
-            wait_for_result,
-        )
+        body = {"input": "cnr", "scale": 0.05, "seed": 0,
+                "config": {"strategy": "greedy-ff", "seed": 0}}
+        first = submit_job(http_url, body)
+        done = wait_for_result(http_url, first["job_id"], timeout=60)
+        assert done["status"] == "done"
+        second = submit_job(http_url, body)
+        done2 = wait_for_result(http_url, second["job_id"], timeout=60)
+        assert done2["source"] == "cache"
+        assert fetch_json(http_url, "/healthz")["status"] == "ready"
+        assert fetch_json(http_url, "/stats")["scheduler"]["executed"] == 1
 
-        svc = ColoringService()
-        svc.start()
-        server = make_server(svc, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            body = {"input": "cnr", "scale": 0.05, "seed": 0,
-                    "config": {"strategy": "greedy-ff", "seed": 0}}
-            first = submit_job(base, body)
-            done = wait_for_result(base, first["job_id"], timeout=60)
-            assert done["status"] == "done"
-            second = submit_job(base, body)
-            done2 = wait_for_result(base, second["job_id"], timeout=60)
-            assert done2["source"] == "cache"
-            assert fetch_json(base, "/healthz")["status"] == "ready"
-            assert fetch_json(base, "/stats")["scheduler"]["executed"] == 1
-        finally:
-            server.shutdown()
-            svc.stop()
+    def test_cli_repeat_reuses_the_result_and_the_dataset_graph(
+            self, http_url, capsys):
+        from repro.serve.api import fetch_json
+
+        for source in ("computed", "cache"):
+            assert submit_cli(http_url, "--strategy", "greedy-ff",
+                              "--scale", "0.05") == 0
+            assert f"done via {source}" in capsys.readouterr().out
+        stats = fetch_json(http_url, "/stats")
+        cache = stats["cache"]
+        assert stats["scheduler"]["executed"] == 1 and cache["hits"] == 1, stats
+        assert cache["graph_builds"] == 1 and cache["graph_hits"] == 1, cache
+
+    def test_cli_submits_a_d2_balanced_job(self, http_url, capsys):
+        assert submit_cli(http_url, "--strategy", "d2-balanced",
+                          "--input", "jacband", "--scale", "0.05") == 0
+        assert "done via computed" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
